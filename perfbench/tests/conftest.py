@@ -1,0 +1,12 @@
+"""Self-tests of the benchmark (not part of tier-1; run explicitly):
+
+    python -m pytest perfbench/tests -q
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
