@@ -31,10 +31,8 @@ from .data import (
     ShardedFrameStore,
     StreamingLoader,
     generate_dataset,
-    load_dataset,
     make_loader,
     open_source,
-    save_dataset,
 )
 from .model import DeePMD, DeePMDConfig, make_batch
 from .model.calculator import DeePMDCalculator
@@ -79,8 +77,6 @@ __all__ = [
     "ShardedFrameStore",
     "SYSTEMS",
     "generate_dataset",
-    "save_dataset",
-    "load_dataset",
     "DeePMD",
     "DeePMDConfig",
     "DeePMDCalculator",

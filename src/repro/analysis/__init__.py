@@ -66,7 +66,6 @@ from .graphlint import (
     Sanitizer,
     SanitizerError,
     TapeRecorder,
-    record_tape,
     verify_second_order,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "RULES",
     "GraphLinter",
     "TapeRecorder",
-    "record_tape",
     "Sanitizer",
     "SanitizerError",
     "verify_second_order",

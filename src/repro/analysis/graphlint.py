@@ -14,13 +14,11 @@ checks those invariants over a whole recorded tape at once::
 
 The tape/sanitizer sinks themselves now live in
 :mod:`repro.autograd.capture` (one unified entry point for every
-op-stream observer); this module re-exports them and keeps a deprecated
-``record_tape`` shim for one release.
+op-stream observer); this module re-exports them.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -41,22 +39,11 @@ from .findings import Finding, Report
 __all__ = [
     "TapeEntry",
     "TapeRecorder",
-    "record_tape",
     "GraphLinter",
     "Sanitizer",
     "SanitizerError",
     "verify_second_order",
 ]
-
-
-def record_tape() -> capture:
-    """Deprecated alias for ``autograd.capture("tape")`` (one release)."""
-    warnings.warn(
-        "record_tape() is deprecated; use repro.autograd.capture('tape')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return capture("tape")
 
 
 def _ancestors(roots: Iterable[Tensor]) -> set[int]:

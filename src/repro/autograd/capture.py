@@ -30,8 +30,7 @@ through this surface (``capture("tape", graph=True)`` forces graph edges
 onto every op output so the recorded tape carries complete parentage).
 
 The sink classes themselves (:class:`TapeRecorder`, :class:`Sanitizer`)
-live here; :mod:`repro.analysis.graphlint` re-exports them for
-compatibility and keeps a deprecated ``record_tape`` shim.
+live here; :mod:`repro.analysis.graphlint` re-exports them.
 """
 
 from __future__ import annotations

@@ -13,12 +13,15 @@ windowed_order`), so they visit frames identically for equal parameters:
   :class:`~repro.data.source.FrameSource` protocol instead of a concrete
   in-memory dataset.
 * :class:`StreamingLoader` -- a producer thread runs batch construction
-  on rank workers via the executor layer (:mod:`repro.parallel.
-  executor`), keeping a bounded queue of ready batches ahead of the
-  consumer: descriptor-input assembly (frame reads, neighbor tables,
-  index flattening) overlaps the optimizer's Kalman algebra.  Hit/stall
+  on :class:`PrefetchWorker` ranks of the rank runtime
+  (:mod:`repro.runtime`, :mod:`repro.parallel.executor`), keeping a
+  bounded queue of ready batches ahead of the consumer:
+  descriptor-input assembly (frame reads, neighbor tables, index
+  flattening) overlaps the optimizer's Kalman algebra.  Hit/stall
   counters and ``data.prefetch`` worker spans make the overlap
-  observable.
+  observable.  A crashed prefetch rank costs nothing but time: the
+  runtime's fallback builds the batch in the producer thread and the
+  rank is respawned.
 
 Construct via :func:`make_loader` (mirrors ``make_optimizer``): it picks
 the class from the options and accepts anything
@@ -30,33 +33,23 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import warnings
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
+from ..runtime import capture_mode, merge_worker_telemetry, run_task
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import current_tracer, span as _span
 from .source import FrameSource, open_source, windowed_order
 
-__all__ = ["BatchLoader", "StreamingLoader", "make_loader"]
-
-
-def _deprecated_dataset_kwarg(source, dataset):
-    """Resolve the renamed first argument of :class:`BatchLoader`."""
-    if dataset is not None:
-        if source is not None:
-            raise TypeError("pass either source or dataset=, not both")
-        warnings.warn(
-            "BatchLoader(dataset=...) is deprecated; pass the source "
-            "positionally or use repro.data.make_loader(source, ...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        source = dataset
-    if source is None:
-        raise TypeError("BatchLoader requires a frame source")
-    return source
+__all__ = [
+    "BatchLoader",
+    "StreamingLoader",
+    "make_loader",
+    "PrefetchWorker",
+    "PrefetchSpec",
+]
 
 
 class BatchLoader:
@@ -71,16 +64,13 @@ class BatchLoader:
 
     def __init__(
         self,
-        source: Optional[FrameSource] = None,
+        source: FrameSource,
         batch_size: int = 1,
         shuffle: bool = True,
         drop_last: bool = True,
         seed: int = 0,
         window: Optional[int] = None,
-        *,
-        dataset: Optional[FrameSource] = None,
     ):
-        source = _deprecated_dataset_kwarg(source, dataset)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if window is not None and window < 1:
@@ -92,16 +82,6 @@ class BatchLoader:
         self.seed = seed
         self.window = window
         self._epoch = 0
-
-    @property
-    def dataset(self) -> FrameSource:
-        """Deprecated alias of :attr:`source` (pre-FrameSource name)."""
-        warnings.warn(
-            "BatchLoader.dataset is deprecated; use BatchLoader.source",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.source
 
     def __len__(self) -> int:
         n = self.source.n_frames
@@ -163,15 +143,76 @@ class BatchLoader:
         """Release loader resources (no-op for the synchronous path)."""
 
 
+class PrefetchWorker:
+    """Batch-construction compute for the streaming data loader.
+
+    The descriptor-input half of a training step -- fetch frames, build
+    neighbor tables, assemble the :class:`DescriptorBatch` -- is a pure
+    function of (frame source, index array, descriptor config), exactly
+    the shape the rank runtime wants.  :class:`StreamingLoader` runs
+    these workers on an executor so batch construction overlaps the
+    optimizer's Kalman algebra (thread backend: the table/gather kernels
+    are numpy and BLAS releases the GIL; process backend: a picklable
+    store *handle* travels, never frame data).
+    """
+
+    #: rank-runtime declarations (see :func:`repro.runtime.run_task`)
+    tasks = frozenset({"make_batch", "noop"})
+    span = "data.prefetch"
+    compute_tasks = {"make_batch": {}}
+    counter = "data.prefetch_tasks"
+
+    def __init__(self, source, cfg, rank: int = 0):
+        self.source = source
+        self.cfg = cfg
+        self.rank = int(rank)
+
+    def make_batch(self, indices: np.ndarray):
+        from ..model.environment import make_batch  # deferred: model imports data
+
+        return make_batch(self.source, indices, self.cfg)
+
+    def noop(self) -> None:
+        """Padding task for partial final groups (world_size alignment)."""
+
+
+@dataclass
+class PrefetchSpec:
+    """Picklable recipe for building prefetch ranks.
+
+    ``source`` must be picklable for the process backend -- an in-memory
+    :class:`~repro.data.dataset.Dataset` ships its arrays once at start;
+    a :class:`~repro.data.framestore.ShardedFrameStore` ships only its
+    path handle and re-opens (mmap) inside the worker.
+    """
+
+    source: Any
+    cfg: Any
+
+    def build(self, rank: int = 0) -> PrefetchWorker:
+        return PrefetchWorker(self.source, self.cfg, rank=rank)
+
+
+def _put(out: "queue.Queue", item, stop: threading.Event) -> bool:
+    """Blocking put that gives up once the consumer has stopped."""
+    while not stop.is_set():
+        try:
+            out.put(item, timeout=0.1)
+            return True
+        except queue.Full:
+            pass
+    return False
+
+
 class StreamingLoader(BatchLoader):
     """Prefetching loader: batch construction on rank workers, ahead of
     the consumer.
 
     A producer thread dispatches ``make_batch`` tasks in groups of
-    ``workers`` through an executor (:class:`~repro.optim.worker.
-    PrefetchWorker` ranks; serial / thread / process backends all work)
-    and feeds a queue bounded at ``depth`` groups -- bounded memory, no
-    matter how far the optimizer falls behind.  The consumer's
+    ``workers`` through an executor (:class:`PrefetchWorker` ranks;
+    serial / thread / process backends all work) and feeds a queue
+    bounded at ``depth`` groups -- bounded memory, no matter how far the
+    optimizer falls behind.  The consumer's
     :meth:`iter_batches` drains the queue in submission order, so the
     batch sequence is exactly the synchronous loader's.
 
@@ -184,7 +225,7 @@ class StreamingLoader(BatchLoader):
 
     def __init__(
         self,
-        source: Optional[FrameSource] = None,
+        source: FrameSource,
         batch_size: int = 1,
         cfg=None,
         shuffle: bool = True,
@@ -194,12 +235,8 @@ class StreamingLoader(BatchLoader):
         executor: "str | None" = None,
         workers: int = 2,
         depth: int = 2,
-        *,
-        dataset: Optional[FrameSource] = None,
     ):
-        super().__init__(
-            source, batch_size, shuffle, drop_last, seed, window, dataset=dataset
-        )
+        super().__init__(source, batch_size, shuffle, drop_last, seed, window)
         if cfg is None:
             raise TypeError(
                 "StreamingLoader needs the descriptor config (cfg=) to "
@@ -213,6 +250,7 @@ class StreamingLoader(BatchLoader):
         self.executor_kind = executor
         self.workers = int(workers)
         self.depth = int(depth)
+        self._spec = PrefetchSpec(source=source, cfg=cfg)
         self._executor = None
         #: lifetime totals, for the gated benchmark and tests
         self.stats = {"batches": 0, "hits": 0, "stalls": 0, "wait_s": 0.0}
@@ -220,23 +258,31 @@ class StreamingLoader(BatchLoader):
     # ------------------------------------------------------------------
     def _ensure_executor(self):
         if self._executor is None:
-            from ..optim.worker import PrefetchSpec
+            # deferred: parallel imports optim imports model imports data
             from ..parallel.executor import make_executor
 
             ex = make_executor(self.executor_kind, self.workers)
-            ex.start(PrefetchSpec(source=self.source, cfg=self.cfg))
+            ex.start(self._spec)
             self._executor = ex
         return self._executor
+
+    def _fallback(self, calls, capture) -> list:
+        """The rank runtime's crash fallback: build the group right here
+        in the producer thread, on the loader's own source."""
+        local = self._spec.build()
+        return [run_task(local, method, args, capture) for method, args in calls]
 
     def _produce(
         self,
         batches: list[np.ndarray],
         out: "queue.Queue",
         stop: threading.Event,
-        capture: bool,
+        capture: "bool | str",
     ) -> None:
-        """Producer loop: submit index groups, enqueue results in order."""
+        """Producer loop: submit index groups, enqueue ``(indices,
+        result)`` pairs in order -- or the exception that ended it."""
         ws = self.workers
+        ex = self._executor
         try:
             for lo in range(0, len(batches), ws):
                 if stop.is_set():
@@ -244,33 +290,14 @@ class StreamingLoader(BatchLoader):
                 group = batches[lo : lo + ws]
                 calls = [("make_batch", (idx,)) for idx in group]
                 calls += [("noop", ())] * (ws - len(group))
-                results = self._executor.submit(calls, capture=capture)
+                results = ex.run_resilient(calls, self._fallback, capture=capture)
+                if ex.degraded:
+                    ex.heal(self._spec, None)
                 for idx, res in zip(group, results):
-                    item = ("ok", idx, res.payload, res.telemetry)
-                    while not stop.is_set():
-                        try:
-                            out.put(item, timeout=0.1)
-                            break
-                        except queue.Full:
-                            continue
-                    else:
+                    if not _put(out, (idx, res), stop):
                         return
-            while not stop.is_set():
-                try:
-                    out.put(("end",), timeout=0.1)
-                    return
-                except queue.Full:
-                    continue
         except BaseException as exc:  # surfaced in the consumer
-            try:
-                out.put(("err", exc), timeout=1.0)
-            except queue.Full:
-                pass
-
-    def _merge_telemetry(self, tel, tracer) -> None:
-        _metrics.REGISTRY.merge_counters(tel.counters, rank=tel.rank)
-        if tracer is not None and tel.spans:
-            tracer.emit_foreign(tel.spans, rank=tel.rank, pid=tel.pid)
+            _put(out, exc, stop)
 
     # ------------------------------------------------------------------
     def warm_up(self) -> None:
@@ -289,7 +316,7 @@ class StreamingLoader(BatchLoader):
         """
         if cfg is not None and cfg != self.cfg:
             raise ValueError("iter_batches cfg differs from the loader's cfg")
-        self._ensure_executor()
+        executor = self._ensure_executor().name
         batches = list(self.epoch(epoch_index))
         tracer = current_tracer()
         hits = _metrics.REGISTRY.counter("data.prefetch.hits")
@@ -299,7 +326,7 @@ class StreamingLoader(BatchLoader):
         stop = threading.Event()
         producer = threading.Thread(
             target=self._produce,
-            args=(batches, out, stop, tracer is not None),
+            args=(batches, out, stop, capture_mode(tracer)),
             name="data-prefetch",
             daemon=True,
         )
@@ -320,17 +347,13 @@ class StreamingLoader(BatchLoader):
                     self.stats["hits"] += 1
                     hits.inc()
                     item = out.get()
-                if item[0] == "err":
-                    raise item[1]
-                if item[0] == "end":  # producer stopped early
-                    raise RuntimeError(
-                        "prefetch producer ended before the epoch completed"
-                    )
-                _, idx, batch, tel = item
-                self._merge_telemetry(tel, tracer)
+                if isinstance(item, BaseException):
+                    raise item
+                idx, res = item
+                merge_worker_telemetry([res], tracer, executor=executor)
                 served += 1
                 self.stats["batches"] += 1
-                yield idx, batch
+                yield idx, res.payload
         finally:
             stop.set()
             while True:  # unblock a producer stuck on a full queue

@@ -9,6 +9,7 @@ Every optimizer satisfies the :class:`Optimizer` protocol
 (``step_batch`` / ``state_dict`` / ``load_state_dict`` / ``hyperparams``).
 """
 
+from ..runtime import FaultInjector, TaskResult, WorkerTelemetry
 from .base import (
     OPTIMIZER_NAMES,
     Optimizer,
@@ -22,15 +23,7 @@ from .blocks import Block, block_shapes, p_memory_bytes, split_blocks, validate_
 from .ekf import FEKF, NaiveEKF, RLEKF, UpdateStats
 from .first_order import SGD, Adam, ExponentialDecay, FirstOrderOptimizer, LossConfig
 from .kalman import KalmanConfig, KalmanState
-from .worker import (
-    FaultInjector,
-    GradientWorker,
-    ShardResult,
-    TaskResult,
-    WorkerSpec,
-    WorkerTelemetry,
-    error_signs,
-)
+from .worker import GradientWorker, ShardResult, WorkerSpec, error_signs
 
 __all__ = [
     "Optimizer",

@@ -35,7 +35,7 @@ from ..autograd.config import config as _autograd_config
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import span as _span
 from .kalman import KalmanConfig, KalmanState
-from .worker import GradientWorker, error_signs
+from .worker import GradientWorker
 
 
 @dataclass
@@ -54,10 +54,6 @@ class UpdateStats:
             "lambda": self.lam,
             "updates": float(self.updates),
         }
-
-
-#: back-compat alias; the implementation moved to :mod:`repro.optim.worker`
-_signs = error_signs
 
 
 class FEKF:
@@ -114,8 +110,7 @@ class FEKF:
         self.step_count = 0
 
     # ------------------------------------------------------------------
-    # gradient building blocks (implementation lives in GradientWorker;
-    # the underscore wrappers are kept for in-package/back-compat use)
+    # gradient building blocks (implementation lives in GradientWorker)
     # ------------------------------------------------------------------
     @property
     def fused_env(self) -> bool:
@@ -147,33 +142,15 @@ class FEKF:
                                "replays": 0, "fallbacks": 0}
         return out
 
-    def _energy_gradient(self, batch: DescriptorBatch) -> tuple[np.ndarray, float]:
-        return self.worker.energy_gradient(batch)
-
-    def _force_graph(self, batch: DescriptorBatch):
-        return self.worker.force_graph(batch)
-
-    def _force_group_gradient(self, f_pred, p, batch, atom_group):
-        return self.worker.force_group_gradient(f_pred, p, batch, atom_group)
-
-    def _force_gradient(self, batch: DescriptorBatch, atom_group: np.ndarray):
-        return self.worker.force_gradient(batch, atom_group)
-
     def force_groups(self, n_atoms: int) -> list[np.ndarray]:
         """The per-batch disjoint atom groups driving the force updates
         (consumes one RNG draw -- call exactly once per step)."""
         perm = self._rng.permutation(n_atoms)
         return [np.sort(g) for g in np.array_split(perm, self.n_force_splits) if g.size]
 
-    # back-compat private name
-    _force_groups = force_groups
-
     def apply_increment(self, dw: np.ndarray) -> None:
         """w <- w + dw (the shared weight-update step of Algorithm 1)."""
         self.worker.apply_increment(dw)
-
-    # back-compat private name
-    _apply_increment = apply_increment
 
     # ------------------------------------------------------------------
     # optimizer protocol: state + hyperparameters
@@ -273,22 +250,22 @@ class FEKF:
             else float(self.step_scale)
         )
         with _span("fekf.update", kind="energy", step=self.step_count):
-            g, e_abe = self._energy_gradient(batch)
+            g, e_abe = self.worker.energy_gradient(batch)
             with _span("fekf.kalman"):
                 dw = self.kalman.update(g, e_abe, scale)
-        self._apply_increment(dw)
+        self.apply_increment(dw)
 
         f_abes = []
-        shared = self._force_graph(batch) if self.reuse_force_graph else None
-        for gi, group in enumerate(self._force_groups(batch.n_atoms)):
+        shared = self.worker.force_graph(batch) if self.reuse_force_graph else None
+        for gi, group in enumerate(self.force_groups(batch.n_atoms)):
             with _span("fekf.update", kind="force", group=gi, step=self.step_count):
                 if shared is not None:
-                    g, f_abe = self._force_group_gradient(*shared, batch, group)
+                    g, f_abe = self.worker.force_group_gradient(*shared, batch, group)
                 else:
-                    g, f_abe = self._force_gradient(batch, group)
+                    g, f_abe = self.worker.force_gradient(batch, group)
                 with _span("fekf.kalman"):
                     dw = self.kalman.update(g, f_abe, scale)
-            self._apply_increment(dw)
+            self.apply_increment(dw)
             f_abes.append(f_abe)
         self.step_count += 1
         _metrics.REGISTRY.counter("optim.steps", optimizer=self.name).inc()
@@ -364,19 +341,19 @@ class NaiveEKF(FEKF):
         e_abes = []
         for i in range(bs):
             fb = self._single_frame(batch, i)
-            g, abe = self._energy_gradient(fb)
+            g, abe = self.worker.energy_gradient(fb)
             increments += replicas[i].update(g, abe, 1.0)
             e_abes.append(abe)
         self.model.params.unflatten(base + increments / bs)
 
         # force phases
         f_abes = []
-        for group in self._force_groups(batch.n_atoms):
+        for group in self.force_groups(batch.n_atoms):
             base = self.model.params.flatten()
             increments = np.zeros_like(base)
             for i in range(bs):
                 fb = self._single_frame(batch, i)
-                g, abe = self._force_gradient(fb, group)
+                g, abe = self.worker.force_gradient(fb, group)
                 increments += replicas[i].update(g, abe, 1.0)
                 f_abes.append(abe)
             self.model.params.unflatten(base + increments / bs)

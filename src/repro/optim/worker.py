@@ -16,50 +16,33 @@ so it can run
 
 Task protocol
 -------------
-Executors (see :mod:`repro.parallel.executor`) drive a worker exclusively
-through :meth:`GradientWorker.run`, which dispatches a whitelisted method
-name, times it, optionally captures telemetry spans locally, and wraps
-the outcome in a :class:`TaskResult` envelope for the parent to merge.
-State mutations (``set_shard`` / ``set_weights`` / ``apply_delta``) and
-compute tasks (``energy_task`` / ``graph_task`` / ``force_task``) are the
-whole vocabulary; everything is picklable so the same protocol works over
-a pipe.
-
-Fault injection for robustness tests is first-class: install a
-:class:`FaultInjector` (itself picklable, via the ``set_fault`` task) and
-the targeted task raises for its first ``times`` invocations -- the
-executor's retry/fallback machinery is exercised without monkeypatching.
+Executors drive a worker exclusively through the shared task envelope
+(:func:`repro.runtime.run_task` -- see :mod:`repro.runtime` for the rank
+runtime's one description of envelope, telemetry merge and crash path);
+the worker itself only declares its vocabulary.  State mutations
+(``set_shard`` / ``set_weights`` / ``apply_delta``) and compute tasks
+(``energy_task`` / ``graph_task`` / ``force_task``) are all of it, and
+everything is picklable so the same protocol works over a pipe.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import os
-import time
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from ..autograd import Tensor, grad, ops
-from ..autograd.capture import capture as _capture
 from ..model.environment import DescriptorBatch
 from ..model.network import DeePMD
-from ..telemetry.trace import Tracer, span as _span
+from ..telemetry.trace import span as _span
 
 __all__ = [
     "error_signs",
     "ShardResult",
-    "WorkerTelemetry",
-    "TaskResult",
-    "FaultInjector",
     "GradientWorker",
     "WorkerSpec",
-    "TASK_METHODS",
-    "PrefetchWorker",
-    "PrefetchSpec",
-    "PREFETCH_TASKS",
 ]
 
 
@@ -69,9 +52,6 @@ def error_signs(errors: np.ndarray) -> np.ndarray:
     return np.where(errors > 0.0, 1.0, -1.0)
 
 
-# ---------------------------------------------------------------------------
-# result envelopes (all picklable)
-# ---------------------------------------------------------------------------
 @dataclass
 class ShardResult:
     """One rank's reduced contribution to a global update.
@@ -87,92 +67,6 @@ class ShardResult:
     count: int
 
 
-@dataclass
-class WorkerTelemetry:
-    """Telemetry captured locally by a worker for one task.
-
-    Workers never touch the parent's tracer or metric registry (threads
-    would race on it, processes cannot see it); they measure locally and
-    the parent merges via :meth:`repro.telemetry.Tracer.emit_foreign` and
-    :meth:`repro.telemetry.MetricRegistry.merge_counters`.
-    """
-
-    rank: int = 0
-    #: OS pid of the worker (distinguishes process-executor tracks from
-    #: in-process ranks in the merged Chrome trace)
-    pid: int = 0
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    counters: dict = field(default_factory=dict)
-    #: ``SpanEvent.as_dict()`` payloads captured under a worker-local
-    #: tracer (empty unless the parent asked for capture)
-    spans: list = field(default_factory=list)
-    #: ``OpEvent.as_dict()`` payloads from a worker-local profiler
-    #: (empty unless the parent asked for ``capture="profile"``)
-    ops: list = field(default_factory=list)
-    #: ``{name: Histogram.as_dict()}`` distributions observed locally
-    #: (e.g. per-task latency); the parent folds them in losslessly via
-    #: :meth:`repro.telemetry.MetricRegistry.merge_histograms`
-    histograms: dict = field(default_factory=dict)
-
-
-@dataclass
-class TaskResult:
-    """Envelope returned by :meth:`GradientWorker.run` for every task."""
-
-    payload: Any
-    telemetry: WorkerTelemetry
-
-
-@dataclass
-class FaultInjector:
-    """Picklable test hook: degrade ``method`` for its next ``times`` calls.
-
-    The default is a hard failure (``raises=True``); ``stall_s`` sleeps
-    inside the task first, and with ``raises=False`` the task then
-    *succeeds slowly* -- a wedged-but-alive worker, which is what the
-    watchdog / latency-SLO tests need to provoke (a crash is caught by
-    the executor's heal path long before any deadline fires).
-    """
-
-    method: str
-    times: int = 1
-    message: str = "injected worker fault"
-    #: seconds to block inside the targeted task before (maybe) raising
-    stall_s: float = 0.0
-    #: when False the fault only stalls -- no exception
-    raises: bool = True
-
-    def check(self, method: str, rank: int) -> None:
-        if self.times > 0 and method == self.method:
-            self.times -= 1
-            if self.stall_s > 0.0:
-                time.sleep(self.stall_s)
-            if self.raises:
-                raise RuntimeError(f"{self.message} (rank {rank}, {method})")
-
-
-#: methods dispatchable through :meth:`GradientWorker.run`
-TASK_METHODS = frozenset(
-    {
-        "set_shard",
-        "set_weights",
-        "get_weights",
-        "apply_delta",
-        "set_fault",
-        "energy_task",
-        "graph_task",
-        "force_task",
-    }
-)
-
-#: compute tasks wrapped in a ``worker.task`` span under capture, and the
-#: update kind each contributes to (phase attribution for the profiler;
-#: ``graph_task`` has no kind -- it is the shared force-graph build)
-_COMPUTE_TASKS = frozenset({"energy_task", "graph_task", "force_task"})
-_TASK_KIND = {"energy_task": "energy", "force_task": "force"}
-
-
 class GradientWorker:
     """Reduced-gradient compute over one model replica.
 
@@ -183,6 +77,29 @@ class GradientWorker:
     rank-local state an executor round needs: the current shard, a cached
     force graph, and empty-shard short-circuits.
     """
+
+    #: rank-runtime declarations (see :func:`repro.runtime.run_task`)
+    tasks = frozenset(
+        {
+            "set_shard",
+            "set_weights",
+            "get_weights",
+            "apply_delta",
+            "energy_task",
+            "graph_task",
+            "force_task",
+        }
+    )
+    span = "worker.task"
+    #: the update kind each compute task contributes to (phase
+    #: attribution for the profiler; ``graph_task`` has no kind -- it is
+    #: the shared force-graph build)
+    compute_tasks = {
+        "energy_task": {"kind": "energy"},
+        "graph_task": {},
+        "force_task": {"kind": "force"},
+    }
+    counter = "parallel.worker_tasks"
 
     def __init__(
         self,
@@ -200,7 +117,6 @@ class GradientWorker:
         #: protocol evaluates all force groups on one stale graph) and
         #: dropped on ``set_shard`` / ``set_weights``.
         self.graph = None
-        self.fault: Optional[FaultInjector] = None
         #: opt-in tape-compiled step replay (see repro.optim.compiled);
         #: the engine is built lazily on the first gradient call
         self.compiled = bool(compiled)
@@ -335,9 +251,6 @@ class GradientWorker:
         # graph cache intentionally survives (shared-graph protocol)
         self.apply_increment(np.asarray(dw, dtype=np.float64))
 
-    def set_fault(self, fault: Optional[FaultInjector]) -> None:
-        self.fault = fault
-
     def _zero_result(self) -> ShardResult:
         return ShardResult(np.zeros(self.model.num_params), 0.0, 0)
 
@@ -376,151 +289,6 @@ class GradientWorker:
             g, abe = self.force_group_gradient(*self.graph, shard, atom_group)
         n_comp = shard.batch_size * len(atom_group) * 3
         return ShardResult(g, abe * n_comp, n_comp)
-
-    # ------------------------------------------------------------------
-    # executor entry point
-    # ------------------------------------------------------------------
-    def run(
-        self, method: str, args: tuple = (), capture: "bool | str" = False
-    ) -> TaskResult:
-        """Dispatch one task, measuring wall/CPU time and (optionally)
-        capturing telemetry spans under a worker-local tracer.
-
-        ``capture="profile"`` additionally attaches a worker-local
-        op-level profiler, so the task's primitive-op timeline rides back
-        in :attr:`WorkerTelemetry.ops` for the parent to merge into its
-        own profiler (one rank-tagged track per worker in the exported
-        Chrome trace)."""
-        if method not in TASK_METHODS:
-            raise ValueError(f"unknown worker task {method!r}")
-        if self.fault is not None:
-            self.fault.check(method, self.rank)
-        t0 = time.perf_counter()
-        c0 = time.process_time()
-        if capture:
-            with contextlib.ExitStack() as stack:
-                tracer = stack.enter_context(Tracer(keep_events=True))
-                if capture == "profile":
-                    # the unified observer surface: installs a worker-local
-                    # Profiler attached to this tracer (autograd.capture)
-                    stack.enter_context(_capture("profile", tracer=tracer))
-                if method in _COMPUTE_TASKS:
-                    attrs = {"method": method}
-                    kind = _TASK_KIND.get(method)
-                    if kind is not None:
-                        attrs["kind"] = kind
-                    with tracer.span("worker.task", **attrs):
-                        payload = getattr(self, method)(*args)
-                else:
-                    payload = getattr(self, method)(*args)
-            spans = [e.as_dict() for e in tracer.events]
-            ops = (
-                [o.as_dict() for o in tracer.profiler.events]
-                if tracer.profiler is not None
-                else []
-            )
-        else:
-            payload = getattr(self, method)(*args)
-            spans = []
-            ops = []
-        wall = time.perf_counter() - t0
-        cpu = time.process_time() - c0
-        telemetry = WorkerTelemetry(
-            rank=self.rank,
-            pid=os.getpid(),
-            wall_s=wall,
-            cpu_s=cpu,
-            counters={"parallel.worker_tasks": 1.0},
-            spans=spans,
-            ops=ops,
-        )
-        return TaskResult(payload=payload, telemetry=telemetry)
-
-
-#: methods dispatchable through :meth:`PrefetchWorker.run`
-PREFETCH_TASKS = frozenset({"make_batch", "noop"})
-
-
-class PrefetchWorker:
-    """Batch-construction compute for the streaming data loader.
-
-    The descriptor-input half of a training step -- fetch frames, build
-    neighbor tables, assemble the :class:`DescriptorBatch` -- is a pure
-    function of (frame source, index array, descriptor config), exactly
-    the shape the rank-worker protocol wants.  The
-    :class:`~repro.data.loader.StreamingLoader` runs these workers on an
-    executor so batch construction overlaps the optimizer's Kalman
-    algebra (thread backend: the table/gather kernels are numpy and BLAS
-    releases the GIL; process backend: a picklable store *handle*
-    travels, never frame data).
-
-    Same envelope as :class:`GradientWorker`: drive exclusively through
-    :meth:`run`, which returns a :class:`TaskResult` whose telemetry the
-    parent merges; under capture the batch build is wrapped in a
-    ``data.prefetch`` span so prefetch overlap is visible in the trace.
-    """
-
-    def __init__(self, source, cfg, rank: int = 0):
-        self.source = source
-        self.cfg = cfg
-        self.rank = int(rank)
-
-    # ------------------------------------------------------------------
-    def make_batch(self, indices: np.ndarray) -> DescriptorBatch:
-        from ..model.environment import make_batch
-
-        return make_batch(self.source, indices, self.cfg)
-
-    def noop(self) -> None:
-        """Padding task for partial final groups (world_size alignment)."""
-
-    # ------------------------------------------------------------------
-    def run(
-        self, method: str, args: tuple = (), capture: "bool | str" = False
-    ) -> TaskResult:
-        if method not in PREFETCH_TASKS:
-            raise ValueError(f"unknown prefetch task {method!r}")
-        t0 = time.perf_counter()
-        c0 = time.process_time()
-        if capture:
-            with Tracer(keep_events=True) as tracer:
-                if method == "make_batch":
-                    with tracer.span(
-                        "data.prefetch", rank=self.rank, frames=len(args[0])
-                    ):
-                        payload = getattr(self, method)(*args)
-                else:
-                    payload = getattr(self, method)(*args)
-            spans = [e.as_dict() for e in tracer.events]
-        else:
-            payload = getattr(self, method)(*args)
-            spans = []
-        telemetry = WorkerTelemetry(
-            rank=self.rank,
-            pid=os.getpid(),
-            wall_s=time.perf_counter() - t0,
-            cpu_s=time.process_time() - c0,
-            counters={"data.prefetch_tasks": 1.0},
-            spans=spans,
-        )
-        return TaskResult(payload=payload, telemetry=telemetry)
-
-
-@dataclass
-class PrefetchSpec:
-    """Picklable recipe for building prefetch ranks.
-
-    ``source`` must be picklable for the process backend -- an in-memory
-    :class:`~repro.data.dataset.Dataset` ships its arrays once at start;
-    a :class:`~repro.data.framestore.ShardedFrameStore` ships only its
-    path handle and re-opens (mmap) inside the worker.
-    """
-
-    source: Any
-    cfg: Any
-
-    def build(self, rank: int = 0) -> PrefetchWorker:
-        return PrefetchWorker(self.source, self.cfg, rank=rank)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Pluggable rank-worker executors: serial, thread, and process backends.
 
-The data-parallel trainer (:class:`~repro.parallel.trainer.DistributedFEKF`)
-expresses one training step as a sequence of *rounds*: every rank runs the
-same :class:`~repro.optim.worker.GradientWorker` task on its own shard,
-and the parent reduces the results.  This module supplies the execution
-substrate for those rounds:
+The parent-side half of the rank runtime (:mod:`repro.runtime` holds the
+description and the worker-side half).  A consumer -- the data-parallel
+trainer, the inference service, the streaming loader -- expresses its
+work as *rounds*: every rank runs one task on its own shard through the
+shared envelope (:func:`repro.runtime.run_task`), and the parent consumes
+the results in rank order.  This module supplies the execution substrate
+for those rounds:
 
 * :class:`SerialExecutor` -- every rank's worker runs in the calling
   thread, one after another.  Today's deterministic default; zero
@@ -23,11 +25,12 @@ All three speak the same protocol (``start`` / ``submit`` / ``broadcast``
 reduced gradients: the per-rank computation is a pure function of
 (weights, shard) and the parent always consumes results in rank order.
 
-Crash robustness: a task that raises inside a worker is retried once on
-the same rank; a second failure (or a dead worker process) surfaces as
-:class:`WorkerCrash`, which the trainer turns into a serial fallback for
-the remainder of the step -- a step is never lost.  ``heal`` respawns
-dead ranks and re-syncs every replica from the parent's weights.
+Crash robustness lives here and nowhere else: a task that raises inside
+a worker is retried once on the same rank; a second failure (or a dead
+worker process) surfaces from ``submit`` as :class:`WorkerCrash`, which
+:meth:`Executor.run_resilient` answers with the caller's fallback until
+:meth:`Executor.heal` has respawned dead ranks and re-synced every
+replica from the parent's weights.
 
 The default backend is selected by the ``REPRO_EXECUTOR`` environment
 variable (``serial`` / ``thread`` / ``process``; unset means serial), so
@@ -40,11 +43,9 @@ import multiprocessing as mp
 import os
 from abc import ABC, abstractmethod
 from concurrent import futures
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-import numpy as np
-
-from ..optim.worker import GradientWorker, TaskResult, WorkerSpec
+from ..runtime import FaultInjector, TaskResult, run_task
 from ..telemetry import metrics as _metrics
 
 __all__ = [
@@ -74,27 +75,29 @@ class WorkerCrash(RuntimeError):
 
 
 def _run_with_retry(
-    worker: GradientWorker, rank: int, method: str, args: tuple, capture: bool
+    worker, rank: int, method: str, args: tuple, capture: "bool | str"
 ) -> TaskResult:
     """One in-process task attempt plus a single retry; the retry is
     counted so robustness tests can assert it happened."""
     try:
-        return worker.run(method, args, capture)
+        return run_task(worker, method, args, capture)
     except Exception as first:
         _metrics.REGISTRY.counter("parallel.worker_retries").inc()
         try:
-            return worker.run(method, args, capture)
+            return run_task(worker, method, args, capture)
         except Exception as second:
             raise WorkerCrash(rank, method, repr(second)) from first
 
 
 class Executor(ABC):
-    """One :class:`GradientWorker` per rank plus a dispatch protocol.
+    """One worker per rank (built by ``spec.build(rank)``) plus a
+    dispatch protocol.
 
     ``submit`` takes one ``(method, args)`` call per rank and returns the
     rank-ordered :class:`TaskResult` list; ``broadcast`` sends the same
     call to every rank.  Both raise :class:`WorkerCrash` when a rank
-    fails twice.
+    fails twice; :meth:`run_resilient` is ``submit`` with the crash
+    turned into the caller's fallback.
     """
 
     name = "abstract"
@@ -104,10 +107,13 @@ class Executor(ABC):
             raise ValueError("world_size must be >= 1")
         self.world_size = int(world_size)
         self._started = False
+        #: a rank crashed since the last :meth:`heal`; while set,
+        #: :meth:`run_resilient` goes straight to the fallback
+        self.degraded = False
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         """Build/spawn one worker per rank from ``spec``."""
 
     @abstractmethod
@@ -125,13 +131,43 @@ class Executor(ABC):
         """Run the same call on every rank (e.g. the weight-delta sync)."""
         return self.submit([(method, args)] * self.world_size, capture=capture)
 
-    def heal(self, spec: WorkerSpec, weights: np.ndarray) -> None:
-        """Restore every rank to a healthy, bit-identical state: respawn
-        whatever died and push the parent's full weight vector."""
-        self._respawn_dead(spec)
-        self.broadcast("set_weights", weights)
+    def run_resilient(
+        self,
+        calls: Sequence[tuple[str, tuple]],
+        fallback: Callable[[Sequence[tuple[str, tuple]], "bool | str"], list],
+        capture: "bool | str" = False,
+    ) -> list[TaskResult]:
+        """``submit``, never losing the round: a :class:`WorkerCrash` is
+        counted, marks the pool degraded and is answered by
+        ``fallback(calls, capture)`` -- as is every later round until
+        :meth:`heal` clears the flag (a crashed rank's replica is stale,
+        and per-rank work is a pure function the caller can recompute)."""
+        if not self.degraded:
+            try:
+                return self.submit(calls, capture=capture)
+            except WorkerCrash:
+                _metrics.REGISTRY.counter("parallel.serial_fallbacks").inc()
+                self.degraded = True
+        return fallback(calls, capture)
 
-    def _respawn_dead(self, spec: WorkerSpec) -> None:
+    def heal(self, spec, weights) -> None:
+        """Restore every rank to a healthy, bit-identical state: respawn
+        whatever died and push the parent's full weights (``None`` for
+        stateless ranks, or when nothing was ever swapped in)."""
+        self._respawn_dead(spec)
+        if weights is not None:
+            self.broadcast("set_weights", weights)
+        self.degraded = False
+        _metrics.REGISTRY.counter("parallel.executor_heals").inc()
+
+    def inject_fault(self, rank: int, fault: Optional[FaultInjector]) -> None:
+        """Install a fault injector on one rank and clear every other
+        rank's (robustness tests)."""
+        faults: list = [None] * self.world_size
+        faults[rank] = fault
+        self.submit([("set_fault", (f,)) for f in faults])
+
+    def _respawn_dead(self, spec) -> None:
         """Backends with mortal workers (processes) override this."""
 
     def _check_calls(self, calls: Sequence[tuple[str, tuple]]) -> None:
@@ -168,9 +204,9 @@ class SerialExecutor(Executor):
 
     def __init__(self, world_size: int):
         super().__init__(world_size)
-        self.workers: list[GradientWorker] = []
+        self.workers: list = []
 
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         self.workers = [spec.build(rank=r) for r in range(self.world_size)]
         self._started = True
 
@@ -197,10 +233,10 @@ class ThreadExecutor(Executor):
 
     def __init__(self, world_size: int):
         super().__init__(world_size)
-        self.workers: list[GradientWorker] = []
+        self.workers: list = []
         self._pool: Optional[futures.ThreadPoolExecutor] = None
 
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         self.workers = [spec.build(rank=r) for r in range(self.world_size)]
         self._pool = futures.ThreadPoolExecutor(
             max_workers=self.world_size, thread_name_prefix="fekf-rank"
@@ -237,7 +273,7 @@ class ThreadExecutor(Executor):
         self._started = False
 
 
-def _process_main(conn, spec: WorkerSpec, rank: int) -> None:
+def _process_main(conn, spec, rank: int) -> None:
     """Worker-process loop: build a replica once, serve tasks until EOF.
 
     Exceptions raised by a task are reported back as ``("err", reason)``
@@ -251,7 +287,7 @@ def _process_main(conn, spec: WorkerSpec, rank: int) -> None:
                 break
             method, args, capture = msg
             try:
-                result = worker.run(method, args, capture)
+                result = run_task(worker, method, args, capture)
                 conn.send(("ok", result))
             except Exception as exc:
                 conn.send(("err", repr(exc)))
@@ -284,7 +320,7 @@ class ProcessExecutor(Executor):
         self._dead: set[int] = set()
 
     # ------------------------------------------------------------------
-    def _spawn(self, spec: WorkerSpec, rank: int) -> None:
+    def _spawn(self, spec, rank: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_process_main,
@@ -298,7 +334,7 @@ class ProcessExecutor(Executor):
         self._conns[rank] = parent_conn
         self._dead.discard(rank)
 
-    def start(self, spec: WorkerSpec) -> None:
+    def start(self, spec) -> None:
         self._procs = [None] * self.world_size
         self._conns = [None] * self.world_size
         self._dead = set()
@@ -376,7 +412,7 @@ class ProcessExecutor(Executor):
         return results
 
     # ------------------------------------------------------------------
-    def _respawn_dead(self, spec: WorkerSpec) -> None:
+    def _respawn_dead(self, spec) -> None:
         for rank in range(self.world_size):
             proc = self._procs[rank]
             if rank in self._dead or proc is None or not proc.is_alive():

@@ -18,11 +18,12 @@ serially in-process (default), on worker threads, or in persistent worker
 processes -- all bit-identical, because per-rank compute is a pure
 function of (weights, shard) and results are reduced in rank order.
 
-Robustness: a rank that fails a task twice surfaces as
-:class:`WorkerCrash`; the trainer then finishes the *current step* with a
-serial scratch worker (bit-identical -- the shared force graph is rebuilt
-at the snapshotted post-energy weights) and heals the executor before the
-next step.  A crash costs wall time, never a training step.
+Robustness is the rank runtime's (:mod:`repro.runtime`): every round
+goes through :meth:`Executor.run_resilient` with :meth:`DistributedFEKF.
+_fallback` as the fallback -- a serial scratch worker that reproduces the
+crashed round bit-identically (the shared force graph is rebuilt at the
+snapshotted post-energy weights) -- and the executor is healed once at
+the end of the step.
 
 Two clocks are reported per step:
 
@@ -43,18 +44,19 @@ from ..model.environment import DescriptorBatch
 from ..model.network import DeePMD
 from ..optim.ekf import FEKF
 from ..optim.kalman import KalmanConfig, KalmanState
-from ..optim.worker import (
+from ..optim.worker import GradientWorker, ShardResult, WorkerSpec
+from ..runtime import (
     FaultInjector,
-    GradientWorker,
-    ShardResult,
     TaskResult,
-    WorkerSpec,
     WorkerTelemetry,
+    capture_mode,
+    merge_worker_telemetry,
+    run_task,
 )
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import current_tracer, span as _span
 from .comm import CostModel, SimCommunicator
-from .executor import Executor, WorkerCrash, make_executor
+from .executor import Executor, make_executor
 from .topology import ClusterSpec, cluster_for_gpus, cost_model_for
 
 
@@ -129,8 +131,7 @@ class DistributedFEKF:
             self._local.kalman.clone() if verify_replicas else None
         )
         self.step_count = 0
-        # per-step fallback state (see _round / _fallback_call)
-        self._step_fallback = False
+        # per-step fallback state (see _fallback)
         self._fb_worker: GradientWorker | None = None
         self._fb_graphs: dict[int, object] = {}
         self._graph_weights: np.ndarray | None = None
@@ -168,19 +169,16 @@ class DistributedFEKF:
     def sync_workers(self) -> None:
         """Push the parent's full weight vector to every rank replica."""
         w = self.model.params.flatten()
-        try:
-            self.executor.broadcast("set_weights", w)
-        except WorkerCrash:
-            _metrics.REGISTRY.counter("parallel.executor_heals").inc()
-            self.executor.heal(self._spec, w)
+        self._round([("set_weights", (w,))] * self.world_size)
+        self._heal_if_degraded()
+
+    def _heal_if_degraded(self) -> None:
+        if self.executor.degraded:
+            self.executor.heal(self._spec, self.model.params.flatten())
 
     def inject_fault(self, rank: int, fault: FaultInjector) -> None:
         """Install a fault injector on one rank (robustness tests)."""
-        calls = [
-            ("set_fault", (fault if r == rank else None,))
-            for r in range(self.world_size)
-        ]
-        self.executor.submit(calls)
+        self.executor.inject_fault(rank, fault)
 
     def close(self) -> None:
         """Tear down the executor's workers (idempotent)."""
@@ -199,84 +197,51 @@ class DistributedFEKF:
     # ------------------------------------------------------------------
     # executor rounds with serial fallback
     # ------------------------------------------------------------------
-    def _merge_telemetry(self, results: list[TaskResult]) -> float:
-        """Fold worker-local telemetry into the parent registry/tracer;
-        returns the max rank wall time (the simulated-cluster compute
-        cost of the round)."""
-        tracer = current_tracer()
-        profiler = tracer.profiler if tracer is not None else None
-        ex = self.executor.name
-        max_wall = 0.0
-        for res in results:
-            tel = res.telemetry
-            if tel.wall_s > max_wall:
-                max_wall = tel.wall_s
-            if tel.counters:
-                _metrics.REGISTRY.merge_counters(tel.counters, executor=ex)
-            if tracer is not None and tel.spans:
-                tracer.emit_foreign(
-                    tel.spans, rank=tel.rank, pid=tel.pid, executor=ex
-                )
-            if profiler is not None and tel.ops:
-                profiler.emit_foreign(tel.ops, rank=tel.rank, pid=tel.pid)
-        return max_wall
-
     def _round(
-        self, calls: list[tuple[str, tuple]], capture: bool
-    ) -> list[TaskResult]:
-        """Run one call per rank; on a :class:`WorkerCrash` switch the
-        remainder of the step to the serial scratch worker -- the step
-        always completes, with bit-identical results."""
-        if not self._step_fallback:
-            try:
-                return self.executor.submit(calls, capture=capture)
-            except WorkerCrash:
-                _metrics.REGISTRY.counter("parallel.serial_fallbacks").inc()
-                self._step_fallback = True
-        worker = self._fb_worker
-        if worker is None:
-            worker = self._fb_worker = self._spec.build()
-        return [
-            self._fallback_call(worker, rank, method, args, capture)
-            for rank, (method, args) in enumerate(calls)
-        ]
+        self, calls: list[tuple[str, tuple]], capture: "bool | str" = False
+    ) -> tuple[list, float]:
+        """Run one call per rank through the rank runtime; returns the
+        rank-ordered payloads and the max rank wall time (the
+        simulated-cluster compute cost of the round)."""
+        results = self.executor.run_resilient(calls, self._fallback, capture=capture)
+        wall = merge_worker_telemetry(
+            results, current_tracer(), executor=self.executor.name
+        )
+        return [r.payload for r in results], wall
 
-    def _fallback_call(
-        self,
-        worker: GradientWorker,
-        rank: int,
-        method: str,
-        args: tuple,
-        capture: bool,
-    ) -> TaskResult:
-        """Reproduce one rank's task on the scratch worker.
+    def _fallback(
+        self, calls: list[tuple[str, tuple]], capture: "bool | str"
+    ) -> list[TaskResult]:
+        """Reproduce a round on the serial scratch worker.
 
         State tasks are no-ops (the parent already holds the canonical
-        state; dead replicas are healed wholesale after the step), and
+        state; stale replicas are healed wholesale after the step), and
         ``graph_task`` is deferred -- the shared graph is rebuilt lazily
         per rank at the snapshotted post-energy weights, which is exactly
         where the live workers built theirs.
         """
-        if method == "energy_task":
-            worker.set_weights(self.model.params.flatten())
-            worker.set_shard(self._shard_cache[rank])
-            return worker.run("energy_task", (), capture)
-        if method == "force_task":
-            group, fresh = args
-            if fresh:
+        worker = self._fb_worker
+        if worker is None:
+            worker = self._fb_worker = self._spec.build()
+        results = []
+        for rank, (method, args) in enumerate(calls):
+            if method not in ("energy_task", "force_task"):
+                results.append(TaskResult(None, WorkerTelemetry(rank=rank)))
+                continue
+            shard = self._shard_cache[rank]
+            if method == "energy_task" or args[1]:  # fresh forward
                 worker.set_weights(self.model.params.flatten())
-                worker.set_shard(self._shard_cache[rank])
-                return worker.run("force_task", (group, True), capture)
-            if rank not in self._fb_graphs:
-                worker.set_weights(self._graph_weights)
-                worker.set_shard(self._shard_cache[rank])
-                worker.run("graph_task", (), capture)
-                self._fb_graphs[rank] = worker.graph
-            worker.set_shard(self._shard_cache[rank])
-            worker.graph = self._fb_graphs[rank]
-            return worker.run("force_task", (group, False), capture)
-        # set_shard / apply_delta / graph_task / set_fault: nothing to do
-        return TaskResult(payload=None, telemetry=WorkerTelemetry(rank=rank))
+                worker.set_shard(shard)
+            else:
+                if rank not in self._fb_graphs:
+                    worker.set_weights(self._graph_weights)
+                    worker.set_shard(shard)
+                    worker.graph_task()
+                    self._fb_graphs[rank] = worker.graph
+                worker.set_shard(shard)
+                worker.graph = self._fb_graphs[rank]
+            results.append(run_task(worker, method, args, capture))
+        return results
 
     # ------------------------------------------------------------------
     def _allreduce_gradient(
@@ -294,7 +259,8 @@ class DistributedFEKF:
         abe = self.comm.allreduce_scalar([r.abe_sum for r in locals_]) / total
         return reduced[0], abe
 
-    def _kf_update(self, g: np.ndarray, abe: float, scale: float) -> np.ndarray:
+    def _kf_update(self, g: np.ndarray, abe: float, scale: float) -> None:
+        """One Kalman update on the parent, mirrored onto every replica."""
         t0 = time.perf_counter()
         with _span("parallel.kalman"):
             dw = self._local.kalman.update(g, abe, scale)
@@ -306,48 +272,33 @@ class DistributedFEKF:
             if self._shadow.checksum() != self._local.kalman.checksum():
                 raise AssertionError("P replica checksums diverged")
         self._local.apply_increment(dw)
-        return dw
-
-    def _sync(self, dw: np.ndarray) -> None:
-        """Broadcast the weight delta so every replica tracks the parent
-        (skipped during fallback: heal() re-syncs wholesale afterwards)."""
-        if self._step_fallback:
-            return
-        try:
-            results = self.executor.broadcast("apply_delta", dw)
-            self._merge_telemetry(results)
-        except WorkerCrash:
-            _metrics.REGISTRY.counter("parallel.serial_fallbacks").inc()
-            self._step_fallback = True
+        # broadcast the delta so every replica tracks the parent (a no-op
+        # on the fallback: heal() re-syncs wholesale afterwards)
+        self._round([("apply_delta", (dw,))] * self.world_size)
 
     # ------------------------------------------------------------------
     def step_batch(self, batch: DescriptorBatch) -> dict[str, float]:
         step_t0 = time.perf_counter()
         shards = self._shards(batch)
         self._shard_cache = shards
-        self._step_fallback = False
         self._fb_graphs = {}
         self._graph_weights = None
         bs = batch.batch_size
         scale = float(np.sqrt(bs))
         comm_t0 = self.comm.modeled_time_s
-        tracer = current_tracer()
-        # profiling parents ask workers for the op timeline too
-        capture: "bool | str" = tracer is not None
-        if tracer is not None and tracer.profiler is not None:
-            capture = "profile"
+        capture = capture_mode(current_tracer())
+        ranks = len(shards)
 
         # ---- distribute shards ---------------------------------------
-        results = self._round([("set_shard", (s,)) for s in shards], False)
-        self._merge_telemetry(results)
+        self._round([("set_shard", (s,)) for s in shards])
 
         # ---- energy update -------------------------------------------
-        with _span("parallel.compute", kind="energy", ranks=len(shards)):
-            results = self._round([("energy_task", ())] * self.world_size, capture)
-            self.timing.compute_s += self._merge_telemetry(results)
+        with _span("parallel.compute", kind="energy", ranks=ranks):
+            locals_, wall = self._round([("energy_task", ())] * ranks, capture)
+            self.timing.compute_s += wall
         with _span("parallel.comm", kind="energy"):
-            g_mean, abe = self._allreduce_gradient([r.payload for r in results], bs)
-        self._sync(self._kf_update(g_mean, abe, scale))
+            g_mean, abe = self._allreduce_gradient(locals_, bs)
+        self._kf_update(g_mean, abe, scale)
 
         # ---- force updates -------------------------------------------
         groups = self._local.force_groups(batch.n_atoms)
@@ -357,28 +308,22 @@ class DistributedFEKF:
             # weights; snapshot them so a fallback can rebuild any rank's
             # graph bit-identically after a mid-step crash
             self._graph_weights = self.model.params.flatten()
-            with _span("parallel.compute", kind="force_graph", ranks=len(shards)):
-                results = self._round(
-                    [("graph_task", ())] * self.world_size, capture
-                )
-                self.timing.compute_s += self._merge_telemetry(results)
+            with _span("parallel.compute", kind="force_graph", ranks=ranks):
+                _, wall = self._round([("graph_task", ())] * ranks, capture)
+                self.timing.compute_s += wall
         f_abes = []
         for group in groups:
-            with _span("parallel.compute", kind="force", ranks=len(shards)):
-                results = self._round(
-                    [("force_task", (group, fresh))] * self.world_size, capture
+            with _span("parallel.compute", kind="force", ranks=ranks):
+                locals_, wall = self._round(
+                    [("force_task", (group, fresh))] * ranks, capture
                 )
-                self.timing.compute_s += self._merge_telemetry(results)
+                self.timing.compute_s += wall
             with _span("parallel.comm", kind="force"):
-                g_mean, abe = self._allreduce_gradient(
-                    [r.payload for r in results], bs * len(group) * 3
-                )
-            self._sync(self._kf_update(g_mean, abe, scale))
+                g_mean, abe = self._allreduce_gradient(locals_, bs * len(group) * 3)
+            self._kf_update(g_mean, abe, scale)
             f_abes.append(abe)
 
-        if self._step_fallback:
-            _metrics.REGISTRY.counter("parallel.executor_heals").inc()
-            self.executor.heal(self._spec, self.model.params.flatten())
+        self._heal_if_degraded()
         self.timing.comm_s += self.comm.modeled_time_s - comm_t0
         self.timing.wall_s += time.perf_counter() - step_t0
         self.timing.steps += 1

@@ -36,10 +36,10 @@ Degradation
 Submissions beyond ``max_queue`` are rejected with
 :class:`ServeOverloaded` (backpressure, never unbounded memory); a
 request that waits longer than its timeout raises :class:`ServeTimeout`
-at the caller and is skipped by the batcher; a rank that crashes twice
-(:class:`~repro.parallel.executor.WorkerCrash`) triggers ``heal`` plus a
-serial fallback through the local session -- the batch is never lost,
-mirroring the data-parallel trainer's semantics.
+at the caller and is skipped by the batcher.  Rank crashes are the rank
+runtime's business (:mod:`repro.runtime`): the batch is dispatched with
+:meth:`Executor.run_resilient`, the fallback runs the same shards on the
+service's own session, and the pool is healed after the batch.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from ..model.session import (
     frames_to_batch,
 )
 from ..analysis.concurrency import Guarded, TrackedRLock
-from ..parallel.executor import Executor, WorkerCrash, make_executor
+from ..parallel.executor import Executor, make_executor
+from ..runtime import capture_mode, merge_worker_telemetry, run_task
 from ..telemetry import metrics as _metrics
 from ..telemetry.metrics import Histogram
 from ..telemetry.monitor import HeartbeatRegistry, SlidingHistogram, WindowedRate
@@ -75,7 +76,7 @@ from .admission import (
 )
 from .cache import LRUCache
 from .config import ServeConfig
-from .worker import PredictSpec
+from .worker import PredictSpec, PredictWorker
 
 __all__ = [
     "ServeError",
@@ -91,7 +92,8 @@ class _Request:
 
     __slots__ = (
         "positions", "species", "cell", "fingerprint", "group_key",
-        "event", "prediction", "error", "deadline", "t_submit", "cancelled",
+        "event", "prediction", "error", "timeout_s", "deadline", "t_submit",
+        "cancelled",
     )
 
     def __init__(self, positions, species, cell, fingerprint, group_key, timeout_s):
@@ -103,6 +105,7 @@ class _Request:
         self.event = threading.Event()
         self.prediction: Optional[Prediction] = None
         self.error: Optional[Exception] = None
+        self.timeout_s = timeout_s
         self.deadline = time.monotonic() + timeout_s
         self.t_submit = time.perf_counter()
         self.cancelled = False
@@ -128,8 +131,8 @@ class InferenceService(InferenceSession):
         # swap-lock nesting, and Guarded fields declare their guard
         self._cond_lock = TrackedRLock("serve.batch")
         self._cond = threading.Condition(self._cond_lock)
-        # reentrant: _process holds it across the worker sync, whose
-        # crash path re-enters via _heal
+        # reentrant: swap() and the batcher's fallback nest it under
+        # their own holds
         self._swap_lock = TrackedRLock("serve.swap")
         self._queue: list[_Request] = []
         self._stopping = False
@@ -138,6 +141,9 @@ class InferenceService(InferenceSession):
         self._thread: Optional[threading.Thread] = None
         self._executor: Optional[Executor] = None
         self._spec: Optional[PredictSpec] = None
+        #: the service's own session as a rank worker: the pool-less
+        #: path and the crash fallback both run through it
+        self._local = PredictWorker(session)
         #: swap payload not yet broadcast to workers (lazy sync)
         self._pending_state = Guarded(None, self._swap_lock,
                                       name="serve.pending_state")
@@ -213,11 +219,7 @@ class InferenceService(InferenceSession):
         # telemetry is pay-for-what-you-use: capture worker spans only
         # when the starting thread has a tracer installed
         self._ambient_tracer = current_tracer()
-        if self._ambient_tracer is not None:
-            profiling = self._ambient_tracer.profiler is not None
-            self._capture = "profile" if profiling else True
-        else:
-            self._capture = False
+        self._capture = capture_mode(self._ambient_tracer)
         self._thread = threading.Thread(
             target=self._serve_loop, name="serve-batcher", daemon=True
         )
@@ -342,12 +344,11 @@ class InferenceService(InferenceSession):
             self._cancel(req)
             # the batcher may have fulfilled it between expiry and cancel
             if not req.event.is_set():
-                self._counts["timeouts"] += 1
+                with self._cond:  # client threads race on the tally
+                    self._counts["timeouts"] += 1
                 _metrics.REGISTRY.counter("serve.timeouts").inc()
                 self._traffic.mark(errors=1.0)
-                raise ServeTimeout(
-                    f"request expired after {self.config.request_timeout_s}s"
-                )
+                raise ServeTimeout(f"request expired after {req.timeout_s}s")
         if req.error is not None:
             raise req.error
         return req.prediction
@@ -448,38 +449,57 @@ class InferenceService(InferenceSession):
                 self._cond.wait(timeout=flush_at - now)
 
     def _sync_workers_locked(self) -> None:
-        """Broadcast the pending swap payload (caller holds _swap_lock)."""
+        """Broadcast the pending swap payload (caller holds _swap_lock);
+        a crash here leaves the pool degraded, so the batch about to be
+        dispatched falls back and :meth:`_process` heals afterwards."""
         version = self._session.model_version
-        if self._executor is None or self._worker_version.get() == version:
+        ex = self._executor
+        if ex is None or self._worker_version.get() == version:
             return
-        self._executor.broadcast("set_weights", self._pending_state.get())
+        state = self._pending_state.get()
+        ex.run_resilient(
+            [("set_weights", (state,))] * ex.world_size, lambda calls, capture: []
+        )
         self._worker_version.set(version)
 
     def _process(self, group: list[_Request]) -> None:
-        cfg = self.config
         with self._swap_lock:
             version = self._session.model_version
-            try:
-                self._sync_workers_locked()
-            except WorkerCrash:
-                self._heal()
+            self._sync_workers_locked()
         with _span("serve.batch", size=len(group), version=version):
             batch = self._assemble(group)
-            out = None
-            if self._executor is not None:
-                try:
-                    out = self._dispatch(batch)
-                except WorkerCrash:
-                    self._counts["fallbacks"] += 1
-                    _metrics.REGISTRY.counter("serve.fallbacks").inc()
-                    self._heal()
-            if out is None:
-                # serial fallback (or a session with no extractable
-                # models): compute under the swap lock so the stamped
-                # version always matches the weights used
+
+            def local(calls, capture):
+                # the serial path (crash fallback, or a session with no
+                # extractable models): compute under the swap lock so
+                # the stamped version always matches the weights used
+                nonlocal version
                 with self._swap_lock, _span("serve.fallback"):
-                    out = self._session.predict_descriptor_batch(batch)
                     version = self._session.model_version
+                    return [run_task(self._local, m, a, capture) for m, a in calls]
+
+            ex = self._executor
+            if ex is None:
+                results = local([("predict_task", (batch,))], False)
+            else:
+                results = ex.run_resilient(
+                    self._shard_calls(batch, ex.world_size),
+                    local,
+                    capture=self._capture,
+                )
+            out = self._stitch(results, "local" if ex is None else ex.name)
+            if ex is not None and ex.degraded:
+                self._counts["fallbacks"] += 1
+                _metrics.REGISTRY.counter("serve.fallbacks").inc()
+                with self._swap_lock:
+                    try:
+                        ex.heal(self._spec, self._pending_state.get())
+                        self._worker_version.set(self._session.model_version)
+                    except Exception:
+                        # pool unrecoverable: all further batches
+                        # take the serial path
+                        ex.close()
+                        self._executor = None
         self._respond(group, out, version)
 
     def _assemble(self, group: list[_Request]) -> DescriptorBatch:
@@ -501,44 +521,32 @@ class InferenceService(InferenceSession):
             frames, group[0].species, group[0].cell, c, tables=tables
         )
 
-    def _dispatch(self, batch: DescriptorBatch) -> dict:
-        """Shard the batch across ranks, run one forward per rank, stitch
-        the outputs back in rank order (determinism)."""
-        world = self._executor.world_size
-        b = batch.batch_size
-        base, rem = divmod(b, world)
-        shards, lo = [], 0
+    @staticmethod
+    def _shard_calls(batch: DescriptorBatch, world: int) -> list:
+        """One ``predict_task`` per rank over a near-even frame split."""
+        base, rem = divmod(batch.batch_size, world)
+        calls, lo = [], 0
         for rank in range(world):
             size = base + (1 if rank < rem else 0)
-            shards.append(batch.frame_slice(lo, lo + size) if size else None)
+            shard = batch.frame_slice(lo, lo + size) if size else None
+            calls.append(("predict_task", (shard,)))
             lo += size
-        results = self._executor.submit(
-            [("predict_task", (shard,)) for shard in shards],
-            capture=self._capture,
-        )
-        outs = []
+        return calls
+
+    def _stitch(self, results: list, executor: str) -> dict:
+        """Merge the round's telemetry (batcher thread: the loop tracer
+        is current) and concatenate the per-rank outputs in rank order
+        (determinism)."""
+        merge_worker_telemetry(results, current_tracer(), executor=executor)
         for res in results:
-            if res is None:
-                continue
-            self._merge_worker_telemetry(res.telemetry)
-            if res.payload is not None:
-                outs.append(res.payload)
+            tel = res.telemetry
+            _metrics.REGISTRY.histogram(
+                "serve.worker_task_s", rank=tel.rank
+            ).observe(tel.wall_s)
+            self._worker_window.observe(tel.wall_s)
+        outs = [res.payload for res in results if res.payload is not None]
         keys = [k for k, v in outs[0].items() if v is not None]
         return {k: np.concatenate([o[k] for o in outs]) for k in keys}
-
-    def _heal(self) -> None:
-        """Respawn dead ranks and re-sync replicas to the live weights."""
-        if self._executor is None:
-            return
-        try:
-            with self._swap_lock:
-                self._executor.heal(self._spec, self._pending_state.get())
-                self._worker_version.set(self._session.model_version)
-        except Exception:
-            # pool unrecoverable: all further batches use the fallback
-            with self._swap_lock:
-                self._executor.close()
-                self._executor = None
 
     def _respond(self, group: list[_Request], out: dict, version: int) -> None:
         e_std = out.get("energy_std")
@@ -583,22 +591,6 @@ class InferenceService(InferenceSession):
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-    def _merge_worker_telemetry(self, t) -> None:
-        _metrics.REGISTRY.merge_counters(t.counters, rank=t.rank)
-        hists = getattr(t, "histograms", None)
-        if hists:
-            _metrics.REGISTRY.merge_histograms(hists, rank=t.rank)
-            task = hists.get("serve.worker_task_s")
-            if task is not None:
-                self._worker_window.merge(task)
-        tracer = current_tracer()  # the batcher's loop tracer
-        if tracer is None:
-            return
-        if t.spans:
-            tracer.emit_foreign(t.spans, rank=t.rank, pid=t.pid)
-        if t.ops and tracer.profiler is not None:
-            tracer.profiler.emit_foreign(t.ops, rank=t.rank, pid=t.pid)
-
     def _merge_loop_telemetry(self) -> None:
         """Fold the batcher thread's locally captured spans/ops into the
         tracer that was ambient when the service started (tracer stacks
@@ -650,16 +642,12 @@ class InferenceService(InferenceSession):
         }
 
     def inject_fault(self, rank: int, fault) -> None:
-        """Install a :class:`~repro.optim.worker.FaultInjector` on one
-        rank's worker (robustness / watchdog tests; mirrors the
-        data-parallel trainer's hook).  A ``stall_s`` fault with
-        ``raises=False`` wedges the rank -- and therefore the batcher --
-        without tripping the crash/heal path, which is exactly the
-        silent-hang mode the heartbeat SLO exists to catch."""
+        """Install a :class:`~repro.runtime.FaultInjector` on one rank's
+        worker (robustness / watchdog tests; mirrors the data-parallel
+        trainer's hook).  A ``stall_s`` fault with ``raises=False``
+        wedges the rank -- and therefore the batcher -- without tripping
+        the crash/heal path, which is exactly the silent-hang mode the
+        heartbeat SLO exists to catch."""
         if self._executor is None:
             raise RuntimeError("service has no worker pool (start it first)")
-        calls = [
-            ("set_fault", (fault if r == rank else None,))
-            for r in range(self._executor.world_size)
-        ]
-        self._executor.submit(calls)
+        self._executor.inject_fault(rank, fault)

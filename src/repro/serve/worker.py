@@ -1,13 +1,11 @@
 """Rank workers for the inference service.
 
-The serve layer reuses the executor substrate built for data-parallel
-FEKF (:mod:`repro.parallel.executor`): executors are duck-typed over a
-``spec.build(rank)`` factory and a ``worker.run(method, args, capture)``
-entry point, so a prediction worker rides the serial / thread / process
-backends unchanged -- same retry-once semantics, same rank-ordered
-result collection, same :class:`~repro.optim.worker.TaskResult`
-telemetry envelope, same :class:`~repro.optim.worker.FaultInjector`
-hook for robustness tests.
+The serve layer rides the rank runtime (:mod:`repro.runtime`,
+:mod:`repro.parallel.executor`) unchanged: a prediction worker is a
+plain object declaring its task vocabulary, so it gets the serial /
+thread / process backends, the retry-once semantics, the rank-ordered
+result collection, the telemetry envelope and the fault-injection hook
+for free.
 
 Each rank owns an independent replica of the served model (or committee)
 and receives micro-batch *shards*; hot swap reaches workers as a
@@ -18,8 +16,6 @@ makes :meth:`Executor.heal` work verbatim after a crash.
 from __future__ import annotations
 
 import copy
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,14 +23,8 @@ from ..model.environment import DescriptorBatch
 from ..model.network import DeePMD
 from ..model.session import InferenceSession, ModelSession
 from ..model.ensemble import ModelEnsemble
-from ..optim.worker import FaultInjector, TaskResult, WorkerTelemetry
-from ..telemetry.metrics import Histogram
-from ..telemetry.trace import Tracer
 
-__all__ = ["PredictWorker", "PredictSpec", "SERVE_TASK_METHODS"]
-
-#: methods dispatchable through :meth:`PredictWorker.run`
-SERVE_TASK_METHODS = frozenset({"predict_task", "set_weights", "set_fault"})
+__all__ = ["PredictWorker", "PredictSpec"]
 
 
 def session_for_models(models: Sequence[DeePMD], fused_env: bool = True) -> InferenceSession:
@@ -49,18 +39,19 @@ def session_for_models(models: Sequence[DeePMD], fused_env: bool = True) -> Infe
 
 
 class PredictWorker:
-    """Forward-only compute over one replica of the served session."""
+    """Forward-only compute over one session (a rank's replica, or the
+    service's own session when it serves as the crash fallback)."""
 
-    def __init__(
-        self, models: Sequence[DeePMD], fused_env: bool = True, rank: int = 0
-    ):
-        self.session = session_for_models(models, fused_env=fused_env)
+    #: rank-runtime declarations (see :func:`repro.runtime.run_task`)
+    tasks = frozenset({"predict_task", "set_weights"})
+    span = "serve.worker_predict"
+    compute_tasks = {"predict_task": {}}
+    counter = "serve.worker_tasks"
+
+    def __init__(self, session: InferenceSession, rank: int = 0):
+        self.session = session
         self.rank = int(rank)
-        self.fault: Optional[FaultInjector] = None
 
-    # ------------------------------------------------------------------
-    # tasks
-    # ------------------------------------------------------------------
     def predict_task(self, shard: Optional[DescriptorBatch]) -> Optional[dict]:
         """Raw batched forward over this rank's shard (``None`` /
         zero-frame shards short-circuit -- ranks beyond the batch size in
@@ -70,60 +61,8 @@ class PredictWorker:
         return self.session.predict_descriptor_batch(shard)
 
     def set_weights(self, state) -> None:
-        """Load a hot-swap payload (``None`` re-syncs are no-ops, so
-        :meth:`Executor.heal` works before any swap has happened)."""
-        if state is not None:
-            self.session.swap(state)
-
-    def set_fault(self, fault: Optional[FaultInjector]) -> None:
-        self.fault = fault
-
-    # ------------------------------------------------------------------
-    # executor entry point (same envelope as GradientWorker.run)
-    # ------------------------------------------------------------------
-    def run(
-        self, method: str, args: tuple = (), capture: "bool | str" = False
-    ) -> TaskResult:
-        if method not in SERVE_TASK_METHODS:
-            raise ValueError(f"unknown serve worker task {method!r}")
-        if self.fault is not None:
-            self.fault.check(method, self.rank)
-        t0 = time.perf_counter()
-        c0 = time.process_time()
-        if capture:
-            with Tracer(keep_events=True, profile=capture == "profile") as tracer:
-                if method == "predict_task":
-                    with tracer.span("serve.worker_predict", method=method):
-                        payload = getattr(self, method)(*args)
-                else:
-                    payload = getattr(self, method)(*args)
-            spans = [e.as_dict() for e in tracer.events]
-            ops = (
-                [o.as_dict() for o in tracer.profiler.events]
-                if tracer.profiler is not None
-                else []
-            )
-        else:
-            payload = getattr(self, method)(*args)
-            spans = []
-            ops = []
-        wall = time.perf_counter() - t0
-        # per-task latency rides home as a mergeable histogram so the
-        # parent's registry and sliding windows keep true per-rank
-        # distributions, not just summed counters
-        task_hist = Histogram(max_samples=8)
-        task_hist.observe(wall)
-        telemetry = WorkerTelemetry(
-            rank=self.rank,
-            pid=os.getpid(),
-            wall_s=wall,
-            cpu_s=time.process_time() - c0,
-            counters={"serve.worker_tasks": 1.0},
-            spans=spans,
-            ops=ops,
-            histograms={"serve.worker_task_s": task_hist.as_dict()},
-        )
-        return TaskResult(payload=payload, telemetry=telemetry)
+        """Load a hot-swap payload."""
+        self.session.swap(state)
 
 
 @dataclass
@@ -139,8 +78,7 @@ class PredictSpec:
     fused_env: bool = True
 
     def build(self, rank: int = 0) -> PredictWorker:
+        replicas = [copy.deepcopy(m) for m in self.models]
         return PredictWorker(
-            [copy.deepcopy(m) for m in self.models],
-            fused_env=self.fused_env,
-            rank=rank,
+            session_for_models(replicas, fused_env=self.fused_env), rank=rank
         )

@@ -220,14 +220,6 @@ class MetricRegistry:
         for name, amount in counts.items():
             self.counter(name, **labels).inc(float(amount))
 
-    def merge_histograms(self, hists: dict, **labels) -> None:
-        """Fold ``{name: Histogram-or-as_dict}`` into this registry's
-        histograms (mirror of :meth:`merge_counters`): per-rank latency
-        observations merge losslessly instead of being dropped on the
-        worker-telemetry path."""
-        for name, state in hists.items():
-            self.histogram(name, **labels).merge(state)
-
     # -- introspection -------------------------------------------------
     def snapshot(self) -> dict:
         """All instruments as one JSON-ready dict."""

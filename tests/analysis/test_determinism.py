@@ -16,7 +16,7 @@ from repro.analysis.determinism import (
     _probe_sink_leak,
 )
 from repro.autograd.instrument import KernelCounter, push_sink, remove_sink
-from repro.optim.worker import TaskResult, WorkerTelemetry
+from repro.runtime import TaskResult, WorkerTelemetry
 
 
 class TestAuditClean:

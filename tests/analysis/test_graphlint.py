@@ -9,10 +9,9 @@ from repro.analysis import (
     GraphLinter,
     Sanitizer,
     SanitizerError,
-    record_tape,
     verify_second_order,
 )
-from repro.autograd import Tensor, fuse, make_op, ops, register_op
+from repro.autograd import Tensor, capture, fuse, make_op, ops, register_op
 from repro.autograd.instrument import tensors_wanted
 
 
@@ -22,7 +21,7 @@ def _rules(report):
 
 class TestCleanGraphs:
     def test_elementwise_matmul_chain(self):
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones((2, 3)), requires_grad=True)
             w = Tensor(np.ones((3, 2)), requires_grad=True)
             y = ops.tsum(ops.tanh(ops.matmul(x, w)))
@@ -32,7 +31,7 @@ class TestCleanGraphs:
 
     def test_fused_layer_clean_even_for_second_order(self):
         rng = np.random.default_rng(0)
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
             W = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -41,7 +40,7 @@ class TestCleanGraphs:
         assert report.ok, report.render()
 
     def test_view_ops_not_flagged_as_aliasing(self):
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones((2, 6)), requires_grad=True)
             y = ops.tsum(ops.transpose(ops.reshape(x, (3, 4)), (1, 0)))
         report = GraphLinter(tape).lint(roots=[y])
@@ -49,7 +48,7 @@ class TestCleanGraphs:
 
     def test_tape_recording_leaves_no_global_state(self):
         assert not tensors_wanted()
-        with record_tape():
+        with capture("tape"):
             ops.exp(Tensor(np.ones(2), requires_grad=True))
             assert tensors_wanted()
         assert not tensors_wanted()
@@ -57,7 +56,7 @@ class TestCleanGraphs:
 
 class TestChecksFire:
     def test_dtype_invariant(self):
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones(3), requires_grad=True)
             y = ops.exp(x)
             y.data = y.data.astype(np.float32)
@@ -75,7 +74,7 @@ class TestChecksFire:
 
             return make_op(x.data * 2.0, (x,), backward, "test_broken_bwd")
 
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones(5), requires_grad=True)
             y = ops.tsum(broken(x))
         report = GraphLinter(tape).lint(roots=[y])
@@ -90,14 +89,14 @@ class TestChecksFire:
 
             return make_op(x.data, (x,), backward, "test_alias_op")
 
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             y = ops.tsum(identity_view(x))
         report = GraphLinter(tape).lint(roots=[y])
         assert "alias-hazard" in _rules(report)
 
     def test_buffer_mutation(self):
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             h = ops.exp(x)
             y = ops.tsum(ops.mul(h, h))
@@ -106,7 +105,7 @@ class TestChecksFire:
         assert "buffer-mutation" in _rules(report)
 
     def test_unreachable_node(self):
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             ops.exp(x)  # dead compute
             y = ops.tsum(ops.tanh(x))
@@ -121,7 +120,7 @@ class TestChecksFire:
 
             return make_op(x.data + 1.0, (x,), backward, "test_rogue_kernel_xyz")
 
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             y = ops.tsum(rogue(x))
         report = GraphLinter(tape).lint(roots=[y])
@@ -136,7 +135,7 @@ class TestChecksFire:
 
             return make_op(x.data ** 2, (x,), backward, "test_raw_first_order")
 
-        with record_tape() as tape:
+        with capture("tape") as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             y = ops.tsum(raw(x))
         clean = GraphLinter(tape).lint(roots=[y])

@@ -188,15 +188,8 @@ class TestStreamingEquivalence:
 
 
 class TestDeprecatedLoaderSurface:
-    def test_dataset_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="make_loader"):
-            loader = BatchLoader(dataset=_ds(8), batch_size=2)
-        assert loader.source.n_frames == 8
-
-    def test_dataset_property_warns(self):
-        loader = BatchLoader(_ds(8), 2)
-        with pytest.warns(DeprecationWarning, match="source"):
-            assert loader.dataset is loader.source
+    """The pre-FrameSource ``dataset=`` spelling is gone: the source is
+    the required first argument."""
 
     def test_both_source_and_dataset_rejected(self):
         ds = _ds(4)

@@ -1,9 +1,8 @@
-"""npz persistence round-trips (write_npz/read_npz + deprecated shims)."""
+"""npz persistence round-trips (write_npz/read_npz)."""
 
 import numpy as np
-import pytest
 
-from repro.data import load_dataset, read_npz, save_dataset, write_npz
+from repro.data import read_npz, write_npz
 
 
 class TestRoundtrip:
@@ -41,18 +40,3 @@ class TestRoundtrip:
         path = str(tmp_path / "deep" / "nested" / "cu.npz")
         write_npz(cu_dataset.subset(np.arange(2)), path)
         assert read_npz(path).n_frames == 2
-
-
-class TestDeprecatedShims:
-    def test_save_dataset_warns_and_delegates(self, cu_dataset, tmp_path):
-        path = str(tmp_path / "old.npz")
-        with pytest.warns(DeprecationWarning, match="write_npz"):
-            save_dataset(cu_dataset, path)
-        assert np.array_equal(read_npz(path).positions, cu_dataset.positions)
-
-    def test_load_dataset_warns_and_delegates(self, cu_dataset, tmp_path):
-        path = str(tmp_path / "old2.npz")
-        write_npz(cu_dataset, path)
-        with pytest.warns(DeprecationWarning, match="read_npz"):
-            back = load_dataset(path)
-        assert np.array_equal(back.positions, cu_dataset.positions)

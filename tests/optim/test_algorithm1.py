@@ -7,8 +7,7 @@ single-block filter and compared against both kernel backends.
 import numpy as np
 import pytest
 
-from repro.optim import KalmanConfig, KalmanState
-from repro.optim.ekf import _signs
+from repro.optim import KalmanConfig, KalmanState, error_signs
 
 
 def _unguarded(fused):
@@ -64,6 +63,6 @@ class TestSignAlignment:
         """'if Y_hat >= Y then Y_hat = -Y_hat': errors err = Y - Y_hat."""
         y_hat = np.array([1.0, 3.0, 2.0])
         y = np.array([2.0, 1.0, 2.0])
-        signs = _signs(y - y_hat)
+        signs = error_signs(y - y_hat)
         # pred below label -> keep (+); pred at/above label -> flip (-)
         assert np.array_equal(signs, [1.0, -1.0, -1.0])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model import DeePMD, make_batch
-from repro.optim import FEKF, KalmanConfig, NaiveEKF, RLEKF
-from repro.optim.ekf import _signs
+from repro.optim import FEKF, KalmanConfig, NaiveEKF, RLEKF, error_signs
 
 
 def _kcfg(**kw):
@@ -15,7 +14,7 @@ def _kcfg(**kw):
 class TestSignTrick:
     def test_signs_follow_algorithm1(self):
         errs = np.array([0.5, -0.5, 0.0])
-        assert np.array_equal(_signs(errs), [1.0, -1.0, -1.0])
+        assert np.array_equal(error_signs(errs), [1.0, -1.0, -1.0])
 
 
 class TestFEKFStep:
@@ -37,7 +36,7 @@ class TestFEKFStep:
 
     def test_force_groups_partition_atoms(self, cu_model):
         opt = FEKF(cu_model, _kcfg(), n_force_splits=4)
-        groups = opt._force_groups(32)
+        groups = opt.force_groups(32)
         joined = np.concatenate(groups)
         assert sorted(joined.tolist()) == list(range(32))
 

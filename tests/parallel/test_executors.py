@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import repro.parallel as parallel_pkg
-from repro.model import DeePMD, make_batch
+from repro.data import make_loader
+from repro.model import DeePMD, ModelSession, make_batch
 from repro.optim import FaultInjector, KalmanConfig, WorkerSpec
 from repro.parallel import (
     EXECUTOR_NAMES,
@@ -19,6 +20,7 @@ from repro.parallel import (
     WorkerCrash,
     make_executor,
 )
+from repro.serve import InferenceService, ServeConfig
 from repro.telemetry import Tracer
 from repro.telemetry import metrics as _metrics
 
@@ -87,41 +89,116 @@ class TestDeterminism:
             assert res.payload.count == exp.count
 
 
+def _run_service(cu_dataset, small_cfg, kind, fault=None):
+    """Every frame of the dataset through a 2-rank service in bundles of
+    four; the per-frame (energy, forces, version) sequence."""
+    model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+    cfg = ServeConfig(
+        executor=kind, world_size=2, cache_predictions=False, cache_neighbors=False
+    )
+    fallbacks0 = _counter("serve.fallbacks")
+    with InferenceService(ModelSession(model), cfg) as svc:
+        if fault is not None:
+            svc.inject_fault(1, fault)
+        preds = []
+        for lo in range(0, 12, 4):
+            preds += svc.predict_many(
+                cu_dataset.positions[lo : lo + 4], cu_dataset.species, cu_dataset.cell
+            )
+        stats = svc.stats()
+        pool = svc._executor
+        assert pool is not None and not pool.degraded  # healed, still serving
+    # the per-instance tally and the registry counter tell one story
+    assert stats["fallbacks"] == _counter("serve.fallbacks") - fallbacks0
+    assert stats["responses"] == 12
+    return [(p.energy, p.forces.tobytes(), p.model_version) for p in preds]
+
+
+def _batch_bytes(idx, batch):
+    return (idx.tobytes(),) + tuple(
+        getattr(batch, f).tobytes()
+        for f in ("coords", "idx_flat", "shift", "mask", "species", "energies", "forces")
+    )
+
+
+def _run_loader(cu_dataset, small_cfg, kind, fault=None):
+    """One prefetched epoch on 2 ranks; the (indices, batch) sequence."""
+    loader = make_loader(
+        cu_dataset, 4, cfg=small_cfg, seed=3, prefetch=True, executor=kind, workers=2
+    )
+    with loader:
+        loader.warm_up()
+        if fault is not None:
+            loader._executor.inject_fault(1, fault)
+        return [_batch_bytes(i, b) for i, b in loader.iter_batches(epoch_index=0)]
+
+
+#: consumer -> (runner, compute tasks to fault, fallback counters that
+#: must move together)
+CONSUMERS = {
+    "trainer": (
+        _train,
+        ("energy_task", "force_task"),
+        ("parallel.serial_fallbacks",),
+    ),
+    "service": (
+        _run_service,
+        ("predict_task",),
+        ("parallel.serial_fallbacks", "serve.fallbacks"),
+    ),
+    "loader": (_run_loader, ("make_batch",), ("parallel.serial_fallbacks",)),
+}
+
+
+def _crash_rows(every_task):
+    """consumer x backend (x faulted task) rows.  The trainer rows keep
+    the ids they had when this table covered the trainer alone."""
+    rows = []
+    for consumer, (_, tasks, _) in CONSUMERS.items():
+        for task in tasks if every_task else tasks[:1]:
+            for kind in EXECUTOR_NAMES:
+                if consumer != "trainer":
+                    row_id = f"{consumer}-{kind}"
+                else:
+                    row_id = f"{task}-{kind}" if every_task else kind
+                rows.append(pytest.param(consumer, task, kind, id=row_id))
+    return rows
+
+
 class TestCrashRobustness:
-    @pytest.mark.parametrize("kind", EXECUTOR_NAMES)
-    def test_single_failure_retried_in_place(self, cu_dataset, small_cfg, kind):
+    """The rank runtime's crash semantics, once, for every consumer on
+    every backend: retry in place, else fall back, heal, lose nothing."""
+
+    @pytest.mark.parametrize("consumer,task,kind", _crash_rows(every_task=False))
+    def test_single_failure_retried_in_place(
+        self, cu_dataset, small_cfg, consumer, task, kind
+    ):
         """One injected failure is absorbed by the in-place retry: no
         fallback, and the result is bit-identical to a clean run."""
-        retries0 = _counter("parallel.worker_retries")
-        fallbacks0 = _counter("parallel.serial_fallbacks")
-        w_ref, cks_ref, _ = _train(cu_dataset, small_cfg, kind)
-        w, cks, _ = _train(
-            cu_dataset, small_cfg, kind, fault=FaultInjector("energy_task", times=1)
-        )
-        assert np.array_equal(w_ref, w)
-        assert cks == cks_ref
-        assert _counter("parallel.worker_retries") == retries0 + 1
-        assert _counter("parallel.serial_fallbacks") == fallbacks0
+        run, _, fallback_counters = CONSUMERS[consumer]
+        ref = run(cu_dataset, small_cfg, kind)
+        names = ("parallel.worker_retries", "parallel.executor_heals") + fallback_counters
+        before = {n: _counter(n) for n in names}
+        got = run(cu_dataset, small_cfg, kind, fault=FaultInjector(task, times=1))
+        np.testing.assert_equal(got, ref)  # exact, through the nesting
+        before["parallel.worker_retries"] += 1
+        assert {n: _counter(n) for n in names} == before
 
-    @pytest.mark.parametrize("kind", EXECUTOR_NAMES)
-    @pytest.mark.parametrize("method", ["energy_task", "force_task"])
+    @pytest.mark.parametrize("consumer,task,kind", _crash_rows(every_task=True))
     def test_double_failure_falls_back_to_serial(
-        self, cu_dataset, small_cfg, kind, method
+        self, cu_dataset, small_cfg, consumer, task, kind
     ):
-        """A rank failing its task twice triggers the serial fallback for
-        that step; training completes with bit-identical final weights
-        and the telemetry counters record fallback + heal."""
-        fallbacks0 = _counter("parallel.serial_fallbacks")
-        heals0 = _counter("parallel.executor_heals")
-        w_ref, cks_ref, abe_ref = _train(cu_dataset, small_cfg, kind)
-        w, cks, abe = _train(
-            cu_dataset, small_cfg, kind, fault=FaultInjector(method, times=2)
-        )
-        assert np.array_equal(w_ref, w)
-        assert cks == cks_ref
-        assert abe == abe_ref
-        assert _counter("parallel.serial_fallbacks") == fallbacks0 + 1
-        assert _counter("parallel.executor_heals") == heals0 + 1
+        """A rank failing its task twice triggers the caller's fallback
+        and one heal; the trainer's weights / the service's predictions /
+        the loader's batch sequence stay bit-identical, and the retry,
+        fallback and heal counters each move by exactly one."""
+        run, _, fallback_counters = CONSUMERS[consumer]
+        ref = run(cu_dataset, small_cfg, kind)
+        names = ("parallel.worker_retries", "parallel.executor_heals") + fallback_counters
+        before = {n: _counter(n) for n in names}
+        got = run(cu_dataset, small_cfg, kind, fault=FaultInjector(task, times=2))
+        np.testing.assert_equal(got, ref)  # exact, through the nesting
+        assert {n: _counter(n) for n in names} == {n: v + 1 for n, v in before.items()}
 
     def test_dead_process_crashes_then_heals(self, cu_dataset, small_cfg):
         """A killed worker process surfaces as WorkerCrash; heal()
@@ -138,6 +215,39 @@ class TestCrashRobustness:
             results = ex.broadcast("get_weights")
             for res in results:
                 assert np.array_equal(res.payload, model.params.flatten())
+
+    def test_killed_prefetch_process_is_respawned(self, cu_dataset, small_cfg):
+        """A prefetch rank killed between epochs costs one fallback group:
+        the epoch it was found dead in still matches the synchronous
+        loader, and the next epoch is served by the respawned rank."""
+        sync = make_loader(cu_dataset, 4, cfg=small_cfg, seed=3)
+        expected = [
+            [_batch_bytes(i, b) for i, b in sync.iter_batches(small_cfg, epoch)]
+            for epoch in (1, 2)
+        ]
+        loader = make_loader(
+            cu_dataset, 4, cfg=small_cfg, seed=3, prefetch=True,
+            executor="process", workers=2,
+        )
+        with loader:
+            list(loader.iter_batches(epoch_index=0))
+            victim = loader._executor._procs[1]
+            victim.terminate()
+            victim.join()
+            fallbacks0 = _counter("parallel.serial_fallbacks")
+            respawns0 = _counter("parallel.worker_respawns")
+            got = [_batch_bytes(i, b) for i, b in loader.iter_batches(epoch_index=1)]
+            assert got == expected[0]
+            assert _counter("parallel.serial_fallbacks") == fallbacks0 + 1
+            assert _counter("parallel.worker_respawns") == respawns0 + 1
+            respawned = loader._executor._procs[1]
+            assert respawned.is_alive() and respawned.pid != victim.pid
+            tasks0 = _counter("data.prefetch_tasks", executor="process")
+            got = [_batch_bytes(i, b) for i, b in loader.iter_batches(epoch_index=2)]
+            assert got == expected[1]
+            assert _counter("parallel.serial_fallbacks") == fallbacks0 + 1
+            assert _counter("data.prefetch_tasks", executor="process") == tasks0 + len(got)
+            assert respawned.is_alive()
 
 
 class TestTelemetryMerge:
@@ -193,6 +303,26 @@ class TestLayering:
                     if name.startswith("_"):
                         offenders.append(f"{src_file.name}: {name}")
         assert not offenders, f"private optim imports in repro.parallel: {offenders}"
+
+    def test_loader_does_not_import_optim(self):
+        """The prefetch ranks live beside their only user: the data layer
+        reaches the rank runtime, never the optimizer package."""
+        import repro.data.loader as loader_mod
+
+        src = Path(loader_mod.__file__).read_text()
+        assert not re.search(r"^\s*(from|import)\s+(repro\.optim|\.\.optim)", src, re.M)
+
+    def test_worker_crash_handled_in_executor_only(self):
+        """One crash path: nothing outside parallel/executor.py catches
+        WorkerCrash -- consumers go through Executor.run_resilient."""
+        root = Path(parallel_pkg.__file__).parents[1]
+        offenders = [
+            str(f.relative_to(root))
+            for f in sorted(root.rglob("*.py"))
+            if f != root / "parallel" / "executor.py"
+            and re.search(r"except\s+[^:\n]*WorkerCrash", f.read_text())
+        ]
+        assert not offenders, f"except WorkerCrash outside the executor: {offenders}"
 
 
 class TestMakeExecutor:

@@ -1,7 +1,6 @@
 """MetricRegistry: get-or-create semantics, labels, snapshot, kernel sink."""
 
 import numpy as np
-import pytest
 
 from repro.autograd import Tensor
 from repro.telemetry import (
@@ -140,18 +139,6 @@ class TestHistogramMerge:
         assert a.count == 10
         assert len(a.samples) == 3
         assert a.capped is True
-
-    def test_registry_merge_histograms(self):
-        parent = MetricRegistry()
-        worker = MetricRegistry()
-        worker.histogram("task_s").observe(0.25)
-        worker.histogram("task_s").observe(0.75)
-        shipped = {"task_s": worker.histogram("task_s").as_dict()}
-        parent.merge_histograms(shipped, rank=1)
-        parent.merge_histograms(shipped, rank=1)
-        h = parent.histogram("task_s", rank=1)
-        assert h.count == 4
-        assert h.total == pytest.approx(2.0)
 
 
 class TestSnapshot:
