@@ -4,7 +4,8 @@
 * shared vs fresh force graph across the four group updates,
 * hand-derived (fused) vs autograd (eager) descriptor environment,
 * number of force-group updates per batch,
-* gather-and-split blocksize sweep (P-update cost vs block granularity).
+* gather-and-split blocksize sweep (P-update cost vs block granularity;
+  single updates and whole flush windows of the deferred downdate).
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.model import DeePMD, make_batch
 from repro.optim import FEKF, KalmanConfig, KalmanState
+from repro.optim.kalman import FLUSH_EVERY
 
 
 @pytest.mark.parametrize("coupled", [False, True], ids=["layerwise", "coupled"])
@@ -55,13 +57,23 @@ def test_force_split_count(benchmark, model, batch32, splits):
     assert stats["updates"] % (splits + 1) == 0
 
 
+@pytest.mark.parametrize("span", [1, FLUSH_EVERY], ids=["one_update", "flush_window"])
 @pytest.mark.parametrize("blocksize", [512, 2048, 4096])
-def test_blocksize_sweep(benchmark, blocksize):
+def test_blocksize_sweep(benchmark, blocksize, span):
+    """``one_update`` times single updates (its best rounds are the
+    flush-free ones); ``flush_window`` times FLUSH_EVERY consecutive
+    updates, so every round holds exactly one rank-k flush wherever it
+    starts -- divide by FLUSH_EVERY for the amortised cost per update."""
     layers = [(0, 336), (1, 2328), (2, 600), (3, 600), (4, 25)]
     n = sum(s for _, s in layers)
     state = KalmanState(n, layers, KalmanConfig(blocksize=blocksize, fused_update=True))
     g = np.random.default_rng(0).normal(size=n) * 0.1
-    benchmark(state.update, g, 0.1, 1.0)
+
+    def run():
+        for _ in range(span):
+            state.update(g, 0.1, 1.0)
+
+    benchmark(run)
 
 
 def test_coupled_and_layerwise_both_converge(cu_data, cfg):

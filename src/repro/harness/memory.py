@@ -35,7 +35,8 @@ def run(measure_blocksize: int = 4096) -> Report:
         f"measured transient @N_b={measure_blocksize} (fused)", f"{fused:.2f}", "-"
     )
     report.notes.append(
-        "transients measured with tracemalloc over 3 updates, resident P excluded; "
+        "transients measured with tracemalloc (naive: 3 updates; fused: a whole "
+        "flush window), resident P excluded; "
         "the fused kernel's in-place triangular downdate removes the N_b^2 temporaries"
     )
     return report

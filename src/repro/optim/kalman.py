@@ -16,13 +16,27 @@ updating" + "cache intermediate results"):
   executes it; every step records a kernel launch and allocates an
   N_b x N_b temporary -- the memory behaviour Sec. 5.3 attributes to the
   PyTorch implementation.
-* ``fused``  -- the handwritten-kernel analog: the cached P g product is
-  reused for K (and for A), the rank-1 downdate runs in-place on a single
-  triangle via BLAS ``dsyr`` (symmetry by construction, no explicit
-  symmetrization pass), and the 1/lambda rescaling is *folded into a
-  scalar* carried next to the block, so no full-matrix pass happens at
-  all.  One kernel launch, ~20x faster at the paper's blocksize, and
-  numerically identical to the naive kernel (pinned by the tests).
+* ``fused``  -- the handwritten-kernel analog, built around moving P as
+  little as possible.  Only the upper triangle is stored (symmetry by
+  construction, no symmetrization pass) and the 1/lambda rescaling is
+  *folded into a scalar* carried next to the block.  The rank-1 downdate
+  is **deferred**: an update appends its ``(P g, A / scale)`` pair to a
+  small per-block pending buffer ``U (n x k)``, ``beta (k)`` instead of
+  rewriting the triangle, so the block the filter means is
+
+      P_eff = scale * (P_stored - U diag(beta) U^T)
+
+  and the cached product is ``P_eff g = scale * (dsymv(P_stored, g) -
+  U (beta * (U^T g)))`` -- one triangle read plus an O(n k) correction.
+  Every :data:`FLUSH_EVERY` updates the pending pairs are applied in
+  *one* in-place rank-k pass over the triangle (BLAS ``dsyrk``).  Per
+  update the P traffic drops from 1.5 |P| (symv read + syr read/write)
+  to 0.5 |P| + |P| / FLUSH_EVERY; the algebra is the eager ``dsyr``'s
+  (the tests keep one as the oracle), only the rounding order differs.
+  The pending pairs are part of the filter state: ``clone``,
+  ``checksum``, ``p_dense``, ``p_memory_bytes`` and the checkpoint keys
+  carry them *without* flushing, so observing a filter never perturbs
+  its trajectory.
 
 Scale-stabilization (documented deviations, see DESIGN.md): the 1/lambda
 forgetting inflates P exponentially along directions the data never
@@ -52,6 +66,20 @@ for _name in (
 ):
     register_op(_name, kind="optim", second_order=False)
 del _name
+
+#: fused backend: rank-1 downdates held pending per block before one
+#: in-place rank-k pass applies them.  A constant of the kernel, not a
+#: knob: ``dsyrk`` costs about the same for any k <= 20 (62-67 ms at
+#: n = 10240 against 41 ms for a single ``dsyr``), beyond that it grows
+#: with k.  Must stay > 10: Figure 7(b) and the profiler reconciliation
+#: test count kernels on the first or second step (5 updates each) of a
+#: fresh optimizer, and no flush may land inside what they profile.
+FLUSH_EVERY = 20
+
+
+def _tri(n: int) -> int:
+    """Elements of one triangle (diagonal included) of an n x n block."""
+    return n * (n + 1) // 2
 
 
 @dataclass
@@ -90,7 +118,10 @@ class KalmanState:
     Internally each block is stored as a full square array.  The naive
     backend keeps it dense-symmetric; the fused backend uses only the
     upper triangle (Fortran order for BLAS) plus a folded scalar
-    ``p_scale`` absorbing the accumulated 1/lambda factors.
+    ``p_scale`` absorbing the accumulated 1/lambda factors, and holds the
+    last ``pending`` (< :data:`FLUSH_EVERY`) rank-1 downdates of every
+    block unapplied in ``pend_u[i][:, :pending]`` /
+    ``pend_beta[i, :pending]`` (see the module docstring).
     """
 
     def __init__(self, num_params: int, layer_sizes: list[tuple[int, int]], cfg: KalmanConfig):
@@ -105,12 +136,24 @@ class KalmanState:
             np.eye(b.size, order=order) for b in self.blocks
         ]
         self.p_scales: list[float] = [1.0 for _ in self.blocks]
+        # deferred downdates (fused backend only; the naive one has none)
+        self.pending = 0
+        self.pend_u: list[np.ndarray] = [
+            np.zeros((b.size, FLUSH_EVERY), order="F")
+            for b in (self.blocks if cfg.fused_update else ())
+        ]
+        self.pend_beta = np.zeros((len(self.pend_u), FLUSH_EVERY))
         self.lam = float(cfg.lambda0)
         self.updates = 0
 
     # ------------------------------------------------------------------
     def p_memory_bytes(self) -> int:
-        return sum(p.nbytes for p in self.p_mats)
+        """Resident filter state: the P blocks plus the pending buffers."""
+        return (
+            sum(p.nbytes for p in self.p_mats)
+            + sum(u.nbytes for u in self.pend_u)
+            + self.pend_beta.nbytes
+        )
 
     def advance_lambda(self) -> None:
         self.lam = self.lam * self.cfg.nu + 1.0 - self.cfg.nu
@@ -120,8 +163,23 @@ class KalmanState:
         p = self.p_mats[i]
         if self.cfg.fused_update:
             full = np.triu(p) + np.triu(p, 1).T
-            return self.p_scales[i] * full
+            u, beta = self._pending(i)
+            return self.p_scales[i] * (full - (u * beta) @ u.T)
         return p.copy()
+
+    def _pending(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The live pending pairs of block i: ``U (n x k)``, ``beta (k)``."""
+        k = self.pending
+        return self.pend_u[i][:, :k], self.pend_beta[i, :k]
+
+    def _trace(self, i: int) -> float:
+        """trace of block i before ``p_scale``, pending downdates included
+        (O(n k), never a pass over the block)."""
+        tr = np.trace(self.p_mats[i])
+        if self.pending:
+            u, beta = self._pending(i)
+            tr -= beta @ np.square(u).sum(axis=0)
+        return float(tr)
 
     # ------------------------------------------------------------------
     # kernels: each returns (pg, cached quadratic form g.pg)
@@ -129,8 +187,15 @@ class KalmanState:
     def _pg(self, i: int, g: np.ndarray) -> np.ndarray:
         """P g for block i (the cached intermediate of the paper's Opt3)."""
         if self.cfg.fused_update:
-            pg = _blas.dsymv(self.p_scales[i], self.p_mats[i], g, lower=0)
-            record_launch("p_symv_fused", pg.nbytes)
+            # one fused "P_eff g" kernel: triangle read + pending correction
+            c, n, k = self.p_scales[i], g.shape[0], self.pending
+            pg = _blas.dsymv(c, self.p_mats[i], g, lower=0)
+            if k:
+                u, beta = self._pending(i)
+                pg = _blas.dgemv(-c, u, beta * (u.T @ g), beta=1.0, y=pg, overwrite_y=1)
+            record_launch(
+                "p_symv_fused", 8 * (_tri(n) + 2 * n * k), (n,), ((n, n), (n, k))
+            )
         else:
             pg = self.p_mats[i] @ g
             record_launch("p_gemv", pg.nbytes)
@@ -139,14 +204,12 @@ class KalmanState:
     def _downdate(self, i: int, pg: np.ndarray, a: float) -> None:
         """P_i <- (P_i - a * pg pg^T) / lambda."""
         if self.cfg.fused_update:
-            # single triangular rank-1 BLAS kernel; 1/lambda folded into
-            # the block scale so no full-matrix pass is needed.
+            # deferred: park the pair (update() flushes every FLUSH_EVERY);
+            # 1/lambda folded into the block scale, so nothing touches P.
             c = self.p_scales[i]
-            self.p_mats[i] = _blas.dsyr(
-                -a / c, pg, a=self.p_mats[i], lower=0, overwrite_a=1
-            )
+            self.pend_u[i][:, self.pending] = pg
+            self.pend_beta[i, self.pending] = a / c
             self.p_scales[i] = c / self.lam
-            record_launch("p_update_fused", self.p_mats[i].nbytes)
         else:
             p = self.p_mats[i]
             k = a * pg
@@ -160,6 +223,30 @@ class KalmanState:
             p1 = (p1 + p1.T) / 2.0
             record_launch("p_symmetrize", p1.nbytes)
             self.p_mats[i] = p1
+
+    def _flush(self) -> None:
+        """Apply the pending downdates of every block, in place:
+        ``P_stored <- P_stored - U diag(beta) U^T`` as one ``dsyrk`` over
+        the upper triangle (a second one only if some gain went negative:
+        ``dsyrk`` takes one sign per call, and a block that lost
+        definiteness must get exactly what ``dsyr(-beta_j, u_j)`` gave)."""
+        for i, p in enumerate(self.p_mats):
+            u, beta = self._pending(i)
+            n, k = u.shape
+            negative = beta < 0.0
+            scaled = u * np.sqrt(np.abs(beta))  # F-ordered like u
+            moved = 0
+            for sign, cols in ((1.0, ~negative), (-1.0, negative)):
+                if not cols.any():
+                    continue
+                w = scaled if cols.all() else np.asfortranarray(scaled[:, cols])
+                out = _blas.dsyrk(-sign, w, beta=1.0, c=p, lower=0, overwrite_c=1)
+                # a copy here would double the resident P (839 MB at 10240)
+                assert np.shares_memory(out, p), "rank-k flush left the block"
+                self.p_mats[i] = p = out
+                moved += 8 * (2 * _tri(n) + w.size)  # triangle read+write, U
+            record_launch("p_update_fused", moved, (n, n), ((n, k),))
+        self.pending = 0
 
     # ------------------------------------------------------------------
     def update(self, g_flat: np.ndarray, error: float, scale: float) -> np.ndarray:
@@ -186,10 +273,14 @@ class KalmanState:
         for i, blk in enumerate(self.blocks):
             self._downdate(i, pgs[i], gains[i])
             dw[blk.slice()] = (scale * error * gains[i]) * pgs[i]
+        if self.cfg.fused_update:
+            self.pending += 1
 
         self._guard()
         self.advance_lambda()
         self.updates += 1
+        if self.pending == FLUSH_EVERY:
+            self._flush()
         norm = float(np.linalg.norm(dw))
         if norm > self.cfg.max_step_norm:
             dw *= self.cfg.max_step_norm / norm
@@ -202,7 +293,7 @@ class KalmanState:
         if not np.isfinite(cap):
             return
         for i, p in enumerate(self.p_mats):
-            mean_diag = self.p_scales[i] * np.trace(p) / p.shape[0]
+            mean_diag = self.p_scales[i] * self._trace(i) / p.shape[0]
             if mean_diag > cap:
                 if self.cfg.fused_update:
                     self.p_scales[i] *= cap / mean_diag
@@ -218,11 +309,14 @@ class KalmanState:
         other.blocks = self.blocks
         other.p_mats = [p.copy(order="K") for p in self.p_mats]
         other.p_scales = list(self.p_scales)
+        other.pending = self.pending
+        other.pend_u = [u.copy(order="K") for u in self.pend_u]
+        other.pend_beta = self.pend_beta.copy()
         other.lam = self.lam
         other.updates = self.updates
         return other
 
     def checksum(self) -> float:
         """Cheap fingerprint for replica-consistency assertions."""
-        total = sum(c * np.trace(p) for c, p in zip(self.p_scales, self.p_mats))
+        total = sum(c * self._trace(i) for i, c in enumerate(self.p_scales))
         return float(total) + self.lam

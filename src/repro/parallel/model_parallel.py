@@ -101,24 +101,11 @@ class ModelParallelKalman:
     def update(self, g_flat: np.ndarray, error: float, scale: float) -> np.ndarray:
         """One sharded Kalman update; returns the stitched increment."""
         state = self._state
-        if g_flat.shape != (state.num_params,):
-            raise ValueError("gradient shape mismatch")
-        dw = np.zeros(state.num_params)
-        # each simulated rank processes only its own blocks
-        for shard in self.shards:
-            for i in shard:
-                blk = state.blocks[i]
-                g = g_flat[blk.slice()]
-                pg = state._pg(i, g)
-                a = 1.0 / (state.lam + float(g @ pg))
-                state._downdate(i, pg, a)
-                dw[blk.slice()] = (scale * error * a) * pg
-        state._guard()
-        state.advance_lambda()
-        state.updates += 1
-        norm = float(np.linalg.norm(dw))
-        if norm > state.cfg.max_step_norm:
-            dw *= state.cfg.max_step_norm / norm
+        # per-block gains make the blocks independent, so the order in
+        # which the simulated ranks visit them is immaterial: the shared
+        # state does the math, the shards only decide who owns which
+        # slice of the increment
+        dw = state.update(g_flat, error, scale)
 
         # stitch the increment shards together: an allgather modeled as a
         # ring-allreduce over the sparse per-rank contributions

@@ -7,8 +7,9 @@ Reproduces the paper's arithmetic for the full-size network:
 * the peak under the framework-style ("naive") P update, which
   materializes an extra N_b x N_b outer product + subtraction temporary
   for the largest block (paper: ~3405 MB theoretical, 3380 MB measured);
-* the peak under the fused kernel, which streams the rank-1 downdate and
-  keeps only one transient (paper: 1805 MB, i.e. P + weights + small
+* the peak under the fused kernel, which applies the downdates in place
+  (deferred, one rank-k pass per FLUSH_EVERY updates) and keeps only
+  O(N x FLUSH_EVERY) beside P (paper: 1805 MB, i.e. P + weights + small
   intermediates, bounded by 2x the largest block).
 
 ``measured_update_peak`` backs the theory with a tracemalloc measurement
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..optim.blocks import Block, split_blocks
-from ..optim.kalman import KalmanConfig, KalmanState
+from ..optim.kalman import FLUSH_EVERY, KalmanConfig, KalmanState
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import span as _span
 
@@ -84,9 +85,14 @@ def footprint_report(
     largest = max(shapes)
     # naive: P + (K K^T outer) + (P - ...) subtraction result live together
     naive_extra = 2 * largest * largest * dtype_size / MB
-    # fused: the triangular rank-1 downdate runs in place; only O(N_b)
-    # vectors (P g, K) are transient (confirmed by measured_update_peak)
-    fused_extra = 4 * largest * dtype_size / MB
+    # fused: the triangular downdate runs in place (a rank-k flush every
+    # FLUSH_EVERY updates); beside O(N_b) vectors (P g, K) there are only
+    # the pending pairs of every block and the flush's one scaled copy of
+    # the largest block's -- O(N * FLUSH_EVERY), confirmed by
+    # measured_update_peak
+    fused_extra = (
+        4 * largest + FLUSH_EVERY * (num_params + largest)
+    ) * dtype_size / MB
     return MemoryReport(
         num_params=num_params,
         blocksize=blocksize,
@@ -107,14 +113,19 @@ def paper_layer_sizes() -> list[tuple[int, int]]:
 
 
 def measured_update_peak(
-    layer_sizes: list[tuple[int, int]], blocksize: int, fused: bool, n_updates: int = 3
+    layer_sizes: list[tuple[int, int]], blocksize: int, fused: bool,
+    n_updates: int | None = None,
 ) -> float:
     """tracemalloc peak (MB) of running Kalman updates with either kernel.
 
     Only allocations made *during* the updates are counted (the resident P
     is allocated before tracing starts), matching how the paper separates
-    resident footprint from update transients.
+    resident footprint from update transients.  ``n_updates`` defaults to
+    3 for the naive kernel and to a whole flush window for the fused one,
+    so its rank-k flush is inside the measurement.
     """
+    if n_updates is None:
+        n_updates = FLUSH_EVERY if fused else 3
     cfg = KalmanConfig(blocksize=blocksize, fused_update=fused)
     num = sum(s for _, s in layer_sizes)
     state = KalmanState(num, layer_sizes, cfg)

@@ -205,6 +205,15 @@ def estimate_flops(op: str, out_shape, in_shapes) -> float:
         return _TRANSCENDENTAL_FLOPS * out
     if op in ("sum", "scatter_add") and in_shapes:
         return float(math.prod(in_shapes[0]))
+    if op == "p_symv_fused" and in_shapes:
+        # P_eff g: the symv over the n x n block plus the two n x k
+        # products of the pending-downdate correction
+        (n, _), (_, k) = in_shapes
+        return 2.0 * n * n + 4.0 * n * k
+    if op == "p_update_fused" and in_shapes:
+        # rank-k flush of one triangle: k multiply-adds per stored element
+        n, k = in_shapes[0]
+        return float(k * n * n + k * n)
     if op in _MOVEMENT:
         return 0.0
     # default: one flop per output element (covers the fused descriptor

@@ -5,6 +5,7 @@ import pytest
 
 from repro.model import DeePMD, make_batch
 from repro.optim import FEKF, KalmanConfig, NaiveEKF, RLEKF, error_signs
+from repro.optim.kalman import FLUSH_EVERY
 
 
 def _kcfg(**kw):
@@ -126,6 +127,27 @@ class TestNaiveEKF:
         opt.step_batch(cu_batch)
         # every replica did 1 energy + 2 force updates
         assert all(r.updates == 3 for r in opt._replicas)
+
+    def test_replica_forked_mid_window_tracks_its_source(
+        self, cu_model, cu_dataset, small_cfg
+    ):
+        """A batch that grows after the first step forks new replicas off
+        a filter with downdates pending (fused backend): the fork carries
+        them, so fed its source's gradients it stays checksum-equal
+        through the next rank-k flush."""
+        opt = NaiveEKF(cu_model, _kcfg())
+        opt.step_batch(make_batch(cu_dataset, np.array([0]), small_cfg))
+        source, fork = opt._ensure_replicas(2)
+        assert fork.pending == source.pending == 5
+        assert fork.checksum() == source.checksum()
+        r = np.random.default_rng(2)
+        for _ in range(FLUSH_EVERY):
+            g = r.normal(size=source.num_params) * 0.1
+            assert np.array_equal(source.update(g, 0.1, 1.0), fork.update(g, 0.1, 1.0))
+            assert fork.checksum() == source.checksum()
+        # and the optimizer keeps training on the grown batch
+        stats = opt.step_batch(make_batch(cu_dataset, np.arange(2), small_cfg))
+        assert np.isfinite(stats["force_abe"])
 
     def test_step_changes_weights(self, cu_model, cu_batch):
         opt = NaiveEKF(cu_model, _kcfg())

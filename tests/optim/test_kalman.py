@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 from repro.optim import KalmanConfig, KalmanState
+from repro.optim.kalman import FLUSH_EVERY
 
 LAYERS = [(0, 12), (1, 40), (2, 8)]
 N = 60
@@ -107,6 +109,180 @@ class TestFusedEquivalence:
         assert not np.allclose(s1.update(g, 0.5, 1.0), s2.update(g, 0.5, 1.0))
 
 
+class EagerFused:
+    """The oracle for the deferred downdate: the fused kernel as it was
+    before deferral -- ``dsymv`` for P g, then one in-place ``dsyr`` per
+    update and block -- written out independently of ``KalmanState``.
+    Starts from a copy of ``state``'s blocks (nothing may be pending)."""
+
+    def __init__(self, state: KalmanState):
+        assert state.cfg.fused_update and state.pending == 0
+        self.cfg, self.blocks = state.cfg, state.blocks
+        self.p = [p.copy(order="F") for p in state.p_mats]
+        self.c = list(state.p_scales)
+        self.lam = state.lam
+
+    def update(self, g_flat, error, scale):
+        gs = [g_flat[b.slice()] for b in self.blocks]
+        pgs = [blas.dsymv(c, p, g, lower=0) for c, p, g in zip(self.c, self.p, gs)]
+        quads = [float(g @ pg) for g, pg in zip(gs, pgs)]
+        if self.cfg.coupled_gain:
+            gains = [1.0 / (self.lam + sum(quads))] * len(quads)
+        else:
+            gains = [1.0 / (self.lam + q) for q in quads]
+        dw = np.zeros(g_flat.shape)
+        for i, (b, pg, a) in enumerate(zip(self.blocks, pgs, gains)):
+            self.p[i] = blas.dsyr(-a / self.c[i], pg, a=self.p[i], lower=0, overwrite_a=1)
+            self.c[i] /= self.lam
+            dw[b.slice()] = (scale * error * a) * pg
+        for i, p in enumerate(self.p):  # anti-windup
+            mean_diag = self.c[i] * np.trace(p) / p.shape[0]
+            if mean_diag > self.cfg.p_trace_cap:
+                self.c[i] *= self.cfg.p_trace_cap / mean_diag
+        self.lam = self.lam * self.cfg.nu + 1.0 - self.cfg.nu
+        norm = float(np.linalg.norm(dw))
+        if norm > self.cfg.max_step_norm:
+            dw *= self.cfg.max_step_norm / norm
+        return dw
+
+    def p_dense(self, i):
+        return self.c[i] * (np.triu(self.p[i]) + np.triu(self.p[i], 1).T)
+
+    def checksum(self):
+        return float(sum(c * np.trace(p) for c, p in zip(self.c, self.p))) + self.lam
+
+
+def _mixed_gradients(n_updates, seed=3):
+    """Gradients that exercise both guards: a long run of tiny ones lets
+    the 1/lambda wind-up reach the trace cap (0.98^-35 > 2), then bursts
+    of large ones hit the step clip."""
+    r = np.random.default_rng(seed)
+    return [
+        r.normal(size=N) * (2.0 if j >= 40 and (j // 6) % 2 else 1e-3)
+        for j in range(n_updates)
+    ]
+
+
+class TestDeferredDowndate:
+    """The fused backend parks each rank-1 downdate and applies
+    FLUSH_EVERY of them in one rank-k pass; an eager per-update ``dsyr``
+    (``EagerFused``) is the oracle for everything observable."""
+
+    def test_flush_constant_clears_the_profiled_steps(self):
+        # the profiler reconciliation test counts kernels on a fresh
+        # optimizer's first step, ``harness figure7`` on its second (5
+        # updates each): no flush may land inside either
+        assert FLUSH_EVERY > 10
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_matches_eager_oracle(self, coupled):
+        sf = _state(fused_update=True, coupled_gain=coupled)
+        sn = _state(fused_update=False, coupled_gain=coupled)
+        oracle = EagerFused(sf)
+        flushes = 0
+        for j, g in enumerate(_mixed_gradients(3 * FLUSH_EVERY + 4)):
+            dwo = oracle.update(g, 0.3, 2.0)
+            dwf = sf.update(g, 0.3, 2.0)
+            dwn = sn.update(g, 0.3, 2.0)
+            flushes += sf.pending == 0
+            np.testing.assert_allclose(dwf, dwo, rtol=1e-12, atol=1e-15, err_msg=str(j))
+            assert np.allclose(dwf, dwn, atol=1e-10), j
+            assert sf.checksum() == pytest.approx(oracle.checksum(), rel=1e-12)
+            for i in range(len(sf.blocks)):
+                np.testing.assert_allclose(
+                    sf.p_dense(i), oracle.p_dense(i), rtol=1e-12, atol=1e-14
+                )
+        assert flushes == 3 and sf.pending == 4
+        for i in range(len(sf.blocks)):
+            assert np.allclose(sf.p_dense(i), sn.p_dense(i), atol=1e-10)
+
+    def test_oracle_run_activates_both_guards(self):
+        """The sequence above is only an oracle for the guards if they
+        fire: the same gradients with the guards off end elsewhere."""
+        guarded, free = (
+            _state(fused_update=True),
+            _state(fused_update=True, p_trace_cap=np.inf, max_step_norm=np.inf),
+        )
+        clipped = 0
+        for g in _mixed_gradients(3 * FLUSH_EVERY + 4):
+            dw = guarded.update(g, 0.3, 2.0)
+            clipped += not np.allclose(dw, free.update(g, 0.3, 2.0))
+        assert clipped > 0
+        assert max(guarded.p_scales) < max(free.p_scales)  # the cap rescaled
+
+    def test_negative_gain_flushes_like_eager(self):
+        """A block that lost definiteness gives a = 1/(lambda + g.Pg) < 0;
+        the rank-k pass must apply that pair with its sign, as
+        ``dsyr(-a/c, ...)`` did (no sqrt(beta) on a negative beta)."""
+        sf = _state(fused_update=True, p_trace_cap=np.inf, max_step_norm=np.inf)
+        sf.p_mats[1][:] = -np.eye(sf.blocks[1].size)  # indefinite on purpose
+        oracle = EagerFused(sf)
+        r = np.random.default_rng(11)
+        saw_negative = False
+        for _ in range(FLUSH_EVERY):
+            g = r.normal(size=N)
+            saw_negative |= bool((sf.pend_beta[:, : sf.pending] < 0).any())
+            np.testing.assert_allclose(
+                sf.update(g, 0.2, 1.0), oracle.update(g, 0.2, 1.0), rtol=1e-10
+            )
+        assert saw_negative and sf.pending == 0  # flushed, signs mixed
+        for i in range(len(sf.blocks)):
+            np.testing.assert_allclose(
+                sf.p_dense(i), oracle.p_dense(i), rtol=1e-10, atol=1e-12
+            )
+            # nothing pending: the stored triangle itself is the eager one
+            np.testing.assert_allclose(
+                np.triu(sf.p_mats[i]), np.triu(oracle.p[i]), rtol=1e-10, atol=1e-12
+            )
+
+    def test_flush_is_in_place_and_memory_is_flat(self):
+        state = _state(fused_update=True)
+        blocks_before = list(state.p_mats)
+        expect = (
+            sum(b.size**2 * 8 for b in state.blocks)
+            + sum(b.size * FLUSH_EVERY * 8 for b in state.blocks)
+            + len(state.blocks) * FLUSH_EVERY * 8
+        )
+        assert state.p_memory_bytes() == expect
+        for j in range(FLUSH_EVERY):
+            assert state.pending == j
+            state.update(rng.normal(size=N), 0.1, 1.0)
+            assert state.p_memory_bytes() == expect
+        assert state.pending == 0  # the FLUSH_EVERY-th update flushed
+        for before, after in zip(blocks_before, state.p_mats):
+            assert np.shares_memory(before, after)
+            assert after.flags.f_contiguous
+
+    def test_stored_triangle_untouched_between_flushes(self):
+        """Per update only the pending buffers change -- the point of the
+        deferral (no pass over P) -- and observers do not flush."""
+        state = _state(fused_update=True)
+        stored = [p.copy() for p in state.p_mats]
+        for _ in range(FLUSH_EVERY - 1):
+            state.update(rng.normal(size=N), 0.1, 1.0)
+            state.checksum(), state.p_dense(0), state.clone(), state.p_memory_bytes()
+        assert state.pending == FLUSH_EVERY - 1
+        for before, now in zip(stored, state.p_mats):
+            assert np.array_equal(before, now)
+        state.update(rng.normal(size=N), 0.1, 1.0)
+        assert not np.array_equal(stored[1], state.p_mats[1])
+
+    def test_clone_mid_window_stays_checksum_equal(self):
+        state = _state(fused_update=True)
+        grads = _mixed_gradients(2 * FLUSH_EVERY)
+        for g in grads[:7]:
+            state.update(g, 0.3, 2.0)
+        twin = state.clone()
+        assert twin.pending == 7 and twin.checksum() == state.checksum()
+        for g in grads[7:]:  # through two flushes
+            assert np.array_equal(state.update(g, 0.3, 2.0), twin.update(g, 0.3, 2.0))
+            assert twin.checksum() == state.checksum()
+        # deep copy: the twin's buffers are its own
+        assert not any(
+            np.shares_memory(a, b) for a, b in zip(state.pend_u, twin.pend_u)
+        )
+
+
 class TestGuards:
     def test_step_norm_clipped(self):
         state = _state(max_step_norm=0.05)
@@ -145,7 +321,7 @@ class TestLifecycle:
         assert a.checksum() == b.checksum()
 
     def test_p_memory_bytes(self):
-        state = _state(blocksize=32)
+        state = _state(blocksize=32)  # naive backend: blocks only
         expect = sum(b.size**2 * 8 for b in state.blocks)
         assert state.p_memory_bytes() == expect
 

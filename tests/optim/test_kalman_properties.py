@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.optim import KalmanConfig, KalmanState
+from repro.optim.kalman import FLUSH_EVERY
 
 LAYERS = [(0, 8), (1, 20), (2, 7)]
 N = 35
@@ -37,6 +38,56 @@ def test_fused_and_naive_agree_on_any_sequence(seeds):
         dwa = a.update(g, 0.2, 1.0)
         dwb = b.update(g, 0.2, 1.0)
         assert np.allclose(dwa, dwb, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(FLUSH_EVERY, 2 * FLUSH_EVERY + 5),
+    st.floats(1e-3, 3.0),
+)
+def test_fused_and_naive_agree_across_flushes(seed, n_updates, magnitude):
+    """Sequences long enough to cross one or two rank-k flushes: the
+    deferred P (stored triangle + pending pairs) is the naive P at every
+    phase of the window, and stays SPD."""
+    a, b = _state(False), _state(True)
+    r = np.random.default_rng(seed)
+    for _ in range(n_updates):
+        g = r.normal(size=N) * magnitude
+        assert np.allclose(a.update(g, 0.2, 1.5), b.update(g, 0.2, 1.5), atol=1e-10)
+    assert b.pending == n_updates % FLUSH_EVERY
+    for i in range(len(a.blocks)):
+        p = b.p_dense(i)
+        assert np.allclose(a.p_dense(i), p, atol=1e-10)
+        assert np.linalg.eigvalsh(p).min() > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(0, 2 * FLUSH_EVERY),
+    st.integers(1, FLUSH_EVERY + 3),
+)
+def test_observing_or_forking_never_perturbs_the_filter(seed, fork_at, tail):
+    """clone / checksum / p_dense at any phase of the pending window are
+    pure: the observed filter, its fork and an unobserved twin continue
+    bit-identically (through the next flush)."""
+    observed, quiet = _state(True), _state(True)
+    r = np.random.default_rng(seed)
+    grads = [r.normal(size=N) for _ in range(fork_at + tail)]
+    for g in grads[:fork_at]:
+        observed.update(g, 0.3, 1.0)
+        quiet.update(g, 0.3, 1.0)
+        observed.checksum(), observed.p_dense(1), observed.p_memory_bytes()
+    fork = observed.clone()
+    assert fork.pending == observed.pending == fork_at % FLUSH_EVERY
+    for g in grads[fork_at:]:
+        dw = quiet.update(g, 0.3, 1.0)
+        assert np.array_equal(dw, observed.update(g, 0.3, 1.0))
+        assert np.array_equal(dw, fork.update(g, 0.3, 1.0))
+    assert quiet.checksum() == observed.checksum() == fork.checksum()
+    for i in range(len(quiet.blocks)):
+        assert np.array_equal(quiet.p_dense(i), fork.p_dense(i))
 
 
 @settings(max_examples=30, deadline=None)

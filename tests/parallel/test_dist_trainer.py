@@ -5,6 +5,7 @@ import pytest
 
 from repro.model import DeePMD, make_batch
 from repro.optim import FEKF, KalmanConfig
+from repro.optim.kalman import FLUSH_EVERY
 from repro.parallel import DistributedFEKF
 
 
@@ -38,6 +39,29 @@ class TestSerialEquivalence:
         batch = make_batch(cu_dataset, np.arange(4), small_cfg)
         dist.step_batch(batch)  # raises if any replica diverges
         assert dist.kalman.updates == 5
+
+
+    def test_replica_verification_spans_a_flush(self, cu_dataset, small_cfg):
+        """The shadow P is a clone taken with nothing pending; it must
+        stay checksum-equal while downdates pile up and across the rank-k
+        flush (5 updates a step), and a mid-window load re-clones it with
+        the pending pairs."""
+        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+        dist = DistributedFEKF(
+            model, world_size=2, kalman_cfg=_kcfg(), verify_replicas=True, seed=0
+        )
+        batch = make_batch(cu_dataset, np.arange(4), small_cfg)
+        steps = FLUSH_EVERY // 5 + 1
+        for _ in range(steps):
+            dist.step_batch(batch)  # raises if the shadow diverges
+        assert dist.kalman.updates == 5 * steps > FLUSH_EVERY
+        assert dist.kalman.pending == 5 * steps % FLUSH_EVERY != 0
+        dist.load_state_dict(dist.state_dict())  # mid-window re-clone
+        assert dist._shadow.pending == dist.kalman.pending
+        for _ in range(steps):
+            dist.step_batch(batch)
+        assert dist._shadow.checksum() == dist.kalman.checksum()
+        dist.close()
 
 
 class TestSharding:

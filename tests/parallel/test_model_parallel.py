@@ -5,6 +5,7 @@ import pytest
 
 from repro.optim import KalmanConfig, KalmanState
 from repro.optim.blocks import Block
+from repro.optim.kalman import FLUSH_EVERY
 from repro.parallel import ModelParallelKalman, shard_blocks
 
 LAYERS = [(0, 30), (1, 120), (2, 50), (3, 50), (4, 10)]
@@ -39,12 +40,13 @@ class TestModelParallelKalman:
         rng = np.random.default_rng(0)
         serial = KalmanState(N, LAYERS, self._cfg())
         mp = ModelParallelKalman(N, LAYERS, self._cfg(), world_size=3)
-        for _ in range(12):
+        for _ in range(FLUSH_EVERY + 5):  # through a rank-k flush
             g = rng.normal(size=N) * 0.3
             dw_s = serial.update(g, 0.1, 2.0)
             dw_p = mp.update(g, 0.1, 2.0)
             assert np.allclose(dw_s, dw_p, atol=1e-12)
         assert serial.checksum() == pytest.approx(mp.checksum(), rel=1e-12)
+        assert mp.updates == serial.updates and mp.lam == serial.lam
 
     def test_rejects_coupled_gain(self):
         with pytest.raises(ValueError):

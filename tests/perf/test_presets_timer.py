@@ -6,6 +6,7 @@ import pytest
 from repro.autograd.config import config as ag_config
 from repro.model import make_batch
 from repro.optim import FEKF
+from repro.optim.kalman import FLUSH_EVERY
 from repro.perf import PRESET_ORDER, PRESETS, profile_update
 
 
@@ -89,6 +90,12 @@ class TestProfilerReconciliation:
         opt = FEKF(cu_model, preset.kalman_config(blocksize=1024),
                    fused_env=preset.fused_env)
         prof = profile_update(cu_model, opt, batch, preset)
+        # the profile is the first step of a fresh optimizer (5 Kalman
+        # updates); the fused backend's rank-k flush comes every
+        # FLUSH_EVERY (> 5) updates, so none lands inside it and the
+        # single-update Kalman kernel count scales exactly
+        assert opt.kalman.updates == 5 < FLUSH_EVERY
+        assert opt.kalman.pending == (5 if preset.fused_p_update else 0)
         pk = prof.phase_kernels
         assert pk["forward_energy"] == prof.energy.forward_kernels
         assert pk["forward_force"] == 4 * prof.force.forward_kernels

@@ -86,6 +86,16 @@ class TestEstimateFlops:
     def test_unknown_shape_is_zero(self):
         assert estimate_flops("p_update_fused", None, None) == 0.0
 
+    def test_kalman_closed_forms(self):
+        n, k = 64, 7
+        # P_eff g: symv (2n^2) + pending correction U(beta * U^T g) (4nk)
+        assert estimate_flops("p_symv_fused", (n,), ((n, n), (n, k))) == (
+            2 * n * n + 4 * n * k
+        )
+        assert estimate_flops("p_symv_fused", (n,), ((n, n), (n, 0))) == 2 * n * n
+        # rank-k flush: one multiply-add per triangle element per pair
+        assert estimate_flops("p_update_fused", (n, n), ((n, k),)) == k * n * n + k * n
+
 
 class TestOpEventRoundTrip:
     def test_as_dict_from_dict(self):
