@@ -59,6 +59,12 @@ def _ancestors(roots: Iterable[Tensor]) -> set[int]:
     return seen
 
 
+def _bit_equal(a: Optional[Tensor], b: Optional[Tensor]) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.data.shape == b.data.shape and a.data.tobytes() == b.data.tobytes()
+
+
 class GraphLinter:
     """Checks a recorded tape against the engine's graph invariants."""
 
@@ -146,38 +152,51 @@ class GraphLinter:
                     context={"op": e.op, "seq": e.seq},
                 ))
 
+    def _probe_backward(self, report: Report, e: TapeEntry, seed: Tensor, needs):
+        """One closure call under the engine's convention; ``None`` (plus a
+        finding) if it raises or returns the wrong number of gradients."""
+        node = e.tensor
+        try:
+            # numerical validity (log(0), 1/0, ...) is the
+            # Sanitizer's concern; this probe only checks structure
+            with no_grad(), np.errstate(all="ignore"):
+                parent_grads = tuple(node._backward_fn(seed, needs))
+        except Exception as exc:
+            report.add(Finding(
+                rule="backward-shape",
+                message=f"backward of op {e.op!r} raised "
+                        f"{type(exc).__name__}: {exc}",
+                context={"op": e.op, "seq": e.seq},
+            ))
+            return None
+        if len(parent_grads) != len(node._parents):
+            report.add(Finding(
+                rule="backward-shape",
+                message=f"backward of op {e.op!r} returned "
+                        f"{len(parent_grads)} gradients for "
+                        f"{len(node._parents)} parents",
+                context={"op": e.op, "seq": e.seq},
+            ))
+            return None
+        return parent_grads
+
     def _check_backward_shapes(self, report: Report) -> None:
         """Invoke each node's backward closure with a ones seed and check
-        every returned gradient is shaped like (and typed like) its parent."""
+        every returned gradient is shaped like (and typed like) its parent,
+        and that the closure honours ``needs``: asked for one parent only,
+        it returns that gradient bit-equal to the all-needed one and
+        ``None`` for every other parent."""
         report.checks_run.append("backward-shape")
         for e in self.tape.entries:
             node = e.tensor
             if node._backward_fn is None:
                 continue
+            n = len(node._parents)
             seed = Tensor(np.ones_like(node.data))
-            try:
-                # numerical validity (log(0), 1/0, ...) is the
-                # Sanitizer's concern; this probe only checks structure
-                with no_grad(), np.errstate(all="ignore"):
-                    parent_grads = node._backward_fn(seed)
-            except Exception as exc:
-                report.add(Finding(
-                    rule="backward-shape",
-                    message=f"backward of op {e.op!r} raised "
-                            f"{type(exc).__name__}: {exc}",
-                    context={"op": e.op, "seq": e.seq},
-                ))
+            full = self._probe_backward(report, e, seed, (True,) * n)
+            if full is None:
                 continue
-            if len(parent_grads) != len(node._parents):
-                report.add(Finding(
-                    rule="backward-shape",
-                    message=f"backward of op {e.op!r} returned "
-                            f"{len(parent_grads)} gradients for "
-                            f"{len(node._parents)} parents",
-                    context={"op": e.op, "seq": e.seq},
-                ))
-                continue
-            for j, (parent, g) in enumerate(zip(node._parents, parent_grads)):
+            for j, (parent, g) in enumerate(zip(node._parents, full)):
                 if g is None:
                     continue
                 if g.data.shape != parent.data.shape:
@@ -195,6 +214,32 @@ class GraphLinter:
                                 f"{g.data.dtype} for parent #{j} (gradients "
                                 f"must be {np.dtype(GRAD_DTYPE).name})",
                         context={"op": e.op, "seq": e.seq, "parent": parent._op},
+                    ))
+            if n == 1:
+                continue  # all-needed *is* the one-hot probe
+            for j in range(n):
+                only = self._probe_backward(
+                    report, e, seed, tuple(k == j for k in range(n))
+                )
+                if only is None:
+                    break
+                extra = [k for k, g in enumerate(only) if k != j and g is not None]
+                if extra:
+                    report.add(Finding(
+                        rule="backward-shape",
+                        message=f"backward of op {e.op!r} ignores needs: asked "
+                                f"for parent #{j} only, it also computed "
+                                f"gradients for parents {extra}",
+                        context={"op": e.op, "seq": e.seq, "needed": j},
+                    ))
+                if not _bit_equal(only[j], full[j]):
+                    report.add(Finding(
+                        rule="backward-shape",
+                        message=f"backward of op {e.op!r}: the gradient for "
+                                f"parent #{j} changes when the other parents "
+                                f"are not needed (a kept gradient must not "
+                                f"depend on a dropped one)",
+                        context={"op": e.op, "seq": e.seq, "needed": j},
                     ))
 
     def _check_reachability(self, report: Report, roots: Sequence[Tensor]) -> None:

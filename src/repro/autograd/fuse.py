@@ -2,8 +2,9 @@
 
 A DeePMD layer is ``x + tanh(x @ W + b)``: four primitive kernels when
 executed eagerly.  The fused variants below execute the whole layer as *one*
-kernel launch, and -- in the common first-order path -- compute all three
-parent gradients in one fused backward launch as well.
+kernel launch, and -- in the common first-order path -- compute the parent
+gradients the sweep asked for (``needs``) in one fused backward launch as
+well: inference, which only wants ``gx``, never forms ``gW``/``gb``.
 
 Correctness under double backward is preserved by a dual-path backward:
 
@@ -19,6 +20,8 @@ paper's Opt2 kernel-count drop without touching model code.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -44,15 +47,39 @@ def _batch_flatten(t: Tensor, last: int) -> Tensor:
     return ops.reshape(t, (-1, last))
 
 
-def _linear_grads_composed(g: Tensor, x: Tensor, W: Tensor, b: Tensor):
-    """(gx, gW, gb) for out = x @ W + b, built from primitives."""
-    gx = ops.matmul(g, ops.swapaxes(W, -1, -2))
+def _linear_grads_composed(g: Tensor, x: Tensor, W: Tensor, b: Tensor, needs):
+    """The needed of (gx, gW, gb) for out = x @ W + b, built from primitives."""
+    gx = gW = gb = None
     n_in, n_out = W.shape
-    gW = ops.matmul(
-        ops.swapaxes(_batch_flatten(x, n_in), -1, -2), _batch_flatten(g, n_out)
-    )
-    gb = ops.tsum(_batch_flatten(g, n_out), axis=0)
+    if needs[0]:
+        gx = ops.matmul(g, ops.swapaxes(W, -1, -2))
+    if needs[1]:
+        gW = ops.matmul(
+            ops.swapaxes(_batch_flatten(x, n_in), -1, -2), _batch_flatten(g, n_out)
+        )
+    if needs[2]:
+        gb = ops.tsum(_batch_flatten(g, n_out), axis=0)
     return gx, gW, gb
+
+
+def _linear_grads_raw(op: str, gpre: np.ndarray, x: Tensor, W: Tensor, needs,
+                      residual: Optional[np.ndarray] = None):
+    """The needed of (gx, gW, gb) as one raw first-order launch ``op``
+    reporting the bytes it produced; ``residual`` is the skip
+    connection's share of gx."""
+    gx = gW = gb = None
+    g2 = gpre.reshape(-1, W.shape[1])
+    if needs[0]:
+        gx = gpre @ W.data.T
+        if residual is not None:
+            gx = gx + residual
+    if needs[1]:
+        gW = x.data.reshape(-1, W.shape[0]).T @ g2
+    if needs[2]:
+        gb = g2.sum(axis=0)
+    grads = (gx, gW, gb)
+    record_launch(op, sum(a.nbytes for a in grads if a is not None))
+    return tuple(None if a is None else Tensor(a) for a in grads)
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +104,10 @@ def linear_fused(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
     out_arr = x.data @ W.data + b.data
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         if config.grad_enabled:
-            return _linear_grads_composed(g, x, W, b)
-        gd = g.data
-        gx = gd @ W.data.T
-        g2 = gd.reshape(-1, W.shape[1])
-        gW = x.data.reshape(-1, W.shape[0]).T @ g2
-        gb = g2.sum(axis=0)
-        record_launch("linear_bwd_fused", gx.nbytes + gW.nbytes + gb.nbytes)
-        return Tensor(gx), Tensor(gW), Tensor(gb)
+            return _linear_grads_composed(g, x, W, b, needs)
+        return _linear_grads_raw("linear_bwd_fused", g.data, x, W, needs)
 
     return make_op(out_arr, (x, W, b), backward, "linear_fused")
 
@@ -95,18 +116,13 @@ def linear_tanh_fused(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
     t_arr = np.tanh(x.data @ W.data + b.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         if config.grad_enabled:
             t = ops.tanh(linear_fused(x, W, b))
             gpre = ops.mul(g, ops.sub(1.0, ops.mul(t, t)))
-            return _linear_grads_composed(gpre, x, W, b)
+            return _linear_grads_composed(gpre, x, W, b, needs)
         gpre = g.data * (1.0 - t_arr * t_arr)
-        gx = gpre @ W.data.T
-        g2 = gpre.reshape(-1, W.shape[1])
-        gW = x.data.reshape(-1, W.shape[0]).T @ g2
-        gb = g2.sum(axis=0)
-        record_launch("linear_tanh_bwd_fused", gx.nbytes + gW.nbytes + gb.nbytes)
-        return Tensor(gx), Tensor(gW), Tensor(gb)
+        return _linear_grads_raw("linear_tanh_bwd_fused", gpre, x, W, needs)
 
     return make_op(t_arr, (x, W, b), backward, "linear_tanh_fused")
 
@@ -116,19 +132,16 @@ def residual_linear_tanh_fused(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     t_arr = np.tanh(x.data @ W.data + b.data)
     out_arr = x.data + t_arr
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         if config.grad_enabled:
             t = ops.tanh(linear_fused(x, W, b))
             gpre = ops.mul(g, ops.sub(1.0, ops.mul(t, t)))
-            gx, gW, gb = _linear_grads_composed(gpre, x, W, b)
-            return ops.add(gx, g), gW, gb
+            gx, gW, gb = _linear_grads_composed(gpre, x, W, b, needs)
+            return (ops.add(gx, g) if needs[0] else None), gW, gb
         gpre = g.data * (1.0 - t_arr * t_arr)
-        gx = gpre @ W.data.T + g.data
-        g2 = gpre.reshape(-1, W.shape[1])
-        gW = x.data.reshape(-1, W.shape[0]).T @ g2
-        gb = g2.sum(axis=0)
-        record_launch("residual_linear_tanh_bwd_fused", gx.nbytes + gW.nbytes + gb.nbytes)
-        return Tensor(gx), Tensor(gW), Tensor(gb)
+        return _linear_grads_raw(
+            "residual_linear_tanh_bwd_fused", gpre, x, W, needs, residual=g.data
+        )
 
     return make_op(out_arr, (x, W, b), backward, "residual_linear_tanh_fused")
 

@@ -5,6 +5,11 @@ records exactly one launch with the instrumentation layer, and registers a
 backward closure written *in terms of these same primitives* so that
 gradients are themselves differentiable (double backward).
 
+A closure is called as ``backward(g, needs)``: ``needs[j]`` says whether
+the sweep wants a gradient for parent ``j`` (it requires grad and leads to
+a requested input).  Slots that are not needed return ``None`` instead of
+being computed; a needed slot must not depend on whether the others are.
+
 Broadcasting follows numpy semantics; gradients are reduced back to the
 operand shapes with :func:`unbroadcast`, which is itself built from ``sum``
 and ``reshape`` ops and therefore also double-backward safe.
@@ -65,8 +70,10 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
-    def backward(g: Tensor):
-        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
+    def backward(g: Tensor, needs):
+        ga = unbroadcast(g, a.shape) if needs[0] else None
+        gb = unbroadcast(g, b.shape) if needs[1] else None
+        return ga, gb
 
     return make_op(out, (a, b), backward, "add")
 
@@ -75,8 +82,10 @@ def sub(a: TensorLike, b: TensorLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
 
-    def backward(g: Tensor):
-        return unbroadcast(g, a.shape), unbroadcast(neg(g), b.shape)
+    def backward(g: Tensor, needs):
+        ga = unbroadcast(g, a.shape) if needs[0] else None
+        gb = unbroadcast(neg(g), b.shape) if needs[1] else None
+        return ga, gb
 
     return make_op(out, (a, b), backward, "sub")
 
@@ -85,8 +94,10 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
 
-    def backward(g: Tensor):
-        return unbroadcast(mul(g, b), a.shape), unbroadcast(mul(g, a), b.shape)
+    def backward(g: Tensor, needs):
+        ga = unbroadcast(mul(g, b), a.shape) if needs[0] else None
+        gb = unbroadcast(mul(g, a), b.shape) if needs[1] else None
+        return ga, gb
 
     return make_op(out, (a, b), backward, "mul")
 
@@ -95,9 +106,12 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
 
-    def backward(g: Tensor):
-        ga = unbroadcast(div(g, b), a.shape)
-        gb = unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)
+    def backward(g: Tensor, needs):
+        ga = gb = None
+        if needs[0]:
+            ga = unbroadcast(div(g, b), a.shape)
+        if needs[1]:
+            gb = unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)
         return ga, gb
 
     return make_op(out, (a, b), backward, "div")
@@ -107,7 +121,7 @@ def neg(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out = -a.data
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (neg(g),)
 
     return make_op(out, (a,), backward, "neg")
@@ -119,7 +133,7 @@ def power(a: TensorLike, p: Scalar) -> Tensor:
     p = float(p)
     out = a.data**p
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (mul(g, mul(power(a, p - 1.0), p)),)
 
     return make_op(out, (a,), backward, "pow", attrs={"p": p})
@@ -129,7 +143,7 @@ def exp(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out_arr = np.exp(a.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (mul(g, out),)
 
     out = make_op(out_arr, (a,), backward, "exp")
@@ -140,7 +154,7 @@ def log(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out = np.log(a.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (div(g, a),)
 
     return make_op(out, (a,), backward, "log")
@@ -150,7 +164,7 @@ def tanh(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out_arr = np.tanh(a.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (mul(g, sub(1.0, mul(out, out))),)
 
     out = make_op(out_arr, (a,), backward, "tanh")
@@ -161,7 +175,7 @@ def sqrt(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out_arr = np.sqrt(a.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (div(mul(g, 0.5), out),)
 
     out = make_op(out_arr, (a,), backward, "sqrt")
@@ -179,7 +193,7 @@ def sign_of(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out = np.sign(a.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (None,)
 
     return make_op(out, (a,), backward, "sign")
@@ -192,7 +206,7 @@ def _cmp_mask(a: Tensor, b: Tensor, mode: str) -> Tensor:
     arr = a.data >= b.data if mode == "ge" else a.data <= b.data
     out = arr.astype(np.float64)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return None, None
 
     return make_op(out, (a, b), backward, "cmp_mask", attrs={"cmp": mode})
@@ -203,7 +217,7 @@ def absolute(a: TensorLike) -> Tensor:
     a = as_tensor(a)
     out = np.abs(a.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (mul(g, sign_of(a)),)
 
     return make_op(out, (a,), backward, "abs")
@@ -214,13 +228,13 @@ def maximum(a: TensorLike, b: TensorLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = np.where(a.data >= b.data, a.data, b.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         m = _cmp_mask(a, b, "ge")
         gm = mul(g, m)
         # g - g*m == g*(1-m) bit-for-bit on a {0,1} mask, without baking
         # a second mask constant into the closure
-        ga = unbroadcast(gm, a.shape)
-        gb = unbroadcast(sub(g, gm), b.shape)
+        ga = unbroadcast(gm, a.shape) if needs[0] else None
+        gb = unbroadcast(sub(g, gm), b.shape) if needs[1] else None
         return ga, gb
 
     return make_op(out, (a, b), backward, "maximum")
@@ -231,11 +245,11 @@ def minimum(a: TensorLike, b: TensorLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = np.where(a.data <= b.data, a.data, b.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         m = _cmp_mask(a, b, "le")
         gm = mul(g, m)
-        ga = unbroadcast(gm, a.shape)
-        gb = unbroadcast(sub(g, gm), b.shape)
+        ga = unbroadcast(gm, a.shape) if needs[0] else None
+        gb = unbroadcast(sub(g, gm), b.shape) if needs[1] else None
         return ga, gb
 
     return make_op(out, (a, b), backward, "minimum")
@@ -254,10 +268,10 @@ def where(cond: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
     out = np.where(cond, a.data, b.data)
     fmask_t = Tensor(cond.astype(np.float64))
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         gm = mul(g, fmask_t)
-        ga = unbroadcast(gm, a.shape)
-        gb = unbroadcast(sub(g, gm), b.shape)
+        ga = unbroadcast(gm, a.shape) if needs[0] else None
+        gb = unbroadcast(sub(g, gm), b.shape) if needs[1] else None
         return ga, gb, None
 
     return make_op(out, (a, b, fmask_t), backward, "where", attrs={"cond": cond})
@@ -281,7 +295,7 @@ def tsum(
     else:
         axes = tuple(ax % len(in_shape) for ax in axis)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         if not keepdims and in_shape:
             expand_shape = list(in_shape)
             for ax in axes:
@@ -318,7 +332,7 @@ def broadcast_to(a: TensorLike, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     out = np.broadcast_to(a.data, shape).copy()
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (unbroadcast(g, a.shape),)
 
     return make_op(out, (a,), backward, "broadcast", attrs={"shape": tuple(shape)})
@@ -334,7 +348,7 @@ def reshape(a: TensorLike, shape: Union[int, tuple[int, ...]]) -> Tensor:
     out = a.data.reshape(shape)
     in_shape = a.shape
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (reshape(g, in_shape),)
 
     return make_op(out, (a,), backward, "reshape", attrs={"shape": tuple(shape)})
@@ -348,7 +362,7 @@ def transpose(a: TensorLike, axes: Optional[Sequence[int]] = None) -> Tensor:
     out = np.transpose(a.data, axes)
     inv = tuple(np.argsort(axes))
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (transpose(g, inv),)
 
     return make_op(out, (a,), backward, "transpose", attrs={"axes": axes})
@@ -367,12 +381,13 @@ def concat(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
-    def backward(g: Tensor):
-        grads = []
-        for i in range(len(ts)):
-            idx = [slice(None)] * out.ndim
-            idx[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            grads.append(index(g, tuple(idx)))
+    def backward(g: Tensor, needs):
+        grads = [None] * len(ts)
+        for i, need in enumerate(needs):
+            if need:
+                idx = [slice(None)] * out.ndim
+                idx[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
+                grads[i] = index(g, tuple(idx))
         return tuple(grads)
 
     return make_op(out, tuple(ts), backward, "concat", attrs={"axis": axis})
@@ -394,7 +409,7 @@ def index(a: TensorLike, idx) -> Tensor:
         out = np.asarray(out)
     in_shape = a.shape
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (index_add(in_shape, idx, g),)
 
     return make_op(np.ascontiguousarray(out), (a,), backward, "gather", attrs={"idx": idx})
@@ -406,7 +421,7 @@ def index_add(shape: tuple[int, ...], idx, values: TensorLike) -> Tensor:
     out = np.zeros(shape, dtype=values.dtype if values.dtype.kind == "f" else np.float64)
     np.add.at(out, idx, values.data)
 
-    def backward(g: Tensor):
+    def backward(g: Tensor, needs):
         return (index(g, idx),)
 
     return make_op(
@@ -425,9 +440,12 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
         raise ValueError("matmul requires operands with ndim >= 2")
     out = a.data @ b.data
 
-    def backward(g: Tensor):
-        ga = unbroadcast(matmul(g, swapaxes(b, -1, -2)), a.shape)
-        gb = unbroadcast(matmul(swapaxes(a, -1, -2), g), b.shape)
+    def backward(g: Tensor, needs):
+        ga = gb = None
+        if needs[0]:
+            ga = unbroadcast(matmul(g, swapaxes(b, -1, -2)), a.shape)
+        if needs[1]:
+            gb = unbroadcast(matmul(swapaxes(a, -1, -2), g), b.shape)
         return ga, gb
 
     return make_op(out, (a, b), backward, "matmul")

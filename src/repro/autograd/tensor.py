@@ -143,13 +143,11 @@ class Tensor:
         differentiable (needed for force training and for d(force)/dw in
         the EKF updates).
         """
-        grads = _run_backward(self, grad, create_graph)
-        for node, g in grads.items():
-            if node.requires_grad and node.is_leaf():
-                if node.grad is None:
-                    node.grad = g
-                else:
-                    node.grad = Tensor(node.grad.data + g.data)
+        for node, g in _run_backward(self, grad, create_graph).items():
+            if node.grad is None:
+                node.grad = g
+            else:
+                node.grad = Tensor(node.grad.data + g.data)
 
     # operator sugar is attached in ops.py (to avoid an import cycle the
     # primitive implementations live there and register methods here).
@@ -176,8 +174,25 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _run_backward(
-    root: Tensor, seed: Optional[Tensor], create_graph: bool
+    root: Tensor,
+    seed: Optional[Tensor],
+    create_graph: bool,
+    inputs: Optional[Sequence[Tensor]] = None,
 ) -> dict[Tensor, Tensor]:
+    """The one reverse sweep: d(root)/d(requested), demand-driven.
+
+    ``inputs`` are the requested tensors (``None``: every ``requires_grad``
+    leaf under ``root``, the ``Tensor.backward`` meaning).  A node is
+    *live* iff it lies on a path from ``root`` to a requested tensor; only
+    live nodes receive a cotangent, a closure runs only if one of its
+    parents is live, and it is told which (``needs``) so it can skip the
+    rest.  A node's cotangent is dropped as soon as its closure has run;
+    the returned dict holds the requested tensors only.
+
+    Every child of a live node is live, so a kept gradient sees the same
+    contributions accumulated in the same order as an unpruned sweep:
+    results are bit-identical, only unconsumed work disappears.
+    """
     if not root.requires_grad:
         raise RuntimeError("backward() called on a tensor that does not require grad")
     if seed is None:
@@ -187,25 +202,38 @@ def _run_backward(
     elif not isinstance(seed, Tensor):
         seed = Tensor(np.asarray(seed, dtype=_GRAD_DTYPE))
 
-    ctx = enable_grad() if create_graph else no_grad()
-    grads: dict[int, Tensor] = {id(root): seed}
-    by_id: dict[int, Tensor] = {id(root): root}
-    with ctx:
-        for node in reversed(_topo_order(root)):
-            g = grads.get(id(node))
+    order = _topo_order(root)  # parents before children, root last
+    if inputs is None:
+        inputs = [n for n in order if n._backward_fn is None]
+    requested = {id(t): t for t in inputs}
+    live = set()
+    for node in order:
+        # everything in ``order`` requires grad, so membership is enough
+        if id(node) in requested or any(id(p) in live for p in node._parents):
+            live.add(id(node))
+
+    grads: dict[int, Tensor] = {id(root): seed} if id(root) in live else {}
+    with enable_grad() if create_graph else no_grad():
+        for node in reversed(order):
+            nid = id(node)
+            g = grads.get(nid) if nid in requested else grads.pop(nid, None)
             if g is None or node._backward_fn is None:
                 continue
-            parent_grads = node._backward_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
+            needs = tuple(id(p) in live for p in node._parents)
+            if not any(needs):
+                continue
+            for parent, need, pg in zip(
+                node._parents, needs, node._backward_fn(g, needs)
+            ):
+                if pg is None or not need:
                     continue
                 pid = id(parent)
-                by_id[pid] = parent
                 if pid in grads:
                     grads[pid] = grads[pid] + pg  # uses the add op
                 else:
                     grads[pid] = pg
-    return {by_id[k]: v for k, v in grads.items()}
+            pg = None  # the last parent gradient must not outlive its node
+    return {requested[k]: v for k, v in grads.items()}
 
 
 def grad(
@@ -217,11 +245,20 @@ def grad(
 ) -> tuple[Tensor, ...]:
     """Functional gradient: d(output)/d(inputs) without touching ``.grad``.
 
-    Returns one tensor per input.  Inputs that the output does not depend on
-    get a zeros tensor when ``allow_unused`` (the default), otherwise a
-    ``RuntimeError`` is raised.
+    Returns one tensor per input; only the part of the graph between
+    ``output`` and ``inputs`` is swept.  Inputs that the output does not
+    depend on get a zeros tensor when ``allow_unused`` (the default),
+    otherwise a ``RuntimeError`` is raised.  An input that does not
+    require grad is a ``ValueError``: autograd never tracked it, so its
+    gradient is unknown rather than zero.
     """
-    grads = _run_backward(output, grad_output, create_graph)
+    for i, inp in enumerate(inputs):
+        if not inp.requires_grad:
+            raise ValueError(
+                f"grad(): input #{i} (op {inp._op!r}, shape {inp.shape}) does "
+                f"not require grad; create it with requires_grad=True"
+            )
+    grads = _run_backward(output, grad_output, create_graph, inputs)
     out: list[Tensor] = []
     for inp in inputs:
         g = grads.get(inp)

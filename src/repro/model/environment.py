@@ -273,7 +273,7 @@ def _make_env_linear_ops(env, batch, stats):
     def vjp_op(g_rn: Tensor) -> Tensor:
         out = _env_vjp(g_rn.data, env, batch, stats)
 
-        def backward(g: Tensor):
+        def backward(g: Tensor, needs):
             return (adjoint_op(g),)
 
         return make_op(out, (g_rn,), backward, "env_bwd_fused")
@@ -281,7 +281,7 @@ def _make_env_linear_ops(env, batch, stats):
     def adjoint_op(gg: Tensor) -> Tensor:
         out = _env_vjp_transpose(gg.data, env, batch, stats)
 
-        def backward(g: Tensor):
+        def backward(g: Tensor, needs):
             return (vjp_op(g),)
 
         return make_op(out, (gg,), backward, "env_bwd_transpose_fused")
@@ -296,7 +296,7 @@ def environment_fused(
     rn, env = environment_np(coords.data, batch, cfg, stats)
     vjp_op, _ = _make_env_linear_ops(env, batch, stats)
 
-    def backward(g_rn: Tensor):
+    def backward(g_rn: Tensor, needs):
         return (vjp_op(g_rn),)
 
     return make_op(rn, (coords,), backward, "env_fused")

@@ -9,7 +9,7 @@ register_op("sneaky_identity")  # note: may_view NOT declared
 
 
 def _identity_view(x):
-    def backward(g):
+    def backward(g, needs):
         return (g,)
 
     return make_op(x.data, (x,), backward, "sneaky_identity")  # no copy!

@@ -9,7 +9,7 @@ register_op("raw_square", second_order=False)
 
 
 def _raw_square(x):
-    def backward(g):
+    def backward(g, needs):
         # raw-numpy backward: correct to first order, no graph behind it
         return (Tensor(g.data * 2.0 * x.data),)
 

@@ -7,7 +7,7 @@ from repro.autograd import Tensor, make_op, ops
 
 
 def _rogue(x):
-    def backward(g):
+    def backward(g, needs):
         return (g,)
 
     return make_op(x.data + 1.0, (x,), backward, "rogue_unregistered_kernel")

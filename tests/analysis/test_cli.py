@@ -44,6 +44,7 @@ class TestGraphCommand:
     @pytest.mark.parametrize("name,rule", [
         ("dtype_violation.py", "dtype-invariant"),
         ("backward_shape_violation.py", "backward-shape"),
+        ("needs_violation.py", "backward-shape"),
         ("alias_violation.py", "alias-hazard"),
         ("mutation_violation.py", "buffer-mutation"),
         ("unreachable_violation.py", "unreachable-node"),

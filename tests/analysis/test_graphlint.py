@@ -69,7 +69,7 @@ class TestChecksFire:
         register_op("test_broken_bwd")
 
         def broken(x):
-            def backward(g):
+            def backward(g, needs):
                 return (Tensor(g.data[:-1]),)
 
             return make_op(x.data * 2.0, (x,), backward, "test_broken_bwd")
@@ -80,11 +80,47 @@ class TestChecksFire:
         report = GraphLinter(tape).lint(roots=[y])
         assert "backward-shape" in _rules(report)
 
+    def test_backward_ignoring_needs(self):
+        register_op("test_greedy_mul")
+
+        def greedy_mul(a, b):
+            def backward(g, needs):
+                return ops.mul(g, b), ops.mul(g, a)  # whatever was asked
+
+            return make_op(a.data * b.data, (a, b), backward, "test_greedy_mul")
+
+        with capture("tape") as tape:
+            a = Tensor(np.ones(3), requires_grad=True)
+            b = Tensor(np.full(3, 2.0), requires_grad=True)
+            y = ops.tsum(greedy_mul(a, b))
+        report = GraphLinter(tape).lint(roots=[y])
+        hits = [f for f in report.findings if f.rule == "backward-shape"]
+        assert hits and all("ignores needs" in f.message for f in hits)
+
+    def test_kept_gradient_depending_on_a_dropped_one(self):
+        register_op("test_coupled_add")
+
+        def coupled_add(a, b):
+            def backward(g, needs):
+                # the gradient for ``a`` changes with whether ``b`` is wanted
+                ga = ops.mul(g, 1.0 if needs[1] else 2.0) if needs[0] else None
+                return ga, (g if needs[1] else None)
+
+            return make_op(a.data + b.data, (a, b), backward, "test_coupled_add")
+
+        with capture("tape") as tape:
+            a = Tensor(np.ones(3), requires_grad=True)
+            b = Tensor(np.ones(3), requires_grad=True)
+            y = ops.tsum(coupled_add(a, b))
+        report = GraphLinter(tape).lint(roots=[y])
+        hits = [f for f in report.findings if f.rule == "backward-shape"]
+        assert len(hits) == 1 and "parent #0 changes" in hits[0].message
+
     def test_alias_hazard(self):
         register_op("test_alias_op")  # may_view intentionally False
 
         def identity_view(x):
-            def backward(g):
+            def backward(g, needs):
                 return (g,)
 
             return make_op(x.data, (x,), backward, "test_alias_op")
@@ -115,7 +151,7 @@ class TestChecksFire:
 
     def test_unregistered_op(self):
         def rogue(x):
-            def backward(g):
+            def backward(g, needs):
                 return (g,)
 
             return make_op(x.data + 1.0, (x,), backward, "test_rogue_kernel_xyz")
@@ -130,7 +166,7 @@ class TestChecksFire:
         register_op("test_raw_first_order", second_order=False)
 
         def raw(x):
-            def backward(g):
+            def backward(g, needs):
                 return (Tensor(g.data * 2.0 * x.data),)
 
             return make_op(x.data ** 2, (x,), backward, "test_raw_first_order")
@@ -222,7 +258,7 @@ class TestVerifySecondOrder:
         register_op("test_raw_sq2", second_order=False)
 
         def raw(x):
-            def backward(g):
+            def backward(g, needs):
                 return (Tensor(g.data * 2.0 * x.data),)
 
             return make_op(x.data ** 2, (x,), backward, "test_raw_sq2")

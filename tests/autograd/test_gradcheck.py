@@ -18,7 +18,7 @@ def _broken_square(a: Tensor) -> Tensor:
     """x^2 with a deliberately wrong backward (factor 3 instead of 2)."""
     out = a.data**2
 
-    def backward(g):
+    def backward(g, needs):
         return (ops.mul(g, ops.mul(a, 3.0)),)
 
     return make_op(out, (a,), backward, "broken_square")
@@ -57,7 +57,7 @@ def _raw_square(a: Tensor) -> Tensor:
     (a missing second-order rule)."""
     out = a.data**2
 
-    def backward(g):
+    def backward(g, needs):
         return (Tensor(g.data * 2.0 * a.data),)
 
     return make_op(out, (a,), backward, "raw_square_gc")
@@ -105,7 +105,7 @@ class TestSecondOrder:
         def frozen(a: Tensor) -> Tensor:
             out = a.data**2
 
-            def backward(g):
+            def backward(g, needs):
                 # 2a = a + detached(a): first order exact, but the
                 # graph only sees d(2a)/da = 1 instead of 2.
                 return (ops.mul(g, ops.add(a, Tensor(a.data))),)

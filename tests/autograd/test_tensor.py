@@ -126,6 +126,21 @@ class TestFunctionalGrad:
         with pytest.raises(RuntimeError):
             grad((x * 2.0).sum(), [x, z], allow_unused=False)
 
+    def test_input_without_requires_grad_raises(self):
+        """It used to come back as silent zeros (the true gradient of
+        sum(x*c) w.r.t. c is x); now that the inputs decide which part of
+        the graph is swept it would also prune the whole sweep."""
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        c = Tensor(np.ones(3))
+        y = (x * c).sum()
+        with pytest.raises(ValueError, match=r"input #1 .* does not require grad"):
+            grad(y, [x, c])
+        with pytest.raises(ValueError, match="input #0"):
+            grad(y, [c], allow_unused=True)
+        # allow_unused still governs inputs the output really does not reach
+        z = Tensor(np.ones(2), requires_grad=True)
+        assert np.array_equal(grad(y, [z])[0].data, np.zeros(2))
+
     def test_grad_output_seed(self):
         x = Tensor(np.ones(3), requires_grad=True)
         (g,) = grad(x * 2.0, [x], grad_output=Tensor(np.array([1.0, 2.0, 3.0])))
