@@ -1,19 +1,12 @@
-"""Shared fixtures for the benchmark suite.
-
-Each ``bench_*.py`` file corresponds to one table/figure of the paper
-(see DESIGN.md's per-experiment index); the benchmarked callables are the
-representative per-step kernels of that experiment, with correctness
-assertions inline.  Full-scale regeneration of the tables lives in
-``python -m repro.harness <experiment>``.
-"""
+"""Shared fixtures for ``bench_overhead.py``: the Cu dataset and the
+scaled-down model config every observed run uses."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.data import generate_dataset
-from repro.model import DeePMD, DeePMDConfig, make_batch
+from repro.model import DeePMDConfig
 
 
 @pytest.fixture(scope="session")
@@ -27,18 +20,3 @@ def cu_data():
 @pytest.fixture(scope="session")
 def cfg():
     return DeePMDConfig.scaled_down(rcut=4.0, nmax=18)
-
-
-@pytest.fixture()
-def model(cu_data, cfg):
-    return DeePMD.for_dataset(cu_data, cfg, seed=1)
-
-
-@pytest.fixture()
-def batch32(cu_data, cfg):
-    return make_batch(cu_data, np.arange(32), cfg)
-
-
-@pytest.fixture()
-def batch1(cu_data, cfg):
-    return make_batch(cu_data, np.arange(1), cfg)

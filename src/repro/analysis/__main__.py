@@ -116,24 +116,6 @@ def cmd_determinism(args) -> int:
         seed=args.seed,
         compiled=args.compiled,
     )
-    if args.manifest_dir:
-        from ..harness.manifest import write_manifest
-
-        Path(args.manifest_dir).mkdir(parents=True, exist_ok=True)
-        path = write_manifest(
-            args.manifest_dir,
-            "determinism_audit",
-            config={
-                "world_size": args.world_size,
-                "steps": args.steps,
-                "backends": list(backends),
-                "seed": args.seed,
-                "compiled": args.compiled,
-            },
-            metrics={**report.metrics, "ok": report.ok,
-                     "findings": len(report.findings)},
-        )
-        print(f"manifest: {path}")
     return _emit(report, args.json, args.verbose)
 
 
@@ -173,8 +155,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_det.add_argument("--compiled", action="store_true",
                        help="train through the tape-compiled replay engine "
                             "(certifies fused plans keep bit-identity)")
-    p_det.add_argument("--manifest-dir", default=None,
-                       help="write BENCH_determinism_audit.json here")
     p_det.add_argument("--json", action="store_true")
     p_det.add_argument("--verbose", action="store_true")
     p_det.set_defaults(fn=cmd_determinism)

@@ -9,8 +9,7 @@ police the ways Python code quietly breaks them:
     zero-argument ``np.random.default_rng()`` (OS-entropy seed).  All
     randomness must flow from an explicitly seeded ``Generator``.
 ``wallclock-time``
-    ``time.time()`` outside ``harness/manifest.py`` (the one place a
-    wall-clock timestamp belongs -- the run manifest).  Measurements use
+    ``time.time()`` anywhere in the package.  Measurements use
     ``time.perf_counter``/``process_time``; logic must never branch on
     wall-clock.
 ``private-import``
@@ -71,8 +70,6 @@ RULES = (
 _RANDOM_OK = {"default_rng", "Generator", "PCG64", "SeedSequence", "BitGenerator"}
 #: path components that mark a hot-path subsystem for the float32 rule
 _HOT_COMPONENTS = {"autograd", "optim", "model", "parallel"}
-#: files allowed to read the wall clock
-_WALLCLOCK_ALLOWED = ("harness/manifest.py",)
 #: path components where frame access must stay windowed (streaming hot
 #: paths -- an out-of-core store may back the source)
 _MATERIALIZE_SCOPE = {"train", "online"}
@@ -133,9 +130,6 @@ class _FileVisitor(ast.NodeVisitor):
         self.subpackage = _subpackage(self.module)
         self.hot = bool(_HOT_COMPONENTS & set(path.parts))
         self.streaming_hot = bool(_MATERIALIZE_SCOPE & set(path.parts))
-        self.wallclock_ok = any(
-            self.display.endswith(suffix) for suffix in _WALLCLOCK_ALLOWED
-        )
         #: names bound by ``from ... import as_completed``-style imports
         self.as_completed_aliases: set[str] = set()
 
@@ -244,15 +238,12 @@ class _FileVisitor(ast.NodeVisitor):
             )
 
     def _check_wallclock(self, node: ast.Call) -> None:
-        if self.wallclock_ok:
-            return
         chain = self._attr_chain(node.func)
         if chain in (("time", "time"), ("time", "time_ns")):
             self.flag(
                 "wallclock-time", node,
-                f"{'.'.join(chain)}() outside harness/manifest.py; use "
-                f"time.perf_counter() for measurement -- wall-clock reads "
-                f"make runs irreproducible",
+                f"{'.'.join(chain)}(); use time.perf_counter() for "
+                f"measurement -- wall-clock reads make runs irreproducible",
             )
 
     def _check_float32(self, node: ast.Call) -> None:

@@ -9,9 +9,8 @@ Run from the command line::
 or call the per-experiment ``run`` functions directly.
 """
 
-from . import ablations, compile_bench, figure1, figure4, figure7, framestore, memory, online, profile, scaling, serve_bench, table1, table3, table4, table5
+from . import ablations, figure1, figure4, figure7, memory, scaling, table1, table3, table4, table5
 from .common import Report
-from .manifest import build_manifest, write_manifest
 
 #: experiment name -> zero-/keyword-arg callable returning a Report
 EXPERIMENTS = {
@@ -31,11 +30,6 @@ EXPERIMENTS = {
     "ablation_lambda_nu": ablations.run_lambda_nu,
     "ablation_dataflow": ablations.run_funnel_vs_fusiform,
     "ablation_force_graph": ablations.run_force_graph_reuse,
-    "profile": profile.run,
-    "serve-bench": serve_bench.run,
-    "online": online.run,
-    "compile": compile_bench.run,
-    "framestore": framestore.run,
 }
 
-__all__ = ["EXPERIMENTS", "Report", "build_manifest", "write_manifest"]
+__all__ = ["EXPERIMENTS", "Report"]

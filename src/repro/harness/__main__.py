@@ -10,6 +10,7 @@ import time
 
 from ..telemetry import span as _span
 from . import EXPERIMENTS
+from .common import Report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,62 +44,12 @@ def main(argv: list[str] | None = None) -> int:
         "--heavy", action="store_true",
         help="full-scale sweeps for 'report' (slow)",
     )
-    serve = parser.add_argument_group("serve-bench")
-    serve.add_argument(
-        "--clients", type=int, default=None,
-        help="concurrent client threads (serve-bench)",
-    )
-    serve.add_argument(
-        "--requests", type=int, default=None,
-        help="total requests across all clients (serve-bench)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=None, dest="max_batch",
-        help="micro-batch size flush trigger (serve-bench)",
-    )
-    serve.add_argument(
-        "--max-delay-ms", type=float, default=None, dest="max_delay_ms",
-        help="micro-batch deadline flush trigger, ms (serve-bench)",
-    )
-    serve.add_argument(
-        "--serve-executor", default=None, dest="serve_executor",
-        choices=("serial", "thread", "process"),
-        help="worker-pool backend for the service (default: $REPRO_EXECUTOR)",
-    )
-    serve.add_argument(
-        "--serve-workers", type=int, default=None, dest="serve_workers",
-        help="worker ranks the micro-batch is sharded across (serve-bench)",
-    )
-    serve.add_argument(
-        "--bench-dir", default=None, dest="bench_dir",
-        help="directory for the BENCH_<name>.json manifest "
-        "(serve-bench, online)",
-    )
-    online = parser.add_argument_group("online")
-    online.add_argument(
-        "--swaps", type=int, default=None,
-        help="live model swaps to reach before stopping (online)",
-    )
-    online.add_argument(
-        "--max-segments", type=int, default=None, dest="max_segments",
-        help="exploration-segment budget for the closed loop (online)",
-    )
-    parser.add_argument(
-        "--health-out", default=None, dest="health_out", metavar="PATH",
-        help="attach the runtime health monitor: stream health snapshots "
-        "and SLO alerts to this JSONL (watch live with 'python -m "
-        "repro.telemetry.monitor PATH --follow') and write a "
-        "BENCH_monitor.json manifest into --bench-dir "
-        "(serve-bench, online)",
-    )
     parser.add_argument(
         "--trace-out",
-        default=os.environ.get("REPRO_TRACE_OUT") or None,
         metavar="PATH",
-        help="profile the run and write a Chrome trace-event JSON here "
-        "(open in Perfetto / chrome://tracing), plus the span JSONL and a "
-        "BENCH_<experiment>.json run manifest next to it "
-        "(default: $REPRO_TRACE_OUT)",
+        help="profile the run: print the per-phase op table and the "
+        "hottest ops, and write a Chrome trace-event JSON here (open in "
+        "Perfetto / chrome://tracing) plus the span JSONL next to it",
     )
     args = parser.parse_args(argv)
 
@@ -113,7 +64,6 @@ def main(argv: list[str] | None = None) -> int:
 
         tracer = telemetry.enable(capture_kernels=True, profile=True)
 
-    metrics: dict = {}
     try:
         if args.experiment == "report":
             from .report import generate
@@ -134,14 +84,6 @@ def main(argv: list[str] | None = None) -> int:
                     kwargs["frames_per_temperature"] = args.frames
                 if "seed" in sig.parameters:
                     kwargs["seed"] = args.seed
-                for opt in (
-                    "clients", "requests", "max_batch", "max_delay_ms",
-                    "serve_executor", "serve_workers", "bench_dir",
-                    "swaps", "max_segments", "health_out",
-                ):
-                    value = getattr(args, opt)
-                    if opt in sig.parameters and value is not None:
-                        kwargs[opt] = value
                 t0 = time.perf_counter()
                 # a no-op span unless --trace-out installed a tracer; with
                 # one, every experiment gets a top-level extent in the
@@ -151,24 +93,35 @@ def main(argv: list[str] | None = None) -> int:
                 elapsed = time.perf_counter() - t0
                 print(report.markdown() if args.markdown else report.format_table())
                 print(f"[{name} completed in {elapsed:.1f}s]\n")
-                metrics[f"{name}.seconds"] = elapsed
-                metrics[f"{name}.rows"] = len(report.rows)
-                if report.metrics:
-                    metrics[name] = report.metrics
     finally:
         if tracer is not None:
-            _finish_trace(tracer, args, metrics)
+            _finish_trace(tracer, args.trace_out)
     return 0
 
 
-def _finish_trace(tracer, args: argparse.Namespace, metrics: dict) -> None:
-    """Uninstall the profiling tracer and write the --trace-out bundle:
-    Chrome trace, span JSONL, and the BENCH_<experiment>.json manifest."""
+def _finish_trace(tracer, path: str) -> None:
+    """Uninstall the profiling tracer, print where the run's ops went
+    (per phase, then the hottest ops) and write the --trace-out bundle:
+    Chrome trace + span JSONL."""
     from .. import telemetry
-    from .manifest import write_manifest
 
     telemetry.disable()
-    path = args.trace_out
+    phases = Report(
+        "trace", "op-level profile by phase",
+        ["Phase", "kernels", "wall ms", "MB moved", "MFLOP"],
+    )
+    for phase, agg in sorted(
+        tracer.profiler.phase_summary().items(), key=lambda kv: -kv[1]["wall_s"]
+    ):
+        phases.add_row(
+            phase,
+            agg["kernels"],
+            agg["wall_s"] * 1e3,
+            agg["bytes"] / (1024 * 1024),
+            agg["flops"] / 1e6,
+        )
+    print(phases.format_table())
+    print(tracer.profiler.format_table(top=5))
     telemetry.write_chrome_trace(path, tracer=tracer)
     base, _ = os.path.splitext(path)
     jsonl_path = base + ".spans.jsonl"
@@ -176,16 +129,7 @@ def _finish_trace(tracer, args: argparse.Namespace, metrics: dict) -> None:
         for ev in tracer.events:
             out(ev)
         out.write_metrics(telemetry.REGISTRY)
-    metrics["registry"] = telemetry.REGISTRY.snapshot()
-    manifest_path = write_manifest(
-        os.path.dirname(os.path.abspath(path)),
-        args.experiment,
-        config={k: v for k, v in vars(args).items() if v is not None},
-        metrics=metrics,
-        tracer=tracer,
-    )
-    print(f"[trace written to {path}; spans to {jsonl_path}; "
-          f"manifest to {manifest_path}]")
+    print(f"[trace written to {path}; spans to {jsonl_path}]")
 
 
 if __name__ == "__main__":

@@ -10,9 +10,7 @@ the data, scaled-down network by default, paper network on request.
 
 from __future__ import annotations
 
-import contextlib
 import io
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,9 +36,6 @@ class Report:
     rows: list[list] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     paper_reference: str = ""
-    #: headline numbers for the run manifest (merged into the
-    #: ``BENCH_<experiment>.json`` metrics by the CLI)
-    metrics: dict = field(default_factory=dict)
 
     def add_row(self, *values) -> None:
         self.rows.append(list(values))
@@ -176,52 +171,6 @@ def fast_kalman(blocksize: int = 2048, **overrides) -> KalmanConfig:
     for k, v in overrides.items():
         setattr(cfg, k, v)
     return cfg
-
-
-@contextlib.contextmanager
-def health_monitor(
-    health_out: Optional[str],
-    service=None,
-    learner=None,
-    interval_s: float = 0.25,
-    bench_dir: Optional[str] = None,
-):
-    """Attach the runtime health monitor to an experiment (or not).
-
-    With ``health_out=None`` this is a no-op yielding ``None`` -- the
-    experiments call it unconditionally and the CLI's ``--health-out``
-    flag decides whether a monitor rides along.  Otherwise: snapshots and
-    SLO alerts stream to the ``health_out`` JSONL (viewable live with
-    ``python -m repro.telemetry.monitor <path> --follow``), and on exit a
-    ``repro.bench/v1`` manifest ``BENCH_monitor.json`` lands in
-    ``bench_dir`` carrying :meth:`HealthMonitor.summary` (what the
-    ``monitor-smoke`` CI job asserts on).  Experiments looping over
-    several systems reopen the monitor per system; the file and manifest
-    record the last one.
-    """
-    if health_out is None:
-        yield None
-        return
-    from ..telemetry import JsonlExporter
-    from ..telemetry.monitor import HealthMonitor
-    from .manifest import write_manifest
-
-    with JsonlExporter(health_out) as out:
-        mon = HealthMonitor(interval_s=interval_s, exporter=out)
-        if service is not None:
-            mon.watch_service(service)
-        if learner is not None:
-            mon.watch_learner(learner)
-        with mon:
-            yield mon
-        if bench_dir:
-            os.makedirs(bench_dir, exist_ok=True)
-            write_manifest(
-                bench_dir,
-                "monitor",
-                config={"health_out": health_out, "interval_s": interval_s},
-                metrics=mon.summary(),
-            )
 
 
 def parse_systems(arg: Optional[str]) -> Sequence[str]:

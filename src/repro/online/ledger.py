@@ -3,9 +3,9 @@
 The economics of active learning is the ratio of reference-potential
 calls *made* to reference calls *avoided* by the uncertainty gate; the
 progress of online learning is the held-out error at each hot swap.
-Both ledgers are plain counters/records here so the harness can put
-them straight into a ``repro.bench/v1`` manifest and a resumed loop can
-restore them bit-exactly from a checkpoint.
+Both ledgers are plain counters/records here so a caller can serialise
+them as they are and a resumed loop can restore them bit-exactly from a
+checkpoint.
 """
 
 from __future__ import annotations

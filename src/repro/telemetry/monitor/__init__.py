@@ -20,7 +20,7 @@ and counters summarized after a run ends.  This package watches a run
 * :mod:`.dashboard` -- pure renderers behind the
   ``python -m repro.telemetry.monitor`` live terminal view.
 
-Typical wiring (the harness's ``--health-out`` flag does exactly this)::
+Typical wiring::
 
     from repro.telemetry import JsonlExporter
     from repro.telemetry.monitor import HealthMonitor

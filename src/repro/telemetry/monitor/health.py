@@ -276,7 +276,8 @@ class HealthMonitor:
             return sum(1 for a in self.alerts if a["to"] == "breach")
 
     def summary(self) -> dict:
-        """Manifest-ready aggregate (what ``BENCH_monitor.json`` records)."""
+        """JSON-ready aggregate of the run: snapshot and alert counts, the
+        attached rules, the worst state seen and the last snapshot."""
         with self._lock:
             snaps = list(self.snapshots)
             alerts = list(self.alerts)

@@ -48,7 +48,6 @@ __all__ = [
     "PHASES",
     "classify_phase",
     "estimate_flops",
-    "phase_span_times",
     "summarize_phases",
     "summarize_ops",
     "format_ops_table",
@@ -336,44 +335,6 @@ class Profiler:
 
     def format_table(self, top: int = 15) -> str:
         return format_ops_table(self.events, top=top)
-
-
-def phase_span_times(span_events: Iterable) -> dict[str, float]:
-    """Sum completed-span wall time per classified phase.
-
-    Reconstructs each span's ancestor stack via ``parent_id`` and runs it
-    through :func:`classify_phase`, so a ``fekf.forward`` span inside a
-    kinded ``fekf.update`` lands in ``forward_energy`` / ``forward_force``
-    exactly like its op events would.  Only the span's own wall time is
-    summed under its classification (children classify separately), which
-    keeps the canonical :data:`PHASES` free of double counting.
-
-    This is the span-level phase clock the compile benchmark compares:
-    op-event durations charge each kernel for the python dispatch in front
-    of it -- exactly the overhead a fused replay removes -- so phase spans
-    are the ruler that times eager and compiled steps the same way.
-    """
-    from .trace import SpanEvent
-
-    evs = [
-        SpanEvent.from_dict(e) if isinstance(e, dict) else e
-        for e in span_events
-    ]
-    by_id = {e.span_id: e for e in evs}
-    out: dict[str, float] = {}
-    for e in evs:
-        stack = [e]
-        seen = {e.span_id}
-        while stack[-1].parent_id is not None:
-            parent = by_id.get(stack[-1].parent_id)
-            if parent is None or parent.span_id in seen:
-                break
-            stack.append(parent)
-            seen.add(parent.span_id)
-        stack.reverse()
-        phase = classify_phase(stack)
-        out[phase] = out.get(phase, 0.0) + e.wall_s
-    return out
 
 
 def summarize_phases(events: Iterable[OpEvent]) -> dict[str, dict]:

@@ -1,4 +1,4 @@
-"""Fixture: wall-clock reads outside harness/manifest.py (parsed only)."""
+"""Fixture: wall-clock reads (parsed only)."""
 
 import time
 

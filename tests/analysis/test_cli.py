@@ -77,20 +77,18 @@ class TestGraphCommand:
 
 
 class TestDeterminismCommand:
-    def test_two_backend_audit_with_manifest(self, tmp_path, capsys):
-        out_dir = tmp_path / "fresh" / "nested"  # must be created on demand
+    def test_two_backend_audit_json(self, capsys):
         rc = main([
             "determinism", "--world-size", "2", "--steps", "2",
-            "--backends", "serial,thread", "--manifest-dir", str(out_dir),
+            "--backends", "serial,thread", "--json",
         ])
         assert rc == 0
-        manifest_path = out_dir / "BENCH_determinism_audit.json"
-        assert manifest_path.exists()
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["schema"] == "repro.bench/v1"
-        assert manifest["config"]["backends"] == ["serial", "thread"]
-        assert manifest["metrics"]["ok"] is True
-        assert manifest["metrics"]["fingerprints_compared"] == 2
+        audit = json.loads(capsys.readouterr().out)
+        assert audit["ok"] is True
+        assert audit["findings"] == []
+        assert audit["metrics"]["backends"] == "serial,thread"
+        assert audit["metrics"]["fingerprints_compared"] == 2
+        assert audit["metrics"]["final_fingerprint"]
 
     def test_unknown_backend_is_usage_error(self, capsys):
         assert main(["determinism", "--backends", "gpu"]) == 2

@@ -207,6 +207,21 @@ class TestSanitizer:
         assert san.report().ok
 
 
+    def test_sanitized_fekf_step_is_clean(self, cu_model, cu_batch):
+        """One sanitized step of real FEKF training: every recorded
+        tensor finite, and the op counter proves the sanitizer looked."""
+        from repro.optim import FEKF, KalmanConfig
+
+        opt = FEKF(cu_model, KalmanConfig(blocksize=1024, fused_update=True),
+                   fused_env=True)
+        with Sanitizer(mode="raise") as san:
+            opt.step_batch(cu_batch)
+        report = san.report()
+        assert report.ok, report.render()
+        assert report.metrics["ops_checked"] > 0
+        assert not tensors_wanted()
+
+
 class TestVerifySecondOrder:
     def _force_path_fn(self, model, batch, fused_env):
         """Scalar energy as a function of (coords-subspace coefficients,

@@ -1,8 +1,10 @@
 """Kernel-launch instrumentation semantics."""
 
 import numpy as np
+import pytest
 
-from repro.autograd import KernelCounter, Tensor, record_launch, ops
+from repro.autograd import KernelCounter, Tensor, capture, instrument, record_launch, ops
+from repro.telemetry import Tracer
 
 
 class TestKernelCounter:
@@ -57,6 +59,29 @@ class TestKernelCounter:
         with KernelCounter() as kc:
             y.backward()
         assert kc.total_launches > 0
+
+
+class TestGatesCloseAgain:
+    """Observers are pay-for-what-you-use: the shape/tensor/graph
+    forwarding gates in ``make_op`` open only while something that needs
+    them is installed, and a completed install/uninstall cycle of any
+    observer leaves all three at zero."""
+
+    @pytest.mark.parametrize("make_observer", [
+        lambda: capture("tape"),
+        lambda: capture("tape", graph=True),
+        lambda: capture("count"),
+        lambda: capture("sanitize", mode="collect"),
+        lambda: capture("profile"),
+        lambda: Tracer(keep_events=False, profile=True),
+    ], ids=["tape", "tape-graph", "count", "sanitize", "profile", "tracer-profile"])
+    def test_cycle_leaves_gates_closed(self, make_observer):
+        x = Tensor(np.ones(3))
+        with make_observer():
+            ops.add(x, x)
+        assert (
+            instrument._WANT_SHAPES, instrument._WANT_TENSORS, instrument._WANT_GRAPH
+        ) == (0, 0, 0)
 
 
 class TestThreadLocalSinks:

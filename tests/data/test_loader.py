@@ -175,6 +175,28 @@ class TestStreamingEquivalence:
             assert np.array_equal(rb.coords, gb.coords)
             assert np.array_equal(rb.idx_flat, gb.idx_flat)
 
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    def test_store_backed_streaming_matches_in_memory(
+        self, cu_dataset, small_cfg, tmp_path, kind
+    ):
+        """Prefetching from an out-of-core store, on every executor
+        backend, replays the in-memory loader's exact batches -- so a
+        store-backed training run is the in-memory run, bit for bit."""
+        from repro.data import ShardedFrameStore, StreamingLoader
+
+        ref = list(BatchLoader(cu_dataset, 4, seed=3).iter_batches(small_cfg, 0))
+        with ShardedFrameStore.ingest(
+            str(tmp_path / "store"), cu_dataset, shard_capacity=4
+        ) as store, StreamingLoader(
+            store, 4, cfg=small_cfg, seed=3, executor=kind, workers=2
+        ) as stream:
+            got = list(stream.iter_batches(epoch_index=0))
+        assert len(got) == len(ref)
+        for (ri, rb), (gi, gb) in zip(ref, got):
+            assert np.array_equal(ri, gi)
+            for field in ("coords", "idx_flat", "shift", "mask", "energies", "forces"):
+                assert np.array_equal(getattr(rb, field), getattr(gb, field)), field
+
     def test_streaming_counts_batches(self, cu_dataset, small_cfg):
         from repro.data import StreamingLoader
 

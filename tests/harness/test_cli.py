@@ -1,7 +1,5 @@
 """The python -m repro.harness command-line interface."""
 
-import pytest
-
 from repro.harness.__main__ import main
 
 
@@ -33,51 +31,33 @@ class TestCLI:
 
 
 class TestTraceOut:
-    def _check_bundle(self, tmp_path, trace_name, experiment):
+    def test_trace_out_flag_writes_bundle(self, tmp_path, capsys):
+        """A cheap training experiment under --trace-out: the per-phase
+        op table and hottest ops are printed, and the Chrome trace + span
+        JSONL land next to each other."""
         import json
 
         from repro.telemetry import validate_chrome_trace
 
-        trace_path = tmp_path / trace_name
-        assert trace_path.exists()
-        report = validate_chrome_trace(json.loads(trace_path.read_text()))
-        assert report["events"] > 0
-        jsonl = tmp_path / (trace_path.stem + ".spans.jsonl")
-        assert jsonl.exists()
-        lines = [json.loads(l) for l in jsonl.read_text().splitlines() if l]
-        assert any(l.get("type") == "span" for l in lines)
-        assert lines[-1]["type"] == "metrics"
-        manifest = json.loads((tmp_path / f"BENCH_{experiment}.json").read_text())
-        assert manifest["schema"] == "repro.bench/v1"
-        assert manifest["name"] == experiment
-        assert "profile" in manifest
-        assert manifest["spans"]
-        assert f"{experiment}.seconds" in manifest["metrics"]
-        return manifest
-
-    def test_trace_out_flag_writes_bundle(self, tmp_path, capsys):
-        trace = str(tmp_path / "trace.json")
-        assert main(["profile", "--frames", "4", "--trace-out", trace]) == 0
+        trace_path = tmp_path / "trace.json"
+        assert main([
+            "ablation_force_graph", "--frames", "8", "--trace-out", str(trace_path),
+        ]) == 0
         out = capsys.readouterr().out
-        assert "op-level profile" in out
-        assert "trace written to" in out
-        manifest = self._check_bundle(tmp_path, "trace.json", "profile")
-        # the profile experiment ran under the CLI's ambient tracer, so
-        # its per-phase breakdown reached the manifest
-        assert manifest["profile"]["phases"].get("backward", {}).get("kernels", 0) > 0
-        assert manifest["profile"]["top_ops"]
-
-    def test_trace_out_env_var(self, tmp_path, capsys, monkeypatch):
-        trace = str(tmp_path / "envtrace.json")
-        monkeypatch.setenv("REPRO_TRACE_OUT", trace)
-        assert main(["scaling"]) == 0
-        capsys.readouterr()
-        self._check_bundle(tmp_path, "envtrace.json", "scaling")
-
-    def test_profile_experiment_standalone(self, capsys):
-        """Without --trace-out the profile experiment scopes its own
-        tracer and still reports every FEKF phase."""
-        assert main(["profile", "--frames", "4"]) == 0
-        out = capsys.readouterr().out
+        assert "op-level profile by phase" in out
         for phase in ("forward_energy", "backward", "kf_update"):
             assert phase in out
+        assert "launches" in out  # the hottest-ops table
+        assert "trace written to" in out
+        report = validate_chrome_trace(json.loads(trace_path.read_text()))
+        assert report["events"] > 0
+        jsonl = tmp_path / "trace.spans.jsonl"
+        lines = [json.loads(l) for l in jsonl.read_text().splitlines() if l]
+        assert any(
+            l.get("type") == "span" and l.get("name") == "harness.experiment"
+            for l in lines
+        )
+        assert lines[-1]["type"] == "metrics"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "trace.json", "trace.spans.jsonl",
+        ]

@@ -1,8 +1,9 @@
 """Tiny-scale smoke runs of every experiment harness.
 
 These verify the full regeneration pipelines execute and produce
-well-formed reports; scientific-scale runs live in benchmarks/ and the
-CLI.  Marked slow-ish but kept under ~2 minutes total.
+well-formed reports; the claims they regenerate are asserted in
+``test_claims.py``, scientific-scale runs come from the CLI.  Kept under
+~2 minutes total.
 """
 
 import numpy as np

@@ -46,12 +46,10 @@ class TestReport:
 class TestRegistry:
     def test_all_experiments_registered(self):
         expected = {
-            "table1", "table3", "table4", "table5", "figure4",
+            "table1", "table3", "table4", "table5", "figure1", "figure4",
             "figure7a", "figure7b", "figure7c", "memory", "scaling",
-            "scaling_walltime",
-            "figure1", "ablations", "ablation_lambda_nu", "ablation_dataflow",
-            "ablation_force_graph", "profile", "serve-bench", "compile",
-            "online", "framestore",
+            "scaling_walltime", "ablations", "ablation_lambda_nu",
+            "ablation_dataflow", "ablation_force_graph",
         }
         assert set(EXPERIMENTS) == expected
 

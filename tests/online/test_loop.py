@@ -21,6 +21,8 @@ class TestOnlineLoop:
         assert result.served_rmse == rmses[-1]
         versions = [s.version for s in result.swaps]
         assert versions == sorted(versions)
+        walls = [s.wall_s for s in result.swaps]
+        assert walls == sorted(walls) and all(np.isfinite(w) and w > 0 for w in walls)
         assert learner.service.model_version == versions[-1]
 
     def test_ledger_adds_up(self, make_learner, split):

@@ -176,14 +176,23 @@ class TestStalledServeWorker:
     def test_healthy_service_zero_false_positives(self, service, cu_dataset):
         mon = HealthMonitor(interval_s=0.05)
         mon.watch_service(service)  # stock serve rules
-        frame = cu_dataset.positions[0]
+
+        def client(k):  # concurrent load: requests queue and co-batch
+            for j in range(2):
+                service.predict(
+                    cu_dataset.positions[2 * k + j], cu_dataset.species,
+                    cu_dataset.cell, timeout=30.0,
+                )
+
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(3)]
         with capture("races") as races:
             with mon:
-                for _ in range(6):
-                    service.predict(
-                        frame, cu_dataset.species, cu_dataset.cell, timeout=30.0
-                    )
+                for t in clients:
+                    t.start()
+                for t in clients:
+                    t.join(timeout=60.0)
                 time.sleep(0.2)
+        assert not any(t.is_alive() for t in clients)
         assert mon.breaches() == 0
         assert len(mon.snapshots) >= 3
         report = races.report()

@@ -76,12 +76,14 @@ class TestFEKFStep:
         d2 = np.linalg.norm(m2.params.flatten() - base)
         assert d2 > d1 * 1.3
 
-    def test_overfits_single_batch(self, cu_dataset, small_cfg):
-        """The paper's core claim at miniature scale: FEKF fits energies
-        and forces in a handful of updates."""
+    @staticmethod
+    def _overfit(cu_dataset, small_cfg, coupled_gain):
+        """(energy, force) RMSE on one batch before and after 40 steps."""
         model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
         batch = make_batch(cu_dataset, np.arange(4), small_cfg)
-        opt = FEKF(model, _kcfg(), fused_env=True)
+        kcfg = _kcfg()
+        kcfg.coupled_gain = coupled_gain
+        opt = FEKF(model, kcfg, fused_env=True)
 
         def rmse():
             out = model.predict(batch, fused_env=True)
@@ -89,13 +91,27 @@ class TestFEKFStep:
             f = np.sqrt(np.mean((out.forces - batch.forces) ** 2))
             return e, f
 
-        e0, f0 = rmse()
+        before = rmse()
         for _ in range(40):
             opt.step_batch(batch)
-        e1, f1 = rmse()
+        return before, rmse()
+
+    def test_overfits_single_batch(self, cu_dataset, small_cfg):
+        """The paper's core claim at miniature scale: FEKF fits energies
+        and forces in a handful of updates."""
+        (e0, f0), (e1, f1) = self._overfit(cu_dataset, small_cfg, False)
         # energy starts near-fit thanks to the bias init; forces must halve
         assert e1 < e0
         assert f1 < f0 * 0.5
+
+    def test_coupled_gain_overfits_too(self, cu_dataset, small_cfg):
+        """DESIGN.md ablation: the globally coupled gain (one scalar
+        across blocks) converges like the default layer-wise one."""
+        (e0, f0), (e1, f1) = self._overfit(cu_dataset, small_cfg, True)
+        # one shared scalar trades a little of the near-fit energy for
+        # the forces; the total error still more than halves
+        assert f1 < f0 * 0.5
+        assert e1 + f1 < (e0 + f0) * 0.5
 
 
 class TestRLEKF:

@@ -58,7 +58,7 @@ class TestDeterminism:
     and results reduce in rank order, so every backend is bit-identical."""
 
     @pytest.mark.parametrize("kind", ["thread", "process"])
-    @pytest.mark.parametrize("world", [2, 3])
+    @pytest.mark.parametrize("world", [2, 3, 4])
     def test_training_bitwise_matches_serial(self, cu_dataset, small_cfg, kind, world):
         w_ref, cks_ref, abe_ref = _train(cu_dataset, small_cfg, "serial", world)
         w, cks, abe = _train(cu_dataset, small_cfg, kind, world)
@@ -323,6 +323,23 @@ class TestLayering:
             and re.search(r"except\s+[^:\n]*WorkerCrash", f.read_text())
         ]
         assert not offenders, f"except WorkerCrash outside the executor: {offenders}"
+
+
+    def test_harness_imported_by_nothing_below_it(self):
+        """The experiment layer sits on top: no module under src/repro
+        outside harness/ imports repro.harness (analyzers report through
+        their own --json, not through an experiment-layer writer)."""
+        root = Path(parallel_pkg.__file__).parents[1]
+        offenders = [
+            str(f.relative_to(root))
+            for f in sorted(root.rglob("*.py"))
+            if "harness" not in f.relative_to(root).parts
+            and re.search(
+                r"^\s*(from|import)\s+(repro\.harness|\.+harness)\b",
+                f.read_text(), re.M,
+            )
+        ]
+        assert not offenders, f"repro.harness imported from below: {offenders}"
 
 
 class TestMakeExecutor:

@@ -218,38 +218,6 @@ class TestSummaries:
         assert summary["matmul"]["count"] == 1
 
 
-class TestPhaseSpanTimes:
-    def _traced(self):
-        from repro.telemetry.profile import phase_span_times
-
-        with Tracer(keep_events=True) as tr:
-            with tr.span("fekf.update", kind="force"):
-                with tr.span("fekf.forward"):
-                    pass
-                with tr.span("fekf.gradient"):
-                    pass
-                with tr.span("fekf.kalman"):
-                    pass
-            with tr.span("fekf.forward"):
-                pass
-        return phase_span_times, tr
-
-    def test_spans_classified_through_reconstructed_stacks(self):
-        phase_span_times, tr = self._traced()
-        pt = phase_span_times(tr.events)
-        assert {"forward_force", "backward", "kf_update",
-                "force_graph", "fekf.update"} <= set(pt)
-        assert all(v >= 0.0 for v in pt.values())
-        # the parent span keeps its own time: canonical phases only hold
-        # the spans that classify into them, with no double counting
-        assert pt["fekf.update"] >= pt["forward_force"]
-
-    def test_accepts_dict_events(self):
-        phase_span_times, tr = self._traced()
-        as_dicts = [e.as_dict() for e in tr.events]
-        assert phase_span_times(as_dicts) == phase_span_times(tr.events)
-
-
 class TestChromeTrace:
     def _traced(self):
         with Tracer(profile=True) as tr:

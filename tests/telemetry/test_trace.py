@@ -128,3 +128,23 @@ class TestSinksAndSummary:
         assert summ["step"]["count"] == 3
         assert summ["step"]["counters"]["kernels"] == 6
         assert summ["step"]["wall_s"] >= summ["step"]["max_wall_s"]
+
+
+class TestTrainingEmitsSpans:
+    def test_events_flow_during_training(self, cu_dataset, small_cfg):
+        """The instrumented hot path end to end: one traced epoch of FEKF
+        training emits the trainer's and the optimizer's spans."""
+        from repro.model import DeePMD
+        from repro.optim import make_optimizer
+        from repro.train import Trainer
+
+        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+        opt = make_optimizer("fekf", model, blocksize=1024, fused_update=True,
+                             fused_env=True)
+        trainer = Trainer(model, opt, cu_dataset, None, batch_size=6, seed=0,
+                          eval_frames=4)
+        with Tracer() as tr:
+            trainer.run(max_epochs=1)
+        assert {"train.run", "train.step", "train.eval",
+                "fekf.update", "fekf.forward", "fekf.gradient",
+                "fekf.kalman"} <= {e.name for e in tr.events}
