@@ -36,12 +36,13 @@ def main() -> None:
     print(f"{'round':>5} {'T(K)':>6} {'cand':>5} {'kept':>5} "
           f"{'max-F dev':>10} {'train(s)':>9} {'RMSE':>8} {'#labeled':>9}")
     start = seed_data.positions[0]
-    for temp in ladder:
-        stats = learner.run_round(start, temp)
-        print(f"{stats.round_index:>5} {temp:>6.0f} {stats.n_candidates:>5} "
-              f"{stats.n_selected:>5} {stats.mean_deviation:>10.3f} "
-              f"{stats.train_seconds:>9.1f} {stats.rmse_after:>8.4f} "
-              f"{learner.labeled.n_frames:>9}")
+    with learner:  # each member trains on its own rank; closing reaps them
+        for temp in ladder:
+            stats = learner.run_round(start, temp)
+            print(f"{stats.round_index:>5} {temp:>6.0f} {stats.n_candidates:>5} "
+                  f"{stats.n_selected:>5} {stats.mean_deviation:>10.3f} "
+                  f"{stats.train_seconds:>9.1f} {stats.rmse_after:>8.4f} "
+                  f"{learner.labeled.n_frames:>9}")
 
     print("\nThe ensemble deviation shrinks as the committee agrees on the "
           "newly explored regions; each retraining took seconds, which is "

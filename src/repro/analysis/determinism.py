@@ -28,11 +28,18 @@ mechanisms the guarantee rests on:
     The thread-local kernel-launch sink stack and the tracer stack must
     be empty after each run -- a leaked sink means some worker's
     instrumentation escapes its scope and contaminates later epochs.
+``online-promotion``
+    The fourth consumer of the rank runtime: the online loop's trainer
+    stage keeps each committee member's filter on its own rank.  One
+    closed-loop round (one segment, first candidate promoted) must end
+    on the same promoted weights, ``SwapRecord.force_rmse`` and label
+    ledger under every backend.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -48,6 +55,7 @@ __all__ = [
     "SharedStateProbe",
     "BackendTrace",
     "run_backend",
+    "online_promotion_fingerprint",
     "audit_determinism",
     "DEFAULT_BACKENDS",
 ]
@@ -117,6 +125,8 @@ class BackendTrace:
     write_epochs: int = 0
     writer_threads: int = 0
     overlaps: int = 0
+    #: :func:`online_promotion_fingerprint` under this backend
+    online_promotion: str = ""
 
 
 def run_backend(
@@ -170,6 +180,45 @@ def run_backend(
     trace.overlaps = probe.overlaps
     _probe_sink_leak(trace)
     return trace
+
+
+def online_promotion_fingerprint(backend: str, dataset, cfg, seed: int = 7) -> str:
+    """sha256 over what one closed-loop round promotes with the trainer
+    stage's ranks on ``backend``: every member's weights, the swap's
+    held-out force RMSE and the label ledger.
+
+    The round is cut so that thread timing cannot reach it: one
+    exploration segment, a trust band that admits every candidate, and a
+    promotion bar no candidate can miss.
+    """
+    from ..data import SYSTEMS
+    from ..model import ModelEnsemble
+    from ..online import OnlineConfig, OnlineLearner
+
+    train, test = dataset.split(0.75, seed=0)
+    spec = SYSTEMS[dataset.name]
+    _, _, _, potential = spec.build("small")
+    learner = OnlineLearner(
+        ModelEnsemble.for_dataset(train, cfg, n_models=2, seed=1),
+        potential, dataset.species, spec.masses(dataset.species), dataset.cell,
+        cfg=OnlineConfig(
+            md_steps=20, sample_every=10, select_lo=0.0, select_hi=float("inf"),
+            max_new_frames=2, epochs_per_round=1, batch_size=4,
+            target_swaps=1, max_segments=1, eval_frames=8,
+        ),
+        initial_data=train, holdout=test, seed=seed, executor=backend,
+    )
+    with learner:
+        learner.served_rmse = 1.0e9  # finite, so run() keeps it: first candidate wins
+        result = learner.run(train.positions[0], temperature=400.0)
+        h = hashlib.sha256()
+        for model in learner.ensemble.models:
+            h.update(np.ascontiguousarray(model.params.flatten()).tobytes())
+    h.update(json.dumps(
+        [[s.force_rmse, s.trained_frames] for s in result.swaps] + [result.ledger],
+        sort_keys=True,
+    ).encode())
+    return h.hexdigest()
 
 
 def _probe_rank_order(dist, trace: BackendTrace, step: int) -> None:
@@ -251,9 +300,12 @@ def audit_determinism(
             backend, dataset, cfg, world_size=world_size, steps=steps,
             seed=seed, compiled=compiled,
         ))
+        traces[-1].online_promotion = online_promotion_fingerprint(
+            backend, dataset, cfg, seed=seed
+        )
 
     for check in ("bit-identical-p", "rank-order", "replica-sync",
-                  "single-writer-p", "sink-leak"):
+                  "single-writer-p", "sink-leak", "online-promotion"):
         report.checks_run.append(check)
 
     ref = traces[0]
@@ -278,6 +330,15 @@ def audit_determinism(
             ))
         if trace is ref:
             continue
+        if trace.online_promotion != ref.online_promotion:
+            report.add(Finding(
+                rule="online-promotion",
+                message=f"[{trace.backend}] the online loop promoted a "
+                        f"different (weights, force RMSE, ledger) than under "
+                        f"{ref.backend} ({trace.online_promotion[:12]} != "
+                        f"{ref.online_promotion[:12]})",
+                context={"backend": trace.backend},
+            ))
         for step, (a, b) in enumerate(zip(ref.fingerprints, trace.fingerprints)):
             if a != b:
                 report.add(Finding(
@@ -299,4 +360,5 @@ def audit_determinism(
     )
     if ref.fingerprints:
         report.metrics["final_fingerprint"] = ref.fingerprints[-1][:16]
+    report.metrics["online_promotion"] = ref.online_promotion[:16]
     return report

@@ -12,9 +12,12 @@ their own threads, connected by bounded queues
   are just more requests in the micro-batcher);
 * the **labeler** runs the reference potential over admitted frames;
 * the **trainer** folds the label stream into persistent per-member
-  FEKF filters and, when the candidate weights beat the served weights
-  on held-out force RMSE, hot-swaps them into the service without
-  stopping it.
+  FEKF filters -- each on its own rank of the rank runtime, a worker
+  process unless ``executor=`` / ``$REPRO_EXECUTOR`` says otherwise, so
+  a round contends with the other stages for cores, not for the
+  interpreter lock -- and, when the candidate weights beat the served
+  weights on held-out force RMSE, hot-swaps them into the service
+  without stopping it.
 
 The promotion gate is what makes the served error *monotone*: a swap
 happens only on measured improvement, so the force-RMSE-vs-wall-clock
@@ -129,6 +132,9 @@ class OnlineLearner:
     ensemble/reference/system geometry, same warm start on
     ``initial_data`` -- plus a ``holdout`` dataset that feeds the swap
     promotion gate and an optional externally-owned ``service``.
+    ``executor`` selects where the trainer stage's per-member ranks run
+    (see :class:`~repro.online.IncrementalTrainer`; ``"serial"`` is the
+    in-thread loop).
     """
 
     def __init__(
@@ -145,6 +151,7 @@ class OnlineLearner:
         seed: int = 0,
         service: Optional[InferenceService] = None,
         label_store=None,
+        executor=None,
     ):
         self.ensemble = ensemble
         self.cfg = cfg or OnlineConfig()
@@ -195,6 +202,7 @@ class OnlineLearner:
             seed=seed,
             compiled=self.cfg.compiled,
             label_store=label_store,
+            executor=executor,
         )
 
         # loop state (all of it checkpointed)
@@ -232,6 +240,7 @@ class OnlineLearner:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
+        self.trainer.close()
         if self._owns_service:
             self.service.stop()
 
@@ -400,6 +409,9 @@ class OnlineLearner:
     def _train_loop(
         self, train_q: BoundedWorkQueue, target: Optional[int], swaps_before: int
     ) -> None:
+        # a round blocks this stage for its whole length: beat as each
+        # member's result comes home, not only between rounds
+        self.trainer.on_member_result = self._beat_trainer
         try:
             for labeled in self._drain(train_q, "online-train"):
                 self.trainer.accumulate(labeled)
@@ -422,6 +434,8 @@ class OnlineLearner:
             with self._state_lock:
                 self._trainer_error = exc
             self._stop.set()
+        finally:
+            self.trainer.on_member_result = None
 
     # ------------------------------------------------------------------
     def _drain(self, q: BoundedWorkQueue, name: Optional[str] = None):
@@ -442,6 +456,9 @@ class OnlineLearner:
                 self.heartbeats.beat(name)
             if q.put(item, timeout=_POLL_S, stop=self._stop):
                 return
+
+    def _beat_trainer(self, member: int) -> None:
+        self.heartbeats.beat("online-train")
 
     def _holdout_rmse(self) -> float:
         if self.holdout is None:
@@ -506,6 +523,7 @@ class OnlineLearner:
             "swaps": len(self.swaps),
             "queues": {q.name: q.stats() for q in self._queues},
             "heartbeats": self.heartbeats.ages(),
+            "trainer_ranks": self.trainer.rank_health(),
         }
 
     # ------------------------------------------------------------------
@@ -514,8 +532,8 @@ class OnlineLearner:
     def save_state(self, path: str) -> None:
         """Checkpoint everything needed for a bit-exact resume.
 
-        Members + FEKF filters (P matrices, PCG64 streams) go into one
-        npz; the label pool into the dataset store; counters, ledger,
+        Members + FEKF filters (P matrices, PCG64 streams -- pulled
+        from the trainer's ranks for the occasion) go into one npz; the label pool into the dataset store; counters, ledger,
         swap history, walker RNG/positions, and the served model version
         into a JSON sidecar.
         """
@@ -566,6 +584,7 @@ class OnlineLearner:
             self.ensemble.models,
             self.trainer.optimizers,
         )
+        self.trainer.sync_ranks()  # the restored filters go to the ranks
         with np.load(os.path.join(path, "walker.npz")) as z:
             start = z["start_pos"]
             with self._state_lock:

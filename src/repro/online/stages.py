@@ -12,18 +12,26 @@ objects so the *same* code runs in two harnesses:
   its own thread, connected by bounded queues, against a *live*
   :class:`~repro.serve.InferenceService`.
 
-Every stage is deliberately free of threads, queues, and telemetry --
-those belong to the driver.  A stage is a plain callable over arrays and
-datasets, which is what makes the two drivers equivalent.
+Every stage is deliberately free of threads and queues -- those belong
+to the driver.  A stage is a plain callable over arrays and datasets,
+which is what makes the two drivers equivalent.  The one stage that owns
+more than arrays is :class:`IncrementalTrainer`: one rank of the rank
+runtime (:mod:`repro.runtime`) per committee member, holding that
+member's persistent filter, plus the round telemetry (``train.step``
+spans, per-member round times, shipped/returned bytes) the ranks send
+home; its driver closes it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..data.dataset import Dataset
+from ..data.loader import make_loader
 from ..md.cell import Cell
 from ..md.integrator import LangevinIntegrator
 from ..md.potentials import Potential
@@ -33,12 +41,18 @@ from ..model.network import DeePMD
 from ..model.session import InferenceSession
 from ..optim.ekf import FEKF
 from ..optim.kalman import KalmanConfig
+from ..parallel.executor import Executor, make_executor
+from ..runtime import capture_mode, merge_worker_telemetry, run_task
+from ..telemetry import metrics as _metrics
+from ..telemetry.trace import current_tracer, span as _span
 
 __all__ = [
     "Explorer",
     "GateDecision",
     "UncertaintyGate",
     "Labeler",
+    "MemberWorker",
+    "MemberSpec",
     "IncrementalTrainer",
 ]
 
@@ -208,15 +222,107 @@ class Labeler:
         )
 
 
+class MemberWorker:
+    """One committee member as a rank: a model and the persistent FEKF
+    filter over it.  The rank *owns* the filter -- ``P`` is built here
+    and only leaves as a checkpoint -- so a round is the one task that
+    may never be replayed (``mutating_tasks``)."""
+
+    #: rank-runtime declarations (see :func:`repro.runtime.run_task`)
+    tasks = frozenset({"train_round", "get_state", "set_weights"})
+    mutating_tasks = frozenset({"train_round"})
+    span = "online.member_round"
+    compute_tasks = {"train_round": {}}
+    counter = "online.member_tasks"
+
+    def __init__(
+        self, model: DeePMD, optimizer: FEKF, batch_size: int, epochs: int,
+        rank: int = 0,
+    ):
+        self.model = model
+        self.optimizer = optimizer
+        self.batch_size = int(batch_size)
+        self.epochs = int(epochs)
+        self.rank = int(rank)
+
+    def train_round(self, pool, seed_offset: int) -> tuple[np.ndarray, int]:
+        """``epochs`` passes over ``pool``: the loader and steps of
+        ``Trainer(model, opt, pool, batch_size=, seed=seed_offset + 1)
+        .run(epochs)`` without its per-epoch RMSE over the pool, which no
+        caller of a round reads.  Returns (weights, steps taken)."""
+        loader = make_loader(
+            pool, self.batch_size, cfg=self.model.cfg, seed=seed_offset + 1
+        )
+        steps = 0
+        for epoch in range(self.epochs):
+            batches = loader.iter_batches(self.model.cfg, epoch)
+            for b_idx, (_, batch) in enumerate(batches, start=1):
+                with _span("train.step", epoch=epoch + 1, batch=b_idx):
+                    self.optimizer.step_batch(batch)
+                steps += 1
+        return self.model.params.flatten(), steps
+
+    def get_state(self) -> dict:
+        """The filter state (a checkpoint pulls it; nothing else does)."""
+        return self.optimizer.state_dict()
+
+    def set_weights(self, state: tuple[dict, dict]) -> None:
+        """Re-seed the member: (model state dict, filter state dict)."""
+        model_state, filter_state = state
+        self.model.load_state_dict(model_state)
+        self.optimizer.load_state_dict(filter_state)
+
+
+@dataclass
+class MemberSpec:
+    """Recipe for one :class:`MemberWorker` per committee member.
+
+    A rank trains a private replica of its member (``live=False``); the
+    parent's own members (checkpoint surface and crash fallback) wrap the
+    live ensemble models."""
+
+    models: list
+    kalman_cfg: KalmanConfig
+    batch_size: int
+    epochs: int
+    seed: int
+    compiled: Optional[bool]
+
+    def build(self, rank: int = 0, live: bool = False) -> MemberWorker:
+        model = self.models[rank] if live else copy.deepcopy(self.models[rank])
+        optimizer = FEKF(
+            model, KalmanConfig(**vars(self.kalman_cfg)), fused_env=True,
+            seed=self.seed + rank, compiled=self.compiled,
+        )
+        return MemberWorker(model, optimizer, self.batch_size, self.epochs, rank)
+
+
 class IncrementalTrainer:
     """Persistent per-member FEKF filters over an accumulating label set.
 
     One :class:`FEKF` per committee member, constructed once and reused
     across every round -- the filter's P matrix is where minutes-scale
-    convergence lives, so it must never be rebuilt mid-loop.  The
-    training epochs themselves run through the standard
-    :class:`~repro.train.Trainer`, so compiled step engines, callbacks
-    and telemetry all apply unchanged.
+    convergence lives, so it must never be rebuilt mid-loop.  Each filter
+    lives on its own rank of the rank runtime (:mod:`repro.runtime`): a
+    round sends every rank the pool and the seed offset and gets the
+    member's weights back, which are loaded into ``ensemble`` -- ``P`` is
+    built on the rank and never moves (the paper's Sec. 3.3 argument,
+    applied to the loop).  ``executor`` is the usual ``"serial"`` /
+    ``"thread"`` / ``"process"`` / instance / ``None`` for
+    ``$REPRO_EXECUTOR``; unset, this one stage defaults to ``process``:
+    members train beside each other and beside the explorer instead of
+    passing one interpreter lock around.  The arithmetic on a rank is the
+    same under every backend, so weights are bit-identical across them.
+
+    The parent sees filter state only when it asks: :attr:`optimizers`
+    pulls it into parent-side filters over ``ensemble.models`` (what a
+    checkpoint saves, restores and a caller may step by hand), and the
+    next round hands whatever they then hold back to the ranks.  Those
+    parent-side filters are also the crash fallback: a rank that dies or
+    raises mid-round is never replayed -- the round re-runs in this
+    thread from the last pulled filter state (or a fresh filter, counted
+    as ``online.filter_restarts``), and the healed ranks are re-seeded
+    per member from it.
 
     The label pool lives in one of two places: the historical in-memory
     :class:`Dataset` (``labeled``), or -- when ``label_store`` is given
@@ -225,7 +331,8 @@ class IncrementalTrainer:
     durable across crashes and never rebinds the corpus size to RAM,
     which is what an unbounded label stream needs; :attr:`pool` is the
     uniform :class:`~repro.data.source.FrameSource` view training reads
-    either way.
+    either way.  A store travels to a rank as its path (reopened
+    read-only), an in-memory pool as data.
     """
 
     def __init__(
@@ -238,22 +345,41 @@ class IncrementalTrainer:
         seed: int = 0,
         compiled: bool | None = None,
         label_store=None,
+        executor: "str | Executor | None" = None,
     ):
         self.ensemble = ensemble
         self.batch_size = int(batch_size)
         self.epochs_per_round = int(epochs_per_round)
-        kcfg = kalman_cfg or KalmanConfig(blocksize=2048, fused_update=True)
-        #: one persistent filter per committee member
-        self.optimizers = [
-            FEKF(
-                m, KalmanConfig(**vars(kcfg)), fused_env=True,
-                seed=seed + k, compiled=compiled,
-            )
-            for k, m in enumerate(ensemble.models)
-        ]
+        self._spec = MemberSpec(
+            models=ensemble.models,
+            kalman_cfg=kalman_cfg or KalmanConfig(blocksize=2048, fused_update=True),
+            batch_size=self.batch_size,
+            epochs=self.epochs_per_round,
+            seed=seed,
+            compiled=compiled,
+        )
+        #: one rank per committee member, each owning that member's filter
+        self.executor = make_executor(
+            executor, len(ensemble.models), default="process"
+        )
+        #: called with the member index as each member's round result
+        #: arrives (the online loop beats its trainer heartbeat on it)
+        self.on_member_result: Optional[Callable[[int], None]] = None
+        self.executor.on_result = self._member_done
+        self.executor.start(self._spec)
+        #: parent-side members over the live ensemble models, built on
+        #: first demand; ``_local_current`` says their filters are the
+        #: live ones (pulled, restored or trained here since the ranks
+        #: last ran) and must be handed back before the next round
+        self._local: Optional[list[MemberWorker]] = None
+        self._local_current = False
         self.labeled: Dataset | None = None
         #: live append target for labeled frames (out-of-core pool)
         self.label_store = label_store
+
+    def close(self) -> None:
+        """Reap the ranks (idempotent)."""
+        self.executor.close()
 
     # ------------------------------------------------------------------
     @property
@@ -292,14 +418,94 @@ class IncrementalTrainer:
         """Enough accumulated labels for at least one full minibatch."""
         return self.pool_frames >= self.batch_size
 
+    # ------------------------------------------------------------------
+    # rank rounds
+    # ------------------------------------------------------------------
+    def _member_done(self, rank: int) -> None:
+        if self.on_member_result is not None:
+            self.on_member_result(rank)
+
+    def _members(self, count_restarts: bool = False) -> list[MemberWorker]:
+        """The parent-side members, built on first use."""
+        if self._local is None:
+            n = len(self.ensemble.models)
+            self._local = [self._spec.build(k, live=True) for k in range(n)]
+            if count_restarts:
+                _metrics.REGISTRY.counter("online.filter_restarts").inc(n)
+        return self._local
+
+    def _round(self, calls: list[tuple[str, tuple]]) -> list:
+        """One call per member through the rank runtime."""
+        ex = self.executor
+        sent, received = ex.bytes_sent, ex.bytes_received
+        tracer = current_tracer()
+        results = ex.run_resilient(calls, self._fallback, capture_mode(tracer))
+        merge_worker_telemetry(results, tracer, executor=ex.name)
+        reg = _metrics.REGISTRY
+        reg.counter("online.shipped_bytes").inc(ex.bytes_sent - sent)
+        reg.counter("online.returned_bytes").inc(ex.bytes_received - received)
+        return results
+
+    def _fallback(self, calls, capture) -> list:
+        """The crashed round, in this thread, on the parent-side members:
+        their filters hold the last pulled state (fresh ones are counted
+        as restarts) and from here on they are the live ones."""
+        members = self._members(count_restarts=True)
+        self._local_current = True
+        results = []
+        for worker, (method, args) in zip(members, calls):
+            results.append(run_task(worker, method, args, capture))
+            self._member_done(worker.rank)
+        return results
+
+    def sync_ranks(self) -> None:
+        """Hand the filters back to the ranks when the parent-side copy
+        is the live one (after a pull, a restore or a crashed round),
+        respawning and re-seeding per member if the pool is degraded."""
+        if not self._local_current:
+            return
+        states = [
+            (w.model.state_dict(), w.optimizer.state_dict())
+            for w in self._members()
+        ]
+        if not self.executor.degraded:
+            self._round([("set_weights", (s,)) for s in states])
+        if self.executor.degraded:  # possibly found out just now
+            self.executor.heal(self._spec, states, per_rank=True)
+        self._local_current = False
+
+    @property
+    def optimizers(self) -> list:
+        """Parent-side :class:`FEKF` filters over ``ensemble.models``
+        carrying every member's current filter state (pulled from the
+        ranks on access; handed back before the next round)."""
+        if not self._local_current:
+            results = self._round([("get_state", ())] * len(self.ensemble.models))
+            if not self._local_current:  # else: crashed, the copy stands
+                for worker, res in zip(self._members(), results):
+                    worker.optimizer.load_state_dict(res.payload)
+                self._local_current = True
+        return [w.optimizer for w in self._members()]
+
+    def rank_health(self) -> dict:
+        """Backend, per-member rank liveness and the degraded flag."""
+        ex = self.executor
+        return {"executor": ex.name, "alive": ex.alive(), "degraded": ex.degraded}
+
     def train_round(self, seed_offset: int) -> None:
         """Fine-tune every member on the accumulated pool."""
-        from ..train.trainer import Trainer  # deferred: train imports stages
-
-        pool = self.pool
-        for model, opt in zip(self.ensemble.models, self.optimizers):
-            Trainer(
-                model, opt, pool, None,
-                batch_size=self.batch_size,
-                seed=seed_offset + 1,
-            ).run(max_epochs=self.epochs_per_round)
+        self.sync_ranks()
+        if self.label_store is not None:
+            self.label_store.flush()  # a rank reopens the store by path
+        n = len(self.ensemble.models)
+        results = self._round([("train_round", (self.pool, seed_offset))] * n)
+        steps = 0
+        for k, (model, res) in enumerate(zip(self.ensemble.models, results)):
+            weights, member_steps = res.payload
+            model.params.unflatten(weights)
+            steps += member_steps
+            _metrics.REGISTRY.histogram("online.train_round_s", member=k).observe(
+                res.telemetry.wall_s
+            )
+        _metrics.REGISTRY.counter("train.steps").inc(steps)
+        self.sync_ranks()  # a crashed round ran here: heal and re-seed now

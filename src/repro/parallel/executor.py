@@ -26,26 +26,33 @@ reduced gradients: the per-rank computation is a pure function of
 (weights, shard) and the parent always consumes results in rank order.
 
 Crash robustness lives here and nowhere else: a task that raises inside
-a worker is retried once on the same rank; a second failure (or a dead
-worker process) surfaces from ``submit`` as :class:`WorkerCrash`, which
-:meth:`Executor.run_resilient` answers with the caller's fallback until
-:meth:`Executor.heal` has respawned dead ranks and re-synced every
-replica from the parent's weights.
+a worker is retried once on the same rank -- unless the worker declares
+it in ``mutating_tasks`` (a half-applied filter round must never be
+replayed on the state it half-updated); a second failure, a failed
+mutating task or a dead worker process surfaces from ``submit`` as
+:class:`WorkerCrash`, which :meth:`Executor.run_resilient` answers with
+the caller's fallback until :meth:`Executor.heal` has respawned dead
+ranks and re-synced every replica from the parent's state.
 
 The default backend is selected by the ``REPRO_EXECUTOR`` environment
-variable (``serial`` / ``thread`` / ``process``; unset means serial), so
-CI can run the whole parallel suite under each backend unchanged.
+variable (``serial`` / ``thread`` / ``process``), so CI can run every
+consumer's suite under each backend unchanged; unset means serial for
+every consumer but the online loop's trainer stage, whose per-member
+filter rounds are long, stateful and dispatch-bound and default to
+``process`` (:class:`repro.online.IncrementalTrainer`).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 from abc import ABC, abstractmethod
 from concurrent import futures
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Optional, Sequence
 
-from ..runtime import FaultInjector, TaskResult, run_task
+from ..runtime import FaultInjector, TaskResult, retryable, run_task
 from ..telemetry import metrics as _metrics
 
 __all__ = [
@@ -65,7 +72,8 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
 class WorkerCrash(RuntimeError):
-    """A rank failed its task twice (or its process died)."""
+    """A rank failed its task twice, failed a task it may not replay,
+    or its process died."""
 
     def __init__(self, rank: int, method: str, reason: str):
         super().__init__(f"rank {rank} failed task {method!r}: {reason}")
@@ -77,11 +85,14 @@ class WorkerCrash(RuntimeError):
 def _run_with_retry(
     worker, rank: int, method: str, args: tuple, capture: "bool | str"
 ) -> TaskResult:
-    """One in-process task attempt plus a single retry; the retry is
-    counted so robustness tests can assert it happened."""
+    """One in-process task attempt plus a single retry (never for a
+    task the worker declares state-mutating); the retry is counted so
+    robustness tests can assert it happened."""
     try:
         return run_task(worker, method, args, capture)
     except Exception as first:
+        if not retryable(worker, method):
+            raise WorkerCrash(rank, method, repr(first)) from first
         _metrics.REGISTRY.counter("parallel.worker_retries").inc()
         try:
             return run_task(worker, method, args, capture)
@@ -110,6 +121,14 @@ class Executor(ABC):
         #: a rank crashed since the last :meth:`heal`; while set,
         #: :meth:`run_resilient` goes straight to the fallback
         self.degraded = False
+        #: called with the rank as ``submit`` collects each rank's result
+        #: (rank order) -- a caller blocked on a long round reports
+        #: progress through it
+        self.on_result: Optional[Callable[[int], None]] = None
+        #: pickled bytes this executor wrote to / read from its ranks
+        #: (stays 0 where ranks share the parent's address space)
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -150,15 +169,23 @@ class Executor(ABC):
                 self.degraded = True
         return fallback(calls, capture)
 
-    def heal(self, spec, weights) -> None:
+    def heal(self, spec, weights, per_rank: bool = False) -> None:
         """Restore every rank to a healthy, bit-identical state: respawn
         whatever died and push the parent's full weights (``None`` for
-        stateless ranks, or when nothing was ever swapped in)."""
+        stateless ranks, or when nothing was ever swapped in).  With
+        ``per_rank`` the ranks are not replicas of one another and
+        ``weights`` holds one ``set_weights`` payload per rank."""
         self._respawn_dead(spec)
-        if weights is not None:
+        if per_rank:
+            self.submit([("set_weights", (w,)) for w in weights])
+        elif weights is not None:
             self.broadcast("set_weights", weights)
         self.degraded = False
         _metrics.REGISTRY.counter("parallel.executor_heals").inc()
+
+    def alive(self) -> list[bool]:
+        """Per-rank liveness (in-process ranks live as long as the pool)."""
+        return [self._started] * self.world_size
 
     def inject_fault(self, rank: int, fault: Optional[FaultInjector]) -> None:
         """Install a fault injector on one rank and clear every other
@@ -169,6 +196,10 @@ class Executor(ABC):
 
     def _respawn_dead(self, spec) -> None:
         """Backends with mortal workers (processes) override this."""
+
+    def _collected(self, rank: int) -> None:
+        if self.on_result is not None:
+            self.on_result(rank)
 
     def _check_calls(self, calls: Sequence[tuple[str, tuple]]) -> None:
         if not self._started:
@@ -212,10 +243,11 @@ class SerialExecutor(Executor):
 
     def submit(self, calls, capture=False):
         self._check_calls(calls)
-        return [
-            _run_with_retry(w, r, method, args, capture)
-            for r, (w, (method, args)) in enumerate(zip(self.workers, calls))
-        ]
+        results = []
+        for r, (w, (method, args)) in enumerate(zip(self.workers, calls)):
+            results.append(_run_with_retry(w, r, method, args, capture))
+            self._collected(r)
+        return results
 
     def close(self) -> None:
         self.workers = []
@@ -249,18 +281,21 @@ class ThreadExecutor(Executor):
             self._pool.submit(_run_with_retry, w, r, method, args, capture)
             for r, (w, (method, args)) in enumerate(zip(self.workers, calls))
         ]
-        # wait for EVERY future before surfacing a crash -- a straggler
-        # task left running would race the caller's fallback/heal work --
-        # and collect in rank order, not completion order (determinism of
-        # the reduction)
-        futures.wait(fs)
+        # collect in rank order, not completion order (determinism of
+        # the reduction), and wait for EVERY future before surfacing
+        # anything -- a straggler task left running would race the
+        # caller's fallback/heal work
         results, crash = [], None
-        for f in fs:
-            try:
-                results.append(f.result())
-            except WorkerCrash as exc:
-                crash = crash or exc
-                results.append(None)
+        try:
+            for rank, f in enumerate(fs):
+                try:
+                    results.append(f.result())
+                    self._collected(rank)
+                except WorkerCrash as exc:
+                    crash = crash or exc
+                    results.append(None)
+        finally:
+            futures.wait(fs)
         if crash is not None:
             raise crash
         return results
@@ -273,15 +308,27 @@ class ThreadExecutor(Executor):
         self._started = False
 
 
+#: how often an idle worker process checks that its parent still exists
+_ORPHAN_POLL_S = 5.0
+
+
 def _process_main(conn, spec, rank: int) -> None:
     """Worker-process loop: build a replica once, serve tasks until EOF.
 
     Exceptions raised by a task are reported back as ``("err", reason)``
-    -- the process survives, so the parent's retry hits a live worker.
+    -- the process survives, so the parent's retry hits a live worker --
+    or as ``("fatal", reason)`` for a task that must not be replayed.
     """
     worker = spec.build(rank=rank)
+    parent = os.getppid()
     try:
         while True:
+            # a forked sibling inherits this pipe's parent end, so a
+            # killed parent never reads as EOF here: look for it instead
+            # of idling (with the member's P) forever
+            while not conn.poll(_ORPHAN_POLL_S):
+                if os.getppid() != parent:
+                    return
             msg = conn.recv()
             if msg is None:
                 break
@@ -290,7 +337,8 @@ def _process_main(conn, spec, rank: int) -> None:
                 result = run_task(worker, method, args, capture)
                 conn.send(("ok", result))
             except Exception as exc:
-                conn.send(("err", repr(exc)))
+                status = "err" if retryable(worker, method) else "fatal"
+                conn.send((status, repr(exc)))
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         pass
     finally:
@@ -303,9 +351,9 @@ class ProcessExecutor(Executor):
     Each process builds its replica once and then receives only task
     messages -- for a training step that is the shard (once) and the
     per-update weight deltas, never the model and never P.  A rank whose
-    task raises is retried in place; a rank whose *process* dies is
-    unrecoverable within the round (``WorkerCrash``) and is respawned by
-    ``heal``.
+    task raises is retried in place (a state-mutating task is not); a
+    rank whose *process* dies is unrecoverable within the round
+    (``WorkerCrash``) and is respawned by ``heal``.
     """
 
     name = "process"
@@ -347,7 +395,10 @@ class ProcessExecutor(Executor):
         if rank in self._dead:
             raise WorkerCrash(rank, msg[0] if msg else "?", "worker process dead")
         try:
-            self._conns[rank].send(msg)
+            # Connection.send, with the wire size counted on the way
+            buf = ForkingPickler.dumps(msg)
+            self.bytes_sent += len(buf)
+            self._conns[rank].send_bytes(buf)
         except (OSError, BrokenPipeError, ValueError) as exc:
             self._mark_dead(rank)
             raise WorkerCrash(
@@ -356,12 +407,14 @@ class ProcessExecutor(Executor):
 
     def _recv(self, rank: int, method: str):
         try:
-            return self._conns[rank].recv()
+            buf = self._conns[rank].recv_bytes()
         except (EOFError, OSError) as exc:
             self._mark_dead(rank)
             raise WorkerCrash(
                 rank, method, f"worker process died: {exc!r}"
             ) from exc
+        self.bytes_received += len(buf)
+        return pickle.loads(buf)
 
     def _mark_dead(self, rank: int) -> None:
         self._dead.add(rank)
@@ -392,8 +445,11 @@ class ProcessExecutor(Executor):
                 continue
             if status == "ok":
                 results[rank] = payload
-            else:
+                self._collected(rank)
+            elif status == "err":
                 failed.append(rank)
+            else:  # "fatal": a state-mutating task is never replayed
+                crash = crash or WorkerCrash(rank, method, str(payload))
         for rank in failed:
             method, args = calls[rank]
             _metrics.REGISTRY.counter("parallel.worker_retries").inc()
@@ -407,11 +463,20 @@ class ProcessExecutor(Executor):
                 crash = crash or WorkerCrash(rank, method, str(payload))
                 continue
             results[rank] = payload
+            self._collected(rank)
         if crash is not None:
             raise crash
         return results
 
     # ------------------------------------------------------------------
+    def alive(self) -> list[bool]:
+        if not self._started:
+            return [False] * self.world_size
+        return [
+            rank not in self._dead and proc.is_alive()
+            for rank, proc in enumerate(self._procs)
+        ]
+
     def _respawn_dead(self, spec) -> None:
         for rank in range(self.world_size):
             proc = self._procs[rank]
@@ -458,11 +523,12 @@ _BACKENDS = {
 
 
 def make_executor(
-    kind: "str | Executor | None", world_size: int
+    kind: "str | Executor | None", world_size: int, default: str = "serial"
 ) -> Executor:
     """Resolve an executor: an instance passes through, a name selects a
-    backend, ``None`` consults ``$REPRO_EXECUTOR`` and defaults to
-    ``serial``."""
+    backend, ``None`` consults ``$REPRO_EXECUTOR`` and falls back to the
+    consumer's ``default`` (``serial`` everywhere but the online loop's
+    trainer stage)."""
     if isinstance(kind, Executor):
         if kind.world_size != world_size:
             raise ValueError(
@@ -471,7 +537,7 @@ def make_executor(
             )
         return kind
     if kind is None:
-        kind = os.environ.get(EXECUTOR_ENV, "serial") or "serial"
+        kind = os.environ.get(EXECUTOR_ENV) or default
     key = str(kind).lower()
     if key not in _BACKENDS:
         raise KeyError(

@@ -12,8 +12,10 @@ and the streaming loader alike:
 * **A rank is a plain object.**  A worker class declares ``tasks`` (the
   method names an executor may dispatch), ``span`` / ``compute_tasks``
   (the span its compute tasks run under when the parent captures
-  telemetry, and that span's attributes per task) and ``counter`` (the
-  per-task counter it reports).  :func:`run_task` is the only way an
+  telemetry, and that span's attributes per task), ``counter`` (the
+  per-task counter it reports) and, optionally, ``mutating_tasks`` (the
+  long tasks that advance state the rank owns -- a filter round -- and
+  so must never be replayed, see below).  :func:`run_task` is the only way an
   executor -- or a caller's fallback -- runs a task on it: whitelist
   check, fault check, wall timing, optional worker-local
   :class:`~repro.telemetry.trace.Tracer` / profiler capture, and the
@@ -27,7 +29,13 @@ and the streaming loader alike:
   fallback -- the same calls run through :func:`run_task` on a
   caller-owned worker.  The pool stays on the fallback until the caller
   ``heal``\\ s it (respawn + weight re-sync).  A crash costs wall time,
-  never a training step, a served batch or a prefetched epoch.
+  never a training step, a served batch or a prefetched epoch.  The one
+  exception to "pure function of its inputs" is a rank that *owns* state
+  (the online trainer's per-member filter): a task named in its
+  ``mutating_tasks`` that raised half-way has half-updated that state,
+  so the envelope skips the in-place retry (:func:`retryable`) and goes
+  straight to ``WorkerCrash`` -- the caller's fallback restores the
+  state from its own copy instead of replaying on a corrupt one.
 
 Fault injection is part of the envelope: the ``set_fault`` task installs
 a picklable :class:`FaultInjector` on any worker, so the retry /
@@ -54,6 +62,7 @@ __all__ = [
     "TaskResult",
     "FaultInjector",
     "capture_mode",
+    "retryable",
     "run_task",
     "merge_worker_telemetry",
 ]
@@ -119,6 +128,13 @@ def capture_mode(tracer) -> "bool | str":
     if tracer is None:
         return False
     return "profile" if tracer.profiler is not None else True
+
+
+def retryable(worker, method: str) -> bool:
+    """May ``method`` be re-run on ``worker`` after it raised?  Not if
+    the worker declares it state-mutating: the first attempt's partial
+    update is still there."""
+    return method not in getattr(worker, "mutating_tasks", ())
 
 
 def run_task(

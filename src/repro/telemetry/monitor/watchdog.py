@@ -103,7 +103,11 @@ class HeartbeatRegistry:
         with self._lock:
             for name, e in self._entries.items():
                 thread = e["thread"]
-                alive = thread.is_alive() if thread is not None else True
+                # registered-then-started: until the thread has run at
+                # all (no ident yet) it is pending, not a corpse
+                alive = (
+                    thread is None or thread.ident is None or thread.is_alive()
+                )
                 age = now - e["last"]
                 stalled = not e["done"] and not alive
                 if not e["done"] and e["deadline_s"] is not None:

@@ -89,6 +89,8 @@ class ActiveLearner:
     phase -- any :class:`InferenceSession` whose predictions carry
     ``max_force_dev`` (the ensemble itself by default; a batched
     :class:`repro.serve.InferenceService` in the online setting).
+    ``executor`` selects where the per-member training ranks run (see
+    :class:`~repro.online.IncrementalTrainer`); :meth:`close` reaps them.
     """
 
     def __init__(
@@ -103,6 +105,7 @@ class ActiveLearner:
         initial_data: Dataset | None = None,
         seed: int = 0,
         scorer: InferenceSession | None = None,
+        executor=None,
     ):
         self.ensemble = ensemble
         self.species = np.asarray(species, dtype=np.int64)
@@ -134,6 +137,7 @@ class ActiveLearner:
             batch_size=self.cfg.batch_size,
             epochs_per_round=self.cfg.epochs_per_round,
             seed=seed,
+            executor=executor,
         )
         self.history: list[RoundStats] = []
         #: DP-GEN warm start: without initial labeled data the untrained
@@ -142,6 +146,16 @@ class ActiveLearner:
         if initial_data is not None:
             self.trainer.accumulate(initial_data)
             self.trainer.train_round(seed_offset=-1)
+
+    def close(self) -> None:
+        """Reap the trainer's ranks (idempotent)."""
+        self.trainer.close()
+
+    def __enter__(self) -> "ActiveLearner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- stage state, re-exported for inspection -----------------------
     @property
@@ -159,7 +173,8 @@ class ActiveLearner:
 
     @property
     def optimizers(self) -> list:
-        """The persistent per-member FEKF filters."""
+        """The persistent per-member FEKF filters (pulled from the
+        trainer's ranks on access)."""
         return self.trainer.optimizers
 
     @property

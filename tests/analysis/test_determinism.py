@@ -29,8 +29,11 @@ class TestAuditClean:
         assert report.metrics["write_epochs"] > 0
         assert set(report.checks_run) == {
             "bit-identical-p", "rank-order", "replica-sync",
-            "single-writer-p", "sink-leak",
+            "single-writer-p", "sink-leak", "online-promotion",
         }
+        # the online row compared something real: a swap happened, and
+        # its (weights, force RMSE, ledger) agreed across the backends
+        assert len(report.metrics["online_promotion"]) == 16
 
     def test_fingerprints_reproducible_and_seed_sensitive(
         self, cu_dataset, small_cfg
@@ -84,6 +87,26 @@ class TestProbesFire:
         findings = [f for f in report.findings if f.rule == "bit-identical-p"]
         assert len(findings) == 1
         assert findings[0].context == {"backend": "thread", "step": 1}
+        assert report.exit_code == 1
+
+    def test_online_promotion_divergence_detected(
+        self, cu_dataset, small_cfg, monkeypatch
+    ):
+        """A backend whose trainer ranks promote different weights (or a
+        different force RMSE / ledger) surfaces as online-promotion."""
+        monkeypatch.setattr(
+            det, "run_backend", lambda backend, *a, **k: BackendTrace(backend)
+        )
+        monkeypatch.setattr(
+            det, "online_promotion_fingerprint",
+            lambda backend, *a, **k: "feed" * 16 if backend == "process" else "beef" * 16,
+        )
+        report = audit_determinism(
+            world_size=2, steps=1, backends=("serial", "thread", "process"),
+            dataset=cu_dataset, cfg=small_cfg,
+        )
+        findings = [f for f in report.findings if f.rule == "online-promotion"]
+        assert [f.context for f in findings] == [{"backend": "process"}]
         assert report.exit_code == 1
 
     def test_rank_order_violation_detected(self):

@@ -19,7 +19,7 @@ def make_learner(cu_dataset, small_cfg, split):
     """Factory for small, fast closed-loop learners (auto-closed)."""
     created = []
 
-    def factory(seed: int = 0, **overrides) -> OnlineLearner:
+    def factory(seed: int = 0, executor=None, **overrides) -> OnlineLearner:
         train, test = split
         ensemble = ModelEnsemble.for_dataset(train, small_cfg, n_models=2, seed=1)
         spec = SYSTEMS["Cu"]
@@ -35,6 +35,7 @@ def make_learner(cu_dataset, small_cfg, split):
             ensemble, potential, cu_dataset.species,
             spec.masses(cu_dataset.species), cu_dataset.cell,
             cfg=cfg, initial_data=train, holdout=test, seed=seed,
+            executor=executor,
         )
         created.append(learner)
         return learner

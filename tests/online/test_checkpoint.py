@@ -123,6 +123,35 @@ class TestCheckpointResume:
             for key in za.files:
                 assert np.array_equal(za[key], zb[key]), key
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_rank_filters_resume_mid_flush_window(
+        self, make_learner, tmp_path, executor
+    ):
+        """The filters live on the trainer's ranks: a checkpoint pulls
+        them, a restore pushes them back, and the next round on the
+        restored ranks continues bit-exactly -- deferred (Pg, beta) pairs
+        of an open flush window included."""
+        source = make_learner(executor=executor)  # warm start: one round
+        ckpt = str(tmp_path / "ckpt")
+        source.save_state(ckpt)
+        with np.load(os.path.join(ckpt, "members.npz")) as z:
+            pending = z["member0/kalman/pending_beta"].shape[1]
+        assert 0 < pending < 20  # the checkpoint caught a window half-open
+
+        resumed = make_learner(seed=5, executor=executor)  # other filters, other weights
+        resumed.load_state(ckpt)
+        for learner in (source, resumed):
+            learner.trainer.train_round(seed_offset=0)
+        for k, (a, b) in enumerate(
+            zip(resumed.ensemble.models, source.ensemble.models)
+        ):
+            _assert_state_dicts_equal(a.state_dict(), b.state_dict(), f"member{k}")
+        for k, (a, b) in enumerate(
+            zip(resumed.trainer.optimizers, source.trainer.optimizers)
+        ):
+            _assert_state_dicts_equal(a.state_dict(), b.state_dict(), f"fekf{k}")
+            assert a.kalman.updates > pending  # the round ran
+
     def test_resumed_loop_continues(self, make_learner, split, tmp_path):
         train, _ = split
         source = make_learner(target_swaps=None, max_segments=10_000)

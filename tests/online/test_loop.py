@@ -4,6 +4,7 @@ up, error strictly decreases, traffic is never mixed-version."""
 import threading
 
 import numpy as np
+import pytest
 
 from repro import telemetry
 
@@ -106,6 +107,85 @@ class TestOnlineLoop:
         assert "online.gate" in names
         threads = {e.attrs.get("thread") for e in tracer.events}
         assert "online-explore" in threads
+
+    def test_round_telemetry_and_rank_liveness(self, make_learner, split):
+        train, _ = split
+        learner = make_learner(
+            target_swaps=None, max_segments=2, executor="process",
+            select_hi=float("inf"),  # every segment admits labels -> trains
+        )
+        reg = telemetry.metrics.REGISTRY
+        rounds0 = [
+            reg.histogram("online.train_round_s", member=k).count for k in range(2)
+        ]
+        steps0 = reg.counter("train.steps").value
+        shipped0 = reg.counter("online.shipped_bytes").value
+        returned0 = reg.counter("online.returned_bytes").value
+        beats, beat = [], learner._beat_trainer
+        learner._beat_trainer = lambda member: (beats.append(member), beat(member))
+        with telemetry.Tracer(keep_events=True) as tracer:
+            result = learner.run(train.positions[0], temperature=400.0)
+        rounds = result.trained_rounds
+        assert rounds >= 1
+        # the stage heartbeat beat as each member's result came home
+        assert beats == [0, 1] * rounds
+        # the ranks ship their spans home: every train.step of both
+        # members nests under the stage's online.train span
+        by_id = {e.span_id: e for e in tracer.events}
+        steps = [e for e in tracer.events if e.name == "train.step"]
+        assert {e.attrs["rank"] for e in steps} == {0, 1}
+        for e in steps:
+            chain = []
+            while e.parent_id is not None:
+                e = by_id[e.parent_id]
+                chain.append(e.name)
+            assert chain[:2] == ["online.member_round", "online.train"]
+        assert [
+            reg.histogram("online.train_round_s", member=k).count for k in range(2)
+        ] == [n + rounds for n in rounds0]
+        assert reg.counter("train.steps").value > steps0
+        # weights come home every round: at least one weight vector per member
+        weights_bytes = learner.ensemble.models[0].num_params * 8
+        assert reg.counter("online.returned_bytes").value - returned0 >= (
+            2 * rounds * weights_bytes
+        )
+        assert reg.counter("online.shipped_bytes").value > shipped0
+        health = learner.health()
+        assert health["trainer_ranks"] == {
+            "executor": "process", "alive": [True, True], "degraded": False
+        }
+        learner.close()
+        assert learner.health()["trainer_ranks"]["alive"] == [False, False]
+
+    @pytest.mark.parametrize("kind", ["online", "active"])
+    def test_close_reaps_the_ranks(self, make_learner, cu_dataset, small_cfg, kind):
+        import multiprocessing
+
+        from repro.data import SYSTEMS
+        from repro.model import ModelEnsemble
+        from repro.train import ActiveLearner
+
+        def ranks():
+            return [
+                p for p in multiprocessing.active_children()
+                if p.name.startswith("fekf-rank-")
+            ]
+
+        before = len(ranks())
+        if kind == "online":
+            learner = make_learner(executor="process")
+        else:
+            spec = SYSTEMS["Cu"]
+            _, _, _, potential = spec.build("small")
+            learner = ActiveLearner(
+                ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1),
+                potential, cu_dataset.species, spec.masses(cu_dataset.species),
+                cu_dataset.cell, initial_data=cu_dataset, executor="process",
+            )
+        assert len(ranks()) == before + 2
+        learner.close()
+        assert len(ranks()) == before
+        learner.close()  # idempotent
 
     def test_requires_start_positions_once(self, make_learner):
         learner = make_learner()

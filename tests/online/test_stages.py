@@ -2,6 +2,8 @@
 and the batch driver composed from them is bit-identical to the
 pre-refactor ``ActiveLearner`` loop."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,40 @@ class TestLabelerAndTrainer:
         assert trainer.ready
         trainer.train_round(seed_offset=0)
         assert all(opt.kalman.updates > 0 for opt in trainer.optimizers)
+
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_rounds_are_backend_independent(self, cu_dataset, small_cfg, executor):
+        """A round is the same arithmetic wherever the members' ranks
+        run -- and the same as Trainer.run over the pool, whose per-epoch
+        RMSE the round skips: weights and filters bit-identical."""
+        ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
+        seen = []
+        with contextlib.closing(
+            IncrementalTrainer(
+                ens, batch_size=4, epochs_per_round=2, seed=3, executor=executor
+            )
+        ) as trainer:
+            trainer.on_member_result = seen.append
+            trainer.accumulate(cu_dataset)
+            trainer.train_round(seed_offset=0)
+            assert seen == [0, 1]  # reported as each member comes home
+            filters = [opt.state_dict() for opt in trainer.optimizers]
+
+        ref = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
+        for k, model in enumerate(ref.models):
+            opt = FEKF(
+                model, KalmanConfig(blocksize=2048, fused_update=True),
+                fused_env=True, seed=3 + k,
+            )
+            Trainer(model, opt, cu_dataset, None, batch_size=4, seed=1).run(max_epochs=2)
+            assert np.array_equal(
+                model.params.flatten(), ens.models[k].params.flatten()
+            )
+            expected = opt.state_dict()
+            assert filters[k].keys() == expected.keys()
+            for key in expected:
+                assert np.array_equal(filters[k][key], expected[key]), key
 
 
 class TestBatchDriverBitIdentity:

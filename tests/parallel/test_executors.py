@@ -1,15 +1,25 @@
 """Executor backends: bitwise determinism, crash robustness, telemetry
 merge, and the optim/parallel layering contract."""
 
+import dataclasses
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.parallel as parallel_pkg
-from repro.data import make_loader
-from repro.model import DeePMD, ModelSession, make_batch
+from repro.data import Dataset, make_loader
+from repro.model import DeePMD, ModelEnsemble, ModelSession, make_batch
+from repro.online import IncrementalTrainer
 from repro.optim import FaultInjector, KalmanConfig, WorkerSpec
 from repro.parallel import (
     EXECUTOR_NAMES,
@@ -27,6 +37,14 @@ from repro.telemetry import metrics as _metrics
 
 def _kcfg():
     return KalmanConfig(blocksize=1024, fused_update=True)
+
+
+def _exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _counter(name, **labels):
@@ -133,6 +151,78 @@ def _run_loader(cu_dataset, small_cfg, kind, fault=None):
         return [_batch_bytes(i, b) for i, b in loader.iter_batches(epoch_index=0)]
 
 
+@dataclasses.dataclass
+class _FaultyPool(Dataset):
+    """A label pool that fails *inside* a training round, once: a
+    rank's second batch read (one step is applied by then) claims the
+    marker file -- atomically, so exactly one rank on any backend -- and
+    then raises, or, with ``kill``, takes its worker process down."""
+
+    marker: str = ""
+    kill: bool = False
+    reads: dict = dataclasses.field(default_factory=dict)
+
+    @classmethod
+    def over(cls, dataset: Dataset, marker, kill=False) -> "_FaultyPool":
+        fields = {f.name: getattr(dataset, f.name) for f in dataclasses.fields(dataset)}
+        return cls(**fields, marker=str(marker), kill=kill)
+
+    def get_frames(self, indices):
+        rank = (os.getpid(), threading.get_ident())
+        self.reads[rank] = self.reads.get(rank, 0) + 1
+        if self.reads[rank] >= 2 and self._claim():
+            if self.kill and multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("label pool failed mid-round")
+        return super().get_frames(indices)
+
+    def _claim(self) -> bool:
+        try:
+            os.unlink(self.marker)
+        except FileNotFoundError:
+            return False
+        return True
+
+
+def _member_rounds(cu_dataset, small_cfg, kind, marker=None, kill=False):
+    """Three rounds of a 2-member :class:`IncrementalTrainer` on ``kind``
+    ranks, the filters pulled after the first (so a crashed second round
+    has a parent-side copy to restore from -- unless ``kill``, which
+    leaves the parent nothing).  Returns the trainer's final state and
+    the rank pids seen before / after the second round."""
+    ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
+    trainer = IncrementalTrainer(
+        ens, kalman_cfg=_kcfg(), batch_size=4, epochs_per_round=1, seed=3,
+        executor=kind,
+    )
+    try:
+        trainer.labeled = cu_dataset
+        trainer.train_round(seed_offset=-1)
+        if not kill:
+            assert all(o.kalman.updates > 0 for o in trainer.optimizers)
+        pids = [getattr(p, "pid", None) for p in getattr(trainer.executor, "_procs", [])]
+        if marker is not None:
+            trainer.labeled = _FaultyPool.over(cu_dataset, marker, kill=kill)
+            Path(marker).touch()
+        trainer.train_round(seed_offset=0)
+        assert not Path(marker or "/nonexistent").exists()
+        health = trainer.rank_health()
+        assert health["alive"] == [True, True] and not health["degraded"]
+        trainer.labeled = cu_dataset
+        tasks0 = _counter("online.member_tasks", executor=kind)
+        trainer.train_round(seed_offset=1)
+        # the third round ran on the (healed) ranks, not on the fallback
+        assert _counter("online.member_tasks", executor=kind) == tasks0 + 2
+        state = [
+            (m.params.flatten(), o.kalman.updates, o.kalman.checksum())
+            for m, o in zip(ens.models, trainer.optimizers)
+        ]
+        new_pids = [getattr(p, "pid", None) for p in getattr(trainer.executor, "_procs", [])]
+        return state, pids, new_pids
+    finally:
+        trainer.close()
+
+
 #: consumer -> (runner, compute tasks to fault, fallback counters that
 #: must move together)
 CONSUMERS = {
@@ -199,6 +289,88 @@ class TestCrashRobustness:
         got = run(cu_dataset, small_cfg, kind, fault=FaultInjector(task, times=2))
         np.testing.assert_equal(got, ref)  # exact, through the nesting
         assert {n: _counter(n) for n in names} == {n: v + 1 for n, v in before.items()}
+
+    @pytest.mark.parametrize(
+        "kind", [pytest.param(k, id=f"trainer-{k}") for k in EXECUTOR_NAMES]
+    )
+    def test_mutating_round_is_never_replayed(
+        self, cu_dataset, small_cfg, tmp_path, kind
+    ):
+        """The online trainer's ranks own their filters, so a round that
+        raised half-way is not retried on the half-updated P: it goes
+        straight to the fallback, which restores the pulled filter state
+        and runs the round once.  Weights, P and the update count end
+        exactly where a clean run ends -- nothing applied twice -- and
+        the healed ranks carry on from there."""
+        ref, _, _ = _member_rounds(cu_dataset, small_cfg, kind)
+        names = ("parallel.worker_retries", "parallel.serial_fallbacks",
+                 "parallel.executor_heals", "online.filter_restarts")
+        before = {n: _counter(n) for n in names}
+        got, _, _ = _member_rounds(
+            cu_dataset, small_cfg, kind, marker=tmp_path / "fail-once"
+        )
+        np.testing.assert_equal(got, ref)  # weights, kalman.updates, checksum
+        before["parallel.serial_fallbacks"] += 1
+        before["parallel.executor_heals"] += 1
+        assert {n: _counter(n) for n in names} == before
+
+    def test_killed_trainer_rank_mid_round(self, cu_dataset, small_cfg, tmp_path):
+        """A trainer rank killed in the middle of a round: the round
+        still completes (on fresh parent-side filters -- nothing was ever
+        pulled -- counted as restarts), the dead rank is respawned and
+        re-seeded per member, and the next round runs on ranks again."""
+        names = ("parallel.serial_fallbacks", "parallel.worker_respawns",
+                 "parallel.executor_heals")
+        before = {n: _counter(n) for n in names}
+        restarts0 = _counter("online.filter_restarts")
+        state, pids, new_pids = _member_rounds(
+            cu_dataset, small_cfg, "process", marker=tmp_path / "die-once", kill=True
+        )
+        assert {n: _counter(n) for n in names} == {n: v + 1 for n, v in before.items()}
+        assert _counter("online.filter_restarts") == restarts0 + 2
+        assert sum(a != b for a, b in zip(pids, new_pids)) == 1  # one respawn
+        # the restarted filters saw the faulted round and the one after
+        # it, each exactly once
+        steps = 2 * (cu_dataset.n_frames // 4)
+        assert [updates for _, updates, _ in state] == [5 * steps] * 2
+
+    def test_rank_processes_do_not_outlive_a_killed_parent(self):
+        """Forked ranks inherit each other's pipe ends, so a SIGKILLed
+        parent never reads as EOF: an idle rank notices it was orphaned
+        and exits instead of holding its replica (a member's P) forever."""
+        script = textwrap.dedent("""
+            import os, signal
+            import repro.parallel.executor as ex_mod
+
+            ex_mod._ORPHAN_POLL_S = 0.2
+
+            class Worker:
+                tasks = frozenset({"pid"})
+                span, compute_tasks, counter = "w", {}, "w.tasks"
+                def __init__(self, rank):
+                    self.rank = rank
+                def pid(self):
+                    return os.getpid()
+
+            class Spec:
+                def build(self, rank=0):
+                    return Worker(rank)
+
+            pool = ex_mod.ProcessExecutor(2)
+            pool.start(Spec())
+            print(*(r.payload for r in pool.broadcast("pid")), flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        pids = [int(p) for p in run.stdout.split()]
+        assert len(pids) == 2 and run.returncode == -signal.SIGKILL
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(_exists(p) for p in pids):
+            time.sleep(0.1)
+        assert not any(_exists(p) for p in pids)
 
     def test_dead_process_crashes_then_heals(self, cu_dataset, small_cfg):
         """A killed worker process surfaces as WorkerCrash; heal()

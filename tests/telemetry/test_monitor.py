@@ -168,6 +168,18 @@ class TestHeartbeatRegistry:
         reg.done("worker")
         assert not reg.ages()["worker"]["stalled"]
 
+    def test_registered_but_unstarted_thread_is_not_dead(self):
+        """Stages register before ``start()`` (so an instant death is
+        seen); a sample landing in between must not read as a corpse."""
+        reg = HeartbeatRegistry()
+        t = threading.Thread(target=lambda: None)
+        reg.register("worker", thread=t)
+        assert reg.ages()["worker"]["alive"]
+        assert not reg.ages()["worker"]["stalled"]
+        t.start()
+        t.join()
+        assert reg.ages()["worker"]["stalled"]
+
     def test_no_deadline_never_stalls_by_age(self):
         clk = FakeClock()
         reg = HeartbeatRegistry(clock=clk)
