@@ -3,10 +3,9 @@
 Performance numbers are perfbench metrics (``BENCHMARK.json``) and paper
 claims are tier-1 assertions (``tests/harness``).  What is left to time
 here is the promise every observer makes -- a live tracer over training,
-a live tracer over the serving loop, the 50 ms health sampler, the
-lock-order recorder + race checker, and the compile-engine hooks when
-the engine stands down -- that watching a run costs under ``BUDGET`` of
-it.  One measurement (:func:`overhead`), one budget, one serve driver.
+a live tracer over the serving loop, the 50 ms health sampler and the
+lock-order recorder + race checker -- that watching a run costs under
+``BUDGET`` of it.  One measurement (:func:`overhead`), one budget, one serve driver.
 """
 
 import contextlib
@@ -17,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.autograd.capture import capture
-from repro.model import DeePMD, DeePMDConfig, ModelSession, make_batch
-from repro.optim import FEKF, KalmanConfig, make_optimizer
+from repro.model import DeePMD, ModelSession
+from repro.optim import make_optimizer
 from repro.serve import InferenceService, ServeConfig
 from repro.telemetry import Tracer
 from repro.telemetry.monitor import HealthMonitor
@@ -50,24 +49,6 @@ def _train_wall(cu_data, cfg, observer=None):
     t0 = time.perf_counter()
     with observer or contextlib.nullcontext():
         trainer.run(max_epochs=2)
-    return time.perf_counter() - t0
-
-
-def _hooks_wall(cu_data, compiled):
-    """``compiled=True`` under ``fused_env=True``: the engine stands
-    down, so every gradient call pays only the hook checks.  The net is
-    dispatch-bound so those checks are not hidden behind BLAS time."""
-    cfg = DeePMDConfig(embedding_widths=(6, 6, 6), m_less=4,
-                       fitting_widths=(8, 8, 8), rcut=3.4, rcut_smooth=2.0,
-                       nmax=12)
-    model = DeePMD.for_dataset(cu_data, cfg, seed=1)
-    opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True),
-               fused_env=True, compiled=compiled, seed=11)
-    batch = make_batch(cu_data, np.arange(4), cfg)
-    opt.step_batch(batch)  # warm caches
-    t0 = time.perf_counter()
-    for _ in range(12):
-        opt.step_batch(batch)
     return time.perf_counter() - t0
 
 
@@ -138,9 +119,6 @@ def _arms(observer, cu_data, cfg):
     if observer == "tracer":
         return (lambda: _train_wall(cu_data, cfg),
                 lambda: _train_wall(cu_data, cfg, Tracer(keep_events=False)), 9)
-    if observer == "compile-hooks-off":
-        return (lambda: _hooks_wall(cu_data, False),
-                lambda: _hooks_wall(cu_data, True), 21)
     model = DeePMD.for_dataset(cu_data, cfg, seed=1)
     watch = {"serve-tracer": _traced, "health-monitor": _monitored,
              "lock-recorder": _lock_recorded}[observer]
@@ -150,7 +128,6 @@ def _arms(observer, cu_data, cfg):
 
 @pytest.mark.parametrize("observer", [
     "tracer", "serve-tracer", "health-monitor", "lock-recorder",
-    "compile-hooks-off",
 ])
 def test_observer_overhead_within_budget(observer, cu_data, cfg):
     run_off, run_on, repeats = _arms(observer, cu_data, cfg)

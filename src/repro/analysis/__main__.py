@@ -114,7 +114,6 @@ def cmd_determinism(args) -> int:
         steps=args.steps,
         backends=backends,
         seed=args.seed,
-        compiled=args.compiled,
     )
     return _emit(report, args.json, args.verbose)
 
@@ -152,9 +151,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_det.add_argument("--steps", type=int, default=20)
     p_det.add_argument("--backends", default=",".join(DEFAULT_BACKENDS))
     p_det.add_argument("--seed", type=int, default=7)
-    p_det.add_argument("--compiled", action="store_true",
-                       help="train through the tape-compiled replay engine "
-                            "(certifies fused plans keep bit-identity)")
     p_det.add_argument("--json", action="store_true")
     p_det.add_argument("--verbose", action="store_true")
     p_det.set_defaults(fn=cmd_determinism)

@@ -137,22 +137,13 @@ def run_backend(
     steps: int = 20,
     seed: int = 7,
     batch_size: int = 4,
-    compiled: bool = False,
-    fused_env: "bool | None" = None,
 ) -> BackendTrace:
     """Train ``steps`` FEKF steps under one executor backend, recording a
-    per-step state fingerprint and probing the determinism mechanisms.
-
-    ``compiled=True`` certifies the tape-compiled replay path: the
-    engine only traces the autograd descriptor (``fused_env=False``
-    unless overridden), so plans replay instead of silently disabling.
-    """
+    per-step state fingerprint and probing the determinism mechanisms."""
     from ..model import DeePMD, make_batch
     from ..optim import KalmanConfig
     from ..parallel import DistributedFEKF
 
-    if fused_env is None:
-        fused_env = not compiled
     trace = BackendTrace(backend=backend)
     model = DeePMD.for_dataset(dataset, cfg, seed=1)
     dist = DistributedFEKF(
@@ -161,8 +152,7 @@ def run_backend(
         kalman_cfg=KalmanConfig(blocksize=1024, fused_update=True),
         seed=seed,
         executor=backend,
-        fused_env=fused_env,
-        compiled=compiled,
+        fused_env=True,
     )
     probe = SharedStateProbe(dist.kalman)
     batch = make_batch(dataset, np.arange(batch_size), cfg)
@@ -271,15 +261,12 @@ def audit_determinism(
     dataset=None,
     cfg=None,
     seed: int = 7,
-    compiled: bool = False,
 ) -> Report:
     """Run the full audit and return a :class:`Report`.
 
     The first backend in ``backends`` is the reference trajectory
     (conventionally ``serial``); every other backend must reproduce its
-    per-step fingerprints bit-for-bit.  With ``compiled=True`` every
-    backend trains through the tape-compiled replay engine, certifying
-    that fused plans preserve the bit-identity guarantee.
+    per-step fingerprints bit-for-bit.
     """
     report = Report(tool="determinism")
     if dataset is None or cfg is None:
@@ -298,7 +285,7 @@ def audit_determinism(
     for backend in backends:
         traces.append(run_backend(
             backend, dataset, cfg, world_size=world_size, steps=steps,
-            seed=seed, compiled=compiled,
+            seed=seed,
         ))
         traces[-1].online_promotion = online_promotion_fingerprint(
             backend, dataset, cfg, seed=seed
@@ -353,7 +340,6 @@ def audit_determinism(
     report.metrics["world_size"] = world_size
     report.metrics["steps"] = steps
     report.metrics["backends"] = ",".join(t.backend for t in traces)
-    report.metrics["compiled"] = int(compiled)
     report.metrics["write_epochs"] = ref.write_epochs
     report.metrics["fingerprints_compared"] = sum(
         len(t.fingerprints) for t in traces[1:]

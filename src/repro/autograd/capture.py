@@ -8,7 +8,7 @@ rode in on ``Tracer(profile=True)`` / the worker task protocol's
 launch-sink stack of :mod:`repro.autograd.instrument`; this module folds
 them behind a single composable context manager::
 
-    with capture("tape") as tape:            # op tape (graph-lint, compiler)
+    with capture("tape") as tape:            # op tape (graph lint)
         loss = model(batch)
 
     with capture("count") as kc:             # kernel-launch counting
@@ -25,9 +25,7 @@ them behind a single composable context manager::
 
 Captures *compose and nest* freely -- each pushes exactly one sink on the
 calling thread's stack, so a sanitizer inside a tape inside a counter all
-observe the same ops.  The tape compiler consumes tapes exclusively
-through this surface (``capture("tape", graph=True)`` forces graph edges
-onto every op output so the recorded tape carries complete parentage).
+observe the same ops.
 
 The sink classes themselves (:class:`TapeRecorder`, :class:`Sanitizer`)
 live here; :mod:`repro.analysis.graphlint` re-exports them.
@@ -55,8 +53,8 @@ __all__ = [
 class TapeEntry:
     """One op output captured on the tape.
 
-    Holds the live tensor (the tape pins the graph alive for the linter
-    and the compiler) plus a CRC of the buffer at record time, so later
+    Holds the live tensor (the tape pins the graph alive for the linter)
+    plus a CRC of the buffer at record time, so later
     mutation of the recorded array -- autograd's cardinal sin -- is
     detectable.
     """
@@ -90,15 +88,6 @@ class TapeRecorder:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def crc(self) -> int:
-        """CRC of the tape *structure* (op sequence + buffer CRCs): the
-        identity half of a compiled-plan cache key."""
-        acc = 0
-        for e in self.entries:
-            acc = zlib.crc32(e.op.encode(), acc)
-            acc = zlib.crc32(e.crc.to_bytes(4, "little"), acc)
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +190,6 @@ class capture:
         ``"sanitize"`` -- NaN/Inf guard (returns :class:`Sanitizer`);
         ``"profile"`` -- span-attributed op timing (returns
         :class:`~repro.telemetry.profile.Profiler`).
-    graph:
-        ``kind="tape"`` only: force graph edges (``_parents`` /
-        ``_backward_fn``) onto *every* recorded op output, so the tape
-        exposes the complete forward dataflow even through no-grad
-        regions.  Required by the tape compiler; never changes what
-        ``backward`` computes.
     mode, max_findings:
         ``kind="sanitize"`` only: forwarded to :class:`Sanitizer`.
     tracer:
@@ -244,7 +227,6 @@ class capture:
         self,
         kind: str = "tape",
         *,
-        graph: bool = False,
         mode: str = "raise",
         max_findings: int = 100,
         tracer=None,
@@ -254,14 +236,11 @@ class capture:
             raise ValueError(
                 f"unknown capture kind {kind!r}; expected one of {self.KINDS}"
             )
-        if graph and kind != "tape":
-            raise ValueError("graph=True only applies to kind='tape'")
         if tracer is not None and kind != "profile":
             raise ValueError("tracer= only applies to kind='profile'")
         if held_threshold_s is not None and kind != "locks":
             raise ValueError("held_threshold_s= only applies to kind='locks'")
         self.kind = kind
-        self.graph = bool(graph)
         self._tracer = tracer
         self._owns_tracer = False
         self._held_threshold_s = held_threshold_s
@@ -312,11 +291,7 @@ class capture:
             prof.install()
             self.sink = prof
             return prof
-        push_sink(
-            self.sink,
-            wants_tensors=self.kind in ("tape", "sanitize"),
-            wants_graph=self.graph,
-        )
+        push_sink(self.sink, wants_tensors=self.kind in ("tape", "sanitize"))
         return self.sink
 
     def __exit__(self, *exc) -> None:
@@ -335,8 +310,4 @@ class capture:
             if self._owns_tracer:
                 self._tracer.__exit__(*exc)
             return
-        remove_sink(
-            self.sink,
-            wants_tensors=self.kind in ("tape", "sanitize"),
-            wants_graph=self.graph,
-        )
+        remove_sink(self.sink, wants_tensors=self.kind in ("tape", "sanitize"))

@@ -1,6 +1,6 @@
 """Global autograd configuration flags.
 
-The engine has two global toggles:
+The engine has two per-thread toggles:
 
 * ``grad_enabled`` -- when ``False`` (inside :func:`no_grad`), newly created
   tensors record no graph edges.  This mirrors ``torch.no_grad`` and is what
@@ -11,22 +11,12 @@ The engine has two global toggles:
   and friends in :mod:`repro.autograd.fuse`) execute as single fused kernels
   instead of chains of primitive kernels.  This is the repo's analog of
   ``torch.compile`` kernel fusion (paper Opt2).
-* ``compiled`` -- the default for the optimizers' tape-compiled step
-  replay (:mod:`repro.autograd.compile`); seeded from the
-  ``REPRO_COMPILE`` environment variable so whole runs opt in without
-  code changes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
-
-#: truthy spellings accepted by REPRO_COMPILE (read once at import)
-_COMPILE_DEFAULT = os.environ.get("REPRO_COMPILE", "").strip().lower() in (
-    "1", "true", "on", "yes",
-)
 
 
 class _AutogradConfig(threading.local):
@@ -42,9 +32,6 @@ class _AutogradConfig(threading.local):
     def __init__(self):
         self.grad_enabled: bool = True
         self.fused_elementwise: bool = False
-        #: default for optimizer-level ``compiled=None`` (tape-compiled
-        #: FEKF step replay); per-thread like every other engine flag
-        self.compiled: bool = _COMPILE_DEFAULT
 
 
 config = _AutogradConfig()

@@ -42,12 +42,6 @@ _WANT_SHAPES = 0
 #: tensor* of every op (graph-lint tape recorders, NaN/Inf sanitizers);
 #: checked by ``make_op`` after constructing the result tensor
 _WANT_TENSORS = 0
-#: number of installed sinks (across all threads) that additionally want
-#: graph edges (``_parents`` / ``_backward_fn``) wired on *every* op
-#: output, including ops whose inputs do not require grad.  The tape
-#: compiler needs full parentage to reconstruct the forward dataflow;
-#: normal execution never pays for the extra wiring.
-_WANT_GRAPH = 0
 _WANT_SHAPES_LOCK = threading.Lock()
 
 
@@ -127,52 +121,36 @@ class _SinkStack(threading.local):
 _TLS = _SinkStack()
 
 
-def push_sink(
-    sink,
-    wants_shapes: bool = False,
-    wants_tensors: bool = False,
-    wants_graph: bool = False,
-) -> None:
+def push_sink(sink, wants_shapes: bool = False, wants_tensors: bool = False) -> None:
     """Install ``sink`` (anything with a ``record`` method) on the calling
     thread's stack.  ``wants_shapes=True`` additionally turns on operand
     shape forwarding for the duration; ``wants_tensors=True`` turns on
     output-tensor forwarding to the sink's ``record_tensor`` method (the
-    graph-lint tape recorder and the NaN/Inf sanitizer hooks);
-    ``wants_graph=True`` forces graph edges onto every op output so a
-    tape compiler can walk the full forward dataflow."""
-    global _WANT_SHAPES, _WANT_TENSORS, _WANT_GRAPH
+    graph-lint tape recorder and the NaN/Inf sanitizer hooks)."""
+    global _WANT_SHAPES, _WANT_TENSORS
     _TLS.sinks.append(sink)
-    if wants_shapes or wants_tensors or wants_graph:
+    if wants_shapes or wants_tensors:
         with _WANT_SHAPES_LOCK:
             if wants_shapes:
                 _WANT_SHAPES += 1
             if wants_tensors:
                 _WANT_TENSORS += 1
-            if wants_graph:
-                _WANT_GRAPH += 1
 
 
-def remove_sink(
-    sink,
-    wants_shapes: bool = False,
-    wants_tensors: bool = False,
-    wants_graph: bool = False,
-) -> None:
+def remove_sink(sink, wants_shapes: bool = False, wants_tensors: bool = False) -> None:
     """Remove the innermost occurrence of ``sink`` from the calling
     thread's stack (no-op if absent)."""
-    global _WANT_SHAPES, _WANT_TENSORS, _WANT_GRAPH
+    global _WANT_SHAPES, _WANT_TENSORS
     sinks = _TLS.sinks
     for i in range(len(sinks) - 1, -1, -1):
         if sinks[i] is sink:
             del sinks[i]
-            if wants_shapes or wants_tensors or wants_graph:
+            if wants_shapes or wants_tensors:
                 with _WANT_SHAPES_LOCK:
                     if wants_shapes:
                         _WANT_SHAPES = max(_WANT_SHAPES - 1, 0)
                     if wants_tensors:
                         _WANT_TENSORS = max(_WANT_TENSORS - 1, 0)
-                    if wants_graph:
-                        _WANT_GRAPH = max(_WANT_GRAPH - 1, 0)
             break
 
 
@@ -184,11 +162,6 @@ def shapes_wanted() -> bool:
 def tensors_wanted() -> bool:
     """Whether any installed sink (on any thread) wants output tensors."""
     return _WANT_TENSORS > 0
-
-
-def graph_wanted() -> bool:
-    """Whether any installed sink (on any thread) forces graph wiring."""
-    return _WANT_GRAPH > 0
 
 
 @dataclass(eq=False)

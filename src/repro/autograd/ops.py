@@ -136,7 +136,7 @@ def power(a: TensorLike, p: Scalar) -> Tensor:
     def backward(g: Tensor, needs):
         return (mul(g, mul(power(a, p - 1.0), p)),)
 
-    return make_op(out, (a,), backward, "pow", attrs={"p": p})
+    return make_op(out, (a,), backward, "pow")
 
 
 def exp(a: TensorLike) -> Tensor:
@@ -185,10 +185,9 @@ def sqrt(a: TensorLike) -> Tensor:
 def sign_of(a: TensorLike) -> Tensor:
     """sign(a) as a *recorded* zero-gradient op.
 
-    Recording the sign (rather than baking it into a closure constant)
-    keeps the backward of :func:`absolute` replayable by the tape
-    compiler: the mask is recomputed from the live operand on every
-    replay instead of being frozen at trace time.
+    :func:`absolute` builds it inside its backward, so a forward that is
+    never differentiated holds no sign buffer, and it is a counted kernel
+    launch like any other (the pinned Fig. 7(b) counts include it).
     """
     a = as_tensor(a)
     out = np.sign(a.data)
@@ -201,15 +200,16 @@ def sign_of(a: TensorLike) -> Tensor:
 
 def _cmp_mask(a: Tensor, b: Tensor, mode: str) -> Tensor:
     """Float {0,1} comparison mask as a recorded zero-gradient op
-    (``mode`` is ``"ge"`` or ``"le"``); see :func:`sign_of` for why the
-    mask is an op rather than a closure constant."""
+    (``mode`` is ``"ge"`` or ``"le"``); built by the backward of
+    :func:`maximum` / :func:`minimum` for the same reasons as
+    :func:`sign_of`."""
     arr = a.data >= b.data if mode == "ge" else a.data <= b.data
     out = arr.astype(np.float64)
 
     def backward(g: Tensor, needs):
         return None, None
 
-    return make_op(out, (a, b), backward, "cmp_mask", attrs={"cmp": mode})
+    return make_op(out, (a, b), backward, "cmp_mask")
 
 
 def absolute(a: TensorLike) -> Tensor:
@@ -258,10 +258,10 @@ def minimum(a: TensorLike, b: TensorLike) -> Tensor:
 def where(cond: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
     """Select ``a`` where the constant boolean mask holds, else ``b``.
 
-    The float mask rides as a third (zero-gradient) parent so the tape
-    compiler can rebind it per batch; the backward computes the ``b``
+    The float mask rides as a third (zero-gradient) parent, so graph lint
+    sees every buffer the backward reads; the backward computes the ``b``
     branch as ``g - g*mask`` (bit-equal to ``g*(1-mask)`` on a {0,1}
-    mask) to avoid baking a derived ``1-mask`` constant.
+    mask) to avoid holding a derived ``1-mask`` buffer as well.
     """
     a, b = as_tensor(a), as_tensor(b)
     cond = np.asarray(cond, dtype=bool)
@@ -274,7 +274,7 @@ def where(cond: np.ndarray, a: TensorLike, b: TensorLike) -> Tensor:
         gb = unbroadcast(sub(g, gm), b.shape) if needs[1] else None
         return ga, gb, None
 
-    return make_op(out, (a, b, fmask_t), backward, "where", attrs={"cond": cond})
+    return make_op(out, (a, b, fmask_t), backward, "where")
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +303,7 @@ def tsum(
             g = reshape(g, tuple(expand_shape))
         return (broadcast_to(g, in_shape),)
 
-    # attrs keep the *original* axis argument: np.sum(axis=None) flattens
-    # and may pair-sum differently from an equivalent axis tuple, and the
-    # compiler must replay the exact reduction
-    return make_op(
-        np.asarray(out), (a,), backward, "sum",
-        attrs={"axis": axis, "keepdims": keepdims},
-    )
+    return make_op(np.asarray(out), (a,), backward, "sum")
 
 
 def tmean(
@@ -335,7 +329,7 @@ def broadcast_to(a: TensorLike, shape: tuple[int, ...]) -> Tensor:
     def backward(g: Tensor, needs):
         return (unbroadcast(g, a.shape),)
 
-    return make_op(out, (a,), backward, "broadcast", attrs={"shape": tuple(shape)})
+    return make_op(out, (a,), backward, "broadcast")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def reshape(a: TensorLike, shape: Union[int, tuple[int, ...]]) -> Tensor:
     def backward(g: Tensor, needs):
         return (reshape(g, in_shape),)
 
-    return make_op(out, (a,), backward, "reshape", attrs={"shape": tuple(shape)})
+    return make_op(out, (a,), backward, "reshape")
 
 
 def transpose(a: TensorLike, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -365,7 +359,7 @@ def transpose(a: TensorLike, axes: Optional[Sequence[int]] = None) -> Tensor:
     def backward(g: Tensor, needs):
         return (transpose(g, inv),)
 
-    return make_op(out, (a,), backward, "transpose", attrs={"axes": axes})
+    return make_op(out, (a,), backward, "transpose")
 
 
 def swapaxes(a: TensorLike, ax1: int, ax2: int) -> Tensor:
@@ -390,7 +384,7 @@ def concat(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
                 grads[i] = index(g, tuple(idx))
         return tuple(grads)
 
-    return make_op(out, tuple(ts), backward, "concat", attrs={"axis": axis})
+    return make_op(out, tuple(ts), backward, "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +406,7 @@ def index(a: TensorLike, idx) -> Tensor:
     def backward(g: Tensor, needs):
         return (index_add(in_shape, idx, g),)
 
-    return make_op(np.ascontiguousarray(out), (a,), backward, "gather", attrs={"idx": idx})
+    return make_op(np.ascontiguousarray(out), (a,), backward, "gather")
 
 
 def index_add(shape: tuple[int, ...], idx, values: TensorLike) -> Tensor:
@@ -424,10 +418,7 @@ def index_add(shape: tuple[int, ...], idx, values: TensorLike) -> Tensor:
     def backward(g: Tensor, needs):
         return (index(g, idx),)
 
-    return make_op(
-        out, (values,), backward, "scatter_add",
-        attrs={"shape": tuple(shape), "idx": idx},
-    )
+    return make_op(out, (values,), backward, "scatter_add")
 
 
 # ---------------------------------------------------------------------------

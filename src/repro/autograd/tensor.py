@@ -54,10 +54,7 @@ class Tensor:
         tensor when it participates in a ``backward`` call.
     """
 
-    __slots__ = (
-        "data", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
-        "_attrs",
-    )
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):  # pragma: no cover - defensive
@@ -79,9 +76,6 @@ class Tensor:
         self._parents: tuple["Tensor", ...] = ()
         self._backward_fn: Optional[Callable] = None
         self._op: str = "leaf"
-        #: static op parameters (index arrays, reduction axes, masks ...)
-        #: that a tape compiler needs to replay the op; None for most ops
-        self._attrs: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -276,19 +270,12 @@ def make_op(
     backward_fn: Callable,
     op: str,
     launches: int = 1,
-    attrs: Optional[dict] = None,
 ) -> Tensor:
     """Create the result tensor of a primitive op.
 
     Records ``launches`` kernel launches (fused kernels pass 1 even though
     they may issue several numpy calls internally) and wires the graph edge
-    if grad mode is on and any parent requires grad.  ``attrs`` carries the
-    op's static parameters (index arrays, reduction axes, boolean masks ...)
-    for the tape compiler; while a graph-hungry sink is installed
-    (:func:`repro.autograd.instrument.graph_wanted`) the edge is wired even
-    for ops whose inputs do not require grad, so a recorded tape exposes the
-    complete forward dataflow.  The extra wiring never changes ``backward``
-    results: gradient traversal only follows parents that require grad.
+    if grad mode is on and any parent requires grad.
     """
     parents = tuple(parents)
     nb = data.nbytes // max(launches, 1)
@@ -304,8 +291,7 @@ def make_op(
     rg = config.grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=rg)
     out._op = op  # kept even without a graph edge (sanitizer attribution)
-    out._attrs = attrs
-    if rg or _instrument._WANT_GRAPH:
+    if rg:
         out._parents = parents
         out._backward_fn = backward_fn
     if _instrument._WANT_TENSORS:

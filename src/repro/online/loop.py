@@ -48,7 +48,7 @@ from ..data.store import read_npz, write_npz
 from ..md.cell import Cell
 from ..model.ensemble import ModelEnsemble
 from ..md.potentials import Potential
-from ..optim.base import load_ensemble_state, save_ensemble_state
+from ..optim.base import save_ensemble_state
 from ..optim.kalman import KalmanConfig
 from ..serve import BoundedWorkQueue, InferenceService, ServeConfig, ServeError
 from ..telemetry.monitor import HeartbeatRegistry
@@ -85,8 +85,6 @@ class OnlineConfig:
     # -- incremental training ------------------------------------------
     batch_size: int = 4
     epochs_per_round: int = 3
-    #: reuse tape-compiled FEKF step engines where signatures repeat
-    compiled: Optional[bool] = None
 
     # -- loop control --------------------------------------------------
     #: stop once this many live swaps succeeded (None: run to segment
@@ -200,7 +198,6 @@ class OnlineLearner:
             batch_size=self.cfg.batch_size,
             epochs_per_round=self.cfg.epochs_per_round,
             seed=seed,
-            compiled=self.cfg.compiled,
             label_store=label_store,
             executor=executor,
         )
@@ -579,12 +576,7 @@ class OnlineLearner:
 
     def load_state(self, path: str) -> None:
         """Restore a checkpoint written by :meth:`save_state`."""
-        load_ensemble_state(
-            os.path.join(path, "members.npz"),
-            self.ensemble.models,
-            self.trainer.optimizers,
-        )
-        self.trainer.sync_ranks()  # the restored filters go to the ranks
+        self.trainer.restore(os.path.join(path, "members.npz"))
         with np.load(os.path.join(path, "walker.npz")) as z:
             start = z["start_pos"]
             with self._state_lock:

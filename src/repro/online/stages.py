@@ -39,6 +39,7 @@ from ..model.calculator import DeePMDCalculator
 from ..model.ensemble import ModelEnsemble
 from ..model.network import DeePMD
 from ..model.session import InferenceSession
+from ..optim.base import load_ensemble_state
 from ..optim.ekf import FEKF
 from ..optim.kalman import KalmanConfig
 from ..parallel.executor import Executor, make_executor
@@ -286,13 +287,12 @@ class MemberSpec:
     batch_size: int
     epochs: int
     seed: int
-    compiled: Optional[bool]
 
     def build(self, rank: int = 0, live: bool = False) -> MemberWorker:
         model = self.models[rank] if live else copy.deepcopy(self.models[rank])
         optimizer = FEKF(
             model, KalmanConfig(**vars(self.kalman_cfg)), fused_env=True,
-            seed=self.seed + rank, compiled=self.compiled,
+            seed=self.seed + rank,
         )
         return MemberWorker(model, optimizer, self.batch_size, self.epochs, rank)
 
@@ -316,8 +316,9 @@ class IncrementalTrainer:
 
     The parent sees filter state only when it asks: :attr:`optimizers`
     pulls it into parent-side filters over ``ensemble.models`` (what a
-    checkpoint saves, restores and a caller may step by hand), and the
-    next round hands whatever they then hold back to the ranks.  Those
+    checkpoint saves and a caller may step by hand; :meth:`restore`
+    loads a checkpoint into them without a pull), and the next round
+    hands whatever they then hold back to the ranks.  Those
     parent-side filters are also the crash fallback: a rank that dies or
     raises mid-round is never replayed -- the round re-runs in this
     thread from the last pulled filter state (or a fresh filter, counted
@@ -343,7 +344,6 @@ class IncrementalTrainer:
         batch_size: int = 4,
         epochs_per_round: int = 3,
         seed: int = 0,
-        compiled: bool | None = None,
         label_store=None,
         executor: "str | Executor | None" = None,
     ):
@@ -356,7 +356,6 @@ class IncrementalTrainer:
             batch_size=self.batch_size,
             epochs=self.epochs_per_round,
             seed=seed,
-            compiled=compiled,
         )
         #: one rank per committee member, each owning that member's filter
         self.executor = make_executor(
@@ -486,6 +485,15 @@ class IncrementalTrainer:
                     worker.optimizer.load_state_dict(res.payload)
                 self._local_current = True
         return [w.optimizer for w in self._members()]
+
+    def restore(self, path: str) -> None:
+        """Load a :func:`~repro.optim.base.save_ensemble_state` file into
+        the parent-side members and hand it to the ranks.  Nothing is
+        pulled first: the ranks' filters are about to be overwritten."""
+        members = self._members()
+        load_ensemble_state(path, self.ensemble.models, [w.optimizer for w in members])
+        self._local_current = True
+        self.sync_ranks()
 
     def rank_health(self) -> dict:
         """Backend, per-member rank liveness and the degraded flag."""

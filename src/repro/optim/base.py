@@ -184,8 +184,7 @@ _SCHEDULE_ALIASES = {"lr0": "lr0", "decay_rate": "rate", "decay_steps": "steps"}
 
 _EKF_CLASSES = {"fekf": FEKF, "rlekf": RLEKF, "naive_ekf": NaiveEKF}
 _EKF_CTOR_KEYS = {
-    "n_force_splits", "fused_env", "reuse_force_graph", "step_scale",
-    "seed", "compiled",
+    "n_force_splits", "fused_env", "reuse_force_graph", "step_scale", "seed",
 }
 _FIRST_ORDER_CLASSES = {"adam": Adam, "sgd": SGD}
 _FIRST_ORDER_CTOR_KEYS = {
@@ -315,7 +314,7 @@ def make_optimizer(name: str, model: DeePMD, **overrides) -> Optimizer:
             kalman_cfg = KalmanConfig(**kalman_overrides)
         ctor_keys = {
             "n_force_splits", "fused_env", "reuse_force_graph",
-            "verify_replicas", "cost_model", "seed", "executor", "compiled",
+            "verify_replicas", "cost_model", "seed", "executor",
         }
         ctor = {k: overrides.pop(k) for k in list(overrides) if k in ctor_keys}
         _reject_unknown(key, overrides)

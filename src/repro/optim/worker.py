@@ -106,7 +106,6 @@ class GradientWorker:
         model: DeePMD,
         fused_env: bool = False,
         rank: int = 0,
-        compiled: bool = False,
     ):
         self.model = model
         self.fused_env = fused_env
@@ -117,19 +116,6 @@ class GradientWorker:
         #: protocol evaluates all force groups on one stale graph) and
         #: dropped on ``set_shard`` / ``set_weights``.
         self.graph = None
-        #: opt-in tape-compiled step replay (see repro.optim.compiled);
-        #: the engine is built lazily on the first gradient call
-        self.compiled = bool(compiled)
-        self._engine = None
-
-    def _compile_engine(self):
-        if not self.compiled:
-            return None
-        if self._engine is None:
-            from .compiled import CompiledStepEngine
-
-            self._engine = CompiledStepEngine(self)
-        return self._engine
 
     # ------------------------------------------------------------------
     # gradient math (shared with the serial FEKF path)
@@ -139,11 +125,6 @@ class GradientWorker:
 
     def energy_gradient(self, batch: DescriptorBatch) -> tuple[np.ndarray, float]:
         """Reduced per-atom-energy gradient E(g) and ABE for the batch."""
-        engine = self._compile_engine()
-        if engine is not None:
-            out = engine.energy_gradient(batch)
-            if out is not None:
-                return out
         model = self.model
         with _span("fekf.forward"):
             p = model.param_tensors()
@@ -163,17 +144,7 @@ class GradientWorker:
         return g_flat, abe
 
     def force_graph(self, batch: DescriptorBatch):
-        """Build the differentiable force predictions F = -dE/dr.
-
-        Under the compiled engine this may return a
-        :class:`~repro.optim.compiled.CompiledForceGraph` marker in place
-        of the live ``(f_pred, params)`` pair; ``force_group_gradient``
-        understands both."""
-        engine = self._compile_engine()
-        if engine is not None:
-            out = engine.force_graph(batch)
-            if out is not None:
-                return out
+        """Build the differentiable force predictions F = -dE/dr."""
         model = self.model
         with _span("fekf.forward"):
             p = model.param_tensors()
@@ -191,17 +162,6 @@ class GradientWorker:
         atom_group: np.ndarray,
     ) -> tuple[np.ndarray, float]:
         """Reduced gradient and ABE of one atom group's force components."""
-        if getattr(f_pred, "compiled_marker", False):
-            out = f_pred.engine.force_group_gradient(f_pred, batch, atom_group)
-            if out is not None:
-                return out
-            # the plan cannot serve this group (unseen size, observer
-            # active): fall back to a fresh eager forward
-            return self.force_gradient(batch, atom_group)
-        if self._engine is not None:
-            out = self._engine.trace_force_group(f_pred, p, batch, atom_group)
-            if out is not None:
-                return out
         with _span("fekf.forward"):
             sel = (slice(None), atom_group, slice(None))
             f_group = f_pred[sel]
@@ -221,11 +181,6 @@ class GradientWorker:
     ) -> tuple[np.ndarray, float]:
         """Fresh forward at the current weights + one group's gradient
         (the paper-exact per-update protocol)."""
-        engine = self._compile_engine()
-        if engine is not None:
-            out = engine.force_gradient(batch, atom_group)
-            if out is not None:
-                return out
         f_pred, p = self.force_graph(batch)
         return self.force_group_gradient(f_pred, p, batch, atom_group)
 
@@ -302,12 +257,8 @@ class WorkerSpec:
 
     model: DeePMD
     fused_env: bool = False
-    compiled: bool = False
 
     def build(self, rank: int = 0) -> GradientWorker:
         return GradientWorker(
-            copy.deepcopy(self.model),
-            fused_env=self.fused_env,
-            rank=rank,
-            compiled=self.compiled,
+            copy.deepcopy(self.model), fused_env=self.fused_env, rank=rank
         )

@@ -103,7 +103,6 @@ class DistributedFEKF:
         cost_model: CostModel | None = None,
         seed: int = 0,
         executor: "str | Executor | None" = None,
-        compiled: bool | None = None,
     ):
         self.world_size = int(world_size)
         if cost_model is None:
@@ -117,12 +116,9 @@ class DistributedFEKF:
             fused_env=fused_env,
             reuse_force_graph=reuse_force_graph,
             seed=seed,
-            compiled=compiled,
         )
         self.model = model
-        self._spec = WorkerSpec(
-            model=model, fused_env=fused_env, compiled=self._local.compiled
-        )
+        self._spec = WorkerSpec(model=model, fused_env=fused_env)
         self.executor = make_executor(executor, self.world_size)
         self.executor.start(self._spec)
         self.timing = StepTiming()

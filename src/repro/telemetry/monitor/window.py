@@ -11,9 +11,7 @@ question by bucketing time into a ring:
     bucket; ``window()`` merges every still-live bucket into one
     :class:`Histogram` (via :meth:`Histogram.merge`), so p50/p99 over
     the last ``window_s`` seconds cost one small merge and nothing is
-    ever rescanned.  Worker telemetry folds in the same way:
-    :meth:`merge` accepts a serialized histogram shipped home by a rank
-    worker and lands it in the current bucket.
+    ever rescanned.
 
 :class:`WindowedRate`
     Bucketed event/error counts over the same ring, plus an
@@ -93,13 +91,6 @@ class SlidingHistogram:
         now = self._clock() if now is None else now
         with self._lock:
             self._bucket(now).observe(value)
-
-    def merge(self, hist: "Histogram | dict", now: Optional[float] = None) -> None:
-        """Fold a histogram (or its ``as_dict`` form, e.g. one rank
-        worker's latency observations) into the current bucket."""
-        now = self._clock() if now is None else now
-        with self._lock:
-            self._bucket(now).merge(hist)
 
     # ------------------------------------------------------------------
     def window(self, now: Optional[float] = None) -> Histogram:

@@ -45,26 +45,6 @@ class TestAuditClean:
         assert a.fingerprints == b.fingerprints
         assert a.fingerprints != c.fingerprints
 
-    def test_compiled_replay_matches_eager_fingerprints(
-        self, cu_dataset, small_cfg
-    ):
-        """The tape-compiled engine must walk the exact eager trajectory:
-        same per-step state fingerprints, bit for bit (fused_env pinned
-        so both runs use the graph descriptor path)."""
-        eager = run_backend("serial", cu_dataset, small_cfg, world_size=2,
-                            steps=2, fused_env=False)
-        comp = run_backend("serial", cu_dataset, small_cfg, world_size=2,
-                           steps=2, compiled=True)
-        assert eager.fingerprints == comp.fingerprints
-
-    def test_compiled_audit_certifies(self, cu_dataset, small_cfg):
-        report = audit_determinism(
-            world_size=2, steps=2, backends=("serial", "thread"),
-            dataset=cu_dataset, cfg=small_cfg, compiled=True,
-        )
-        assert report.ok, report.render()
-        assert report.metrics["compiled"] == 1
-
 
 class TestProbesFire:
     def test_divergence_detected(self, cu_dataset, small_cfg, monkeypatch):

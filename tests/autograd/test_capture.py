@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, capture, grad, no_grad, ops
+from repro.autograd import Tensor, capture, ops
 from repro.autograd.capture import Sanitizer, SanitizerError, TapeRecorder
 from repro.autograd.instrument import KernelCounter
 from repro.telemetry.trace import Tracer
@@ -63,8 +63,6 @@ class TestKinds:
             capture("trace")
 
     def test_arg_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="graph=True"):
-            capture("count", graph=True)
         with pytest.raises(ValueError, match="tracer="):
             capture("tape", tracer=object())
 
@@ -85,34 +83,6 @@ class TestComposition:
             before = outer.total_launches
             _forward()
         assert outer.total_launches == 2 * before
-
-    def test_tape_graph_wires_parents_under_no_grad(self):
-        with no_grad():
-            with capture("tape", graph=True) as tape:
-                _, out = _forward()
-            assert tape.entries[-1].tensor._parents  # edges despite no_grad
-        with no_grad():
-            with capture("tape") as plain:
-                _, out = _forward()
-            assert not plain.entries[-1].tensor._parents
-
-    def test_graph_capture_does_not_enable_grad(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        with capture("tape", graph=True):
-            out = ops.tsum(ops.mul(a, a))
-        (g,) = grad(out, [a])
-        assert np.array_equal(g.data, 2 * np.ones(3))
-
-    def test_tape_crc_tracks_structure_and_values(self):
-        with capture("tape") as t1:
-            _forward()
-        with capture("tape") as t2:
-            _forward()
-        assert t1.crc() == t2.crc()
-        with capture("tape") as t3:
-            a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-            ops.tsum(ops.tanh(ops.mul(ops.add(a, a), Tensor(2 * np.ones((2, 3))))))
-        assert t3.crc() != t1.crc()
 
     def test_entry_mutation_detected(self):
         with capture("tape") as tape:

@@ -15,7 +15,6 @@ import weakref
 import numpy as np
 import pytest
 
-import repro.autograd.compile  # noqa: F401  (import = register fused_chain)
 from repro.autograd import Tensor, capture, fuse, grad, make_op, ops
 from repro.autograd.config import config as ag_config
 from repro.autograd.instrument import registered_ops
@@ -30,8 +29,6 @@ ENGINE_OPS = {
     name for name, info in registered_ops().items()
     if info.kind in ("primitive", "fused")
 }
-#: replay-only launch of the tape compiler: it never owns a closure
-NO_CLOSURE = {"fused_chain"}
 
 
 def _rng(tag: str) -> np.random.Generator:
@@ -141,7 +138,7 @@ def env(cu_dataset, tiny_cfg):
 
 class TestSubsetsMatchFullSweep:
     def test_every_differentiable_op_has_a_case(self):
-        assert ENGINE_OPS - NO_CLOSURE == set(CASES)
+        assert ENGINE_OPS == set(CASES)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bit_identical_for_every_subset(self, name, env):
@@ -310,21 +307,15 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("fused_env,compiled", [
-    (True, False), (False, False), (False, True),
-])
-def test_three_fekf_steps_keep_the_parent_fingerprint(
-    cu_dataset, small_cfg, fused_env, compiled
-):
+@pytest.mark.parametrize("fused_env", [True, False])
+def test_three_fekf_steps_keep_the_parent_fingerprint(cu_dataset, small_cfg, fused_env):
     model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
     opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True), seed=11,
-               fused_env=fused_env, compiled=compiled)
+               fused_env=fused_env)
     for i in range(3):
         opt.step_batch(make_batch(cu_dataset, np.arange(3) + 3 * i, small_cfg))
     sha = hashlib.sha256(model.params.flatten().tobytes()).hexdigest()
     assert (sha, opt.kalman.checksum()) == PINNED[fused_env]
-    if compiled:
-        assert opt.stats()["compiled"]["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("fused_layers", [False, True])

@@ -62,26 +62,23 @@ class TestKernelCounter:
 
 
 class TestGatesCloseAgain:
-    """Observers are pay-for-what-you-use: the shape/tensor/graph
-    forwarding gates in ``make_op`` open only while something that needs
-    them is installed, and a completed install/uninstall cycle of any
-    observer leaves all three at zero."""
+    """Observers are pay-for-what-you-use: the shape/tensor forwarding
+    gates in ``make_op`` open only while something that needs them is
+    installed, and a completed install/uninstall cycle of any observer
+    leaves both at zero."""
 
     @pytest.mark.parametrize("make_observer", [
         lambda: capture("tape"),
-        lambda: capture("tape", graph=True),
         lambda: capture("count"),
         lambda: capture("sanitize", mode="collect"),
         lambda: capture("profile"),
         lambda: Tracer(keep_events=False, profile=True),
-    ], ids=["tape", "tape-graph", "count", "sanitize", "profile", "tracer-profile"])
+    ], ids=["tape", "count", "sanitize", "profile", "tracer-profile"])
     def test_cycle_leaves_gates_closed(self, make_observer):
         x = Tensor(np.ones(3))
         with make_observer():
             ops.add(x, x)
-        assert (
-            instrument._WANT_SHAPES, instrument._WANT_TENSORS, instrument._WANT_GRAPH
-        ) == (0, 0, 0)
+        assert (instrument._WANT_SHAPES, instrument._WANT_TENSORS) == (0, 0)
 
 
 class TestThreadLocalSinks:

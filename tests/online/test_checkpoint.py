@@ -10,6 +10,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.telemetry.metrics import REGISTRY
+
 
 def _run_until_segments(learner, start, n, temperature=400.0):
     """Run the loop in a thread and pause once ``n`` segments completed.
@@ -151,6 +153,23 @@ class TestCheckpointResume:
         ):
             _assert_state_dicts_equal(a.state_dict(), b.state_dict(), f"fekf{k}")
             assert a.kalman.updates > pending  # the round ran
+
+    def test_process_restore_pulls_no_filter_home(self, make_learner, tmp_path):
+        """A restore overwrites the ranks' filters, so it never pulls them
+        first: only the acknowledgements of the push come back."""
+        source = make_learner(executor="process")
+        ckpt = str(tmp_path / "ckpt")
+        source.save_state(ckpt)
+        with np.load(os.path.join(ckpt, "members.npz")) as z:
+            filter_bytes = sum(
+                z[key].nbytes for key in z.files if key.startswith("member0/kalman/")
+            )
+
+        resumed = make_learner(seed=5, executor="process")
+        returned = REGISTRY.counter("online.returned_bytes")
+        before = returned.value
+        resumed.load_state(ckpt)
+        assert returned.value - before < filter_bytes / 100
 
     def test_resumed_loop_continues(self, make_learner, split, tmp_path):
         train, _ = split

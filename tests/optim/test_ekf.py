@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.model import DeePMD, make_batch
-from repro.optim import FEKF, KalmanConfig, NaiveEKF, RLEKF, error_signs
+from repro.optim import FEKF, KalmanConfig, NaiveEKF, RLEKF, error_signs, make_optimizer
 from repro.optim.kalman import FLUSH_EVERY
+from repro.parallel import DistributedFEKF
 
 
 def _kcfg(**kw):
@@ -195,3 +196,31 @@ class TestForceGraphReuse:
         norm = np.linalg.norm(results[1])
         assert diff > 0  # stale vs fresh H do differ...
         assert diff < 0.15 * norm  # ...but only slightly
+
+
+class TestIgnoredCompiledKeyword:
+    """The benchmark's pinned ``train_small`` twin builds
+    ``FEKF(..., fused_env=False, compiled=True)``: FEKF accepts the keyword
+    and ignores it, and nothing else takes it."""
+
+    def test_fekf_accepts_it_and_trains_bit_identically(
+        self, cu_dataset, small_cfg, cu_batch
+    ):
+        outs = []
+        for compiled in (False, True):
+            model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+            opt = FEKF(model, _kcfg(), fused_env=False, compiled=compiled, seed=11)
+            for _ in range(2):
+                opt.step_batch(cu_batch)
+            outs.append(model.params.flatten())
+            assert "compiled" not in opt.stats()
+            assert "compiled" not in opt.hyperparams
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_no_other_constructor_takes_it(self, cu_model):
+        with pytest.raises(TypeError, match="compiled"):
+            make_optimizer("fekf", cu_model, compiled=True)
+        with pytest.raises(TypeError, match="compiled"):
+            make_optimizer("distributed_fekf", cu_model, world_size=2, compiled=True)
+        with pytest.raises(TypeError, match="compiled"):
+            DistributedFEKF(cu_model, world_size=2, executor="serial", compiled=True)

@@ -75,15 +75,6 @@ class TestSlidingHistogram:
         assert sh.window().count == 4
         assert sh.window().min == 21.0
 
-    def test_merge_worker_histogram_into_current_bucket(self):
-        clk = FakeClock()
-        sh = SlidingHistogram(window_s=10.0, buckets=5, clock=clk)
-        sh.merge({"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
-                  "samples": [1.0, 2.0, 3.0]})
-        assert sh.window().count == 3
-        clk.advance(11.0)
-        assert sh.window().count == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SlidingHistogram(window_s=0.0)
