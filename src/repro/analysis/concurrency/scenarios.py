@@ -32,6 +32,7 @@ scenario) uses.
 from __future__ import annotations
 
 import importlib.util
+import tempfile
 import threading
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
@@ -160,7 +161,7 @@ def _scenario_serve() -> Dict[str, float]:
 
 
 def _scenario_online() -> Dict[str, float]:
-    from ...data import SYSTEMS, generate_dataset
+    from ...data import SYSTEMS, ShardedFrameStore, generate_dataset
     from ...model import DeePMDConfig, ModelEnsemble
     from ...online import OnlineConfig, OnlineLearner
 
@@ -178,15 +179,14 @@ def _scenario_online() -> Dict[str, float]:
         batch_size=4, max_new_frames=4, select_lo=0.0,
         target_swaps=1, max_segments=6, eval_frames=8,
     )
-    learner = OnlineLearner(
+    with tempfile.TemporaryDirectory() as tmp, ShardedFrameStore.create(
+        tmp, species=dataset.species, cell=dataset.cell
+    ) as store, OnlineLearner(
         ensemble, potential, dataset.species,
         spec.masses(dataset.species), dataset.cell,
-        cfg=ocfg, initial_data=train, holdout=test, seed=0,
-    )
-    try:
+        label_store=store, holdout=test, cfg=ocfg, initial_data=train, seed=0,
+    ) as learner:
         result = learner.run(train.positions[0], temperature=300.0)
-    finally:
-        learner.close()
     return {
         "segments": float(result.segments),
         "swaps": float(len(result.swaps)),

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -181,24 +182,26 @@ def online_promotion_fingerprint(backend: str, dataset, cfg, seed: int = 7) -> s
     exploration segment, a trust band that admits every candidate, and a
     promotion bar no candidate can miss.
     """
-    from ..data import SYSTEMS
+    from ..data import SYSTEMS, ShardedFrameStore
     from ..model import ModelEnsemble
     from ..online import OnlineConfig, OnlineLearner
 
     train, test = dataset.split(0.75, seed=0)
     spec = SYSTEMS[dataset.name]
     _, _, _, potential = spec.build("small")
-    learner = OnlineLearner(
+    with tempfile.TemporaryDirectory() as tmp, ShardedFrameStore.create(
+        tmp, species=dataset.species, cell=dataset.cell
+    ) as store, OnlineLearner(
         ModelEnsemble.for_dataset(train, cfg, n_models=2, seed=1),
         potential, dataset.species, spec.masses(dataset.species), dataset.cell,
+        label_store=store, holdout=test,
         cfg=OnlineConfig(
             md_steps=20, sample_every=10, select_lo=0.0, select_hi=float("inf"),
             max_new_frames=2, epochs_per_round=1, batch_size=4,
             target_swaps=1, max_segments=1, eval_frames=8,
         ),
-        initial_data=train, holdout=test, seed=seed, executor=backend,
-    )
-    with learner:
+        initial_data=train, seed=seed, executor=backend,
+    ) as learner:
         learner.served_rmse = 1.0e9  # finite, so run() keeps it: first candidate wins
         result = learner.run(train.positions[0], temperature=400.0)
         h = hashlib.sha256()

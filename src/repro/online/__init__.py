@@ -3,21 +3,29 @@
 The paper's headline claim -- one DeePMD model trained in minutes -- is
 a *step towards online learning*: training fast enough that the model
 improving and the model serving are the same running system.  This
-package closes that loop.  The four phases that
-:class:`repro.train.ActiveLearner` runs as sequential batch rounds
-(explore -> select -> label -> train) become concurrent stages connected
-by bounded queues, wrapped around a live
-:class:`repro.serve.InferenceService`:
+package closes that loop: the DP-GEN phases (explore -> select -> label
+-> train) run as concurrent stages connected by bounded queues, wrapped
+around a live :class:`repro.serve.InferenceService` that the learner
+owns, with labels appended to a
+:class:`~repro.data.framestore.ShardedFrameStore`:
 
+    store = ShardedFrameStore.create("labels/", species=species, cell=cell)
     learner = OnlineLearner(ensemble, reference, species, masses, cell,
-                            holdout=test_set, service=service)
+                            label_store=store, holdout=test_set,
+                            initial_data=train_set)
     result = learner.run(start_positions)   # explore/gate/label/train/swap
     learner.save_state("ckpt/")             # pause ...
-    learner.load_state("ckpt/")             # ... and resume bit-exactly
 
-Stage objects (:class:`Explorer`, :class:`UncertaintyGate`,
-:class:`Labeler`, :class:`IncrementalTrainer`) are shared with the
-batch driver -- same code, two schedules.
+    # ... and resume bit-exactly: a learner over the same store (or a
+    # copy of its directory), no initial_data, then the checkpoint
+    resumed = OnlineLearner(ensemble, reference, species, masses, cell,
+                            label_store=ShardedFrameStore.open("labels/", "a"),
+                            holdout=test_set)
+    resumed.load_state("ckpt/")
+
+The stage objects (:class:`Explorer`, :class:`UncertaintyGate`,
+:class:`Labeler`, :class:`IncrementalTrainer`) are public: called one
+after another on one thread they are the synchronous round.
 """
 
 from .ledger import LabelLedger, SwapRecord

@@ -25,9 +25,12 @@ curve recorded in :class:`SwapRecord` entries decreases by
 construction.
 
 ``pause`` / ``save_state`` / ``load_state`` make the whole loop a
-resumable object: filters (P matrices and PCG64 streams), the label
-pool, ledgers, the MD walker state, and the served model version all
-round-trip bit-exactly through a checkpoint directory.
+resumable object: filters (P matrices and PCG64 streams), ledgers, the
+MD walker state, and the served model version all round-trip bit-exactly
+through a checkpoint directory.  The label pool is not in the
+checkpoint: it is the learner's ``label_store``, which the checkpoint
+records by identity, so a resume builds a learner over that store (or a
+copy of it) and loads the checkpoint into it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from ..analysis.concurrency import Guarded, TrackedLock
 from ..data.dataset import Dataset
-from ..data.store import read_npz, write_npz
+from ..data.framestore import ShardedFrameStore
 from ..md.cell import Cell
 from ..model.ensemble import ModelEnsemble
 from ..md.potentials import Potential
@@ -64,7 +67,7 @@ _POLL_S = 0.05
 
 @dataclass
 class OnlineConfig:
-    """Knobs of the concurrent loop (superset of the batch round knobs)."""
+    """Knobs of the concurrent loop."""
 
     # -- exploration ---------------------------------------------------
     #: MD steps per exploration segment
@@ -97,11 +100,6 @@ class OnlineConfig:
     #: frames sampled from the holdout set for the promotion gate
     eval_frames: int = 32
 
-    # -- serving -------------------------------------------------------
-    #: service configuration when the learner owns the service; ignored
-    #: when one is injected
-    serve: Optional[ServeConfig] = None
-
 
 @dataclass
 class OnlineResult:
@@ -126,13 +124,18 @@ class OnlineResult:
 class OnlineLearner:
     """Closed-loop online learning against a live inference service.
 
-    Parameters mirror :class:`~repro.train.ActiveLearner` -- same
-    ensemble/reference/system geometry, same warm start on
-    ``initial_data`` -- plus a ``holdout`` dataset that feeds the swap
-    promotion gate and an optional externally-owned ``service``.
-    ``executor`` selects where the trainer stage's per-member ranks run
-    (see :class:`~repro.online.IncrementalTrainer`; ``"serial"`` is the
-    in-thread loop).
+    The committee ``ensemble`` explores the system (``species``,
+    ``masses``, ``cell``) and ``reference`` labels what the gate admits.
+    Labels are appended to ``label_store``, the
+    :class:`~repro.data.framestore.ShardedFrameStore` every training
+    round reads; ``holdout`` feeds the swap promotion gate.
+    ``initial_data``, when given, is appended to the store and trained
+    on once before the loop starts (the DP-GEN warm start: an untrained
+    surrogate explores unphysical regions and bootstraps on garbage
+    labels).  The learner owns its :attr:`service`, which clients query
+    directly.  ``executor`` selects where the trainer stage's per-member
+    ranks run (see :class:`~repro.online.IncrementalTrainer`;
+    ``"serial"`` is the in-thread loop).
     """
 
     def __init__(
@@ -142,13 +145,13 @@ class OnlineLearner:
         species: np.ndarray,
         masses: np.ndarray,
         cell: Cell,
+        *,
+        label_store: ShardedFrameStore,
+        holdout: Dataset,
         cfg: Optional[OnlineConfig] = None,
         kalman_cfg: Optional[KalmanConfig] = None,
         initial_data: Optional[Dataset] = None,
-        holdout: Optional[Dataset] = None,
         seed: int = 0,
-        service: Optional[InferenceService] = None,
-        label_store=None,
         executor=None,
     ):
         self.ensemble = ensemble
@@ -156,19 +159,15 @@ class OnlineLearner:
         self.holdout = holdout
         self.seed = int(seed)
 
-        # the serving surface: injected, or owned (started lazily in run)
-        self._owns_service = service is None
-        if service is None:
-            frames = max(1, self.cfg.md_steps // self.cfg.sample_every)
-            serve_cfg = self.cfg.serve or ServeConfig(
-                # one exploration segment co-batches into one micro-batch,
-                # so every gate decision is single-version by construction
-                max_batch=frames,
-                max_delay_s=0.005,
-                max_queue=max(64, 4 * frames),
-            )
-            service = InferenceService(ensemble, serve_cfg)
-        self.service = service
+        # the serving surface, started lazily in run
+        frames = max(1, self.cfg.md_steps // self.cfg.sample_every)
+        self.service = InferenceService(ensemble, ServeConfig(
+            # one exploration segment co-batches into one micro-batch,
+            # so every gate decision is single-version by construction
+            max_batch=frames,
+            max_delay_s=0.005,
+            max_queue=max(64, 4 * frames),
+        ))
 
         # the explorer walks a private copy of member 0 -- the trainer
         # mutates the live ensemble in place, and MD must never read
@@ -189,9 +188,9 @@ class OnlineLearner:
             max_new_frames=self.cfg.max_new_frames,
         )
         self.labeler = Labeler(reference, species, cell)
-        # an optional live ShardedFrameStore: every admitted segment is
-        # appended durably, and training rounds read straight from it --
-        # the label pool outlives the process and never has to fit RAM
+        # every admitted segment is appended durably to the store, and
+        # training rounds read straight from it -- the label pool
+        # outlives the process and never has to fit RAM
         self.trainer = IncrementalTrainer(
             ensemble,
             kalman_cfg=kalman_cfg,
@@ -238,8 +237,7 @@ class OnlineLearner:
     # ------------------------------------------------------------------
     def close(self) -> None:
         self.trainer.close()
-        if self._owns_service:
-            self.service.stop()
+        self.service.stop()
 
     def __enter__(self) -> "OnlineLearner":
         return self
@@ -458,15 +456,9 @@ class OnlineLearner:
         self.heartbeats.beat("online-train")
 
     def _holdout_rmse(self) -> float:
-        if self.holdout is None:
-            dataset = self.trainer.pool
-            if dataset is None:
-                return float("inf")
-        else:
-            dataset = self.holdout
         with _span("online.evaluate"):
             scores = self.ensemble.evaluate_rmse(
-                dataset, max_frames=self.cfg.eval_frames
+                self.holdout, max_frames=self.cfg.eval_frames
             )
         return scores["force_rmse"]
 
@@ -529,10 +521,14 @@ class OnlineLearner:
     def save_state(self, path: str) -> None:
         """Checkpoint everything needed for a bit-exact resume.
 
-        Members + FEKF filters (P matrices, PCG64 streams -- pulled
-        from the trainer's ranks for the occasion) go into one npz; the label pool into the dataset store; counters, ledger,
-        swap history, walker RNG/positions, and the served model version
-        into a JSON sidecar.
+        Members + FEKF filters (P matrices, PCG64 streams -- pulled from
+        the trainer's ranks for the occasion) go into one npz; counters,
+        ledger, swap history, walker RNG/positions, the served model
+        version and the label store's identity (frame count and content
+        fingerprint, not its path) into a JSON sidecar.  The store itself
+        is flushed, not copied: to resume, build a learner over it (or a
+        copy of its directory) without ``initial_data`` and call
+        :meth:`load_state`.
         """
         os.makedirs(path, exist_ok=True)
         save_ensemble_state(
@@ -547,21 +543,15 @@ class OnlineLearner:
             else np.empty((0, 3)),
             **{f"model/{k}": v for k, v in self._walker_model.state_dict().items()},
         )
-        if self.trainer.label_store is not None:
-            # the store IS the durable pool: flush it and record its
-            # identity so resume can verify the pool matches the filters
-            self.trainer.label_store.flush()
-            label_pool = {
-                "store_path": self.trainer.label_store.path,
-                "store_frames": self.trainer.label_store.n_frames,
-                "store_fingerprint": self.trainer.label_store.fingerprint(),
-            }
-        else:
-            label_pool = None
-            if self.trainer.labeled is not None:
-                write_npz(self.trainer.labeled, os.path.join(path, "labeled.npz"))
+        # the store IS the durable pool: flush it and record its identity
+        # so resume can verify the pool matches the filters
+        store = self.trainer.label_store
+        store.flush()
         meta = {
-            "label_pool": label_pool,
+            "label_pool": {
+                "store_frames": store.n_frames,
+                "store_fingerprint": store.fingerprint(),
+            },
             "ledger": self.ledger.as_dict(),
             "swaps": [s.as_dict() for s in self.swaps],
             "trained_rounds": self.trained_rounds,
@@ -575,7 +565,27 @@ class OnlineLearner:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
     def load_state(self, path: str) -> None:
-        """Restore a checkpoint written by :meth:`save_state`."""
+        """Restore a checkpoint written by :meth:`save_state` into a
+        learner built over the checkpoint's label store (or a copy).
+
+        The store is checked before anything is restored: the filters in
+        the checkpoint were trained on exactly the recorded pool, and a
+        store that has since diverged would break the bit-exact-resume
+        contract, so it raises ``ValueError`` with the learner untouched.
+        """
+        with open(os.path.join(path, "online.json")) as fh:
+            meta = json.load(fh)
+        pool = meta["label_pool"]
+        store = self.trainer.label_store
+        if (
+            store.n_frames != int(pool["store_frames"])
+            or store.fingerprint() != pool["store_fingerprint"]
+        ):
+            raise ValueError(
+                f"label store at {store.path} does not match the checkpoint "
+                f"(expected {pool['store_frames']} frames, fingerprint "
+                f"{pool['store_fingerprint'][:12]}...)"
+            )
         self.trainer.restore(os.path.join(path, "members.npz"))
         with np.load(os.path.join(path, "walker.npz")) as z:
             start = z["start_pos"]
@@ -588,33 +598,6 @@ class OnlineLearner:
             self._walker_model.load_state_dict(walker)
         with self._walker_lock:
             self._walker_mailbox.set(None)
-        with open(os.path.join(path, "online.json")) as fh:
-            meta = json.load(fh)
-        pool_meta = meta.get("label_pool")
-        if self.trainer.label_store is not None:
-            # the filters in this checkpoint were trained on exactly the
-            # recorded pool; a store that has since diverged would break
-            # the bit-exact-resume contract, so fail loudly instead
-            if pool_meta is None:
-                raise ValueError(
-                    "checkpoint has an npz label pool but the learner is "
-                    "store-backed; resume without label_store"
-                )
-            store = self.trainer.label_store
-            if (
-                store.n_frames != int(pool_meta["store_frames"])
-                or store.fingerprint() != pool_meta["store_fingerprint"]
-            ):
-                raise ValueError(
-                    f"label store at {store.path} does not match the "
-                    f"checkpoint (expected {pool_meta['store_frames']} "
-                    f"frames, fingerprint {pool_meta['store_fingerprint'][:12]}...)"
-                )
-        else:
-            labeled_path = os.path.join(path, "labeled.npz")
-            self.trainer.labeled = (
-                read_npz(labeled_path) if os.path.exists(labeled_path) else None
-            )
         self.ledger.load_dict(meta["ledger"])
         self.swaps = [SwapRecord.from_dict(d) for d in meta["swaps"]]
         with self._state_lock:

@@ -1,20 +1,14 @@
 """The four stages of the explore -> gate -> label -> train loop.
 
-``repro.train.active`` used to hold all four phases inline in one
-monolithic ``run_round``; they now live here as free-standing stage
-objects so the *same* code runs in two harnesses:
-
-* the batch :class:`~repro.train.ActiveLearner` drives them
-  synchronously, one round at a time (bit-identical to the pre-refactor
-  loop -- the regression tests replay the old monolithic code against
-  the stage composition);
-* the concurrent :class:`~repro.online.OnlineLearner` runs each stage on
-  its own thread, connected by bounded queues, against a *live*
-  :class:`~repro.serve.InferenceService`.
+:class:`~repro.online.OnlineLearner` runs each stage on its own thread,
+connected by bounded queues, against a *live*
+:class:`~repro.serve.InferenceService`.  Called one after another on
+one thread, the same objects are the synchronous round (the regression
+tests replay the original monolithic loop against that composition).
 
 Every stage is deliberately free of threads and queues -- those belong
 to the driver.  A stage is a plain callable over arrays and datasets,
-which is what makes the two drivers equivalent.  The one stage that owns
+which is what makes any schedule of them equivalent.  The one stage that owns
 more than arrays is :class:`IncrementalTrainer`: one rank of the rank
 runtime (:mod:`repro.runtime`) per committee member, holding that
 member's persistent filter, plus the round telemetry (``train.step``
@@ -31,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..data.dataset import Dataset
+from ..data.framestore import ShardedFrameStore
 from ..data.loader import make_loader
 from ..md.cell import Cell
 from ..md.integrator import LangevinIntegrator
@@ -64,11 +59,9 @@ class Explorer:
     Drives :class:`LangevinIntegrator` with a
     :class:`DeePMDCalculator` wrapping ``model`` and samples candidate
     frames every ``sample_every`` steps.  The surrogate model object is
-    held by reference: the batch driver hands in the live ensemble
-    member (exploration always uses the freshest weights), while the
-    concurrent driver hands in a private copy and refreshes it at
-    segment boundaries via :meth:`refresh` -- MD must never read weights
-    mid-mutation.
+    held by reference: the online loop hands in a private copy and
+    refreshes it at segment boundaries via :meth:`refresh` -- MD must
+    never read weights mid-mutation.
     """
 
     def __init__(
@@ -153,9 +146,9 @@ class UncertaintyGate:
     """Trust-band selection on the ensemble's max force deviation.
 
     ``scorer`` is any :class:`InferenceSession` whose predictions carry
-    ``max_force_dev`` -- the bare :class:`ModelEnsemble` in the batch
-    loop, a live :class:`repro.serve.InferenceService` wrapping it in
-    the online loop.  Candidates below ``lo`` are already learned,
+    ``max_force_dev`` -- a live :class:`repro.serve.InferenceService`
+    wrapping the committee in the online loop, or the bare
+    :class:`ModelEnsemble`.  Candidates below ``lo`` are already learned,
     candidates above ``hi`` come from trajectories too wrong to trust;
     at most ``max_new_frames`` survive, highest deviation first.
     """
@@ -304,12 +297,18 @@ class IncrementalTrainer:
     across every round -- the filter's P matrix is where minutes-scale
     convergence lives, so it must never be rebuilt mid-loop.  Each filter
     lives on its own rank of the rank runtime (:mod:`repro.runtime`): a
-    round sends every rank the pool and the seed offset and gets the
-    member's weights back, which are loaded into ``ensemble`` -- ``P`` is
-    built on the rank and never moves (the paper's Sec. 3.3 argument,
-    applied to the loop).  ``executor`` is the usual ``"serial"`` /
-    ``"thread"`` / ``"process"`` / instance / ``None`` for
-    ``$REPRO_EXECUTOR``; unset, this one stage defaults to ``process``:
+    round sends every rank the label pool and the seed offset and gets
+    the member's weights back, which are loaded into ``ensemble`` --
+    ``P`` is built on the rank and never moves (the paper's Sec. 3.3
+    argument, applied to the loop).  The pool is ``label_store``, a live
+    :class:`~repro.data.framestore.ShardedFrameStore` that every admitted
+    segment is appended into: it is durable across crashes, never binds
+    the corpus size to RAM, which is what an unbounded label stream
+    needs, and travels to a rank as its path (reopened read-only), so a
+    round's traffic does not grow with the pool.  ``executor`` is the
+    usual ``"serial"`` / ``"thread"`` / ``"process"`` / instance /
+    ``None`` for ``$REPRO_EXECUTOR``; unset, this one stage defaults to
+    ``process``:
     members train beside each other and beside the explorer instead of
     passing one interpreter lock around.  The arithmetic on a rank is the
     same under every backend, so weights are bit-identical across them.
@@ -324,27 +323,17 @@ class IncrementalTrainer:
     thread from the last pulled filter state (or a fresh filter, counted
     as ``online.filter_restarts``), and the healed ranks are re-seeded
     per member from it.
-
-    The label pool lives in one of two places: the historical in-memory
-    :class:`Dataset` (``labeled``), or -- when ``label_store`` is given
-    -- a live :class:`~repro.data.framestore.ShardedFrameStore` that
-    every admitted segment is appended into.  A store-backed pool is
-    durable across crashes and never rebinds the corpus size to RAM,
-    which is what an unbounded label stream needs; :attr:`pool` is the
-    uniform :class:`~repro.data.source.FrameSource` view training reads
-    either way.  A store travels to a rank as its path (reopened
-    read-only), an in-memory pool as data.
     """
 
     def __init__(
         self,
         ensemble: ModelEnsemble,
         *,
+        label_store: ShardedFrameStore,
         kalman_cfg: KalmanConfig | None = None,
         batch_size: int = 4,
         epochs_per_round: int = 3,
         seed: int = 0,
-        label_store=None,
         executor: "str | Executor | None" = None,
     ):
         self.ensemble = ensemble
@@ -372,8 +361,7 @@ class IncrementalTrainer:
         #: last ran) and must be handed back before the next round
         self._local: Optional[list[MemberWorker]] = None
         self._local_current = False
-        self.labeled: Dataset | None = None
-        #: live append target for labeled frames (out-of-core pool)
+        #: the label pool: live append target, out of core
         self.label_store = label_store
 
     def close(self) -> None:
@@ -382,35 +370,12 @@ class IncrementalTrainer:
 
     # ------------------------------------------------------------------
     @property
-    def pool(self):
-        """The accumulated label pool as a frame source (or ``None``)."""
-        if self.label_store is not None:
-            return self.label_store if self.label_store.n_frames else None
-        return self.labeled
-
-    @property
     def pool_frames(self) -> int:
-        src = self.pool
-        return 0 if src is None else src.n_frames
+        return self.label_store.n_frames
 
     def accumulate(self, new: Dataset) -> None:
         """Append newly labeled frames to the training pool."""
-        if self.label_store is not None:
-            self.label_store.append_dataset(new)
-            return
-        if self.labeled is None:
-            self.labeled = new
-            return
-        old = self.labeled
-        self.labeled = Dataset(
-            name="active",
-            positions=np.concatenate([old.positions, new.positions]),
-            energies=np.concatenate([old.energies, new.energies]),
-            forces=np.concatenate([old.forces, new.forces]),
-            species=old.species,
-            cell=old.cell,
-            temperatures=np.concatenate([old.temperatures, new.temperatures]),
-        )
+        self.label_store.append_dataset(new)
 
     @property
     def ready(self) -> bool:
@@ -470,7 +435,7 @@ class IncrementalTrainer:
         if not self.executor.degraded:
             self._round([("set_weights", (s,)) for s in states])
         if self.executor.degraded:  # possibly found out just now
-            self.executor.heal(self._spec, states, per_rank=True)
+            self.executor.heal(self._spec, states)
         self._local_current = False
 
     @property
@@ -503,10 +468,9 @@ class IncrementalTrainer:
     def train_round(self, seed_offset: int) -> None:
         """Fine-tune every member on the accumulated pool."""
         self.sync_ranks()
-        if self.label_store is not None:
-            self.label_store.flush()  # a rank reopens the store by path
+        self.label_store.flush()  # a rank reopens the store by path
         n = len(self.ensemble.models)
-        results = self._round([("train_round", (self.pool, seed_offset))] * n)
+        results = self._round([("train_round", (self.label_store, seed_offset))] * n)
         steps = 0
         for k, (model, res) in enumerate(zip(self.ensemble.models, results)):
             weights, member_steps = res.payload

@@ -169,17 +169,15 @@ class Executor(ABC):
                 self.degraded = True
         return fallback(calls, capture)
 
-    def heal(self, spec, weights, per_rank: bool = False) -> None:
-        """Restore every rank to a healthy, bit-identical state: respawn
-        whatever died and push the parent's full weights (``None`` for
-        stateless ranks, or when nothing was ever swapped in).  With
-        ``per_rank`` the ranks are not replicas of one another and
-        ``weights`` holds one ``set_weights`` payload per rank."""
+    def heal(self, spec, payloads: Optional[Sequence]) -> None:
+        """Restore every rank to a healthy state: respawn whatever died
+        and push ``payloads`` -- one ``set_weights`` payload per rank
+        (replicas get the parent's weights each, a state-owning rank its
+        own state), or ``None`` for stateless ranks and ranks that were
+        never given weights."""
         self._respawn_dead(spec)
-        if per_rank:
-            self.submit([("set_weights", (w,)) for w in weights])
-        elif weights is not None:
-            self.broadcast("set_weights", weights)
+        if payloads is not None:
+            self.submit([("set_weights", (p,)) for p in payloads])
         self.degraded = False
         _metrics.REGISTRY.counter("parallel.executor_heals").inc()
 

@@ -170,7 +170,8 @@ class DistributedFEKF:
 
     def _heal_if_degraded(self) -> None:
         if self.executor.degraded:
-            self.executor.heal(self._spec, self.model.params.flatten())
+            w = self.model.params.flatten()
+            self.executor.heal(self._spec, [w] * self.world_size)
 
     def inject_fault(self, rank: int, fault: FaultInjector) -> None:
         """Install a fault injector on one rank (robustness tests)."""

@@ -492,8 +492,12 @@ class InferenceService(InferenceSession):
                 self._counts["fallbacks"] += 1
                 _metrics.REGISTRY.counter("serve.fallbacks").inc()
                 with self._swap_lock:
+                    state = self._pending_state.get()
                     try:
-                        ex.heal(self._spec, self._pending_state.get())
+                        ex.heal(
+                            self._spec,
+                            None if state is None else [state] * ex.world_size,
+                        )
                         self._worker_version.set(self._session.model_version)
                     except Exception:
                         # pool unrecoverable: all further batches

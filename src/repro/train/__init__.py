@@ -1,6 +1,5 @@
 """repro.train -- training loop, convergence targets, metrics."""
 
-from .active import ActiveLearner, ActiveLearningConfig, RoundStats
 from .callbacks import Callback, ConsoleCallback, JsonlCallback, StepInfo
 from .metrics import epochs_to_error, read_history, summarize, write_history
 from .trainer import EpochRecord, TargetCriterion, Trainer, TrainResult
@@ -14,9 +13,6 @@ __all__ = [
     "TrainResult",
     "EpochRecord",
     "TargetCriterion",
-    "ActiveLearner",
-    "ActiveLearningConfig",
-    "RoundStats",
     "write_history",
     "read_history",
     "epochs_to_error",

@@ -48,17 +48,16 @@ def test_descriptor_batch_constructed_only_in_model_and_serve():
 
 
 def test_active_loop_has_no_descriptor_imports():
-    """The active-learning loop consumes the session protocol; importing
-    neighbor_table or DescriptorBatch there would mean the hand-rolled
-    batch assembly crept back in."""
-    source = (SRC / "train" / "active.py").read_text()
-    tree = ast.parse(source)
+    """The active-learning loop (repro.online) consumes the session
+    protocol; importing neighbor_table or DescriptorBatch there would
+    mean the hand-rolled batch assembly crept back in."""
     imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+    for path in sorted((SRC / "online").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
     assert "DescriptorBatch" not in imported
     assert "neighbor_table" not in imported
     assert "make_batch" not in imported

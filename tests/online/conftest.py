@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from repro.data import SYSTEMS
+from repro.data import SYSTEMS, ShardedFrameStore
 from repro.model import ModelEnsemble
 from repro.online import OnlineConfig, OnlineLearner
 
@@ -15,11 +17,19 @@ def split(cu_dataset):
 
 
 @pytest.fixture()
-def make_learner(cu_dataset, small_cfg, split):
-    """Factory for small, fast closed-loop learners (auto-closed)."""
+def make_learner(cu_dataset, small_cfg, split, tmp_path):
+    """Factory for small, fast closed-loop learners (auto-closed).
+
+    Each learner appends its labels to its own :class:`ShardedFrameStore`.
+    By default that store is new and the learner warm-starts on the
+    training split; ``resume_from=<learner>`` instead builds it over a
+    copy of that learner's store directory with no warm start -- the
+    store holds the pool, a checkpoint the rest."""
     created = []
 
-    def factory(seed: int = 0, executor=None, **overrides) -> OnlineLearner:
+    def factory(
+        seed: int = 0, executor=None, resume_from: OnlineLearner = None, **overrides
+    ) -> OnlineLearner:
         train, test = split
         ensemble = ModelEnsemble.for_dataset(train, small_cfg, n_models=2, seed=1)
         spec = SYSTEMS["Cu"]
@@ -31,11 +41,23 @@ def make_learner(cu_dataset, small_cfg, split):
         )
         for key, value in overrides.items():
             setattr(cfg, key, value)
+        path = tmp_path / f"labels-{len(created)}"
+        if resume_from is None:
+            store = ShardedFrameStore.create(
+                path, species=cu_dataset.species, cell=cu_dataset.cell
+            )
+            initial = train
+        else:
+            source = resume_from.trainer.label_store
+            source.flush()
+            shutil.copytree(source.path, path)
+            store = ShardedFrameStore.open(path, "a")
+            initial = None
         learner = OnlineLearner(
             ensemble, potential, cu_dataset.species,
             spec.masses(cu_dataset.species), cu_dataset.cell,
-            cfg=cfg, initial_data=train, holdout=test, seed=seed,
-            executor=executor,
+            label_store=store, holdout=test,
+            cfg=cfg, initial_data=initial, seed=seed, executor=executor,
         )
         created.append(learner)
         return learner
@@ -43,3 +65,4 @@ def make_learner(cu_dataset, small_cfg, split):
     yield factory
     for learner in created:
         learner.close()
+        learner.trainer.label_store.close()

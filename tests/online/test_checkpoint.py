@@ -1,7 +1,7 @@
 """Crash-resume certification: pause the loop mid-stream, checkpoint,
-restore into a *fresh* learner, and certify bit-exact state -- label
-ledger, FEKF filters (PCG64 streams included), walker RNG, label pool,
-and the served model version."""
+restore into a *fresh* learner over a copy of the label store, and
+certify bit-exact state -- label ledger, FEKF filters (PCG64 streams
+included), walker RNG, label pool, and the served model version."""
 
 import json
 import os
@@ -53,7 +53,7 @@ class TestCheckpointResume:
         ckpt = str(tmp_path / "ckpt")
         source.save_state(ckpt)
 
-        resumed = make_learner()  # fresh learner, then restore over it
+        resumed = make_learner(resume_from=source)  # fresh, then restore
         resumed.load_state(ckpt)
 
         # ledger + swap history + counters
@@ -85,14 +85,13 @@ class TestCheckpointResume:
         )
         assert np.array_equal(resumed._start_pos, source._start_pos)
 
-        # label pool
-        if source.trainer.labeled is not None:
-            assert np.array_equal(
-                resumed.trainer.labeled.positions, source.trainer.labeled.positions
-            )
-            assert np.array_equal(
-                resumed.trainer.labeled.forces, source.trainer.labeled.forces
-            )
+        # label pool: the store the resumed learner trains from
+        pool_a, pool_b = resumed.trainer.label_store, source.trainer.label_store
+        assert pool_a.path != pool_b.path
+        assert pool_a.fingerprint() == pool_b.fingerprint()
+        a, b = pool_a.to_dataset(), pool_b.to_dataset()
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.forces, b.forces)
 
         # served model version survives the restart
         assert resumed.service.model_version == source.service.model_version
@@ -107,7 +106,7 @@ class TestCheckpointResume:
         first = str(tmp_path / "first")
         source.save_state(first)
 
-        resumed = make_learner()
+        resumed = make_learner(resume_from=source)
         resumed.load_state(first)
         second = str(tmp_path / "second")
         resumed.save_state(second)
@@ -140,7 +139,8 @@ class TestCheckpointResume:
             pending = z["member0/kalman/pending_beta"].shape[1]
         assert 0 < pending < 20  # the checkpoint caught a window half-open
 
-        resumed = make_learner(seed=5, executor=executor)  # other filters, other weights
+        # other filters, other weights, the same pool
+        resumed = make_learner(seed=5, executor=executor, resume_from=source)
         resumed.load_state(ckpt)
         for learner in (source, resumed):
             learner.trainer.train_round(seed_offset=0)
@@ -165,11 +165,32 @@ class TestCheckpointResume:
                 z[key].nbytes for key in z.files if key.startswith("member0/kalman/")
             )
 
-        resumed = make_learner(seed=5, executor="process")
+        resumed = make_learner(seed=5, executor="process", resume_from=source)
         returned = REGISTRY.counter("online.returned_bytes")
         before = returned.value
         resumed.load_state(ckpt)
         assert returned.value - before < filter_bytes / 100
+
+    def test_diverged_store_is_rejected_before_anything_is_restored(
+        self, make_learner, split, tmp_path
+    ):
+        """A store that no longer matches the checkpoint raises, and the
+        learner it was loaded into keeps its own weights and filters."""
+        _, test = split
+        source = make_learner()
+        ckpt = str(tmp_path / "ckpt")
+        source.save_state(ckpt)
+
+        resumed = make_learner(seed=5, resume_from=source)
+        resumed.trainer.accumulate(test)  # the pool moved on after the save
+        weights = [m.state_dict() for m in resumed.ensemble.models]
+        filters = [o.state_dict() for o in resumed.trainer.optimizers]
+        with pytest.raises(ValueError, match="does not match the checkpoint"):
+            resumed.load_state(ckpt)
+        for k, model in enumerate(resumed.ensemble.models):
+            _assert_state_dicts_equal(model.state_dict(), weights[k], f"member{k}")
+        for k, opt in enumerate(resumed.trainer.optimizers):
+            _assert_state_dicts_equal(opt.state_dict(), filters[k], f"fekf{k}")
 
     def test_resumed_loop_continues(self, make_learner, split, tmp_path):
         train, _ = split
@@ -182,7 +203,7 @@ class TestCheckpointResume:
         # in-flight between stages at pause() are dropped, not replayed
         ledger_before = source.ledger.as_dict()["segments"]
 
-        resumed = make_learner(target_swaps=None, max_segments=2)
+        resumed = make_learner(target_swaps=None, max_segments=2, resume_from=source)
         resumed.load_state(ckpt)
         result = resumed.run(temperature=400.0)
         assert result.segments == before + 2

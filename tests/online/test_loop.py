@@ -157,13 +157,9 @@ class TestOnlineLoop:
         learner.close()
         assert learner.health()["trainer_ranks"]["alive"] == [False, False]
 
-    @pytest.mark.parametrize("kind", ["online", "active"])
-    def test_close_reaps_the_ranks(self, make_learner, cu_dataset, small_cfg, kind):
+    @pytest.mark.parametrize("kind", ["online"])
+    def test_close_reaps_the_ranks(self, make_learner, kind):
         import multiprocessing
-
-        from repro.data import SYSTEMS
-        from repro.model import ModelEnsemble
-        from repro.train import ActiveLearner
 
         def ranks():
             return [
@@ -172,20 +168,42 @@ class TestOnlineLoop:
             ]
 
         before = len(ranks())
-        if kind == "online":
-            learner = make_learner(executor="process")
-        else:
-            spec = SYSTEMS["Cu"]
-            _, _, _, potential = spec.build("small")
-            learner = ActiveLearner(
-                ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1),
-                potential, cu_dataset.species, spec.masses(cu_dataset.species),
-                cu_dataset.cell, initial_data=cu_dataset, executor="process",
-            )
+        learner = make_learner(executor="process")
         assert len(ranks()) == before + 2
         learner.close()
         assert len(ranks()) == before
         learner.close()  # idempotent
+
+    def test_warm_start_trains_on_initial_data(self, make_learner, split):
+        """``initial_data`` lands in the label store and every member's
+        filter has trained on it before the loop starts."""
+        train, _ = split
+        learner = make_learner()
+        store = learner.trainer.label_store
+        assert learner.trainer.pool_frames == store.n_frames == train.n_frames
+        assert np.array_equal(store.to_dataset().positions, train.positions)
+        assert all(opt.kalman.updates > 0 for opt in learner.trainer.optimizers)
+
+    def test_round_ships_the_pool_path_not_its_frames(self, make_learner, split):
+        """On process ranks a round sends the store as its path: the bytes
+        shipped per round do not grow with the label pool."""
+        _, test = split
+        learner = make_learner(executor="process")
+        trainer = learner.trainer
+        shipped = telemetry.metrics.REGISTRY.counter("online.shipped_bytes")
+
+        def round_bytes() -> float:
+            before = shipped.value
+            trainer.train_round(seed_offset=0)
+            return shipped.value - before
+
+        first = round_bytes()
+        frames = trainer.pool_frames
+        trainer.accumulate(test)
+        assert trainer.pool_frames == frames + test.n_frames
+        assert round_bytes() == first
+        # less than the frames just added: no frame crossed the pipe
+        assert 0 < first < test.n_frames * trainer.label_store.record_bytes
 
     def test_requires_start_positions_once(self, make_learner):
         learner = make_learner()

@@ -1,13 +1,13 @@
 """Stage decomposition: each stage equals its slice of the old monolith,
-and the batch driver composed from them is bit-identical to the
-pre-refactor ``ActiveLearner`` loop."""
+and the four stages driven by hand over a label store are bit-identical
+to the pre-refactor monolithic active-learning loop."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
-from repro.data import SYSTEMS
+from repro.data import SYSTEMS, ShardedFrameStore
 from repro.data.dataset import Dataset
 from repro.md.integrator import LangevinIntegrator
 from repro.model import DeePMD, ModelEnsemble
@@ -16,8 +16,14 @@ from repro.model.session import ModelSession
 from repro.online import Explorer, IncrementalTrainer, Labeler, UncertaintyGate
 from repro.optim.ekf import FEKF
 from repro.optim.kalman import KalmanConfig
-from repro.train import ActiveLearner, ActiveLearningConfig
 from repro.train.trainer import Trainer
+
+
+def _store(tmp_path, dataset) -> ShardedFrameStore:
+    """An empty label store for ``dataset``'s system."""
+    return ShardedFrameStore.create(
+        tmp_path / "labels", species=dataset.species, cell=dataset.cell
+    )
 
 
 @pytest.fixture(scope="module")
@@ -124,32 +130,39 @@ class TestLabelerAndTrainer:
         assert np.allclose(out.forces[1], f)
         assert np.all(out.temperatures == 350.0)
 
-    def test_accumulate_and_ready(self, cu_dataset, small_cfg, system):
+    def test_accumulate_and_ready(self, cu_dataset, small_cfg, system, tmp_path):
         _, _, _, _, pot = system
         ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
-        trainer = IncrementalTrainer(ens, batch_size=4, epochs_per_round=1)
-        labeler = Labeler(pot, cu_dataset.species, cu_dataset.cell)
-        assert not trainer.ready
-        trainer.accumulate(labeler.label(cu_dataset.positions[:2], 300.0))
-        assert trainer.labeled.n_frames == 2
-        assert not trainer.ready
-        trainer.accumulate(labeler.label(cu_dataset.positions[2:5], 300.0))
-        assert trainer.labeled.n_frames == 5
-        assert trainer.ready
-        trainer.train_round(seed_offset=0)
-        assert all(opt.kalman.updates > 0 for opt in trainer.optimizers)
-
+        store = _store(tmp_path, cu_dataset)
+        with contextlib.closing(store), contextlib.closing(
+            IncrementalTrainer(ens, label_store=store, batch_size=4, epochs_per_round=1)
+        ) as trainer:
+            labeler = Labeler(pot, cu_dataset.species, cu_dataset.cell)
+            assert not trainer.ready
+            trainer.accumulate(labeler.label(cu_dataset.positions[:2], 300.0))
+            assert trainer.pool_frames == store.n_frames == 2
+            assert not trainer.ready
+            trainer.accumulate(labeler.label(cu_dataset.positions[2:5], 300.0))
+            assert trainer.pool_frames == 5
+            assert trainer.ready
+            trainer.train_round(seed_offset=0)
+            assert all(opt.kalman.updates > 0 for opt in trainer.optimizers)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_rounds_are_backend_independent(self, cu_dataset, small_cfg, executor):
-        """A round is the same arithmetic wherever the members' ranks
-        run -- and the same as Trainer.run over the pool, whose per-epoch
-        RMSE the round skips: weights and filters bit-identical."""
+    def test_rounds_are_backend_independent(
+        self, cu_dataset, small_cfg, executor, tmp_path
+    ):
+        """A round over the label store is the same arithmetic wherever
+        the members' ranks run -- and the same as Trainer.run over the
+        in-memory dataset, whose per-epoch RMSE the round skips: weights
+        and filters bit-identical."""
         ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
         seen = []
-        with contextlib.closing(
+        store = _store(tmp_path, cu_dataset)
+        with contextlib.closing(store), contextlib.closing(
             IncrementalTrainer(
-                ens, batch_size=4, epochs_per_round=2, seed=3, executor=executor
+                ens, label_store=store, batch_size=4, epochs_per_round=2, seed=3,
+                executor=executor,
             )
         ) as trainer:
             trainer.on_member_result = seen.append
@@ -176,25 +189,50 @@ class TestLabelerAndTrainer:
 
 class TestBatchDriverBitIdentity:
     def test_two_rounds_match_pre_refactor_monolith(
-        self, cu_dataset, small_cfg, system
+        self, cu_dataset, small_cfg, system, tmp_path
     ):
-        """The composed ActiveLearner must reproduce the retired monolithic
-        loop bit-for-bit: same labeled pool, same member weights, same
-        filter state after two rounds."""
+        """The four stages called in order over a label store -- the
+        synchronous round -- reproduce the retired monolithic loop
+        bit-for-bit: same labeled pool, same member weights, same filter
+        state after a warm start and two rounds."""
         spec, _, _, _, pot = system
         sp = cu_dataset.species
         masses = spec.masses(sp)
-        cfg = ActiveLearningConfig(
-            md_steps=30, sample_every=10, epochs_per_round=1, max_new_frames=4
-        )
+        md_steps, sample_every, batch_size, epochs_per_round = 30, 10, 4, 1
+        select_lo, select_hi, max_new_frames = 0.05, 1.0, 4
+        timestep_fs, friction = 2.0, 0.02
+        rounds = [(cu_dataset.positions[0], 400.0), (cu_dataset.positions[1], 600.0)]
 
-        learner = ActiveLearner(
-            ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1),
-            pot, sp, masses, cu_dataset.cell, cfg,
-            initial_data=cu_dataset, seed=0,
+        ensemble = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
+        # the explorer walks the live first member: in a synchronous
+        # round training and MD never overlap
+        explorer = Explorer(
+            ensemble.models[0], sp, masses, cu_dataset.cell,
+            md_steps=md_steps, sample_every=sample_every,
+            timestep_fs=timestep_fs, friction=friction,
+            rng=np.random.default_rng(0),
         )
-        learner.run_round(cu_dataset.positions[0], 400.0)
-        learner.run_round(cu_dataset.positions[1], 600.0)
+        gate = UncertaintyGate(
+            ensemble, sp, cu_dataset.cell,
+            lo=select_lo, hi=select_hi, max_new_frames=max_new_frames,
+        )
+        labeler = Labeler(pot, sp, cu_dataset.cell)
+        store = _store(tmp_path, cu_dataset)
+        trainer = IncrementalTrainer(
+            ensemble, label_store=store, batch_size=batch_size,
+            epochs_per_round=epochs_per_round, seed=0,
+        )
+        with contextlib.closing(store), contextlib.closing(trainer):
+            trainer.accumulate(cu_dataset)
+            trainer.train_round(seed_offset=-1)  # warm start
+            for round_index, (start, temp) in enumerate(rounds):
+                decision = gate.select(explorer.explore(start, temp))
+                if decision.n_selected:
+                    trainer.accumulate(labeler.label(decision.selected, temp))
+                if trainer.ready:
+                    trainer.train_round(seed_offset=round_index)
+            pool = store.to_dataset()
+            filters = [opt.state_dict() for opt in trainer.optimizers]
 
         # --- the pre-refactor loop, replayed verbatim ------------------
         ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
@@ -210,32 +248,30 @@ class TestBatchDriverBitIdentity:
             for model, opt in zip(ens.models, optimizers):
                 Trainer(
                     model, opt, labeled, None,
-                    batch_size=cfg.batch_size, seed=seed_offset + 1,
-                ).run(max_epochs=cfg.epochs_per_round)
+                    batch_size=batch_size, seed=seed_offset + 1,
+                ).run(max_epochs=epochs_per_round)
 
         train_round(seed_offset=-1)  # warm start
-        for round_index, (start, temp) in enumerate(
-            [(cu_dataset.positions[0], 400.0), (cu_dataset.positions[1], 600.0)]
-        ):
+        for round_index, (start, temp) in enumerate(rounds):
             calc = DeePMDCalculator(ens.models[0], sp)
             integ = LangevinIntegrator(
                 calc, masses, cu_dataset.cell,
-                timestep=cfg.timestep_fs, temperature=temp,
-                friction=cfg.friction, rng=rng,
+                timestep=timestep_fs, temperature=temp,
+                friction=friction, rng=rng,
             )
             state = integ.initialize(start, temp=temp)
             frames = []
-            for _ in range(cfg.md_steps // cfg.sample_every):
-                state = integ.run(state, cfg.sample_every)
+            for _ in range(md_steps // sample_every):
+                state = integ.run(state, sample_every)
                 frames.append(state.positions.copy())
             candidates = np.stack(frames)
             preds = ens.predict_many(candidates, sp, cu_dataset.cell)
             devs = np.array([p.max_force_dev for p in preds])
-            keep = (devs > cfg.select_lo) & (devs < cfg.select_hi)
+            keep = (devs > select_lo) & (devs < select_hi)
             chosen = np.where(keep)[0]
-            if len(chosen) > cfg.max_new_frames:
+            if len(chosen) > max_new_frames:
                 order = np.argsort(-devs[chosen])
-                chosen = chosen[order[: cfg.max_new_frames]]
+                chosen = chosen[order[: max_new_frames]]
             selected = candidates[chosen]
             if len(selected):
                 energies = np.empty(len(selected))
@@ -253,19 +289,19 @@ class TestBatchDriverBitIdentity:
                         [labeled.temperatures, np.full(len(selected), temp)]
                     ),
                 )
-            if labeled.n_frames >= cfg.batch_size:
+            if labeled.n_frames >= batch_size:
                 train_round(seed_offset=round_index)
 
-        assert learner.labeled.n_frames == labeled.n_frames
-        assert np.array_equal(learner.labeled.positions, labeled.positions)
-        assert np.array_equal(learner.labeled.energies, labeled.energies)
-        for mine, theirs in zip(learner.ensemble.models, ens.models):
+        assert pool.n_frames == labeled.n_frames
+        assert np.array_equal(pool.positions, labeled.positions)
+        assert np.array_equal(pool.energies, labeled.energies)
+        for mine, theirs in zip(ensemble.models, ens.models):
             a, b = mine.state_dict(), theirs.state_dict()
             assert a.keys() == b.keys()
             for key in a:
                 assert np.array_equal(a[key], b[key]), key
-        for mine, theirs in zip(learner.optimizers, optimizers):
-            a, b = mine.state_dict(), theirs.state_dict()
+        for a, theirs in zip(filters, optimizers):
+            b = theirs.state_dict()
             assert a.keys() == b.keys()
             for key in a:
                 assert np.array_equal(a[key], b[key]), key

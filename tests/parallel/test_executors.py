@@ -1,13 +1,13 @@
 """Executor backends: bitwise determinism, crash robustness, telemetry
 merge, and the optim/parallel layering contract."""
 
-import dataclasses
 import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro.parallel as parallel_pkg
-from repro.data import Dataset, make_loader
+from repro.data import ShardedFrameStore, make_loader
 from repro.model import DeePMD, ModelEnsemble, ModelSession, make_batch
 from repro.online import IncrementalTrainer
 from repro.optim import FaultInjector, KalmanConfig, WorkerSpec
@@ -151,30 +151,37 @@ def _run_loader(cu_dataset, small_cfg, kind, fault=None):
         return [_batch_bytes(i, b) for i, b in loader.iter_batches(epoch_index=0)]
 
 
-@dataclasses.dataclass
-class _FaultyPool(Dataset):
-    """A label pool that fails *inside* a training round, once: a
-    rank's second batch read (one step is applied by then) claims the
-    marker file -- atomically, so exactly one rank on any backend -- and
-    then raises, or, with ``kill``, takes its worker process down."""
+class _FaultyStore(ShardedFrameStore):
+    """A label store that fails *inside* a training round, once: while
+    the marker file exists, a rank's second batch read (one step is
+    applied by then) claims the marker -- atomically, so exactly one rank
+    on any backend -- and then raises, or, with ``kill``, takes its
+    worker process down.  The marker travels with the store's path to
+    process ranks."""
 
-    marker: str = ""
-    kill: bool = False
-    reads: dict = dataclasses.field(default_factory=dict)
+    marker = ""
+    kill = False
 
-    @classmethod
-    def over(cls, dataset: Dataset, marker, kill=False) -> "_FaultyPool":
-        fields = {f.name: getattr(dataset, f.name) for f in dataclasses.fields(dataset)}
-        return cls(**fields, marker=str(marker), kill=kill)
+    def arm(self, marker, kill=False) -> None:
+        self.marker, self.kill, self.reads = str(marker), kill, {}
+        Path(marker).touch()
 
-    def get_frames(self, indices):
-        rank = (os.getpid(), threading.get_ident())
-        self.reads[rank] = self.reads.get(rank, 0) + 1
-        if self.reads[rank] >= 2 and self._claim():
-            if self.kill and multiprocessing.parent_process() is not None:
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("label pool failed mid-round")
-        return super().get_frames(indices)
+    def __getstate__(self) -> dict:
+        return {**super().__getstate__(), "marker": self.marker, "kill": self.kill}
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self.marker, self.kill, self.reads = state["marker"], state["kill"], {}
+
+    def neighbor_tables(self, indices, rcut, nmax):
+        if self.marker and os.path.exists(self.marker):
+            rank = (os.getpid(), threading.get_ident())
+            self.reads[rank] = self.reads.get(rank, 0) + 1
+            if self.reads[rank] >= 2 and self._claim():
+                if self.kill and multiprocessing.parent_process() is not None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("label store failed mid-round")
+        return super().neighbor_tables(indices, rcut, nmax)
 
     def _claim(self) -> bool:
         try:
@@ -186,41 +193,44 @@ class _FaultyPool(Dataset):
 
 def _member_rounds(cu_dataset, small_cfg, kind, marker=None, kill=False):
     """Three rounds of a 2-member :class:`IncrementalTrainer` on ``kind``
-    ranks, the filters pulled after the first (so a crashed second round
-    has a parent-side copy to restore from -- unless ``kill``, which
-    leaves the parent nothing).  Returns the trainer's final state and
-    the rank pids seen before / after the second round."""
+    ranks over a label store, the filters pulled after the first (so a
+    crashed second round has a parent-side copy to restore from --
+    unless ``kill``, which leaves the parent nothing); the store is
+    armed to fail for the second round only.  Returns the trainer's
+    final state and the rank pids seen before / after the second
+    round."""
     ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
-    trainer = IncrementalTrainer(
-        ens, kalman_cfg=_kcfg(), batch_size=4, epochs_per_round=1, seed=3,
-        executor=kind,
-    )
-    try:
-        trainer.labeled = cu_dataset
-        trainer.train_round(seed_offset=-1)
-        if not kill:
-            assert all(o.kalman.updates > 0 for o in trainer.optimizers)
-        pids = [getattr(p, "pid", None) for p in getattr(trainer.executor, "_procs", [])]
-        if marker is not None:
-            trainer.labeled = _FaultyPool.over(cu_dataset, marker, kill=kill)
-            Path(marker).touch()
-        trainer.train_round(seed_offset=0)
-        assert not Path(marker or "/nonexistent").exists()
-        health = trainer.rank_health()
-        assert health["alive"] == [True, True] and not health["degraded"]
-        trainer.labeled = cu_dataset
-        tasks0 = _counter("online.member_tasks", executor=kind)
-        trainer.train_round(seed_offset=1)
-        # the third round ran on the (healed) ranks, not on the fallback
-        assert _counter("online.member_tasks", executor=kind) == tasks0 + 2
-        state = [
-            (m.params.flatten(), o.kalman.updates, o.kalman.checksum())
-            for m, o in zip(ens.models, trainer.optimizers)
-        ]
-        new_pids = [getattr(p, "pid", None) for p in getattr(trainer.executor, "_procs", [])]
-        return state, pids, new_pids
-    finally:
-        trainer.close()
+    with tempfile.TemporaryDirectory() as tmp:
+        store = _FaultyStore.create(tmp, species=cu_dataset.species, cell=cu_dataset.cell)
+        store.append_dataset(cu_dataset)
+        trainer = IncrementalTrainer(
+            ens, label_store=store, kalman_cfg=_kcfg(), batch_size=4,
+            epochs_per_round=1, seed=3, executor=kind,
+        )
+        try:
+            trainer.train_round(seed_offset=-1)
+            if not kill:
+                assert all(o.kalman.updates > 0 for o in trainer.optimizers)
+            pids = [getattr(p, "pid", None) for p in getattr(trainer.executor, "_procs", [])]
+            if marker is not None:
+                store.arm(marker, kill=kill)
+            trainer.train_round(seed_offset=0)
+            assert not Path(marker or "/nonexistent").exists()
+            health = trainer.rank_health()
+            assert health["alive"] == [True, True] and not health["degraded"]
+            tasks0 = _counter("online.member_tasks", executor=kind)
+            trainer.train_round(seed_offset=1)
+            # the third round ran on the (healed) ranks, not on the fallback
+            assert _counter("online.member_tasks", executor=kind) == tasks0 + 2
+            state = [
+                (m.params.flatten(), o.kalman.updates, o.kalman.checksum())
+                for m, o in zip(ens.models, trainer.optimizers)
+            ]
+            new_pids = [getattr(p, "pid", None) for p in getattr(trainer.executor, "_procs", [])]
+            return state, pids, new_pids
+        finally:
+            trainer.close()
+            store.close()
 
 
 #: consumer -> (runner, compute tasks to fault, fallback counters that
@@ -383,7 +393,7 @@ class TestCrashRobustness:
             ex._procs[1].join()
             with pytest.raises(WorkerCrash):
                 ex.broadcast("get_weights")
-            ex.heal(spec, model.params.flatten())
+            ex.heal(spec, [model.params.flatten()] * 2)
             results = ex.broadcast("get_weights")
             for res in results:
                 assert np.array_equal(res.payload, model.params.flatten())

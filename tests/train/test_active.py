@@ -1,141 +1,96 @@
-"""Ensemble uncertainty + the active-learning loop."""
+"""The active-learning round -- explore, select, label, train -- as the
+four online stages called in order over a label store."""
 
 import numpy as np
 import pytest
 
-from repro.data import SYSTEMS
-from repro.model import DeePMD, DeePMDConfig, ModelEnsemble, make_batch
-from repro.train import ActiveLearner, ActiveLearningConfig
+from repro.data import SYSTEMS, ShardedFrameStore
+from repro.model import ModelEnsemble
+from repro.online import Explorer, IncrementalTrainer, Labeler, UncertaintyGate
 
 
-@pytest.fixture(scope="module")
-def ensemble(cu_dataset, small_cfg):
-    return ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=3, seed=1)
+class _Round:
+    """One synchronous round over the stages; the trainer warm-starts on
+    ``initial`` and appends every labeled frame to ``store``."""
 
+    def __init__(self, ensemble, reference, system, store, initial, *,
+                 md_steps, select_lo=0.05, select_hi=1.0, max_new_frames=16):
+        spec, cell, sp = system
+        self.reference = reference
+        self.cell = cell
+        self.store = store
+        self.explorer = Explorer(
+            ensemble.models[0], sp, spec.masses(sp), cell,
+            md_steps=md_steps, sample_every=10, rng=np.random.default_rng(0),
+        )
+        self.gate = UncertaintyGate(
+            ensemble, sp, cell,
+            lo=select_lo, hi=select_hi, max_new_frames=max_new_frames,
+        )
+        self.labeler = Labeler(reference, sp, cell)
+        self.trainer = IncrementalTrainer(
+            ensemble, label_store=store, batch_size=4, epochs_per_round=1, seed=0,
+        )
+        self.trainer.accumulate(initial)
+        self.trainer.train_round(seed_offset=-1)
 
-class TestEnsemble:
-    def test_needs_models(self):
-        with pytest.raises(ValueError):
-            ModelEnsemble([])
-
-    def test_mixed_architectures_rejected(self, cu_dataset, small_cfg, tiny_cfg):
-        a = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        b = DeePMD.for_dataset(cu_dataset, tiny_cfg, seed=2)
-        with pytest.raises(ValueError):
-            ModelEnsemble([a, b])
-
-    def test_prediction_shapes(self, ensemble, cu_dataset, small_cfg):
-        batch = make_batch(cu_dataset, np.arange(3), small_cfg)
-        out = ensemble.predict(batch)
-        assert out.energy.shape == (3,)
-        assert out.forces.shape == batch.coords.shape
-        assert out.max_force_dev.shape == (3,)
-
-    def test_mean_is_member_average(self, ensemble, cu_dataset, small_cfg):
-        batch = make_batch(cu_dataset, np.arange(2), small_cfg)
-        out = ensemble.predict(batch)
-        members = np.stack([m.predict(batch, fused_env=True).energy for m in ensemble.models])
-        assert np.allclose(out.energy, members.mean(axis=0))
-
-    def test_identical_members_zero_deviation(self, cu_dataset, small_cfg):
-        m = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        twin = DeePMD.for_dataset(cu_dataset, small_cfg, seed=2)
-        twin.load_state_dict(m.state_dict())
-        ens = ModelEnsemble([m, twin])
-        batch = make_batch(cu_dataset, np.arange(2), small_cfg)
-        out = ens.predict(batch)
-        assert np.allclose(out.max_force_dev, 0.0, atol=1e-12)
-        assert np.allclose(out.energy_std, 0.0, atol=1e-12)
-
-    def test_different_members_positive_deviation(self, ensemble, cu_dataset, small_cfg):
-        batch = make_batch(cu_dataset, np.arange(2), small_cfg)
-        assert np.all(ensemble.max_force_deviation(batch) > 0)
+    def run(self, start, temp):
+        decision = self.gate.select(self.explorer.explore(start, temp))
+        if decision.n_selected:
+            self.trainer.accumulate(self.labeler.label(decision.selected, temp))
+        self.trainer.train_round(seed_offset=0)
+        return decision
 
 
 class TestActiveLearner:
     @pytest.fixture()
-    def learner(self, cu_dataset, small_cfg):
-        ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
-        spec = SYSTEMS["Cu"]
-        pos, cell, sp, pot = spec.build("small")
-        return ActiveLearner(
-            ens, pot, sp, spec.masses(sp), cell,
-            ActiveLearningConfig(md_steps=30, sample_every=10, epochs_per_round=1,
-                                 max_new_frames=4),
-            initial_data=cu_dataset,
-            seed=0,
-        )
+    def make_round(self, cu_dataset, small_cfg, tmp_path):
+        created = []
 
-    def test_warm_start_trains_on_initial_data(self, learner, cu_dataset):
-        assert learner.labeled is cu_dataset
-        assert all(opt.kalman.updates > 0 for opt in learner.optimizers)
+        def factory(**cfg):
+            ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
+            spec = SYSTEMS["Cu"]
+            _, cell, sp, pot = spec.build("small")
+            store = ShardedFrameStore.create(
+                tmp_path / f"labels-{len(created)}",
+                species=cu_dataset.species, cell=cu_dataset.cell,
+            )
+            created.append(store)
+            rnd = _Round(ens, pot, (spec, cell, sp), store, cu_dataset, **cfg)
+            created.append(rnd.trainer)
+            return rnd
 
-    def test_round_accumulates_labeled_data(self, learner, cu_dataset):
-        before = learner.labeled.n_frames
-        stats = learner.run_round(cu_dataset.positions[0], 400.0)
-        assert learner.labeled.n_frames == before + stats.n_selected
-        assert stats.n_candidates == 3
+        yield factory
+        for obj in reversed(created):
+            obj.close()
 
-    def test_selection_respects_cap(self, learner, cu_dataset):
-        stats = learner.run_round(cu_dataset.positions[0], 400.0)
-        assert stats.n_selected <= 4
+    def test_round_accumulates_labeled_data(self, make_round, cu_dataset):
+        rnd = make_round(md_steps=30, max_new_frames=4)
+        before = rnd.store.n_frames
+        assert before == cu_dataset.n_frames
+        decision = rnd.run(cu_dataset.positions[0], 400.0)
+        assert rnd.store.n_frames == before + decision.n_selected
+        assert rnd.trainer.pool_frames == rnd.store.n_frames
+        assert decision.n_candidates == 3
 
-    def test_labels_come_from_reference(self, learner, cu_dataset):
-        learner.run_round(cu_dataset.positions[0], 400.0)
-        new = learner.labeled
+    def test_selection_respects_cap(self, make_round, cu_dataset):
+        rnd = make_round(md_steps=30, max_new_frames=4)
+        decision = rnd.run(cu_dataset.positions[0], 400.0)
+        assert decision.n_selected <= 4
+
+    def test_labels_come_from_reference(self, make_round, cu_dataset):
+        rnd = make_round(md_steps=30, max_new_frames=4)
+        rnd.run(cu_dataset.positions[0], 400.0)
+        new = rnd.store.to_dataset()
         t = new.n_frames - 1
-        e, f = learner.reference.energy_forces(new.positions[t], learner.cell)
+        e, f = rnd.reference.energy_forces(new.positions[t], rnd.cell)
         assert new.energies[t] == pytest.approx(e)
         assert np.allclose(new.forces[t], f)
 
-    def test_history_grows(self, learner, cu_dataset):
-        learner.run_round(cu_dataset.positions[0], 400.0)
-        learner.run_round(cu_dataset.positions[1], 600.0)
-        assert [s.round_index for s in learner.history] == [1, 2]
-        assert learner.history[1].temperature == 600.0
-
-    def test_select_scoring_bit_identical_to_batch_path(
-        self, ensemble, cu_dataset, small_cfg
-    ):
-        """The protocol-based _select must score candidates bit-identically
-        to the retired hand-built DescriptorBatch path (regression guard
-        for the InferenceSession rewrite)."""
-        from repro.model import frames_to_batch
-
-        frames = cu_dataset.positions[:4]
-        preds = ensemble.predict_many(frames, cu_dataset.species, cu_dataset.cell)
-        batch = frames_to_batch(
-            frames, cu_dataset.species, cu_dataset.cell, small_cfg
-        )
-        devs = ensemble.max_force_deviation(batch)
-        assert [p.max_force_dev for p in preds] == [float(d) for d in devs]
-
-    def test_served_scorer_matches_committee(self, ensemble, cu_dataset):
-        """An InferenceService wrapping the same ensemble is a drop-in
-        scorer: selection signals are bit-identical to the direct path."""
-        from repro.serve import InferenceService, ServeConfig
-
-        frames = cu_dataset.positions[:4]
-        direct = ensemble.predict_many(frames, cu_dataset.species, cu_dataset.cell)
-        with InferenceService(ensemble, ServeConfig(max_batch=4)) as svc:
-            served = svc.predict_many(frames, cu_dataset.species, cu_dataset.cell)
-        for d, s in zip(direct, served):
-            assert d.energy == s.energy
-            assert d.max_force_dev == s.max_force_dev
-            assert np.array_equal(d.forces, s.forces)
-
-    def test_selection_band_filters(self, cu_dataset, small_cfg):
-        ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
-        spec = SYSTEMS["Cu"]
-        pos, cell, sp, pot = spec.build("small")
+    def test_selection_band_filters(self, make_round, cu_dataset):
         # impossible band -> nothing selected, nothing labeled
-        al = ActiveLearner(
-            ens, pot, sp, spec.masses(sp), cell,
-            ActiveLearningConfig(md_steps=20, sample_every=10, select_lo=1e9,
-                                 select_hi=2e9, epochs_per_round=1),
-            initial_data=cu_dataset, seed=0,
-        )
-        before = al.labeled.n_frames
-        stats = al.run_round(cu_dataset.positions[0], 300.0)
-        assert stats.n_selected == 0
-        assert al.labeled.n_frames == before
+        rnd = make_round(md_steps=20, select_lo=1e9, select_hi=2e9)
+        before = rnd.store.n_frames
+        decision = rnd.run(cu_dataset.positions[0], 300.0)
+        assert decision.n_selected == 0
+        assert rnd.store.n_frames == before
