@@ -83,8 +83,10 @@ class SharedStateProbe:
 
     Wraps ``update`` (as an *instance* attribute, so other states are
     untouched): each call records the writer thread and checks no other
-    call is concurrently inside -- P writes must be serialized on a
-    single thread for the replicated-filter argument to hold.
+    call is concurrently inside -- update calls must be serialized on a
+    single caller thread for the replicated-filter argument to hold.
+    Inside one update the per-block passes over P run on the state's
+    lanes, and each block has exactly one writer lane.
     """
 
     def __init__(self, kalman):
@@ -271,6 +273,8 @@ def audit_determinism(
     (conventionally ``serial``); every other backend must reproduce its
     per-step fingerprints bit-for-bit.
     """
+    from ..optim.kalman import blas_threads
+
     report = Report(tool="determinism")
     if dataset is None or cfg is None:
         from ..data import generate_dataset
@@ -349,5 +353,8 @@ def audit_determinism(
     )
     if ref.fingerprints:
         report.metrics["final_fingerprint"] = ref.fingerprints[-1][:16]
+    # OpenBLAS partitions its kernels by thread count, so the rounding,
+    # and with it the fingerprint, depends on it: quote the two together
+    report.metrics["blas_threads"] = blas_threads()
     report.metrics["online_promotion"] = ref.online_promotion[:16]
     return report

@@ -93,3 +93,16 @@ def validate_blocks(blocks: list[Block], total: int) -> None:
 def p_memory_bytes(blocks: list[Block], dtype_size: int = 8) -> int:
     """Total bytes of the block-diagonal P (the Sec. 5.3 accounting)."""
     return sum(b.size * b.size * dtype_size for b in blocks)
+
+
+def shard_blocks(blocks: list[Block], n_shards: int) -> list[list[int]]:
+    """Assign block indices to ``n_shards`` workers, balancing sum(N_b^2)
+    per worker (longest-processing-time greedy); each shard ascending."""
+    order = sorted(range(len(blocks)), key=lambda i: -blocks[i].size ** 2)
+    loads = [0] * n_shards
+    shards: list[list[int]] = [[] for _ in range(n_shards)]
+    for i in order:
+        r = int(np.argmin(loads))
+        shards[r].append(i)
+        loads[r] += blocks[i].size ** 2
+    return [sorted(s) for s in shards]

@@ -38,6 +38,18 @@ updating" + "cache intermediate results"):
   carry them *without* flushing, so observing a filter never perturbs
   its trajectory.
 
+The blocks are independent inside the two passes over P, so each state
+splits them into *lanes* (:func:`~repro.optim.blocks.shard_blocks`, one
+per core the BLAS leaves idle, see :func:`lane_count`): every update's
+per-block ``P_eff g`` and every block's flush run on the lanes, the
+caller's thread taking lane 0.  The BLAS calls go through scipy's
+``cython_blas`` C entry points with ``ctypes``, which release the GIL
+(its f2py wrappers do not).  Each block has exactly one writer lane and
+everything between the two passes -- gains, downdate parking, the guard,
+lambda, the step clip and the kernel-launch records, in block order --
+stays on the caller's thread, so the result is bit-identical for any
+lane count.
+
 Scale-stabilization (documented deviations, see DESIGN.md): the 1/lambda
 forgetting inflates P exponentially along directions the data never
 excites ("covariance wind-up").  At the paper's scale -- tens of thousands
@@ -50,13 +62,16 @@ and can be disabled (``inf``) to recover the unguarded Algorithm 1.
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas as _blas
+from scipy.linalg import cython_blas
 
 from ..autograd.instrument import record_launch, register_op
-from .blocks import Block, split_blocks
+from .blocks import Block, shard_blocks, split_blocks
 
 # the Kalman-core kernels live outside the autograd graph (plain BLAS on
 # P); registered so the launch accounting and the project lint know them
@@ -80,6 +95,111 @@ FLUSH_EVERY = 20
 def _tri(n: int) -> int:
     """Elements of one triangle (diagonal included) of an n x n block."""
     return n * (n + 1) // 2
+
+
+# ----------------------------------------------------------------------
+# GIL-free BLAS: the Fortran routines behind scipy.linalg.cython_blas,
+# called through ctypes (which drops the GIL for the call)
+# ----------------------------------------------------------------------
+_capsule_name = ctypes.pythonapi.PyCapsule_GetName
+_capsule_name.restype, _capsule_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
+_capsule_ptr = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_ptr.restype = ctypes.c_void_p
+_capsule_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
+
+
+def _blas_fn(name: str, n_args: int):
+    cap = cython_blas.__pyx_capi__[name]
+    addr = _capsule_ptr(cap, _capsule_name(cap))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(addr)
+
+
+_DSYMV, _DGEMV, _DSYRK = _blas_fn("dsymv", 10), _blas_fn("dgemv", 11), _blas_fn("dsyrk", 10)
+
+
+def _i(v: int):
+    return ctypes.byref(ctypes.c_int(v))
+
+
+def _d(v: float):
+    return ctypes.byref(ctypes.c_double(v))
+
+
+def _ptr(a: np.ndarray, shape: tuple) -> int:
+    """Address of a column-major float64 array of ``shape`` (BLAS reads
+    any other layout as a different matrix, and past a short one)."""
+    if a.shape != shape or a.dtype != np.float64 or not a.flags.f_contiguous:
+        raise ValueError(
+            f"BLAS operand must be F-contiguous float64 {shape}, got {a.dtype} {a.shape}"
+        )
+    return a.ctypes.data
+
+
+def _symv(alpha: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``alpha * A x`` from the upper triangle of the n x n block ``a``."""
+    n = x.shape[0]
+    y = np.zeros(n)
+    _DSYMV(b"U", _i(n), _d(alpha), _ptr(a, (n, n)), _i(n), _ptr(x, (n,)), _i(1),
+           _d(0.0), _ptr(y, (n,)), _i(1))
+    return y
+
+
+def _gemv_into(alpha: float, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """``y += alpha * A x`` in place, ``a`` n x k."""
+    n, k = a.shape
+    _DGEMV(b"N", _i(n), _i(k), _d(alpha), _ptr(a, (n, k)), _i(n), _ptr(x, (k,)), _i(1),
+           _d(1.0), _ptr(y, (n,)), _i(1))
+
+
+def _syrk_into(alpha: float, w: np.ndarray, c: np.ndarray) -> None:
+    """``C += alpha * W W^T`` on the upper triangle of ``c``, in place."""
+    n, k = w.shape
+    _DSYRK(b"U", b"N", _i(n), _i(k), _d(alpha), _ptr(w, (n, k)), _i(n), _d(1.0),
+           _ptr(c, (n, n)), _i(n))
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count, or ``None`` when the BLAS behind scipy
+    does not export ``scipy_openblas_get_num_threads``."""
+    try:
+        get = ctypes.CDLL(cython_blas.__file__).scipy_openblas_get_num_threads
+    except AttributeError:
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    return int(get())
+
+
+def lane_count(n_blocks: int) -> int:
+    """Lanes for a filter of ``n_blocks`` blocks: one per core that a
+    multi-threaded BLAS call would not already occupy (a second lane
+    beside a 2-thread BLAS on 2 cores is slower than none), and one when
+    the BLAS thread count is unknown."""
+    threads = blas_threads()
+    if threads is None:
+        return 1
+    return max(1, min(n_blocks, len(os.sched_getaffinity(0)) // threads))
+
+
+#: the threads that run every lane but the caller's, shared by all states
+#: of the process; none starts before the first multi-lane call
+_HELPERS: ThreadPoolExecutor
+
+
+def _new_helpers() -> None:
+    """(Re)build the pool: at import, and in a forked child (member ranks
+    fork), which inherits the pool's bookkeeping but none of its threads."""
+    global _HELPERS
+    _HELPERS = ThreadPoolExecutor(
+        max(1, len(os.sched_getaffinity(0)) - 1), thread_name_prefix="kalman-lane"
+    )
+
+
+_new_helpers()
+os.register_at_fork(after_in_child=_new_helpers)
+
+
+def _run_lane(fn, lane: list[int]) -> list:
+    return [fn(i) for i in lane]
 
 
 @dataclass
@@ -121,7 +241,9 @@ class KalmanState:
     ``p_scale`` absorbing the accumulated 1/lambda factors, and holds the
     last ``pending`` (< :data:`FLUSH_EVERY`) rank-1 downdates of every
     block unapplied in ``pend_u[i][:, :pending]`` /
-    ``pend_beta[i, :pending]`` (see the module docstring).
+    ``pend_beta[i, :pending]`` (see the module docstring).  ``lanes``
+    lists the block indices each lane runs, lane 0 on the caller's
+    thread; it is fixed at construction.
     """
 
     def __init__(self, num_params: int, layer_sizes: list[tuple[int, int]], cfg: KalmanConfig):
@@ -145,6 +267,7 @@ class KalmanState:
         self.pend_beta = np.zeros((len(self.pend_u), FLUSH_EVERY))
         self.lam = float(cfg.lambda0)
         self.updates = 0
+        self.lanes = shard_blocks(self.blocks, lane_count(len(self.blocks)))
 
     # ------------------------------------------------------------------
     def p_memory_bytes(self) -> int:
@@ -181,25 +304,35 @@ class KalmanState:
             tr -= beta @ np.square(u).sum(axis=0)
         return float(tr)
 
+    def _on_lanes(self, fn) -> list:
+        """``[fn(i) for i in blocks]``, each lane's blocks in one thread
+        and lane 0 in this one; no lane outlives the call."""
+        first, *rest = self.lanes
+        futures = [_HELPERS.submit(_run_lane, fn, lane) for lane in rest]
+        try:
+            out = dict(zip(first, _run_lane(fn, first)))
+        finally:
+            wait(futures)
+        for lane, fut in zip(rest, futures):
+            out.update(zip(lane, fut.result()))
+        return [out[i] for i in range(len(self.blocks))]
+
     # ------------------------------------------------------------------
-    # kernels: each returns (pg, cached quadratic form g.pg)
+    # kernels: they run on the lanes, so each returns the launch it
+    # performed and the caller records it (launch sinks are per thread)
     # ------------------------------------------------------------------
-    def _pg(self, i: int, g: np.ndarray) -> np.ndarray:
+    def _pg(self, i: int, g: np.ndarray) -> tuple[np.ndarray, tuple]:
         """P g for block i (the cached intermediate of the paper's Opt3)."""
         if self.cfg.fused_update:
             # one fused "P_eff g" kernel: triangle read + pending correction
             c, n, k = self.p_scales[i], g.shape[0], self.pending
-            pg = _blas.dsymv(c, self.p_mats[i], g, lower=0)
+            pg = _symv(c, self.p_mats[i], g)
             if k:
                 u, beta = self._pending(i)
-                pg = _blas.dgemv(-c, u, beta * (u.T @ g), beta=1.0, y=pg, overwrite_y=1)
-            record_launch(
-                "p_symv_fused", 8 * (_tri(n) + 2 * n * k), (n,), ((n, n), (n, k))
-            )
-        else:
-            pg = self.p_mats[i] @ g
-            record_launch("p_gemv", pg.nbytes)
-        return pg
+                _gemv_into(-c, u, beta * (u.T @ g), pg)
+            return pg, ("p_symv_fused", 8 * (_tri(n) + 2 * n * k), (n,), ((n, n), (n, k)))
+        pg = self.p_mats[i] @ g
+        return pg, ("p_gemv", pg.nbytes)
 
     def _downdate(self, i: int, pg: np.ndarray, a: float) -> None:
         """P_i <- (P_i - a * pg pg^T) / lambda."""
@@ -224,28 +357,30 @@ class KalmanState:
             record_launch("p_symmetrize", p1.nbytes)
             self.p_mats[i] = p1
 
-    def _flush(self) -> None:
-        """Apply the pending downdates of every block, in place:
+    def _flush_block(self, i: int) -> tuple:
+        """Apply block i's pending downdates in place:
         ``P_stored <- P_stored - U diag(beta) U^T`` as one ``dsyrk`` over
         the upper triangle (a second one only if some gain went negative:
         ``dsyrk`` takes one sign per call, and a block that lost
         definiteness must get exactly what ``dsyr(-beta_j, u_j)`` gave)."""
-        for i, p in enumerate(self.p_mats):
-            u, beta = self._pending(i)
-            n, k = u.shape
-            negative = beta < 0.0
-            scaled = u * np.sqrt(np.abs(beta))  # F-ordered like u
-            moved = 0
-            for sign, cols in ((1.0, ~negative), (-1.0, negative)):
-                if not cols.any():
-                    continue
-                w = scaled if cols.all() else np.asfortranarray(scaled[:, cols])
-                out = _blas.dsyrk(-sign, w, beta=1.0, c=p, lower=0, overwrite_c=1)
-                # a copy here would double the resident P (839 MB at 10240)
-                assert np.shares_memory(out, p), "rank-k flush left the block"
-                self.p_mats[i] = p = out
-                moved += 8 * (2 * _tri(n) + w.size)  # triangle read+write, U
-            record_launch("p_update_fused", moved, (n, n), ((n, k),))
+        u, beta = self._pending(i)
+        n, k = u.shape
+        negative = beta < 0.0
+        scaled = u * np.sqrt(np.abs(beta))  # F-ordered like u
+        moved = 0
+        for sign, cols in ((1.0, ~negative), (-1.0, negative)):
+            if not cols.any():
+                continue
+            w = scaled if cols.all() else np.asfortranarray(scaled[:, cols])
+            _syrk_into(-sign, w, self.p_mats[i])
+            moved += 8 * (2 * _tri(n) + w.size)  # triangle read+write, U
+        return ("p_update_fused", moved, (n, n), ((n, k),))
+
+    def _flush(self) -> None:
+        """Flush every block (one lane per block set), then record the
+        flushes in block order."""
+        for launch in self._on_lanes(self._flush_block):
+            record_launch(*launch)
         self.pending = 0
 
     # ------------------------------------------------------------------
@@ -257,12 +392,15 @@ class KalmanState:
         """
         if g_flat.shape != (self.num_params,):
             raise ValueError(f"gradient shape {g_flat.shape} != ({self.num_params},)")
+        g_flat = np.ascontiguousarray(g_flat, dtype=np.float64)
         dw = np.zeros(self.num_params)
 
-        pgs = [self._pg(i, g_flat[blk.slice()]) for i, blk in enumerate(self.blocks)]
-        quads = [
-            float(g_flat[blk.slice()] @ pg) for blk, pg in zip(self.blocks, pgs)
-        ]
+        gs = [g_flat[blk.slice()] for blk in self.blocks]
+        pgs = []
+        for pg, launch in self._on_lanes(lambda i: self._pg(i, gs[i])):
+            record_launch(*launch)
+            pgs.append(pg)
+        quads = [float(g @ pg) for g, pg in zip(gs, pgs)]
 
         if self.cfg.coupled_gain:
             a = 1.0 / (self.lam + sum(quads))
@@ -314,6 +452,7 @@ class KalmanState:
         other.pend_beta = self.pend_beta.copy()
         other.lam = self.lam
         other.updates = self.updates
+        other.lanes = self.lanes
         return other
 
     def checksum(self) -> float:

@@ -26,7 +26,6 @@ from .executor import (
     WorkerCrash,
     make_executor,
 )
-from .model_parallel import ModelParallelKalman, shard_blocks
 from .trainer import DistributedFEKF, StepTiming
 
 __all__ = [
@@ -51,6 +50,4 @@ __all__ = [
     "make_executor",
     "DistributedFEKF",
     "StepTiming",
-    "ModelParallelKalman",
-    "shard_blocks",
 ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.optim import Block, block_shapes, p_memory_bytes, split_blocks, validate_blocks
+from repro.optim.blocks import shard_blocks
 from repro.perf.memory import paper_layer_sizes
 
 
@@ -63,6 +64,26 @@ class TestValidation:
     def test_p_memory(self):
         blocks = [Block(0, 10), Block(10, 30)]
         assert p_memory_bytes(blocks) == (100 + 400) * 8
+
+
+class TestSharding:
+    def test_all_blocks_assigned_once(self):
+        blocks = [Block(0, 10), Block(10, 40), Block(40, 45), Block(45, 60)]
+        shards = shard_blocks(blocks, 2)
+        flat = sorted(i for s in shards for i in s)
+        assert flat == [0, 1, 2, 3]
+
+    def test_balances_quadratic_cost(self):
+        blocks = [Block(0, 100), Block(100, 110), Block(110, 120), Block(120, 130)]
+        shards = shard_blocks(blocks, 2)
+        # the giant block must sit alone; the three small ones together
+        sizes = [[blocks[i].size for i in s] for s in shards]
+        assert [100] in sizes
+
+    def test_more_ranks_than_blocks(self):
+        blocks = [Block(0, 5), Block(5, 10)]
+        shards = shard_blocks(blocks, 4)
+        assert sum(len(s) for s in shards) == 2
 
 
 @settings(max_examples=50, deadline=None)

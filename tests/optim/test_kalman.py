@@ -1,10 +1,18 @@
-"""Kalman core: kernel equivalence, algebraic invariants, guards."""
+"""Kalman core: kernel equivalence, algebraic invariants, guards, lanes."""
+
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.linalg import blas
 
-from repro.optim import KalmanConfig, KalmanState
+from repro.autograd.instrument import KernelCounter
+from repro.model import DeePMD
+from repro.optim import FEKF, KalmanConfig, KalmanState
+from repro.optim import kalman as kalman_mod
+from repro.optim.blocks import shard_blocks
 from repro.optim.kalman import FLUSH_EVERY
 
 LAYERS = [(0, 12), (1, 40), (2, 8)]
@@ -338,3 +346,123 @@ class TestLifecycle:
     def test_blocks_must_cover_params(self):
         with pytest.raises(ValueError):
             KalmanState(N + 5, LAYERS, KalmanConfig(blocksize=32))
+
+
+class _LaunchLog(KernelCounter):
+    """A kernel counter that also keeps every launch record, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def record(self, op_name, nbytes=0, out_shape=None, in_shapes=None):
+        super().record(op_name, nbytes, out_shape, in_shapes)
+        self.log.append((op_name, int(nbytes), out_shape, in_shapes))
+
+
+def _update_and_send(state, g, conn):
+    conn.send(state.update(g, 0.3, 2.0))
+
+
+class TestLanes:
+    """The per-block passes over P run on one lane per idle core; any
+    split of the blocks into lanes gives the one-lane filter bit for bit."""
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_two_lanes_match_one_bit_for_bit(self, cu_dataset, tiny_cfg, fused, coupled):
+        model = DeePMD.for_dataset(cu_dataset, tiny_cfg, seed=1)
+        cfg = KalmanConfig(blocksize=64, fused_update=fused, coupled_gain=coupled)
+        one, two = FEKF(model, cfg), FEKF(model, cfg)
+        blocks = one.kalman.blocks
+        one.kalman.lanes = [list(range(len(blocks)))]
+        two.kalman.lanes = shard_blocks(blocks, 2)
+        assert len(blocks) > 4 and all(two.kalman.lanes)
+        for opt in (one, two):  # indefinite blocks make some gains negative
+            for i in range(1, len(blocks)):
+                opt.kalman.p_mats[i][:] = -np.eye(blocks[i].size)
+        r = np.random.default_rng(5)
+        negative_flushes = 0
+        for j in range(3 * FLUSH_EVERY + 4):
+            g = r.normal(size=model.num_params) * (0.05 if j % 3 else 1.5)
+            error = 0.3 if j % 2 else -0.2
+            flushing = two.kalman.pending == FLUSH_EVERY - 1
+            with _LaunchLog() as log_one:
+                dw_one = one.kalman.update(g, error, 2.0)
+            with _LaunchLog() as log_two:
+                dw_two = two.kalman.update(g, error, 2.0)
+            negative_flushes += flushing and bool((one.kalman.pend_beta < 0).any())
+            assert np.array_equal(dw_one, dw_two), j
+            assert one.kalman.checksum() == two.kalman.checksum(), j
+            assert log_one.log == log_two.log and log_one.log, j
+        assert negative_flushes > 0 or not fused
+        for p_one, p_two in zip(one.kalman.p_mats, two.kalman.p_mats):
+            assert np.array_equal(p_one, p_two)
+        sd_one, sd_two = one.state_dict(), two.state_dict()
+        assert sd_one.keys() == sd_two.keys()
+        for key in sd_one:
+            assert np.array_equal(sd_one[key], sd_two[key]), key
+
+    def test_forked_child_rebuilds_the_lane_threads(self):
+        state = _state(fused_update=True)
+        state.lanes = shard_blocks(state.blocks, 2)
+        r = np.random.default_rng(9)
+        state.update(r.normal(size=N), 0.3, 2.0)  # the helper thread now exists
+        g = r.normal(size=N)
+        expect = state.clone().update(g, 0.3, 2.0)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_update_and_send, args=(state, g, send))
+        child.start()
+        try:
+            assert recv.poll(60), "a two-lane update hung in the forked child"
+            got = recv.recv()
+        finally:
+            child.kill()
+            child.join()
+        assert np.array_equal(got, expect)
+
+    def test_concurrent_filters_share_the_lane_threads(self):
+        """Filters updated from several threads at once (member filters
+        under the thread executor) queue on the one helper pool; each
+        still ends where it ends alone."""
+        grads = _mixed_gradients(2 * FLUSH_EVERY + 3)
+        alone = _state(fused_update=True)
+        alone.lanes = [list(range(len(alone.blocks)))]
+        expect = [alone.update(g, 0.3, 2.0) for g in grads]
+        states = [_state(fused_update=True) for _ in range(6)]
+        results = [[] for _ in states]
+
+        def drive(state, out):
+            state.lanes = shard_blocks(state.blocks, 3)
+            out.extend(state.update(g, 0.3, 2.0) for g in grads)
+
+        threads = [
+            threading.Thread(target=drive, args=(s, out)) for s, out in zip(states, results)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for state, out in zip(states, results):
+            assert len(out) == len(expect)
+            assert all(np.array_equal(a, b) for a, b in zip(out, expect))
+            assert state.checksum() == alone.checksum()
+
+    @pytest.mark.parametrize("threads, lanes", [(2, 1), (1, 2), (None, 1)])
+    def test_lane_count_leaves_the_blas_threads_their_cores(
+        self, monkeypatch, threads, lanes
+    ):
+        monkeypatch.setattr(kalman_mod, "blas_threads", lambda: threads)
+        monkeypatch.setattr(kalman_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+        state = _state(fused_update=True)
+        assert len(state.lanes) == lanes
+        assert sorted(i for lane in state.lanes for i in lane) == list(
+            range(len(state.blocks))
+        )
