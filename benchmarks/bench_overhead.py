@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.autograd.capture import capture
+from repro.analysis.concurrency import LockOrderRecorder, RaceChecker
 from repro.model import DeePMD, ModelSession
 from repro.optim import make_optimizer
 from repro.serve import InferenceService, ServeConfig
@@ -77,7 +77,7 @@ def _monitored(make_service):
 
 @contextlib.contextmanager
 def _lock_recorded(make_service):
-    with make_service() as svc, capture("locks"), capture("races"):
+    with make_service() as svc, LockOrderRecorder(), RaceChecker():
         yield svc
 
 

@@ -22,9 +22,9 @@ CLI (``python -m repro.analysis``):
 * :mod:`concurrency` -- the thread-safety pillar: a static lock-
   discipline lint (unguarded shared fields, untracked locks, unbounded
   waits, sleep-polling), a dynamic lock-order recorder with deadlock-
-  cycle detection behind ``capture(kind="locks")``, and annotated race
-  checking of :class:`~concurrency.Guarded` fields behind
-  ``capture(kind="races")``.
+  cycle detection (``with LockOrderRecorder() as rec:``), and annotated
+  race checking of :class:`~concurrency.Guarded` fields (``with
+  RaceChecker() as chk:``).
 
 Quick start::
 
@@ -35,9 +35,8 @@ Quick start::
     python -m repro.analysis concurrency --scenario online \
         --graph-out lock_order.json               # deadlock-free cert
 
-    from repro.analysis import GraphLinter
-    from repro.autograd import capture
-    with capture("tape") as tape:
+    from repro.analysis import GraphLinter, TapeRecorder
+    with TapeRecorder() as tape:
         loss = model(batch)
     print(GraphLinter(tape).lint(roots=[loss]).render())
 """

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..autograd.capture import capture
+from ..autograd.capture import Sanitizer, TapeRecorder
 from .astlint import lint_paths
 from .determinism import DEFAULT_BACKENDS, audit_determinism
 from .findings import Report
@@ -55,9 +55,9 @@ def cmd_graph(args) -> int:
         print(f"{path}: error: cannot load graph fixture: {exc}", file=sys.stderr)
         return 2
     sanitizer = None
-    with capture("tape") as tape:
+    with TapeRecorder() as tape:
         if args.sanitize:
-            with capture("sanitize", mode="collect") as sanitizer:
+            with Sanitizer(mode="collect") as sanitizer:
                 roots = mod.build()
         else:
             roots = mod.build()

@@ -5,11 +5,11 @@ Three layers over one ``Finding``/``Report`` model:
 * :mod:`lint` -- static AST lock-discipline rules (unguarded shared
   fields, untracked locks, unbounded waits, sleep-polling loops).
 * :mod:`locks` -- :class:`TrackedLock`/:class:`TrackedRLock` wrappers
-  plus the dynamic :class:`LockOrderRecorder` behind
-  ``autograd.capture(kind="locks")``: acquire-order edges per thread,
+  plus the dynamic :class:`LockOrderRecorder` (``with
+  LockOrderRecorder() as rec:``): acquire-order edges per thread,
   cycle detection for lock-order inversions, held-too-long findings.
 * :mod:`guard` -- the :class:`Guarded` field annotation and the
-  :class:`RaceChecker` behind ``capture(kind="races")``: any access to
+  :class:`RaceChecker` (``with RaceChecker() as chk:``): any access to
   a declared field without its lock held is a ``guarded-race`` finding.
 
 :mod:`scenarios` certifies real subsystems (queues / serve / online)
@@ -17,7 +17,7 @@ deadlock-cycle-free; everything runs under
 ``python -m repro.analysis concurrency``.
 """
 
-from .guard import Guarded, RaceChecker, install_checker, uninstall_checker
+from .guard import Guarded, RaceChecker
 from .lint import CONCURRENCY_RULES, ConcurrencyLinter, lint_concurrency
 from .locks import (
     GLOBAL_REGISTRY,
@@ -26,8 +26,6 @@ from .locks import (
     TrackedLock,
     TrackedRLock,
     current_held,
-    install_recorder,
-    uninstall_recorder,
 )
 from .scenarios import SCENARIOS, run_scenario
 
@@ -37,13 +35,9 @@ __all__ = [
     "LockRegistry",
     "GLOBAL_REGISTRY",
     "LockOrderRecorder",
-    "install_recorder",
-    "uninstall_recorder",
     "current_held",
     "Guarded",
     "RaceChecker",
-    "install_checker",
-    "uninstall_checker",
     "ConcurrencyLinter",
     "lint_concurrency",
     "CONCURRENCY_RULES",

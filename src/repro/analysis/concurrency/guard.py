@@ -12,8 +12,8 @@ protected by ``self._cond``" into a checkable declaration::
 Reads go through :meth:`Guarded.get`, writes through
 :meth:`Guarded.set` / :meth:`Guarded.swap`.  With no checker installed
 the cost is one module-global truthiness test per access.  Inside
-``autograd.capture(kind="races")`` a process-wide :class:`RaceChecker`
-records, for every access, the thread, the access mode, and whether the
+``with RaceChecker() as chk:`` that process-wide checker records, for
+every access, the thread, the access mode, and whether the
 declared lock was actually held — any access without the lock is an
 error-severity ``guarded-race`` finding.  The existing
 ``FaultInjector`` stall schedules widen race windows, so the watchdog
@@ -32,7 +32,7 @@ from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 from .locks import TrackedLock
 
-__all__ = ["Guarded", "RaceChecker", "install_checker", "uninstall_checker"]
+__all__ = ["Guarded", "RaceChecker"]
 
 T = TypeVar("T")
 
@@ -40,18 +40,6 @@ T = TypeVar("T")
 #: lock-order recorder) so the unchecked fast path is branch + load
 _CHECKERS: Tuple["RaceChecker", ...] = ()
 _CHECKERS_MU = threading.Lock()
-
-
-def install_checker(checker: "RaceChecker") -> None:
-    global _CHECKERS
-    with _CHECKERS_MU:
-        _CHECKERS = _CHECKERS + (checker,)
-
-
-def uninstall_checker(checker: "RaceChecker") -> None:
-    global _CHECKERS
-    with _CHECKERS_MU:
-        _CHECKERS = tuple(c for c in _CHECKERS if c is not checker)
 
 
 class Guarded(Generic[T]):
@@ -107,7 +95,10 @@ def _note(guarded: Guarded, mode: str) -> None:
 
 
 class RaceChecker:
-    """Record guarded-field accesses; flag ones without the lock held."""
+    """Record guarded-field accesses; flag ones without the lock held.
+
+    A process-wide context manager: while installed it sees every
+    thread's accesses."""
 
     def __init__(self):
         self._mu = threading.Lock()
@@ -117,6 +108,17 @@ class RaceChecker:
         #: deduplicated (field, thread, mode) violations
         self.violations: List[Dict[str, str]] = []
         self._seen: set = set()
+
+    def __enter__(self) -> "RaceChecker":
+        global _CHECKERS
+        with _CHECKERS_MU:
+            _CHECKERS = _CHECKERS + (self,)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _CHECKERS
+        with _CHECKERS_MU:
+            _CHECKERS = tuple(c for c in _CHECKERS if c is not self)
 
     def note(self, field: str, lock: str, mode: str, thread: str,
              held: bool) -> None:

@@ -11,8 +11,8 @@
 * basic **hold statistics** (acquisition count, longest hold) that the
   health plane can read without any recorder installed.
 
-While a :class:`LockOrderRecorder` is installed (usually via
-``autograd.capture(kind="locks")``) every first-acquisition of a tracked
+While a :class:`LockOrderRecorder` is installed (``with
+LockOrderRecorder() as rec:``) every first-acquisition of a tracked
 lock also records a *lock-order edge* ``held -> acquired`` for each lock
 the acquiring thread already holds.  A cycle in that directed graph is a
 lock-order inversion: two threads that interleave the involved code
@@ -48,8 +48,6 @@ __all__ = [
     "LockRegistry",
     "GLOBAL_REGISTRY",
     "LockOrderRecorder",
-    "install_recorder",
-    "uninstall_recorder",
     "current_held",
 ]
 
@@ -77,19 +75,6 @@ def current_held() -> Tuple["TrackedLock", ...]:
 #: path needs no lock — just a truthiness test on a local read
 _RECORDERS: Tuple["LockOrderRecorder", ...] = ()
 _RECORDERS_MU = threading.Lock()
-
-
-def install_recorder(recorder: "LockOrderRecorder") -> None:
-    """Install ``recorder`` process-wide (it sees *every* thread)."""
-    global _RECORDERS
-    with _RECORDERS_MU:
-        _RECORDERS = _RECORDERS + (recorder,)
-
-
-def uninstall_recorder(recorder: "LockOrderRecorder") -> None:
-    global _RECORDERS
-    with _RECORDERS_MU:
-        _RECORDERS = tuple(r for r in _RECORDERS if r is not recorder)
 
 
 # --------------------------------------------------------------------------
@@ -296,6 +281,14 @@ class LockOrderRecorder:
     The recorder's internal mutex is a *leaf*: it is never held while a
     tracked lock is acquired, so installing the recorder cannot itself
     introduce a deadlock.
+
+    Install it as a context manager.  Unlike the op-stream sinks it is
+    **process-wide**: it observes every thread, not just the installing
+    one, and nests freely with other recorders and race checkers::
+
+        with LockOrderRecorder(held_threshold_s=0.5) as rec:
+            ...
+        rec.report()
     """
 
     def __init__(self, held_threshold_s: float = 1.0):
@@ -309,6 +302,17 @@ class LockOrderRecorder:
         self.nodes: Dict[str, Dict[str, float]] = {}
         self.slow_holds: List[Dict[str, object]] = []
         self.events = 0
+
+    def __enter__(self) -> "LockOrderRecorder":
+        global _RECORDERS
+        with _RECORDERS_MU:
+            _RECORDERS = _RECORDERS + (self,)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _RECORDERS
+        with _RECORDERS_MU:
+            _RECORDERS = tuple(r for r in _RECORDERS if r is not self)
 
     # -- hot-path hooks (called by TrackedLock) ------------------------
     def on_acquire(self, lock: TrackedLock, held: List[TrackedLock]) -> None:

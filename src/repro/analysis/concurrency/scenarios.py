@@ -1,7 +1,8 @@
 """Dynamic concurrency certification scenarios.
 
-Each scenario drives a real subsystem under ``capture(kind="locks")``
-and ``capture(kind="races")`` and folds the recorder / race-checker
+Each scenario drives a real subsystem under a
+:class:`~repro.analysis.concurrency.LockOrderRecorder` and a
+:class:`~repro.analysis.concurrency.RaceChecker` and folds their
 findings into one :class:`~repro.analysis.findings.Report`:
 
 ``queues``
@@ -38,6 +39,8 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from ..findings import Finding, Report
+from .guard import RaceChecker
+from .locks import LockOrderRecorder
 
 __all__ = ["SCENARIOS", "run_scenario"]
 
@@ -224,8 +227,6 @@ def run_scenario(
     to a Python file defining ``run()``.  Returns ``(report, graph)``
     where ``graph`` is the JSON-ready lock-order graph.
     """
-    from ...autograd.capture import capture
-
     if name in SCENARIOS:
         body: Callable = SCENARIOS[name]
         label = name
@@ -244,13 +245,12 @@ def run_scenario(
     kwargs = {} if held_threshold_s is None \
         else {"held_threshold_s": held_threshold_s}
     error: Optional[str] = None
-    with capture("locks", **kwargs) as recorder:
-        with capture("races") as checker:
-            try:
-                metrics = body() or {}
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                metrics = {}
+    with LockOrderRecorder(**kwargs) as recorder, RaceChecker() as checker:
+        try:
+            metrics = body() or {}
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            metrics = {}
     report.extend(recorder.report())
     report.extend(checker.report())
     if error is not None:

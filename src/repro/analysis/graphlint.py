@@ -7,14 +7,13 @@ op outputs never alias operand buffers (except declared view ops), and
 recorded buffers are not mutated behind autograd's back.  The linter
 checks those invariants over a whole recorded tape at once::
 
-    with autograd.capture("tape") as tape:
+    with TapeRecorder() as tape:
         loss = model(batch)
     report = GraphLinter(tape).lint(roots=[loss])
     sys.exit(report.exit_code)
 
-The tape/sanitizer sinks themselves now live in
-:mod:`repro.autograd.capture` (one unified entry point for every
-op-stream observer); this module re-exports them.
+The tape and sanitizer sinks live in :mod:`repro.autograd.capture`,
+beside the op stream they observe; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from ..autograd.capture import (  # noqa: F401  (re-exported surface)
     SanitizerError,
     TapeEntry,
     TapeRecorder,
-    capture,
 )
 from ..autograd.config import no_grad
 from ..autograd.gradcheck import check_second_order

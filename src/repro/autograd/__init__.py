@@ -4,9 +4,12 @@ Public surface::
 
     from repro.autograd import Tensor, grad, no_grad, fused_kernels
     from repro.autograd import ops            # primitive functional ops
-    from repro.autograd import capture        # unified op-stream observers
     from repro.autograd.fuse import linear_tanh, residual_linear_tanh
-    from repro.autograd.instrument import KernelCounter
+    from repro.autograd import KernelCounter, TapeRecorder, Sanitizer  # observers
+
+Each op-stream observer is its own context manager (``with
+KernelCounter() as kc:``); the op profiler is ``Tracer(profile=True)``
+in :mod:`repro.telemetry`.
 """
 
 from .config import config, enable_grad, fused_kernels, no_grad
@@ -20,12 +23,11 @@ from .instrument import (
     registered_ops,
 )
 from .tensor import GRAD_DTYPE, Tensor, as_tensor, grad, make_op
-from .capture import Sanitizer, SanitizerError, TapeEntry, TapeRecorder, capture
+from .capture import Sanitizer, SanitizerError, TapeEntry, TapeRecorder
 from . import fuse, ops
 
 __all__ = [
     "Tensor",
-    "capture",
     "TapeRecorder",
     "TapeEntry",
     "Sanitizer",

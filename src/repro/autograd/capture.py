@@ -1,44 +1,35 @@
-"""One entry point for every op-stream observer: ``autograd.capture``.
+"""The op-stream observers that read each op's output tensor.
 
-Historically each observer had its own ad-hoc installation ritual:
-``analysis.record_tape()`` for tape recording, ``analysis.Sanitizer()``
-as a hand-rolled context manager for NaN/Inf guarding, and the profiler
-rode in on ``Tracer(profile=True)`` / the worker task protocol's
-``capture="profile"`` flag.  All three sit on the same thread-local
-launch-sink stack of :mod:`repro.autograd.instrument`; this module folds
-them behind a single composable context manager::
+Every observer of the launch stream is its own context manager, and each
+pushes exactly one sink on the calling thread's stack of
+:mod:`repro.autograd.instrument`::
 
-    with capture("tape") as tape:            # op tape (graph lint)
+    with TapeRecorder() as tape:              # op tape (graph lint)
         loss = model(batch)
 
-    with capture("count") as kc:             # kernel-launch counting
-        ...
-    kc.total_launches
-
-    with capture("sanitize", mode="collect") as san:   # NaN/Inf guard
+    with KernelCounter() as kc:               # kernel-launch counting
         ...
 
-    with Tracer(keep_events=True) as tr:
-        with capture("profile", tracer=tr):  # span-attributed op timeline
-            ...
+    with Sanitizer(mode="collect") as san:    # NaN/Inf guard
+        ...
+
+    with Tracer(profile=True) as tr:          # span-attributed op timeline
+        ...
     tr.profiler.events
 
-Captures *compose and nest* freely -- each pushes exactly one sink on the
-calling thread's stack, so a sanitizer inside a tape inside a counter all
-observe the same ops.
-
-The sink classes themselves (:class:`TapeRecorder`, :class:`Sanitizer`)
-live here; :mod:`repro.analysis.graphlint` re-exports them.
+They *compose and nest* freely, so a sanitizer inside a tape inside a
+counter all observe the same ops.  The two that need output tensors
+(:class:`TapeRecorder`, :class:`Sanitizer`) live here;
+:mod:`repro.analysis.graphlint` re-exports them.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Optional
 
 import numpy as np
 
-from .instrument import KernelCounter, push_sink, remove_sink
+from .instrument import push_sink, remove_sink
 from .tensor import Tensor
 
 __all__ = [
@@ -46,7 +37,6 @@ __all__ = [
     "TapeRecorder",
     "Sanitizer",
     "SanitizerError",
-    "capture",
 ]
 
 
@@ -89,6 +79,14 @@ class TapeRecorder:
     def __len__(self) -> int:
         return len(self.entries)
 
+    # lifecycle ---------------------------------------------------------
+    def __enter__(self) -> "TapeRecorder":
+        push_sink(self, wants_tensors=True)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        remove_sink(self, wants_tensors=True)
+
 
 # ---------------------------------------------------------------------------
 # dynamic NaN/Inf sanitizer
@@ -101,15 +99,15 @@ class SanitizerError(FloatingPointError):
 class Sanitizer:
     """NaN/Inf guard hooks on every op, with telemetry-span attribution.
 
-    The sink behind ``capture("sanitize")``: checks every op output on the
-    installing thread for non-finite values as it is produced.  Each hit
+    Checks every op output on the installing thread for non-finite
+    values as it is produced.  Each hit
     records the op name, the count of non-finite elements, and the
     innermost open telemetry span (e.g. ``fekf.backward``) so the failure
     is attributed to a training phase, not discovered epochs later in a
     loss printout.  ``mode="raise"`` (default) aborts at the first hit;
     ``mode="collect"`` accumulates findings for :meth:`report`.
 
-    Usable directly as a context manager (the historical surface)::
+    Install it as a context manager::
 
         with Sanitizer(mode="collect") as san:
             trainer.run(...)
@@ -173,141 +171,3 @@ class Sanitizer:
         rep.findings.extend(self.findings)
         rep.metrics["ops_checked"] = self.ops_checked
         return rep
-
-
-# ---------------------------------------------------------------------------
-# the unified entry point
-# ---------------------------------------------------------------------------
-class capture:
-    """Install one op-stream observer on the calling thread.
-
-    Parameters
-    ----------
-    kind:
-        ``"tape"``    -- record every op output (returns :class:`TapeRecorder`);
-        ``"count"``   -- count kernel launches (returns
-        :class:`~repro.autograd.instrument.KernelCounter`);
-        ``"sanitize"`` -- NaN/Inf guard (returns :class:`Sanitizer`);
-        ``"profile"`` -- span-attributed op timing (returns
-        :class:`~repro.telemetry.profile.Profiler`).
-    mode, max_findings:
-        ``kind="sanitize"`` only: forwarded to :class:`Sanitizer`.
-    tracer:
-        ``kind="profile"`` only: the :class:`~repro.telemetry.trace.Tracer`
-        whose spans attribute the op events.  The tracer must be (or get)
-        installed on the same thread; when omitted, a private
-        ``Tracer(keep_events=True)`` is created and installed for the
-        capture's extent.  The profiler is attached as ``tracer.profiler``
-        so downstream span/trace consumers find the op timeline in the
-        usual place.
-    held_threshold_s:
-        ``kind="locks"`` only: holds longer than this become
-        ``lock-held-too-long`` warnings on the recorder's report.
-
-    Two further kinds observe the *lock* stream rather than the op
-    stream (see :mod:`repro.analysis.concurrency`):
-
-    ``"locks"``  -- install a
-    :class:`~repro.analysis.concurrency.LockOrderRecorder` recording
-    acquire-order edges of every :class:`TrackedLock`; ``"races"`` --
-    install a :class:`~repro.analysis.concurrency.RaceChecker`
-    validating every :class:`Guarded` field access against its declared
-    lock.  Unlike the op sinks these are **process-global** (they must
-    observe every thread, not just the installing one); they still
-    compose and nest freely with each other and with op captures.
-
-    Captures compose: nesting any combination pushes independent sinks
-    that all observe the same op stream, and each ``__exit__`` removes
-    only its own sink.
-    """
-
-    KINDS = ("tape", "count", "sanitize", "profile", "locks", "races")
-
-    def __init__(
-        self,
-        kind: str = "tape",
-        *,
-        mode: str = "raise",
-        max_findings: int = 100,
-        tracer=None,
-        held_threshold_s: Optional[float] = None,
-    ):
-        if kind not in self.KINDS:
-            raise ValueError(
-                f"unknown capture kind {kind!r}; expected one of {self.KINDS}"
-            )
-        if tracer is not None and kind != "profile":
-            raise ValueError("tracer= only applies to kind='profile'")
-        if held_threshold_s is not None and kind != "locks":
-            raise ValueError("held_threshold_s= only applies to kind='locks'")
-        self.kind = kind
-        self._tracer = tracer
-        self._owns_tracer = False
-        self._held_threshold_s = held_threshold_s
-        if kind == "tape":
-            self.sink = TapeRecorder()
-        elif kind == "count":
-            self.sink = KernelCounter()
-        elif kind == "sanitize":
-            self.sink = Sanitizer(mode=mode, max_findings=max_findings)
-        else:  # profile/locks/races: lazy deps, sink built on enter
-            self.sink = None
-
-    def __enter__(self):
-        if self.kind == "locks":
-            from ..analysis.concurrency.locks import (
-                LockOrderRecorder,
-                install_recorder,
-            )
-
-            kwargs = {} if self._held_threshold_s is None \
-                else {"held_threshold_s": self._held_threshold_s}
-            recorder = LockOrderRecorder(**kwargs)
-            install_recorder(recorder)
-            self.sink = recorder
-            return recorder
-        if self.kind == "races":
-            from ..analysis.concurrency.guard import (
-                RaceChecker,
-                install_checker,
-            )
-
-            checker = RaceChecker()
-            install_checker(checker)
-            self.sink = checker
-            return checker
-        if self.kind == "profile":
-            from ..telemetry.profile import Profiler
-            from ..telemetry.trace import Tracer
-
-            tracer = self._tracer
-            if tracer is None:
-                tracer = Tracer(keep_events=True)
-                tracer.__enter__()
-                self._owns_tracer = True
-                self._tracer = tracer
-            prof = Profiler(tracer)
-            tracer.profiler = prof
-            prof.install()
-            self.sink = prof
-            return prof
-        push_sink(self.sink, wants_tensors=self.kind in ("tape", "sanitize"))
-        return self.sink
-
-    def __exit__(self, *exc) -> None:
-        if self.kind == "locks":
-            from ..analysis.concurrency.locks import uninstall_recorder
-
-            uninstall_recorder(self.sink)
-            return
-        if self.kind == "races":
-            from ..analysis.concurrency.guard import uninstall_checker
-
-            uninstall_checker(self.sink)
-            return
-        if self.kind == "profile":
-            self.sink.uninstall()
-            if self._owns_tracer:
-                self._tracer.__exit__(*exc)
-            return
-        remove_sink(self.sink, wants_tensors=self.kind in ("tape", "sanitize"))

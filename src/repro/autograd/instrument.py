@@ -234,12 +234,3 @@ def record_tensor(tensor) -> None:
         cb = getattr(sink, "record_tensor", None)
         if cb is not None:
             cb(tensor)
-
-
-def active_counter() -> Optional[KernelCounter]:
-    """The innermost active :class:`KernelCounter` on this thread, or
-    ``None`` (profiler/metric sinks are skipped)."""
-    for sink in reversed(_TLS.sinks):
-        if isinstance(sink, KernelCounter):
-            return sink
-    return None

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import os
 import sys
 import time
 
-from ..telemetry import span as _span
+from .. import telemetry
 from . import EXPERIMENTS
 from .common import Report
 
@@ -58,54 +59,50 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    tracer = None
-    if args.trace_out:
-        from .. import telemetry
-
-        tracer = telemetry.enable(capture_kernels=True, profile=True)
-
+    tracer = telemetry.Tracer(profile=True) if args.trace_out else None
     try:
-        if args.experiment == "report":
-            from .report import generate
-
-            generate(args.out, systems=args.systems, heavy=args.heavy)
-        else:
-            names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-            for name in names:
-                if name not in EXPERIMENTS:
-                    print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
-                    return 2
-                fn = EXPERIMENTS[name]
-                kwargs = {}
-                sig = inspect.signature(fn)
-                if "systems" in sig.parameters and args.systems is not None:
-                    kwargs["systems"] = args.systems
-                if "frames_per_temperature" in sig.parameters and args.frames is not None:
-                    kwargs["frames_per_temperature"] = args.frames
-                if "seed" in sig.parameters:
-                    kwargs["seed"] = args.seed
-                t0 = time.perf_counter()
-                # a no-op span unless --trace-out installed a tracer; with
-                # one, every experiment gets a top-level extent in the
-                # exported trace (even purely analytic ones)
-                with _span("harness.experiment", experiment=name):
-                    report = fn(**kwargs)
-                elapsed = time.perf_counter() - t0
-                print(report.markdown() if args.markdown else report.format_table())
-                print(f"[{name} completed in {elapsed:.1f}s]\n")
+        with tracer or contextlib.nullcontext():
+            return _run(args)
     finally:
         if tracer is not None:
             _finish_trace(tracer, args.trace_out)
+
+
+def _run(args) -> int:
+    if args.experiment == "report":
+        from .report import generate
+
+        generate(args.out, systems=args.systems, heavy=args.heavy)
+        return 0
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    for name in names:
+        if name not in EXPERIMENTS:
+            print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
+            return 2
+        fn = EXPERIMENTS[name]
+        kwargs = {}
+        sig = inspect.signature(fn)
+        if "systems" in sig.parameters and args.systems is not None:
+            kwargs["systems"] = args.systems
+        if "frames_per_temperature" in sig.parameters and args.frames is not None:
+            kwargs["frames_per_temperature"] = args.frames
+        if "seed" in sig.parameters:
+            kwargs["seed"] = args.seed
+        t0 = time.perf_counter()
+        # a no-op span unless --trace-out installed a tracer; with one,
+        # every experiment gets a top-level extent in the exported trace
+        # (even purely analytic ones)
+        with telemetry.span("harness.experiment", experiment=name):
+            report = fn(**kwargs)
+        elapsed = time.perf_counter() - t0
+        print(report.markdown() if args.markdown else report.format_table())
+        print(f"[{name} completed in {elapsed:.1f}s]\n")
     return 0
 
 
 def _finish_trace(tracer, path: str) -> None:
-    """Uninstall the profiling tracer, print where the run's ops went
-    (per phase, then the hottest ops) and write the --trace-out bundle:
-    Chrome trace + span JSONL."""
-    from .. import telemetry
-
-    telemetry.disable()
+    """Print where the run's ops went (per phase, then the hottest ops)
+    and write the --trace-out bundle: Chrome trace + span JSONL."""
     phases = Report(
         "trace", "op-level profile by phase",
         ["Phase", "kernels", "wall ms", "MB moved", "MFLOP"],

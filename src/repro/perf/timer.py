@@ -5,14 +5,15 @@ its own ``perf_counter`` pairs and ``KernelCounter`` blocks.  The hot
 paths are now instrumented end-to-end with :mod:`repro.telemetry` spans
 (``fekf.update`` wrapping ``fekf.forward`` / ``fekf.gradient`` /
 ``fekf.kalman``), so the profiler simply runs one real optimizer step
-under a kernel-capturing tracer and *queries the events*:
+under a profiling tracer and *queries the events*:
 
 1. forward pass (predictions and errors),
 2. gradient acquisition (the backward pass(es)),
 3. the Kalman-filter calculation flow,
 
 per update flavour (energy-driven vs force-driven), with kernel launches
-per phase for Figure 7(b).  The step runs with ``reuse_force_graph``
+per phase for Figure 7(b): the op events recorded under that phase's
+span.  The step runs with ``reuse_force_graph``
 disabled -- the paper-exact protocol where every force update performs
 its own fresh forward -- so one ``step_batch`` yields one energy update
 and ``n_force_splits`` identical force updates; the first of each
@@ -21,13 +22,14 @@ flavour becomes the reported profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..model.environment import DescriptorBatch
 from ..model.network import DeePMD
 from ..optim.ekf import FEKF
-from ..telemetry.trace import SpanEvent, Tracer
+from ..telemetry.profile import OpEvent, launches_by_span
+from ..telemetry.trace import SpanEvent, Tracer, current_tracer
 from .presets import Preset
 
 
@@ -58,13 +60,6 @@ class UpdateProfile:
     preset: str
     energy: PhaseProfile
     force: PhaseProfile
-    #: live per-phase launch counts from the op-level profiler
-    #: (:meth:`repro.telemetry.Profiler.phase_kernel_counts`) over the
-    #: whole profiled step; empty when the step ran without a profiler.
-    #: Reconciles with the span-derived counts above: ``forward_energy``
-    #: equals ``energy.forward_kernels`` and the step total equals
-    #: :meth:`total_iteration_kernels` (see the telemetry tests).
-    phase_kernels: dict = field(default_factory=dict)
 
     def total_iteration_kernels(self, n_force_splits: int = 4) -> int:
         """Paper convention: one energy update + four force updates."""
@@ -78,7 +73,9 @@ class UpdateProfile:
 _PHASES = {"fekf.forward": "forward", "fekf.gradient": "gradient", "fekf.kalman": "kalman"}
 
 
-def _phase_profile(events: list[SpanEvent], update: SpanEvent) -> PhaseProfile:
+def _phase_profile(
+    events: list[SpanEvent], update: SpanEvent, launches: dict[int, int]
+) -> PhaseProfile:
     """Fold the child phase spans of one ``fekf.update`` into a profile."""
     acc = {
         "forward_s": 0.0, "gradient_s": 0.0, "kalman_s": 0.0,
@@ -91,19 +88,22 @@ def _phase_profile(events: list[SpanEvent], update: SpanEvent) -> PhaseProfile:
         if phase is None:
             continue
         acc[f"{phase}_s"] += ev.wall_s
-        acc[f"{phase}_kernels"] += int(ev.counters.get("kernels", 0))
+        acc[f"{phase}_kernels"] += launches.get(ev.span_id, 0)
     return PhaseProfile(**acc)
 
 
 def profile_from_events(
-    events: Iterable[SpanEvent], preset: str = ""
+    events: Iterable[SpanEvent], ops: Iterable[OpEvent], preset: str = ""
 ) -> UpdateProfile:
-    """Build an :class:`UpdateProfile` from a traced FEKF step's events.
+    """Build an :class:`UpdateProfile` from a profiled FEKF step's span
+    and op events.
 
     This is the Figure 7 query: take the first energy-driven and the
     first force-driven ``fekf.update`` span, and attribute their child
-    ``fekf.forward`` / ``fekf.gradient`` / ``fekf.kalman`` spans'
-    wall seconds and captured kernel counts to the three phases.
+    ``fekf.forward`` / ``fekf.gradient`` / ``fekf.kalman`` spans' wall
+    seconds and kernel launches to the three phases.  A phase's launches
+    are the op events whose span is that phase's span or lies under it
+    (:func:`~repro.telemetry.profile.launches_by_span`).
     """
     events = list(events)
     energy = force = None
@@ -120,10 +120,11 @@ def profile_from_events(
             "event stream holds no complete FEKF step (expected 'fekf.update' "
             "spans of kind 'energy' and 'force'; was the step traced?)"
         )
+    launches = launches_by_span(events, ops)
     return UpdateProfile(
         preset=preset,
-        energy=_phase_profile(events, energy),
-        force=_phase_profile(events, force),
+        energy=_phase_profile(events, energy, launches),
+        force=_phase_profile(events, force, launches),
     )
 
 
@@ -134,19 +135,23 @@ def profile_update(
     the given optimization preset.
 
     Runs a real ``opt.step_batch`` (paper-exact per-update protocol:
-    force-graph reuse disabled for the duration) inside a
-    kernel-capturing, op-profiling tracer and derives the profile from
-    the span events via :func:`profile_from_events`; the op timeline's
-    live per-phase launch counts ride along as ``phase_kernels``.
+    force-graph reuse disabled for the duration) inside a private
+    profiling tracer and derives the profile from its span and op events
+    via :func:`profile_from_events`.  When a tracer is already installed
+    on the calling thread, it adopts the private tracer's spans and ops,
+    so the step shows up in the caller's trace too.
     """
     old_reuse = opt.reuse_force_graph
     opt.reuse_force_graph = False
     try:
         with preset.context():
-            with Tracer(capture_kernels=True, profile=True) as tracer:
+            with Tracer(profile=True) as tracer:
                 opt.step_batch(batch)
     finally:
         opt.reuse_force_graph = old_reuse
-    profile = profile_from_events(tracer.events, preset=preset.name)
-    profile.phase_kernels = tracer.profiler.phase_kernel_counts()
-    return profile
+    ambient = current_tracer()
+    if ambient is not None:
+        ambient.adopt(tracer)
+    return profile_from_events(
+        tracer.events, tracer.profiler.events, preset=preset.name
+    )

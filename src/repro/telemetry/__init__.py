@@ -9,12 +9,11 @@ kernel-launch counter):
   arbitrary counters, emitted from every hot path (``Trainer.run``,
   ``FEKF.step_batch`` phases, the data-parallel trainer).
 * :data:`metrics.REGISTRY` -- process-wide counters / gauges /
-  histograms with labels (communication bytes, kernel launches,
-  optimizer updates).
+  histograms with labels (communication bytes, optimizer updates).
 * exporters -- JSONL event stream (:class:`JsonlExporter`), aggregated
   summaries (:func:`summarize`), human tables (:func:`format_table`).
-* :mod:`profile` -- the op-level profiler (``Tracer(profile=True)`` /
-  ``enable(profile=True)``): a timed, span-attributed timeline of every
+* :mod:`profile` -- the op-level profiler (``Tracer(profile=True)``, its
+  only install path): a timed, span-attributed timeline of every
   primitive-op launch with FLOP/byte estimates, per-phase Figure 7(b)
   breakdowns, and Chrome trace-event export
   (:func:`write_chrome_trace`, loadable in Perfetto).
@@ -29,9 +28,10 @@ Quick start::
 
     from repro import telemetry
 
-    with telemetry.Tracer(capture_kernels=True) as tr:
+    with telemetry.Tracer(profile=True) as tr:
         trainer.run(max_epochs=2)
     print(telemetry.format_table(tr.summary()))
+    print(tr.profiler.format_table())          # hottest ops
     print(telemetry.metrics.REGISTRY.snapshot())
 
 Tracing is off by default and costs one global check per span, so
@@ -59,13 +59,7 @@ from .profile import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .metrics import (
-    REGISTRY,
-    MetricRegistry,
-    disable_kernel_metrics,
-    enable_kernel_metrics,
-    get_registry,
-)
+from .metrics import REGISTRY, MetricRegistry, get_registry
 from .trace import (
     NULL_SPAN,
     Span,
@@ -73,8 +67,6 @@ from .trace import (
     Tracer,
     current_span_name,
     current_tracer,
-    disable,
-    enable,
     span,
 )
 
@@ -85,15 +77,11 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "current_span_name",
-    "enable",
-    "disable",
     "NULL_SPAN",
     "metrics",
     "MetricRegistry",
     "REGISTRY",
     "get_registry",
-    "enable_kernel_metrics",
-    "disable_kernel_metrics",
     "JsonlExporter",
     "read_jsonl",
     "summarize",

@@ -141,7 +141,7 @@ def summarize(events: Iterable[SpanEvent]) -> dict:
 
 def format_table(summary: dict, sort_by: str = "wall_s") -> str:
     """Render a :func:`summarize` dict as an aligned text table."""
-    headers = ["span", "count", "total s", "mean ms", "cpu s", "kernels"]
+    headers = ["span", "count", "total s", "mean ms", "cpu s"]
     rows = []
     items = sorted(
         summary.items(), key=lambda kv: kv[1].get(sort_by, 0.0), reverse=True
@@ -153,7 +153,6 @@ def format_table(summary: dict, sort_by: str = "wall_s") -> str:
             f"{agg['wall_s']:.4f}",
             f"{agg['mean_wall_s'] * 1e3:.3f}",
             f"{agg['cpu_s']:.4f}",
-            str(int(agg["counters"].get("kernels", 0))),
         ])
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)

@@ -1,8 +1,8 @@
 """Process-wide metric registry: counters, gauges, histograms with labels.
 
 Where spans (``trace.py``) answer "how long did this extent take", metrics
-answer "how much of X has happened so far": bytes on the wire, kernel
-launches, optimizer updates, evaluations.  Instruments are get-or-created
+answer "how much of X has happened so far": bytes on the wire,
+optimizer updates, evaluations.  Instruments are get-or-created
 by ``(name, labels)`` so repeated lookups return the same object::
 
     from repro.telemetry import metrics
@@ -14,19 +14,15 @@ by ``(name, labels)`` so repeated lookups return the same object::
 what the exporters serialize); ``REGISTRY.reset()`` zeroes it (tests,
 per-experiment scoping).
 
-Kernel launches as a standard counter: :func:`enable_kernel_metrics`
-installs an adapter into the :mod:`repro.autograd.instrument` reporting
-chain, after which every primitive-op execution increments
-``autograd.kernel_launches{op=<name>}`` and ``autograd.kernel_bytes``.
-This is per-op overhead, so it is off by default and explicitly scoped.
+Kernel launches are not a registry metric: count them with
+:class:`repro.autograd.KernelCounter`, or read them per phase off the
+profiler's op events (``Tracer(profile=True)``).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional
-
-from ..autograd import instrument as _instrument
 
 __all__ = [
     "Counter",
@@ -35,8 +31,6 @@ __all__ = [
     "MetricRegistry",
     "REGISTRY",
     "get_registry",
-    "enable_kernel_metrics",
-    "disable_kernel_metrics",
 ]
 
 
@@ -249,38 +243,3 @@ REGISTRY = MetricRegistry()
 def get_registry() -> MetricRegistry:
     return REGISTRY
 
-
-# ---------------------------------------------------------------------------
-# kernel launches as standard counters
-# ---------------------------------------------------------------------------
-class _RegistryKernelSink:
-    """Duck-typed KernelCounter that forwards launches to a registry."""
-
-    def __init__(self, registry: MetricRegistry):
-        self.registry = registry
-
-    def record(self, op_name: str, nbytes: int = 0, out_shape=None, in_shapes=None) -> None:
-        self.registry.counter("autograd.kernel_launches", op=op_name).inc()
-        self.registry.counter("autograd.kernel_bytes").inc(nbytes)
-
-
-_KERNEL_SINKS: list[_RegistryKernelSink] = []
-
-
-def enable_kernel_metrics(registry: MetricRegistry | None = None) -> None:
-    """Route every primitive-op launch on the *calling thread* into
-    ``registry`` (default: the process-wide one).  Per-op overhead --
-    scope it deliberately.  Like tracer stacks, the launch sink stack is
-    thread-local: rank workers count under their own sinks and the parent
-    merges via :meth:`MetricRegistry.merge_counters`."""
-    sink = _RegistryKernelSink(registry or REGISTRY)
-    _KERNEL_SINKS.append(sink)
-    _instrument.push_sink(sink)
-
-
-def disable_kernel_metrics() -> None:
-    """Undo the innermost :func:`enable_kernel_metrics` (same thread)."""
-    if not _KERNEL_SINKS:
-        return
-    sink = _KERNEL_SINKS.pop()
-    _instrument.remove_sink(sink)

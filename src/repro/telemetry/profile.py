@@ -17,9 +17,12 @@ primitive op becomes one :class:`OpEvent` carrying
   ``backward`` / ``kf_update`` / ``reduce``), which is how the live
   Figure 7(b)-style per-phase launch counts fall out of a real run.
 
-A profiler is owned by a :class:`~repro.telemetry.trace.Tracer`
-(``Tracer(profile=True)`` / ``telemetry.enable(profile=True)``) and is
-installed/removed together with it.  Rank workers profile under their own
+A profiler is owned by a :class:`~repro.telemetry.trace.Tracer` --
+``Tracer(profile=True)`` is the only way to get one -- and is
+installed/removed together with it.  Each op event carries the id of its
+innermost open span, so :func:`launches_by_span` answers "how many
+launches did this span (and everything under it) make" from the span
+tree alone.  Rank workers profile under their own
 tracer and ship ``OpEvent.as_dict()`` payloads home inside the task
 telemetry; :meth:`Profiler.emit_foreign` merges them with rank/pid-tagged
 track ids, so one trace holds every rank's timeline.
@@ -37,6 +40,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -48,6 +52,7 @@ __all__ = [
     "PHASES",
     "classify_phase",
     "estimate_flops",
+    "launches_by_span",
     "summarize_phases",
     "summarize_ops",
     "format_ops_table",
@@ -319,13 +324,6 @@ class Profiler:
             self.events.append(ev)
 
     # -- aggregation ----------------------------------------------------
-    def phase_kernel_counts(self) -> dict[str, int]:
-        """Launch count per phase -- the live Figure 7(b) view."""
-        out: dict[str, int] = {}
-        for ev in self.events:
-            out[ev.phase] = out.get(ev.phase, 0) + 1
-        return out
-
     def phase_summary(self) -> dict[str, dict]:
         """Per-phase ``{kernels, wall_s, bytes, flops}`` breakdown."""
         return summarize_phases(self.events)
@@ -353,6 +351,21 @@ def summarize_phases(events: Iterable[OpEvent]) -> dict[str, dict]:
         agg["wall_s"] += ev.dur_s
         agg["bytes"] += ev.nbytes
         agg["flops"] += ev.flops
+    return out
+
+
+def launches_by_span(span_events: Iterable, op_events: Iterable[OpEvent]) -> dict[int, int]:
+    """Kernel launches per span id, each op event counted on its own span
+    and on every ancestor (found by walking ``parent_id``), so a parent's
+    count includes its children's.  Op events without a span id (top
+    level, or merged from another tracer) count nowhere."""
+    parent = {ev.span_id: ev.parent_id for ev in span_events}
+    out: dict[int, int] = {}
+    own = Counter(ev.span_id for ev in op_events if ev.span_id is not None)
+    for sid, n in own.items():
+        while sid is not None:
+            out[sid] = out.get(sid, 0) + n
+            sid = parent.get(sid)
     return out
 
 

@@ -6,7 +6,7 @@ The paper's evaluation is a set of *measurements* -- seconds per phase
 every subsystem, the hot paths open named spans::
 
     with telemetry.span("fekf.forward"):
-        ...                     # wall + CPU time, kernel counts
+        ...                     # wall + CPU time
     with telemetry.span("fekf.update", kind="energy") as sp:
         sp.add("updates", 1)    # arbitrary counters on the span
 
@@ -17,13 +17,13 @@ Events flow to whatever :class:`Tracer` is active.
 Tracing is *opt-in*: when no tracer is installed, :func:`span` returns a
 shared no-op context manager and the instrumented code pays only one
 module-global check per span -- the <5% overhead budget of the CI smoke
-check.  Install a tracer either scoped (``with Tracer() as tr: ...``) or
-process-wide (:func:`enable` / :func:`disable`).
+check.  A tracer is installed on the calling thread for the extent of
+``with Tracer() as tr: ...``.
 
-``Tracer(capture_kernels=True)`` additionally opens a
-:class:`repro.autograd.KernelCounter` per span, so every event also
-reports the primitive-op launches and output bytes of its extent --
-Figure 7b falls out of the same event stream as Figure 7c.
+``Tracer(profile=True)`` additionally records every primitive-op launch
+as a span-attributed op event (:mod:`repro.telemetry.profile`); a span's
+kernel launches are the op events under it, so Figure 7b is a query over
+the same event stream as Figure 7c.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..autograd.instrument import KernelCounter
-
 __all__ = [
     "SpanEvent",
     "Span",
@@ -42,8 +40,6 @@ __all__ = [
     "span",
     "current_tracer",
     "current_span_name",
-    "enable",
-    "disable",
 ]
 
 
@@ -102,7 +98,7 @@ class Span:
 
     __slots__ = (
         "tracer", "name", "span_id", "parent_id", "depth",
-        "attrs", "counters", "_t0", "_c0", "_kc",
+        "attrs", "counters", "_t0", "_c0",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict):
@@ -115,7 +111,6 @@ class Span:
         self.depth = 0
         self._t0 = 0.0
         self._c0 = 0.0
-        self._kc: Optional[KernelCounter] = None
 
     # -- counter / attribute helpers -----------------------------------
     def add(self, key: str, value: float = 1.0) -> "Span":
@@ -133,22 +128,11 @@ class Span:
         self.tracer._open(self)
         self._t0 = time.perf_counter()
         self._c0 = time.process_time()
-        if self.tracer.capture_kernels:
-            self._kc = KernelCounter()
-            self._kc.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
         wall = time.perf_counter() - self._t0
         cpu = time.process_time() - self._c0
-        if self._kc is not None:
-            self._kc.__exit__()
-            self.counters["kernels"] = (
-                self.counters.get("kernels", 0) + self._kc.total_launches
-            )
-            self.counters["kernel_bytes"] = (
-                self.counters.get("kernel_bytes", 0) + self._kc.total_bytes
-            )
         self.tracer._close(self, wall, cpu)
 
 
@@ -181,10 +165,6 @@ class Tracer:
     sinks:
         Callables invoked with each completed :class:`SpanEvent` (e.g. a
         :class:`repro.telemetry.JsonlExporter`).
-    capture_kernels:
-        Open a :class:`KernelCounter` per span so events carry
-        ``counters["kernels"]`` / ``counters["kernel_bytes"]``.  A parent
-        span's counts include its children's (counters nest).
     keep_events:
         Retain completed events on :attr:`events` (default).  Disable for
         unbounded runs that only stream to sinks.
@@ -193,18 +173,17 @@ class Tracer:
         tracer is installed, every primitive-op launch on the installing
         thread becomes a timed, span-attributed
         :class:`~repro.telemetry.profile.OpEvent` on
-        ``tracer.profiler.events`` (the Chrome-trace op timeline).
+        ``tracer.profiler.events`` (the Chrome-trace op timeline).  This
+        is the only way to install the profiler.
     """
 
     def __init__(
         self,
         sinks: tuple[Callable[[SpanEvent], None], ...] | list = (),
-        capture_kernels: bool = False,
         keep_events: bool = True,
         profile: bool = False,
     ):
         self.sinks = list(sinks)
-        self.capture_kernels = bool(capture_kernels)
         self.keep_events = bool(keep_events)
         self.events: list[SpanEvent] = []
         self._open_stack: list[Span] = []
@@ -391,33 +370,3 @@ def span(name: str, **attrs):
         return NULL_SPAN
     return stack[-1].span(name, **attrs)
 
-
-def enable(
-    *sinks,
-    capture_kernels: bool = False,
-    keep_events: bool = True,
-    profile: bool = False,
-) -> Tracer:
-    """Install a thread-wide tracer (idempotent layering is allowed:
-    nested ``enable`` calls stack, ``disable`` pops the innermost).
-    ``profile=True`` attaches the op-level profiler (see
-    :mod:`repro.telemetry.profile`)."""
-    tracer = Tracer(
-        sinks,
-        capture_kernels=capture_kernels,
-        keep_events=keep_events,
-        profile=profile,
-    )
-    _stack().append(tracer)
-    if tracer.profiler is not None:
-        tracer.profiler.install()
-    return tracer
-
-
-def disable() -> Optional[Tracer]:
-    """Remove the innermost installed tracer and return it."""
-    stack = _stack()
-    tracer = stack.pop() if stack else None
-    if tracer is not None and tracer.profiler is not None:
-        tracer.profiler.uninstall()
-    return tracer

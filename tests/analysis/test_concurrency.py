@@ -20,14 +20,9 @@ from repro.analysis.concurrency import (
     TrackedLock,
     TrackedRLock,
     current_held,
-    install_checker,
-    install_recorder,
     lint_concurrency,
     run_scenario,
-    uninstall_checker,
-    uninstall_recorder,
 )
-from repro.autograd.capture import capture
 
 FIXTURES = Path(__file__).parent / "fixtures" / "concurrency"
 REPRO_SRC = Path(__file__).parent.parent.parent / "src" / "repro"
@@ -158,14 +153,10 @@ class TestTrackedLock:
 class TestLockOrderRecorder:
     def test_records_nesting_edges(self):
         a, b = TrackedLock("edge.A"), TrackedLock("edge.B")
-        rec = LockOrderRecorder()
-        install_recorder(rec)
-        try:
+        with LockOrderRecorder() as rec:
             with a:
                 with b:
                     pass
-        finally:
-            uninstall_recorder(rec)
         graph = rec.graph()
         assert graph["schema"] == "repro.lockgraph/v1"
         edges = {(e["src"], e["dst"]) for e in graph["edges"]}
@@ -175,9 +166,7 @@ class TestLockOrderRecorder:
 
     def test_detects_inversion_cycle(self):
         a, b = TrackedLock("cyc.A"), TrackedLock("cyc.B")
-        rec = LockOrderRecorder()
-        install_recorder(rec)
-        try:
+        with LockOrderRecorder() as rec:
             with a:
                 with b:
                     pass
@@ -193,8 +182,6 @@ class TestLockOrderRecorder:
             t.start()
             t.join(timeout=5.0)
             assert done.is_set()
-        finally:
-            uninstall_recorder(rec)
         cycles = rec.cycles()
         assert len(cycles) == 1
         assert set(cycles[0]) == {"cyc.A", "cyc.B"}
@@ -204,7 +191,7 @@ class TestLockOrderRecorder:
 
     def test_capture_kind_locks(self):
         a = TrackedLock("cap.A")
-        with capture("locks") as rec:
+        with LockOrderRecorder() as rec:
             with a:
                 pass
         events = rec.graph()["events"]
@@ -215,7 +202,7 @@ class TestLockOrderRecorder:
 
     def test_held_too_long_warning(self):
         a = TrackedLock("slow.A")
-        with capture("locks", held_threshold_s=0.001) as rec:
+        with LockOrderRecorder(held_threshold_s=0.001) as rec:
             with a:
                 time.sleep(0.01)
         report = rec.report()
@@ -242,14 +229,10 @@ class TestGuarded:
     def test_checker_flags_unlocked_access(self):
         lock = TrackedLock("g2.lock")
         field = Guarded(0, lock, name="g2.field")
-        chk = RaceChecker()
-        install_checker(chk)
-        try:
+        with RaceChecker() as chk:
             with lock:
                 field.set(1)  # guarded: fine
             field.get()  # unguarded: violation
-        finally:
-            uninstall_checker(chk)
         assert not chk.ok
         report = chk.report()
         assert len(report.findings) == 1
@@ -259,7 +242,7 @@ class TestGuarded:
     def test_capture_kind_races_clean_when_disciplined(self):
         lock = TrackedLock("g3.lock")
         field = Guarded(0, lock, name="g3.field")
-        with capture("races") as chk:
+        with RaceChecker() as chk:
             with lock:
                 field.set(4)
                 assert field.get() == 4

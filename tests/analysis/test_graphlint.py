@@ -9,9 +9,10 @@ from repro.analysis import (
     GraphLinter,
     Sanitizer,
     SanitizerError,
+    TapeRecorder,
     verify_second_order,
 )
-from repro.autograd import Tensor, capture, fuse, make_op, ops, register_op
+from repro.autograd import Tensor, fuse, make_op, ops, register_op
 from repro.autograd.instrument import tensors_wanted
 
 
@@ -21,7 +22,7 @@ def _rules(report):
 
 class TestCleanGraphs:
     def test_elementwise_matmul_chain(self):
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones((2, 3)), requires_grad=True)
             w = Tensor(np.ones((3, 2)), requires_grad=True)
             y = ops.tsum(ops.tanh(ops.matmul(x, w)))
@@ -31,7 +32,7 @@ class TestCleanGraphs:
 
     def test_fused_layer_clean_even_for_second_order(self):
         rng = np.random.default_rng(0)
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
             W = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -40,7 +41,7 @@ class TestCleanGraphs:
         assert report.ok, report.render()
 
     def test_view_ops_not_flagged_as_aliasing(self):
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones((2, 6)), requires_grad=True)
             y = ops.tsum(ops.transpose(ops.reshape(x, (3, 4)), (1, 0)))
         report = GraphLinter(tape).lint(roots=[y])
@@ -48,7 +49,7 @@ class TestCleanGraphs:
 
     def test_tape_recording_leaves_no_global_state(self):
         assert not tensors_wanted()
-        with capture("tape"):
+        with TapeRecorder():
             ops.exp(Tensor(np.ones(2), requires_grad=True))
             assert tensors_wanted()
         assert not tensors_wanted()
@@ -56,7 +57,7 @@ class TestCleanGraphs:
 
 class TestChecksFire:
     def test_dtype_invariant(self):
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones(3), requires_grad=True)
             y = ops.exp(x)
             y.data = y.data.astype(np.float32)
@@ -74,7 +75,7 @@ class TestChecksFire:
 
             return make_op(x.data * 2.0, (x,), backward, "test_broken_bwd")
 
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones(5), requires_grad=True)
             y = ops.tsum(broken(x))
         report = GraphLinter(tape).lint(roots=[y])
@@ -89,7 +90,7 @@ class TestChecksFire:
 
             return make_op(a.data * b.data, (a, b), backward, "test_greedy_mul")
 
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             a = Tensor(np.ones(3), requires_grad=True)
             b = Tensor(np.full(3, 2.0), requires_grad=True)
             y = ops.tsum(greedy_mul(a, b))
@@ -108,7 +109,7 @@ class TestChecksFire:
 
             return make_op(a.data + b.data, (a, b), backward, "test_coupled_add")
 
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             a = Tensor(np.ones(3), requires_grad=True)
             b = Tensor(np.ones(3), requires_grad=True)
             y = ops.tsum(coupled_add(a, b))
@@ -125,14 +126,14 @@ class TestChecksFire:
 
             return make_op(x.data, (x,), backward, "test_alias_op")
 
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             y = ops.tsum(identity_view(x))
         report = GraphLinter(tape).lint(roots=[y])
         assert "alias-hazard" in _rules(report)
 
     def test_buffer_mutation(self):
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             h = ops.exp(x)
             y = ops.tsum(ops.mul(h, h))
@@ -141,7 +142,7 @@ class TestChecksFire:
         assert "buffer-mutation" in _rules(report)
 
     def test_unreachable_node(self):
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             ops.exp(x)  # dead compute
             y = ops.tsum(ops.tanh(x))
@@ -156,7 +157,7 @@ class TestChecksFire:
 
             return make_op(x.data + 1.0, (x,), backward, "test_rogue_kernel_xyz")
 
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             y = ops.tsum(rogue(x))
         report = GraphLinter(tape).lint(roots=[y])
@@ -171,7 +172,7 @@ class TestChecksFire:
 
             return make_op(x.data ** 2, (x,), backward, "test_raw_first_order")
 
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             x = Tensor(np.ones(4), requires_grad=True)
             y = ops.tsum(raw(x))
         clean = GraphLinter(tape).lint(roots=[y])

@@ -1,14 +1,16 @@
-"""The unified ``autograd.capture`` surface: kinds, composition, shims."""
+"""Op-stream observers, each its own context manager: kinds,
+composition, and the profiler leaving with its tracer."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, capture, ops
+from repro.autograd import Tensor, ops
 from repro.autograd.capture import Sanitizer, SanitizerError, TapeRecorder
 from repro.autograd.instrument import KernelCounter
-from repro.telemetry.trace import Tracer
+from repro.runtime import capture_mode
+from repro.telemetry.trace import Tracer, current_tracer
 
 
 def _forward():
@@ -19,73 +21,66 @@ def _forward():
 
 class TestKinds:
     def test_tape_records_op_outputs(self):
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             _, out = _forward()
-        assert isinstance(tape, TapeRecorder)
         assert [e.op for e in tape.entries] == ["add", "mul", "tanh", "sum"]
         assert len(tape) == 4
         assert tape.entries[-1].tensor is out
 
     def test_count_counts_launches(self):
-        with capture("count") as kc:
+        with KernelCounter() as kc:
             _forward()
-        assert isinstance(kc, KernelCounter)
         assert kc.total_launches == 4
         assert kc.launches["tanh"] == 1
 
     def test_sanitize_raises_on_nonfinite(self):
         with pytest.raises(SanitizerError, match="non-finite"):
-            with capture("sanitize"):
+            with Sanitizer():
                 ops.div(Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     def test_sanitize_collect_reports(self):
-        with capture("sanitize", mode="collect") as san:
+        with Sanitizer(mode="collect") as san:
             ops.div(Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        assert isinstance(san, Sanitizer)
         rep = san.report()
         assert not rep.ok
         assert rep.findings[0].context["op"] == "div"
 
     def test_profile_with_explicit_tracer(self):
-        with Tracer(keep_events=True) as tr:
-            with capture("profile", tracer=tr) as prof:
-                _forward()
-        assert tr.profiler is prof
-        assert [ev.name for ev in prof.events] == ["add", "mul", "tanh", "sum"]
+        with Tracer(profile=True) as tr:
+            _forward()
+        assert [ev.name for ev in tr.profiler.events] == ["add", "mul", "tanh", "sum"]
 
     def test_profile_owns_private_tracer(self):
-        with capture("profile") as prof:
+        """The profiler belongs to its tracer and leaves with it: once
+        the tracer exits, no later op is recorded and rank workers are no
+        longer asked to ship op timelines."""
+        with Tracer(profile=True) as tr:
+            assert capture_mode(current_tracer()) == "profile"
             _forward()
-        assert len(prof.events) == 4
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown capture kind"):
-            capture("trace")
-
-    def test_arg_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="tracer="):
-            capture("tape", tracer=object())
+        _forward()
+        assert len(tr.profiler.events) == 4
+        assert capture_mode(current_tracer()) is False
 
 
 class TestComposition:
     def test_nested_captures_observe_same_ops(self):
-        with capture("count") as outer:
-            with capture("tape") as tape:
-                with capture("count") as inner:
+        with KernelCounter() as outer:
+            with TapeRecorder() as tape:
+                with KernelCounter() as inner:
                     _forward()
         assert outer.total_launches == inner.total_launches == 4
         assert len(tape) == 4
 
     def test_exit_removes_only_own_sink(self):
-        with capture("count") as outer:
-            with capture("count"):
+        with KernelCounter() as outer:
+            with KernelCounter():
                 _forward()
             before = outer.total_launches
             _forward()
         assert outer.total_launches == 2 * before
 
     def test_entry_mutation_detected(self):
-        with capture("tape") as tape:
+        with TapeRecorder() as tape:
             _forward()
         entry = tape.entries[1]
         assert not entry.mutated()

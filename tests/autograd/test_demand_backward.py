@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, capture, fuse, grad, make_op, ops
+from repro.autograd import KernelCounter, Tensor, fuse, grad, make_op, ops
 from repro.autograd.config import config as ag_config
 from repro.autograd.instrument import registered_ops
 from repro.model import DeePMD, make_batch
@@ -144,7 +144,7 @@ class TestSubsetsMatchFullSweep:
     def test_bit_identical_for_every_subset(self, name, env):
         rng = _rng(name)
         fn, arrays = CASES[name](rng, env)
-        with capture("count") as kc:
+        with KernelCounter() as kc:
             xs = [Tensor(a, requires_grad=True) for a in arrays]
             out = fn(*xs)
             # out*out makes every cotangent depend on the inputs, so the
@@ -220,9 +220,9 @@ class TestRelease:
         x = Tensor(np.ones(3), requires_grad=True)
         h = ops.exp(x)
         y = ops.tsum(ops.mul(h, h))
-        with capture("count") as kc:
+        with KernelCounter() as kc:
             grad(y, [h])
-        with capture("count") as kc_x:
+        with KernelCounter() as kc_x:
             grad(y, [x])
         assert kc.total_launches < kc_x.total_launches
 
@@ -326,7 +326,7 @@ def test_predict_launches_no_weight_gradients(
     """Forces need dE/dr only: with live (requires_grad) weights the sweep
     launches exactly what it launches when the weights are constants."""
     def forces(p):
-        with capture("count") as kc:
+        with KernelCounter() as kc:
             coords = Tensor(cu_batch.coords, requires_grad=True)
             e = cu_model.energy_graph(coords, cu_batch, p=p, fused_env=fused_env)
             (gc,) = grad(ops.tsum(e), [coords])
@@ -340,7 +340,7 @@ def test_predict_launches_no_weight_gradients(
     try:
         kc_live, f_live = forces(live)
         kc_frozen, f_frozen = forces(frozen)
-        with capture("count") as kc_predict:
+        with KernelCounter() as kc_predict:
             pred = cu_model.predict(cu_batch, fused_env=fused_env)
     finally:
         ag_config.fused_elementwise = old

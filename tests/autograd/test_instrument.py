@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autograd import KernelCounter, Tensor, capture, instrument, record_launch, ops
+from repro.autograd import (
+    KernelCounter, Sanitizer, TapeRecorder, Tensor, instrument, ops, record_launch,
+)
 from repro.telemetry import Tracer
 
 
@@ -68,12 +70,11 @@ class TestGatesCloseAgain:
     leaves both at zero."""
 
     @pytest.mark.parametrize("make_observer", [
-        lambda: capture("tape"),
-        lambda: capture("count"),
-        lambda: capture("sanitize", mode="collect"),
-        lambda: capture("profile"),
+        TapeRecorder,
+        KernelCounter,
+        lambda: Sanitizer(mode="collect"),
         lambda: Tracer(keep_events=False, profile=True),
-    ], ids=["tape", "count", "sanitize", "profile", "tracer-profile"])
+    ], ids=["tape", "count", "sanitize", "tracer-profile"])
     def test_cycle_leaves_gates_closed(self, make_observer):
         x = Tensor(np.ones(3))
         with make_observer():

@@ -1,5 +1,7 @@
 """The python -m repro.harness command-line interface."""
 
+import pytest
+
 from repro.harness.__main__ import main
 
 
@@ -31,7 +33,10 @@ class TestCLI:
 
 
 class TestTraceOut:
-    def test_trace_out_flag_writes_bundle(self, tmp_path, capsys):
+    # figure7b profiles under its own scoped tracer, which must hand its
+    # spans and ops to the --trace-out tracer
+    @pytest.mark.parametrize("experiment", ["ablation_force_graph", "figure7b"])
+    def test_trace_out_flag_writes_bundle(self, tmp_path, capsys, experiment):
         """A cheap training experiment under --trace-out: the per-phase
         op table and hottest ops are printed, and the Chrome trace + span
         JSONL land next to each other."""
@@ -41,7 +46,7 @@ class TestTraceOut:
 
         trace_path = tmp_path / "trace.json"
         assert main([
-            "ablation_force_graph", "--frames", "8", "--trace-out", str(trace_path),
+            experiment, "--frames", "8", "--trace-out", str(trace_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "op-level profile by phase" in out

@@ -8,7 +8,7 @@ alerts within the configured deadline, and a healthy run of the same
 machinery must raise zero.
 
 Every scenario here -- faulted and healthy twin alike -- runs under the
-annotated race checker (``capture("races")``): stalls injected by
+annotated race checker (``RaceChecker``): stalls injected by
 :class:`FaultInjector` stretch the interleavings, and the checker
 certifies that no ``Guarded`` field is ever touched without its
 declared lock, with zero findings on the healthy twins.
@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.autograd.capture import capture
+from repro.analysis.concurrency import RaceChecker
 from repro.optim import FaultInjector
 from repro.serve import BoundedWorkQueue, InferenceService, ServeConfig
 from repro.telemetry.monitor import (
@@ -80,7 +80,7 @@ class TestWedgedQueueConsumer:
         return q, t, release, mon
 
     def test_wedged_consumer_breaches_within_deadline(self):
-        with capture("races") as races:
+        with RaceChecker() as races:
             q, t, release, mon = self._pipeline(wedge=True)
             with mon:
                 for k in range(6):  # first item wedges; the rest pile up
@@ -96,7 +96,7 @@ class TestWedgedQueueConsumer:
         assert races.ok, races.report().render()
 
     def test_healthy_consumer_never_breaches(self):
-        with capture("races") as races:
+        with RaceChecker() as races:
             q, t, release, mon = self._pipeline(wedge=False)
             with mon:
                 for k in range(6):
@@ -141,7 +141,7 @@ class TestStalledServeWorker:
                              raises=False),
         )
         frame = cu_dataset.positions[0]
-        with capture("races") as races:
+        with RaceChecker() as races:
             with mon:
                 pred = service.predict(
                     frame, cu_dataset.species, cu_dataset.cell, timeout=30.0
@@ -185,7 +185,7 @@ class TestStalledServeWorker:
                 )
 
         clients = [threading.Thread(target=client, args=(k,)) for k in range(3)]
-        with capture("races") as races:
+        with RaceChecker() as races:
             with mon:
                 for t in clients:
                     t.start()

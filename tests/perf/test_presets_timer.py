@@ -8,6 +8,7 @@ from repro.model import make_batch
 from repro.optim import FEKF
 from repro.optim.kalman import FLUSH_EVERY
 from repro.perf import PRESET_ORDER, PRESETS, profile_update
+from repro.telemetry import Tracer, summarize_phases
 
 
 class TestPresets:
@@ -105,9 +106,9 @@ class TestFigure7bKernelCounts:
 
 
 class TestProfilerReconciliation:
-    """The op-level profiler and the span-derived Figure 7(b) query are
-    two views of the same launch stream; on a profiled FEKF step they
-    must agree *exactly*, per preset."""
+    """Two views of one profiled FEKF step: the phase each op event was
+    classified into when it was recorded, and the span-tree Figure 7(b)
+    query.  They must agree *exactly*, per preset."""
 
     @pytest.mark.parametrize("preset_name", ["baseline", "opt1", "opt2", "opt3"])
     def test_phase_counts_match_span_counts(
@@ -120,14 +121,19 @@ class TestProfilerReconciliation:
         preset = PRESETS[preset_name]
         opt = FEKF(cu_model, preset.kalman_config(blocksize=1024),
                    fused_env=preset.fused_env)
-        prof = profile_update(cu_model, opt, batch, preset)
+        # the caller's tracer adopts the profiled step's op events
+        with Tracer(profile=True) as tracer:
+            prof = profile_update(cu_model, opt, batch, preset)
         # the profile is the first step of a fresh optimizer (5 Kalman
         # updates); the fused backend's rank-k flush comes every
         # FLUSH_EVERY (> 5) updates, so none lands inside it and the
         # single-update Kalman kernel count scales exactly
         assert opt.kalman.updates == 5 < FLUSH_EVERY
         assert opt.kalman.pending == (5 if preset.fused_p_update else 0)
-        pk = prof.phase_kernels
+        pk = {
+            phase: agg["kernels"]
+            for phase, agg in summarize_phases(tracer.profiler.events).items()
+        }
         assert pk["forward_energy"] == prof.energy.forward_kernels
         assert pk["forward_force"] == 4 * prof.force.forward_kernels
         assert pk["backward"] == (

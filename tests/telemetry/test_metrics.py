@@ -1,13 +1,6 @@
-"""MetricRegistry: get-or-create semantics, labels, snapshot, kernel sink."""
+"""MetricRegistry: get-or-create semantics, labels, snapshot."""
 
-import numpy as np
-
-from repro.autograd import Tensor
-from repro.telemetry import (
-    MetricRegistry,
-    disable_kernel_metrics,
-    enable_kernel_metrics,
-)
+from repro.telemetry import MetricRegistry
 
 
 class TestInstruments:
@@ -158,27 +151,3 @@ class TestSnapshot:
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
-
-class TestKernelMetrics:
-    def test_launches_routed_to_registry(self):
-        reg = MetricRegistry()
-        a = Tensor(np.ones((3, 3)))
-        enable_kernel_metrics(reg)
-        try:
-            (a @ a).sum()
-        finally:
-            disable_kernel_metrics()
-        snap = reg.snapshot()
-        per_op = {
-            k: v for k, v in snap["counters"].items()
-            if k.startswith("autograd.kernel_launches")
-        }
-        assert sum(per_op.values()) >= 2
-        assert snap["counters"]["autograd.kernel_bytes"] > 0
-        # after disable, further ops must not report
-        before = dict(snap["counters"])
-        a @ a
-        assert reg.snapshot()["counters"] == before
-
-    def test_disable_without_enable_is_noop(self):
-        disable_kernel_metrics()  # must not raise

@@ -191,8 +191,8 @@ class TestSummaries:
         return tr
 
     def test_phase_kernel_counts(self):
-        tr = self._events()
-        assert tr.profiler.phase_kernel_counts() == {
+        summary = self._events().profiler.phase_summary()
+        assert {p: agg["kernels"] for p, agg in summary.items()} == {
             "forward_energy": 2, "backward": 1,
         }
 
