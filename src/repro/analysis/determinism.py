@@ -273,7 +273,7 @@ def audit_determinism(
     (conventionally ``serial``); every other backend must reproduce its
     per-step fingerprints bit-for-bit.
     """
-    from ..optim.kalman import blas_threads
+    from ..optim.lanes import blas_threads
 
     report = Report(tool="determinism")
     if dataset is None or cfg is None:

@@ -164,6 +164,13 @@ def tensors_wanted() -> bool:
     return _WANT_TENSORS > 0
 
 
+def thread_observed() -> bool:
+    """Whether a launch sink is installed on the calling thread: work
+    that would otherwise move to another thread stays on this one, so
+    the sink sees every launch in order."""
+    return bool(_TLS.sinks)
+
+
 @dataclass(eq=False)
 class KernelCounter:
     """Counts primitive op executions ("kernel launches") and output bytes.

@@ -25,16 +25,29 @@ They differ in how a multi-sample minibatch is digested:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..autograd.instrument import thread_observed
 from ..model.environment import DescriptorBatch
 from ..model.network import DeePMD
 from ..telemetry import metrics as _metrics
+from ..telemetry.trace import Tracer, current_tracer
 from ..telemetry.trace import span as _span
 from .kalman import KalmanConfig, KalmanState
+from .lanes import lane_count, map_lanes
 from .worker import GradientWorker
+
+#: batches with fewer neighbour-level activation values than this
+#: (``B * N * Nm * M``: frames x atoms x neighbour slots x embedding
+#: width) sweep their force groups on one lane.  A constant of the
+#: thread handoff, not a knob: four group sweeps on the scaled net took
+#: 17.5 -> 29.2 ms on one -> two lanes at bs 1, 29.6 -> 32.4 at bs 4
+#: (26k values), 46.8 -> 43.7 at bs 8 (52k) and 201.9 -> 121.5 at bs 32;
+#: the paper net crosses over in the same range (DESIGN.md section 5).
+SWEEP_LANES_MIN = 1 << 15
 
 
 @dataclass
@@ -106,6 +119,7 @@ class FEKF:
         self.step_scale = step_scale
         self._rng = np.random.default_rng(seed)
         self.step_count = 0
+        self._force_lanes = 0
 
     # ------------------------------------------------------------------
     # gradient building blocks (implementation lives in GradientWorker)
@@ -121,11 +135,13 @@ class FEKF:
 
     def stats(self) -> dict:
         """Optimizer-level diagnostics: the filter's step count, lambda
-        and update count."""
+        and update count, and ``force_lanes``, the lanes the last step
+        swept its force groups on (0 before the first step)."""
         return {
             "step_count": self.step_count,
             "lambda": self.kalman.lam,
             "updates": self.kalman.updates,
+            "force_lanes": self._force_lanes,
         }
 
     def force_groups(self, n_atoms: int) -> list[np.ndarray]:
@@ -244,8 +260,57 @@ class FEKF:
                 self._rng.bit_generator.state = st
 
     # ------------------------------------------------------------------
+    def _sweep_lanes(self, batch: DescriptorBatch, n_groups: int) -> int:
+        """Lanes for the force-group sweeps: one per idle core
+        (:func:`~repro.optim.lanes.lane_count`), but one for a small batch
+        (the handoff costs more than the second core saves) and one under
+        an op-stream observer on this thread (its sink records only this
+        thread's launches)."""
+        width = self.model.cfg.embedding_widths[-1]
+        if batch.idx_flat.size * width < SWEEP_LANES_MIN or thread_observed():
+            return 1
+        return lane_count(n_groups)
+
+    def _group_gradients(
+        self, batch: DescriptorBatch, groups: list[np.ndarray]
+    ) -> list[tuple[np.ndarray, float]]:
+        """Every group's ``(g, abe)`` from one shared force graph, the
+        groups split over lanes.
+
+        A sweep only reads the graph, so the same ops run on the same
+        inputs on any lane.  Each group records its spans under a
+        ``fekf.update`` of kind ``force``; on more than one lane, under a
+        private tracer per group that the caller's tracer adopts in group
+        order once every lane has joined."""
+        f_pred, p = self.worker.force_graph(batch)
+        n_lanes = self._sweep_lanes(batch, len(groups))
+        self._force_lanes = n_lanes
+        parent = current_tracer() if n_lanes > 1 else None
+        step = self.step_count
+
+        def sweep(gi: int):
+            with Tracer() if parent is not None else nullcontext() as tracer:
+                with _span("fekf.update", kind="force", group=gi, step=step):
+                    g, abe = self.worker.force_group_gradient(
+                        f_pred, p, batch, groups[gi]
+                    )
+            return g, abe, tracer
+
+        lanes = [list(range(k, len(groups), n_lanes)) for k in range(n_lanes)]
+        out = []
+        for g, abe, tracer in map_lanes(sweep, lanes):
+            if tracer is not None:
+                parent.adopt(tracer)
+            out.append((g, abe))
+        return out
+
     def step_batch(self, batch: DescriptorBatch) -> dict[str, float]:
-        """One training step: 1 energy update + n_force_splits force updates."""
+        """One training step: 1 energy update + n_force_splits force updates.
+
+        Under the shared force graph the groups' gradients are all swept
+        before the first force update, on up to one lane per idle core
+        (:meth:`_group_gradients`); the force updates then run in group
+        order, so the result does not depend on the lane count."""
         scale = (
             float(np.sqrt(batch.batch_size))
             if self.step_scale is None
@@ -257,18 +322,26 @@ class FEKF:
                 dw = self.kalman.update(g, e_abe, scale)
         self.apply_increment(dw)
 
+        groups = self.force_groups(batch.n_atoms)
         f_abes = []
-        shared = self.worker.force_graph(batch) if self.reuse_force_graph else None
-        for gi, group in enumerate(self.force_groups(batch.n_atoms)):
-            with _span("fekf.update", kind="force", group=gi, step=self.step_count):
-                if shared is not None:
-                    g, f_abe = self.worker.force_group_gradient(*shared, batch, group)
-                else:
-                    g, f_abe = self.worker.force_gradient(batch, group)
-                with _span("fekf.kalman"):
+        if self.reuse_force_graph:
+            # every group's gradient comes from the one graph built at the
+            # post-energy-update weights (unflatten replaces the weight
+            # arrays, so no increment reaches it)
+            for gi, (g, f_abe) in enumerate(self._group_gradients(batch, groups)):
+                with _span("fekf.kalman", kind="force", group=gi, step=self.step_count):
                     dw = self.kalman.update(g, f_abe, scale)
-            self.apply_increment(dw)
-            f_abes.append(f_abe)
+                self.apply_increment(dw)
+                f_abes.append(f_abe)
+        else:
+            self._force_lanes = 1
+            for gi, group in enumerate(groups):
+                with _span("fekf.update", kind="force", group=gi, step=self.step_count):
+                    g, f_abe = self.worker.force_gradient(batch, group)
+                    with _span("fekf.kalman"):
+                        dw = self.kalman.update(g, f_abe, scale)
+                self.apply_increment(dw)
+                f_abes.append(f_abe)
         self.step_count += 1
         _metrics.REGISTRY.counter("optim.steps", optimizer=self.name).inc()
         _metrics.REGISTRY.gauge("kalman.lambda").set(self.kalman.lam)

@@ -40,9 +40,9 @@ updating" + "cache intermediate results"):
 
 The blocks are independent inside the two passes over P, so each state
 splits them into *lanes* (:func:`~repro.optim.blocks.shard_blocks`, one
-per core the BLAS leaves idle, see :func:`lane_count`): every update's
-per-block ``P_eff g`` and every block's flush run on the lanes, the
-caller's thread taking lane 0.  The BLAS calls go through scipy's
+per core the BLAS leaves idle, see :mod:`repro.optim.lanes`): every
+update's per-block ``P_eff g`` and every block's flush run on the lanes,
+the caller's thread taking lane 0.  The BLAS calls go through scipy's
 ``cython_blas`` C entry points with ``ctypes``, which release the GIL
 (its f2py wrappers do not).  Each block has exactly one writer lane and
 everything between the two passes -- gains, downdate parking, the guard,
@@ -63,8 +63,6 @@ and can be disabled (``inf``) to recover the unguarded Algorithm 1.
 from __future__ import annotations
 
 import ctypes
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +70,7 @@ from scipy.linalg import cython_blas
 
 from ..autograd.instrument import record_launch, register_op
 from .blocks import Block, shard_blocks, split_blocks
+from .lanes import lane_count, map_lanes
 
 # the Kalman-core kernels live outside the autograd graph (plain BLAS on
 # P); registered so the launch accounting and the project lint know them
@@ -156,50 +155,6 @@ def _syrk_into(alpha: float, w: np.ndarray, c: np.ndarray) -> None:
     n, k = w.shape
     _DSYRK(b"U", b"N", _i(n), _i(k), _d(alpha), _ptr(w, (n, k)), _i(n), _d(1.0),
            _ptr(c, (n, n)), _i(n))
-
-
-def blas_threads() -> int | None:
-    """OpenBLAS's thread count, or ``None`` when the BLAS behind scipy
-    does not export ``scipy_openblas_get_num_threads``."""
-    try:
-        get = ctypes.CDLL(cython_blas.__file__).scipy_openblas_get_num_threads
-    except AttributeError:
-        return None
-    get.restype, get.argtypes = ctypes.c_int, []
-    return int(get())
-
-
-def lane_count(n_blocks: int) -> int:
-    """Lanes for a filter of ``n_blocks`` blocks: one per core that a
-    multi-threaded BLAS call would not already occupy (a second lane
-    beside a 2-thread BLAS on 2 cores is slower than none), and one when
-    the BLAS thread count is unknown."""
-    threads = blas_threads()
-    if threads is None:
-        return 1
-    return max(1, min(n_blocks, len(os.sched_getaffinity(0)) // threads))
-
-
-#: the threads that run every lane but the caller's, shared by all states
-#: of the process; none starts before the first multi-lane call
-_HELPERS: ThreadPoolExecutor
-
-
-def _new_helpers() -> None:
-    """(Re)build the pool: at import, and in a forked child (member ranks
-    fork), which inherits the pool's bookkeeping but none of its threads."""
-    global _HELPERS
-    _HELPERS = ThreadPoolExecutor(
-        max(1, len(os.sched_getaffinity(0)) - 1), thread_name_prefix="kalman-lane"
-    )
-
-
-_new_helpers()
-os.register_at_fork(after_in_child=_new_helpers)
-
-
-def _run_lane(fn, lane: list[int]) -> list:
-    return [fn(i) for i in lane]
 
 
 @dataclass
@@ -304,19 +259,6 @@ class KalmanState:
             tr -= beta @ np.square(u).sum(axis=0)
         return float(tr)
 
-    def _on_lanes(self, fn) -> list:
-        """``[fn(i) for i in blocks]``, each lane's blocks in one thread
-        and lane 0 in this one; no lane outlives the call."""
-        first, *rest = self.lanes
-        futures = [_HELPERS.submit(_run_lane, fn, lane) for lane in rest]
-        try:
-            out = dict(zip(first, _run_lane(fn, first)))
-        finally:
-            wait(futures)
-        for lane, fut in zip(rest, futures):
-            out.update(zip(lane, fut.result()))
-        return [out[i] for i in range(len(self.blocks))]
-
     # ------------------------------------------------------------------
     # kernels: they run on the lanes, so each returns the launch it
     # performed and the caller records it (launch sinks are per thread)
@@ -379,7 +321,7 @@ class KalmanState:
     def _flush(self) -> None:
         """Flush every block (one lane per block set), then record the
         flushes in block order."""
-        for launch in self._on_lanes(self._flush_block):
+        for launch in map_lanes(self._flush_block, self.lanes):
             record_launch(*launch)
         self.pending = 0
 
@@ -397,7 +339,7 @@ class KalmanState:
 
         gs = [g_flat[blk.slice()] for blk in self.blocks]
         pgs = []
-        for pg, launch in self._on_lanes(lambda i: self._pg(i, gs[i])):
+        for pg, launch in map_lanes(lambda i: self._pg(i, gs[i]), self.lanes):
             record_launch(*launch)
             pgs.append(pg)
         quads = [float(g @ pg) for g, pg in zip(gs, pgs)]

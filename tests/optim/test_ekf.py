@@ -1,12 +1,19 @@
 """EKF optimizers: protocol semantics, convergence, variants."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro.autograd import KernelCounter, Sanitizer, TapeRecorder
 from repro.model import DeePMD, make_batch
 from repro.optim import FEKF, KalmanConfig, NaiveEKF, RLEKF, error_signs, make_optimizer
+from repro.optim import ekf as ekf_mod
+from repro.optim import lanes as lanes_mod
 from repro.optim.kalman import FLUSH_EVERY
 from repro.parallel import DistributedFEKF
+from repro.telemetry import Tracer
 
 
 def _kcfg(**kw):
@@ -224,3 +231,197 @@ class TestIgnoredCompiledKeyword:
             make_optimizer("distributed_fekf", cu_model, world_size=2, compiled=True)
         with pytest.raises(TypeError, match="compiled"):
             DistributedFEKF(cu_model, world_size=2, executor="serial", compiled=True)
+
+
+class _PoolSpy:
+    """Stands in for the lane pool and keeps every task submitted to it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        return self.pool.submit(fn, *args)
+
+
+def _stub_lanes(monkeypatch, n):
+    monkeypatch.setattr(ekf_mod, "lane_count", lambda n_groups: min(n_groups, n))
+
+
+@pytest.fixture()
+def pool_spy(monkeypatch):
+    """Two lanes for the force groups, and a spy on the lane pool."""
+    _stub_lanes(monkeypatch, 2)
+    spy = _PoolSpy(lanes_mod._HELPERS)
+    monkeypatch.setattr(lanes_mod, "_HELPERS", spy)
+    return spy
+
+
+def _serial_kalman(opt):
+    """One Kalman lane, so every pool task the step submits is a group."""
+    opt.kalman.lanes = [list(range(len(opt.kalman.blocks)))]
+    return opt
+
+
+#: launches / op outputs each observer sees in the first step of
+#: ``TestForceLanes._opt`` on an 8-frame batch -- the counts of the
+#: serial step (one lane) for the same config
+OBSERVED_COUNTS = {
+    "kernel_counter": 1019,
+    "tape": 1019,
+    "sanitizer": 989,
+    "profiler": 1019,
+}
+
+
+class TestForceLanes:
+    """Under the shared force graph the force-group sweeps run on lanes;
+    every lane count gives the same bits."""
+
+    BS = 8  # 8 x 32 atoms x 16 slots x width 12 = 49k values, above the constant
+
+    @staticmethod
+    def _opt(dataset, cfg, kcfg=None, **kw):
+        model = DeePMD.for_dataset(dataset, cfg, seed=1)
+        return FEKF(model, kcfg or _kcfg(), fused_env=True, seed=3, **kw)
+
+    def _batches(self, dataset, cfg):
+        n = len(dataset)
+        return [
+            make_batch(dataset, (np.arange(self.BS) + 5 * k) % n, cfg) for k in range(3)
+        ]
+
+    def test_batch_is_above_the_size_constant(self, cu_dataset, small_cfg, cu_batch):
+        width = small_cfg.embedding_widths[-1]
+        big = self._batches(cu_dataset, small_cfg)[0]
+        assert big.idx_flat.size * width >= ekf_mod.SWEEP_LANES_MIN
+        assert cu_batch.idx_flat.size * width < ekf_mod.SWEEP_LANES_MIN
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_two_lanes_match_one_bit_for_bit(
+        self, monkeypatch, cu_dataset, small_cfg, fused, coupled
+    ):
+        kcfg = KalmanConfig(blocksize=512, fused_update=fused, coupled_gain=coupled)
+        batches = self._batches(cu_dataset, small_cfg)
+        runs = []
+        for n_lanes in (1, 2):
+            _stub_lanes(monkeypatch, n_lanes)
+            opt = self._opt(cu_dataset, small_cfg, kcfg)
+            for k in range(25):  # 125 updates: the fused backend flushes 6 times
+                opt.step_batch(batches[k % len(batches)])
+                assert opt.stats()["force_lanes"] == n_lanes
+            runs.append(opt)
+        one, two = runs
+        assert one.kalman.updates == 125 > FLUSH_EVERY
+        assert one.model.params.flatten().tobytes() == two.model.params.flatten().tobytes()
+        assert one.kalman.checksum() == two.kalman.checksum()
+        sd_one, sd_two = one.state_dict(), two.state_dict()
+        assert sd_one.keys() == sd_two.keys()
+        for key in sd_one:
+            assert np.array_equal(sd_one[key], sd_two[key]), key
+
+    def test_groups_go_to_the_pool(self, pool_spy, cu_dataset, small_cfg):
+        opt = _serial_kalman(self._opt(cu_dataset, small_cfg))
+        opt.step_batch(self._batches(cu_dataset, small_cfg)[0])
+        assert [lane for _, lane in pool_spy.submitted] == [[1, 3]]
+        assert opt.stats()["force_lanes"] == 2
+
+    @pytest.mark.parametrize("case", ["small_batch", "fresh_graph", "rlekf"])
+    def test_no_group_task(self, pool_spy, cu_dataset, small_cfg, cu_batch, case):
+        big = self._batches(cu_dataset, small_cfg)[0]
+        if case == "small_batch":
+            opt, batch = self._opt(cu_dataset, small_cfg), cu_batch
+        elif case == "fresh_graph":
+            opt = self._opt(cu_dataset, small_cfg, reuse_force_graph=False)
+            batch = big
+        else:
+            model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+            opt = RLEKF(model, _kcfg(), fused_env=True, seed=3)
+            batch = big.frame_slice(0, 1)
+        _serial_kalman(opt).step_batch(batch)
+        assert pool_spy.submitted == []
+        assert opt.stats()["force_lanes"] == 1
+
+    @pytest.mark.parametrize("observer", sorted(OBSERVED_COUNTS))
+    def test_observed_step_stays_on_the_observing_thread(
+        self, pool_spy, cu_dataset, small_cfg, observer
+    ):
+        make, count = {
+            "kernel_counter": (KernelCounter, lambda o: o.total_launches),
+            "tape": (TapeRecorder, lambda o: len(o.launch_names)),
+            "sanitizer": (lambda: Sanitizer(mode="collect"), lambda o: o.ops_checked),
+            "profiler": (lambda: Tracer(profile=True), lambda o: len(o.profiler.events)),
+        }[observer]
+        opt = _serial_kalman(self._opt(cu_dataset, small_cfg))
+        with make() as obs:
+            opt.step_batch(self._batches(cu_dataset, small_cfg)[0])
+        assert pool_spy.submitted == []
+        assert opt.stats()["force_lanes"] == 1
+        assert count(obs) == OBSERVED_COUNTS[observer]
+
+    def test_plain_tracer_adopts_the_lane_spans(self, pool_spy, cu_dataset, small_cfg):
+        opt = _serial_kalman(self._opt(cu_dataset, small_cfg))
+        with Tracer() as tr, tr.span("step"):
+            opt.step_batch(self._batches(cu_dataset, small_cfg)[0])
+        assert len(pool_spy.submitted) == 1
+        by_id = {e.span_id: e for e in tr.events}
+        force = [
+            e for e in tr.events
+            if e.name == "fekf.gradient"
+            and by_id[e.parent_id].name == "fekf.update"
+            and by_id[e.parent_id].attrs["kind"] == "force"
+        ]
+        assert sorted(by_id[e.parent_id].attrs["group"] for e in force) == [0, 1, 2, 3]
+        step = next(e for e in tr.events if e.name == "step")
+        assert all(by_id[e.parent_id].parent_id == step.span_id for e in force)
+        assert len([e for e in tr.events if e.name == "fekf.kalman"]) == 5
+
+    @pytest.mark.parametrize("failing", [1, 0])
+    def test_lane_error_surfaces_after_every_lane_joined(
+        self, monkeypatch, cu_dataset, small_cfg, failing
+    ):
+        """Group 1 runs on the helper lane, group 0 on the caller's; the
+        other lane is slowed so it is still sweeping when the error is
+        raised."""
+        _stub_lanes(monkeypatch, 2)
+        opt = _serial_kalman(self._opt(cu_dataset, small_cfg))
+        batch, nxt = self._batches(cu_dataset, small_cfg)[:2]
+        state = opt._rng.bit_generator.state
+        groups = opt.force_groups(batch.n_atoms)
+        opt._rng.bit_generator.state = state
+        real = opt.worker.force_group_gradient
+        lock, live, finished = threading.Lock(), [0], []
+
+        def flaky(f_pred, p, b, atom_group):
+            gi = next(k for k, g in enumerate(groups) if np.array_equal(g, atom_group))
+            with lock:
+                live[0] += 1
+            try:
+                if gi == failing:
+                    raise RuntimeError(f"group {gi} failed")
+                if gi % 2 != failing % 2:
+                    time.sleep(0.2)
+                return real(f_pred, p, b, atom_group)
+            finally:
+                with lock:
+                    live[0] -= 1
+                    finished.append(gi)
+
+        monkeypatch.setattr(opt.worker, "force_group_gradient", flaky)
+        with pytest.raises(RuntimeError, match=f"group {failing} failed"):
+            opt.step_batch(batch)
+        assert live[0] == 0
+        assert (1 - failing) in finished  # the other lane ran while it failed
+
+        monkeypatch.setattr(opt.worker, "force_group_gradient", real)
+        state, weights = opt.state_dict(), opt.model.params.flatten()
+        opt.step_batch(nxt)
+        assert opt.stats()["force_lanes"] == 2
+        lanes_out = (opt.model.params.flatten().tobytes(), opt.kalman.checksum())
+        opt.load_state_dict(state)
+        opt.model.params.unflatten(weights)
+        _stub_lanes(monkeypatch, 1)
+        opt.step_batch(nxt)
+        assert (opt.model.params.flatten().tobytes(), opt.kalman.checksum()) == lanes_out

@@ -9,9 +9,10 @@ import pytest
 from scipy.linalg import blas
 
 from repro.autograd.instrument import KernelCounter
-from repro.model import DeePMD
+from repro.model import DeePMD, make_batch
 from repro.optim import FEKF, KalmanConfig, KalmanState
-from repro.optim import kalman as kalman_mod
+from repro.optim import ekf as ekf_mod
+from repro.optim import lanes as lanes_mod
 from repro.optim.blocks import shard_blocks
 from repro.optim.kalman import FLUSH_EVERY
 
@@ -364,6 +365,25 @@ def _update_and_send(state, g, conn):
     conn.send(state.update(g, 0.3, 2.0))
 
 
+def _step_and_send(opt, batch, conn):
+    opt.step_batch(batch)
+    conn.send((opt.stats()["force_lanes"], opt.model.params.flatten()))
+
+
+def _in_forked_child(target, *args):
+    """``target(*args, conn)`` in a forked child; what it sent."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=target, args=(*args, send))
+    child.start()
+    try:
+        assert recv.poll(60), "a lane step hung in the forked child"
+        return recv.recv()
+    finally:
+        child.kill()
+        child.join()
+
+
 class TestLanes:
     """The per-block passes over P run on one lane per idle core; any
     split of the blocks into lanes gives the one-lane filter bit for bit."""
@@ -403,24 +423,29 @@ class TestLanes:
         for key in sd_one:
             assert np.array_equal(sd_one[key], sd_two[key]), key
 
-    def test_forked_child_rebuilds_the_lane_threads(self):
+    def test_forked_child_rebuilds_the_lane_threads(
+        self, monkeypatch, cu_dataset, small_cfg
+    ):
         state = _state(fused_update=True)
         state.lanes = shard_blocks(state.blocks, 2)
         r = np.random.default_rng(9)
         state.update(r.normal(size=N), 0.3, 2.0)  # the helper thread now exists
         g = r.normal(size=N)
         expect = state.clone().update(g, 0.3, 2.0)
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_update_and_send, args=(state, g, send))
-        child.start()
-        try:
-            assert recv.poll(60), "a two-lane update hung in the forked child"
-            got = recv.recv()
-        finally:
-            child.kill()
-            child.join()
-        assert np.array_equal(got, expect)
+        assert np.array_equal(_in_forked_child(_update_and_send, state, g), expect)
+
+        # the same after the pool has swept force groups: two lanes for
+        # the groups, a batch above the size constant
+        monkeypatch.setattr(ekf_mod, "lane_count", lambda n: min(n, 2))
+        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+        opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True), fused_env=True)
+        first, second = (make_batch(cu_dataset, np.arange(8) + k, small_cfg) for k in (0, 8))
+        opt.step_batch(first)
+        assert opt.stats()["force_lanes"] == 2
+        lanes, got = _in_forked_child(_step_and_send, opt, second)
+        opt.step_batch(second)
+        assert lanes == 2
+        assert got.tobytes() == model.params.flatten().tobytes()
 
     def test_concurrent_filters_share_the_lane_threads(self):
         """Filters updated from several threads at once (member filters
@@ -459,8 +484,8 @@ class TestLanes:
     def test_lane_count_leaves_the_blas_threads_their_cores(
         self, monkeypatch, threads, lanes
     ):
-        monkeypatch.setattr(kalman_mod, "blas_threads", lambda: threads)
-        monkeypatch.setattr(kalman_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(lanes_mod, "blas_threads", lambda: threads)
+        monkeypatch.setattr(lanes_mod.os, "sched_getaffinity", lambda pid: {0, 1})
         state = _state(fused_update=True)
         assert len(state.lanes) == lanes
         assert sorted(i for lane in state.lanes for i in lane) == list(
