@@ -6,7 +6,8 @@ it, :func:`open_source` turns paths/objects into sources, and
 :func:`make_loader` builds the (optionally prefetching) batch iterator.
 """
 
-from .dataset import Dataset, NeighborArrays
+from ..md.neighbor import NeighborArrays
+from .dataset import Dataset
 from .framestore import FrameStoreCorrupt, ShardedFrameStore
 from .loader import BatchLoader, StreamingLoader, make_loader
 from .source import Frames, FrameSource, open_source, windowed_order

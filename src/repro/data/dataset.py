@@ -15,23 +15,8 @@ from typing import Optional
 import numpy as np
 
 from ..md.cell import Cell
-from ..md.neighbor import neighbor_table
+from ..md.neighbor import NeighborArrays, batch_neighbor_tables
 from ..md.sampler import Trajectory
-
-
-@dataclass
-class NeighborArrays:
-    """Stacked neighbor tables for all frames: idx (F,N,Nm) int,
-    shift (F,N,Nm,3), mask (F,N,Nm) bool, built at cutoff ``rcut``."""
-
-    idx: np.ndarray
-    shift: np.ndarray
-    mask: np.ndarray
-    rcut: float
-
-    @property
-    def nmax(self) -> int:
-        return self.idx.shape[2]
 
 
 @dataclass
@@ -105,13 +90,7 @@ class Dataset:
         """Padded neighbor tables for the requested frames, sliced from
         the dataset-wide cache (:class:`FrameSource` read path)."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        nb = self.ensure_neighbors(rcut, nmax)
-        return NeighborArrays(
-            idx=nb.idx[indices],
-            shift=nb.shift[indices],
-            mask=nb.mask[indices],
-            rcut=nb.rcut,
-        )
+        return self.ensure_neighbors(rcut, nmax).take(indices)
 
     @property
     def cached_neighbors(self) -> Optional[NeighborArrays]:
@@ -149,13 +128,7 @@ class Dataset:
             temperatures=self.temperatures[indices],
         )
         if self._neighbors is not None:
-            nb = self._neighbors
-            sub._neighbors = NeighborArrays(
-                idx=nb.idx[indices],
-                shift=nb.shift[indices],
-                mask=nb.mask[indices],
-                rcut=nb.rcut,
-            )
+            sub._neighbors = self._neighbors.take(indices)
         return sub
 
     def split(self, train_fraction: float = 0.8, seed: int = 0) -> tuple["Dataset", "Dataset"]:
@@ -171,14 +144,7 @@ class Dataset:
         nb = self._neighbors
         if nb is not None and nb.rcut == rcut and nb.nmax == nmax:
             return nb
-        f = self.n_frames
-        idx = np.zeros((f, self.n_atoms, nmax), dtype=np.int64)
-        shift = np.zeros((f, self.n_atoms, nmax, 3))
-        mask = np.zeros((f, self.n_atoms, nmax), dtype=bool)
-        for t in range(f):
-            table = neighbor_table(self.positions[t], self.cell, rcut, nmax)
-            idx[t], shift[t], mask[t] = table.idx, table.shift, table.mask
-        self._neighbors = NeighborArrays(idx=idx, shift=shift, mask=mask, rcut=rcut)
+        self._neighbors = batch_neighbor_tables(self.positions, self.cell, rcut, nmax)
         return self._neighbors
 
     # ------------------------------------------------------------------

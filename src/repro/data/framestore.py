@@ -37,7 +37,7 @@ Reads go through :meth:`get_frames` / :meth:`neighbor_tables`, the
 replacement for a ``Dataset`` everywhere batches are built, and training
 from one is bit-identical to training from the equivalent in-memory
 dataset (the frames are the same bytes; neighbor tables come from the
-same :func:`~repro.md.neighbor.neighbor_table` kernel).
+same :func:`~repro.md.neighbor.batch_neighbor_tables` kernel).
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..md.cell import Cell
-from ..md.neighbor import neighbor_table
-from .dataset import Dataset, NeighborArrays
+from ..md.neighbor import NeighborArrays, NeighborTable, batch_neighbor_tables
+from .dataset import Dataset
 
 __all__ = [
     "SCHEMA",
@@ -213,7 +213,7 @@ class ShardedFrameStore:
         self._mu = threading.RLock()
         self._views: "OrderedDict[int, _ShardView]" = OrderedDict()
         self._active_fh = None
-        self._nb_cache: "OrderedDict[int, tuple]" = OrderedDict()
+        self._nb_cache: "OrderedDict[int, NeighborTable]" = OrderedDict()
         self._nb_key: Optional[tuple[float, int]] = None
         self.max_open_shards = 8
         self.neighbor_cache_frames = 1024
@@ -719,42 +719,31 @@ class ShardedFrameStore:
     def neighbor_tables(self, indices, rcut: float, nmax: int) -> NeighborArrays:
         """Padded neighbor tables for the requested frames.
 
-        Built per frame with the same :func:`~repro.md.neighbor.
-        neighbor_table` kernel the in-memory dataset uses (bit-identical
-        tables), behind a bounded per-frame LRU keyed on the (rcut, nmax)
-        in effect -- revisits across epochs hit the cache, and the cache
-        never outgrows ``neighbor_cache_frames`` entries."""
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        The frames missing from a bounded per-frame LRU (keyed on the
+        (rcut, nmax) in effect) are read once and built in one
+        :func:`~repro.md.neighbor.batch_neighbor_tables` call -- the
+        kernel the in-memory dataset uses, so the tables are the same
+        bytes.  Revisits across epochs hit the cache, and the cache never
+        outgrows ``neighbor_cache_frames`` entries."""
+        order = np.asarray(indices, dtype=np.int64).reshape(-1).tolist()
         key = (float(rcut), int(nmax))
-        f, n = indices.size, self.n_atoms
-        idx = np.zeros((f, n, nmax), dtype=np.int64)
-        shift = np.zeros((f, n, nmax, 3))
-        mask = np.zeros((f, n, nmax), dtype=bool)
         with self._mu:
             if self._nb_key != key:
                 self._nb_cache.clear()
                 self._nb_key = key
-            missing = [
-                t for t in dict.fromkeys(int(i) for i in indices)
-                if t not in self._nb_cache
-            ]
+            tables = {t: self._nb_cache.get(t) for t in order}
+            for t, table in tables.items():
+                if table is not None:
+                    self._nb_cache.move_to_end(t)
+            missing = [t for t, table in tables.items() if table is None]
             if missing:
                 frames = self.get_frames(np.asarray(missing, dtype=np.int64))
+                built = batch_neighbor_tables(frames.positions, self.cell, rcut, nmax)
                 for k, t in enumerate(missing):
-                    table = neighbor_table(frames.positions[k], self.cell, rcut, nmax)
-                    self._nb_cache[t] = (table.idx, table.shift, table.mask)
-                    while len(self._nb_cache) > self.neighbor_cache_frames:
-                        self._nb_cache.popitem(last=False)
-            for k, t in enumerate(indices):
-                entry = self._nb_cache.get(int(t))
-                if entry is None:  # evicted within this call (tiny cache)
-                    frames = self.get_frames(np.asarray([t], dtype=np.int64))
-                    table = neighbor_table(frames.positions[0], self.cell, rcut, nmax)
-                    entry = (table.idx, table.shift, table.mask)
-                else:
-                    self._nb_cache.move_to_end(int(t))
-                idx[k], shift[k], mask[k] = entry
-        return NeighborArrays(idx=idx, shift=shift, mask=mask, rcut=float(rcut))
+                    tables[t] = self._nb_cache[t] = built.frame(k)
+                while len(self._nb_cache) > self.neighbor_cache_frames:
+                    self._nb_cache.popitem(last=False)
+        return NeighborArrays.stack([tables[t] for t in order], rcut)
 
     # -- statistics / identity -----------------------------------------
     def energies_array(self) -> np.ndarray:

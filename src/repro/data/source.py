@@ -42,7 +42,8 @@ from typing import Optional, Protocol, runtime_checkable
 import numpy as np
 
 from ..md.cell import Cell
-from .dataset import Dataset, NeighborArrays
+from ..md.neighbor import NeighborArrays
+from .dataset import Dataset
 
 __all__ = ["Frames", "FrameSource", "windowed_order", "open_source"]
 

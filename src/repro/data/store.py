@@ -18,7 +18,8 @@ import os
 import numpy as np
 
 from ..md.cell import Cell
-from .dataset import Dataset, NeighborArrays
+from ..md.neighbor import NeighborArrays
+from .dataset import Dataset
 
 
 def write_npz(dataset: Dataset, path: str) -> None:

@@ -12,8 +12,10 @@ from .eam import SuttonChenEAM, SuttonChenParams
 from .integrator import LangevinIntegrator, MDState
 from .lattice import bcc, diamond, fcc, fluorite, hcp, rocksalt, water_box
 from .neighbor import (
+    NeighborArrays,
     NeighborTable,
     PairList,
+    batch_neighbor_tables,
     max_neighbor_count,
     neighbor_table,
     pair_list,
@@ -53,10 +55,12 @@ __all__ = [
     "water_box",
     "PairList",
     "NeighborTable",
+    "NeighborArrays",
     "pair_list",
     "pair_list_bruteforce",
     "pair_list_cells",
     "neighbor_table",
+    "batch_neighbor_tables",
     "max_neighbor_count",
     "Potential",
     "LennardJones",

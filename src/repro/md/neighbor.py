@@ -1,6 +1,6 @@
 """Neighbor searching: pair lists for potentials, padded tables for DeePMD.
 
-Two interchangeable pair-list backends are provided:
+Two interchangeable pair-list backends serve the reference potentials:
 
 * :func:`pair_list_bruteforce` -- O(N^2) minimum-image scan, the reference
   implementation for the paper-scale systems (32--108 atoms).
@@ -8,15 +8,39 @@ Two interchangeable pair-list backends are provided:
   validated against brute force in the tests and used automatically by
   :func:`pair_list` when the box is large enough to pay off.
 
-:func:`neighbor_table` builds the fixed-width (N, Nm) padded neighbor table
-with *constant* periodic shift vectors that the DeePMD descriptor consumes;
-keeping shifts constant is what makes forces F = -dE/dr exact through the
-autograd graph (the round() in minimum imaging is piecewise constant).
+The DeePMD descriptor consumes fixed-width ``(N, Nm)`` padded tables with
+*constant* periodic shift vectors; keeping shifts constant is what makes
+forces F = -dE/dr exact through the autograd graph (the round() in
+minimum imaging is piecewise constant).  One kernel builds them,
+:func:`batch_neighbor_tables`: the stacked ``(B, N, Nm)`` tables of many
+frames (:class:`NeighborArrays`) in one vectorized pass.
+:func:`neighbor_table` is its one-frame view (:class:`NeighborTable`).
+
+Every table equals the one the half pair list defines, byte for byte: a
+row lists atom i's neighbors by distance, equal distances as j > i
+ascending and then j < i ascending (the half list's i-side, then its
+j-side, under a stable sort), each with the shift ``rij - (r_j - r_i)``,
+where ``rij`` is the half list's displacement (negated for j < i).
+Wherever :func:`pair_list` brute-forces, the kernel reproduces that
+densely over (frame, atom, other atom), :data:`DENSE_PAIRS_MAX` slots at
+a time:
+
+* row i lays out its candidates as ``j = (i + 1 + k) mod N``, so a stable
+  sort keeps the tie order above;
+* the sort key is the distance ``sqrt(r2)``, not ``r2`` (sqrt can merge
+  distinct ``r2`` values), with ``r2`` summed as ``(dx² + dy²) + dz²``;
+* minimum imaging is antisymmetric bit for bit except at an exact zero,
+  which the half list's negation turns into ``-0.0`` for j < i -- the
+  kernel does the same.
+
+Big boxes keep the per-frame cell pair list and scatter it into the table
+by each pair's rank within its atom's distance-sorted run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -119,11 +143,29 @@ def pair_list_cells(positions: np.ndarray, cell: Cell, rcut: float) -> PairList:
     return PairList(i=i2[key], j=j2[key], rij=dr[key], r=np.sqrt(r2[keep][key]))
 
 
+def _uses_cell_list(n_atoms: int, cell: Cell, rcut: float) -> bool:
+    """The cell list pays off for more than 256 atoms in a box at least
+    three cutoffs wide along every axis; below that, brute force."""
+    return n_atoms > 256 and bool(np.all(cell.lengths / rcut >= 3.0))
+
+
 def pair_list(positions: np.ndarray, cell: Cell, rcut: float) -> PairList:
     """Pick the cell-list backend when it can win, else brute force."""
-    if positions.shape[0] > 256 and np.all(cell.lengths / rcut >= 3.0):
+    if _uses_cell_list(positions.shape[0], cell, rcut):
         return pair_list_cells(positions, cell, rcut)
     return pair_list_bruteforce(positions, cell, rcut)
+
+
+#: Most candidate (frame, atom, other atom) slots one dense pass holds.
+#: At its peak the pass keeps 130--190 bytes of temporaries per slot (the
+#: displacements, their images, r2, the sort key and its argsort), so
+#: 2^14 slots bound a chunk at ~3 MB: 16 frames of 32 atoms, or one frame
+#: of 108 (a frame is never split; one of 256 atoms peaks at ~8 MB).  Per
+#: frame the pass is as fast at 2^12 as at 2^14 slots and slower above,
+#: where a chunk outgrows the caches, and a dataset-wide
+#: :meth:`~repro.data.Dataset.ensure_neighbors` holds the tables it
+#: returns plus one chunk.
+DENSE_PAIRS_MAX = 1 << 14
 
 
 @dataclass
@@ -147,36 +189,146 @@ class NeighborTable:
         return self.idx.shape[1]
 
 
-def neighbor_table(
-    positions: np.ndarray, cell: Cell, rcut: float, nmax: int
-) -> NeighborTable:
-    """Build the padded per-atom neighbor table (see :class:`NeighborTable`)."""
-    n = positions.shape[0]
-    pl = pair_list(positions, cell, rcut)
+@dataclass
+class NeighborArrays:
+    """Stacked neighbor tables of B frames: idx (B,N,Nm) int,
+    shift (B,N,Nm,3), mask (B,N,Nm) bool, built at cutoff ``rcut``;
+    frame ``t`` is the :class:`NeighborTable` ``frame(t)``."""
+
+    idx: np.ndarray
+    shift: np.ndarray
+    mask: np.ndarray
+    rcut: float
+
+    @property
+    def nmax(self) -> int:
+        return self.idx.shape[2]
+
+    def frame(self, t: int) -> NeighborTable:
+        """Frame ``t``'s table, copied out of the stack (a cached copy
+        does not pin the whole stack in memory)."""
+        return NeighborTable(
+            idx=self.idx[t].copy(), shift=self.shift[t].copy(), mask=self.mask[t].copy()
+        )
+
+    def take(self, indices) -> "NeighborArrays":
+        """The stack restricted (and reordered) to frames ``indices``."""
+        return NeighborArrays(
+            idx=self.idx[indices],
+            shift=self.shift[indices],
+            mask=self.mask[indices],
+            rcut=self.rcut,
+        )
+
+    @classmethod
+    def stack(cls, tables: Sequence[NeighborTable], rcut: float) -> "NeighborArrays":
+        """Stack per-frame tables (all built at ``rcut``) into one."""
+        return cls(
+            idx=np.stack([t.idx for t in tables]),
+            shift=np.stack([t.shift for t in tables]),
+            mask=np.stack([t.mask for t in tables]),
+            rcut=float(rcut),
+        )
+
+
+def _dense_tables(
+    pos: np.ndarray, cell: Cell, rcut: float, nmax: int,
+    idx: np.ndarray, shift: np.ndarray, mask: np.ndarray,
+) -> None:
+    """Fill the tables of frames ``pos`` (B, N, 3) by an all-pairs scan."""
+    b, n = pos.shape[:2]
+    m = min(nmax, n - 1)
+    if m <= 0:
+        return
+    p = pos.transpose(2, 0, 1)  # (3, B, N): coordinate-major
+    # row i's candidates j = i+1, ..., N-1, 0, ..., i-1: columns 1..N-1 of
+    # the coordinates written N+1 times and folded into rows of N+1; the
+    # stable sort below then orders equal distances the way the half
+    # list did
+    rows = np.concatenate([p] * (n + 1), axis=-1).reshape(3, b, n, n + 1)
+    raw = rows[..., 1:n] - p[..., None]  # (3, B, N, N-1): r_j - r_i
+    d = cell.minimum_image(raw.T).T
+    r2 = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+    within = r2 < rcut * rcut
+    # sort on the distance itself: sqrt can merge distinct r2 values
+    key = np.where(within, np.sqrt(r2), np.inf)
+    col = np.argsort(key, axis=-1, kind="stable")[..., :m]  # (B, N, m)
+    atom = np.arange(n)[:, None]
+    flat = col + np.arange(0, b * n * (n - 1), n - 1).reshape(b, n, 1)
+    delta = raw.reshape(3, -1).take(flat, axis=1)
+    vec = d.reshape(3, -1).take(flat, axis=1)
+    # the half list negated the imaged r_i - r_j for j < i, which equals
+    # the imaged r_j - r_i except that an exact zero comes out as -0.0
+    zero = vec == 0.0
+    zero &= col >= n - 1 - atom
+    if zero.any():
+        vec[zero] = -0.0
+    keep = np.arange(m) < within.sum(axis=-1)[..., None]
+    # shift = rij_min_image - (r_j - r_i) so that pos[j] + shift - pos[i] = rij
+    idx[:, :, :m] = np.where(keep, (atom + 1 + col) % n, atom)
+    shift[:, :, :m] = np.where(keep[..., None], (vec - delta).transpose(1, 2, 3, 0), 0.0)
+    mask[:, :, :m] = keep
+
+
+def _cell_list_table(
+    positions: np.ndarray, cell: Cell, rcut: float, nmax: int,
+    idx: np.ndarray, shift: np.ndarray, mask: np.ndarray,
+) -> None:
+    """Fill one frame's table from its cell pair list (big boxes)."""
+    pl = pair_list_cells(positions, cell, rcut)
     # expand half list to full list
     src = np.concatenate([pl.i, pl.j])
     dst = np.concatenate([pl.j, pl.i])
     vec = np.concatenate([pl.rij, -pl.rij])
     dist = np.concatenate([pl.r, pl.r])
-
-    idx = np.tile(np.arange(n)[:, None], (1, nmax))
-    shift = np.zeros((n, nmax, 3))
-    mask = np.zeros((n, nmax), dtype=bool)
-
     order = np.lexsort((dist, src))
-    src, dst, vec, dist = src[order], dst[order], vec[order], dist[order]
-    starts = np.searchsorted(src, np.arange(n + 1))
-    for a in range(n):
-        lo, hi = starts[a], starts[a + 1]
-        k = min(hi - lo, nmax)
-        if k == 0:
-            continue
-        sel = slice(lo, lo + k)
-        idx[a, :k] = dst[sel]
-        # shift = rij_min_image - (r_j - r_i) so that pos[j] + shift - pos[i] = rij
-        shift[a, :k] = vec[sel] - (positions[dst[sel]] - positions[a])
-        mask[a, :k] = True
-    return NeighborTable(idx=idx, shift=shift, mask=mask)
+    src, dst, vec = src[order], dst[order], vec[order]
+    # rank of each pair within its source atom's distance-sorted run
+    starts = np.searchsorted(src, np.arange(positions.shape[0]))
+    rank = np.arange(src.size) - starts[src]
+    keep = rank < nmax
+    src, dst, vec, rank = src[keep], dst[keep], vec[keep], rank[keep]
+    idx[src, rank] = dst
+    shift[src, rank] = vec - (positions[dst] - positions[src])
+    mask[src, rank] = True
+
+
+def batch_neighbor_tables(
+    positions: np.ndarray, cell: Cell, rcut: float, nmax: int
+) -> NeighborArrays:
+    """Padded neighbor tables of every frame in ``positions`` (B, N, 3).
+
+    Byte-identical, frame by frame, to building each table on its own
+    (:func:`neighbor_table` is this kernel on one frame); see the module
+    docstring for how the dense pass keeps the tie order.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 3 or positions.shape[-1] != 3:
+        raise ValueError(f"positions must be (B, N, 3), got {positions.shape}")
+    b, n = positions.shape[:2]
+    idx = np.empty((b, n, nmax), dtype=np.int64)
+    idx[...] = np.arange(n)[:, None]
+    shift = np.zeros((b, n, nmax, 3))
+    mask = np.zeros((b, n, nmax), dtype=bool)
+    if _uses_cell_list(n, cell, rcut):
+        for t in range(b):
+            _cell_list_table(positions[t], cell, rcut, nmax, idx[t], shift[t], mask[t])
+    else:
+        step = max(1, DENSE_PAIRS_MAX // max(1, n * (n - 1)))
+        for lo in range(0, b, step):
+            hi = min(lo + step, b)
+            _dense_tables(
+                positions[lo:hi], cell, rcut, nmax, idx[lo:hi], shift[lo:hi], mask[lo:hi]
+            )
+    return NeighborArrays(idx=idx, shift=shift, mask=mask, rcut=float(rcut))
+
+
+def neighbor_table(
+    positions: np.ndarray, cell: Cell, rcut: float, nmax: int
+) -> NeighborTable:
+    """One frame's padded table: :func:`batch_neighbor_tables` on (N, 3)."""
+    nb = batch_neighbor_tables(np.asarray(positions)[None], cell, rcut, nmax)
+    return NeighborTable(idx=nb.idx[0], shift=nb.shift[0], mask=nb.mask[0])
 
 
 def max_neighbor_count(positions: np.ndarray, cell: Cell, rcut: float) -> int:

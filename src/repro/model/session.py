@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..md.cell import Cell
-from ..md.neighbor import NeighborTable, neighbor_table
+from ..md.neighbor import NeighborArrays, NeighborTable, batch_neighbor_tables
 from .config import DeePMDConfig
 from .environment import DescriptorBatch
 from .network import DeePMD
@@ -180,30 +180,28 @@ def frames_to_batch(
 ) -> DescriptorBatch:
     """Assemble a self-contained :class:`DescriptorBatch` for raw frames.
 
-    ``tables`` optionally supplies precomputed per-frame neighbor tables
-    (must match ``cfg.rcut``/``cfg.nmax``); the serve layer uses this to
-    reuse cached tables.  Label fields stay ``None`` -- this is the
-    inference path.
+    ``tables`` optionally supplies one precomputed neighbor table per
+    frame (built at ``cfg.rcut``/``cfg.nmax``); the serve layer uses this
+    to reuse cached tables.  Otherwise every frame's table comes from one
+    :func:`~repro.md.neighbor.batch_neighbor_tables` call.  Label fields
+    stay ``None`` -- this is the inference path.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[-1] != 3:
         raise ValueError(f"frames must be (B, N, 3), got {frames.shape}")
     b, n = frames.shape[:2]
-    idx = np.zeros((b, n, cfg.nmax), dtype=np.int64)
-    shift = np.zeros((b, n, cfg.nmax, 3))
-    mask = np.zeros((b, n, cfg.nmax), dtype=bool)
-    for t, pos in enumerate(frames):
-        table = (
-            tables[t] if tables is not None and tables[t] is not None
-            else neighbor_table(pos, cell, cfg.rcut, cfg.nmax)
-        )
-        idx[t], shift[t], mask[t] = table.idx, table.shift, table.mask
+    if tables is None:
+        nb = batch_neighbor_tables(frames, cell, cfg.rcut, cfg.nmax)
+    elif len(tables) != b:
+        raise ValueError(f"{len(tables)} neighbor tables for {b} frames")
+    else:
+        nb = NeighborArrays.stack(tables, cfg.rcut)
     frame_offset = (np.arange(b) * n)[:, None, None]
     return DescriptorBatch(
         coords=frames,
-        idx_flat=idx + frame_offset,
-        shift=shift,
-        mask=mask,
+        idx_flat=nb.idx + frame_offset,
+        shift=nb.shift,
+        mask=nb.mask,
         species=np.asarray(species, dtype=np.int64),
     )
 

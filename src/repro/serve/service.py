@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from ..md.cell import Cell
-from ..md.neighbor import neighbor_table
+from ..md.neighbor import batch_neighbor_tables
 from ..model.environment import DescriptorBatch
 from ..model.session import (
     InferenceSession,
@@ -507,23 +507,25 @@ class InferenceService(InferenceSession):
         self._respond(group, out, version)
 
     def _assemble(self, group: list[_Request]) -> DescriptorBatch:
-        """Micro-batch -> one DescriptorBatch, through the neighbor cache."""
-        c = self.cfg
-        tables: "list | None" = None
-        if self.config.cache_neighbors:
-            tables = []
-            with self._cond:
-                cached = [self._neighbor_cache.get(r.fingerprint) for r in group]
-            for r, table in zip(group, cached):
-                if table is None:
-                    table = neighbor_table(r.positions, r.cell, c.rcut, c.nmax)
-                    with self._cond:
-                        self._neighbor_cache.put(r.fingerprint, table)
-                tables.append(table)
+        """Micro-batch -> one DescriptorBatch, through the neighbor cache:
+        the frames the cache misses are built in one kernel call."""
+        c, cell = self.cfg, group[0].cell
         frames = np.stack([r.positions for r in group])
-        return frames_to_batch(
-            frames, group[0].species, group[0].cell, c, tables=tables
-        )
+        tables = [None] * len(group)
+        if self.config.cache_neighbors:
+            with self._cond:
+                tables = [self._neighbor_cache.get(r.fingerprint) for r in group]
+        miss = [k for k, table in enumerate(tables) if table is None]
+        if miss:
+            with _span("serve.neighbors", misses=len(miss)):
+                built = batch_neighbor_tables(frames[miss], cell, c.rcut, c.nmax)
+            for k, t in enumerate(miss):
+                tables[t] = built.frame(k)
+            if self.config.cache_neighbors:
+                with self._cond:
+                    for t in miss:
+                        self._neighbor_cache.put(group[t].fingerprint, tables[t])
+        return frames_to_batch(frames, group[0].species, cell, c, tables=tables)
 
     @staticmethod
     def _shard_calls(batch: DescriptorBatch, world: int) -> list:

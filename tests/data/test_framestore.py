@@ -231,6 +231,28 @@ class TestResidency:
             store.neighbor_tables(np.arange(10), 3.2, 14)
             assert store.cache_stats()["neighbor_cache_frames"] <= 4
 
+    def test_tiny_neighbor_cache_reads_each_miss_once(self, cu_dataset, store_dir):
+        """A cache smaller than the request must not re-read (or rebuild)
+        frames it evicted during the same call."""
+        idx = np.array([3, 7, 3, 12, 0, 7, 7, 16, 0, 5])
+        ref = cu_dataset.neighbor_tables(idx, 3.2, 14)
+        with ShardedFrameStore.open(store_dir) as store:
+            store.neighbor_cache_frames = 1
+            reads = []
+            get_frames = store.get_frames
+
+            def spy(indices):
+                reads.extend(int(i) for i in np.asarray(indices).reshape(-1))
+                return get_frames(indices)
+
+            store.get_frames = spy
+            got = store.neighbor_tables(idx, 3.2, 14)
+            assert sorted(reads) == sorted(set(idx.tolist()))
+            assert np.array_equal(got.idx, ref.idx)
+            assert np.array_equal(got.shift.view(np.int64), ref.shift.view(np.int64))
+            assert np.array_equal(got.mask, ref.mask)
+            assert store.cache_stats()["neighbor_cache_frames"] == 1
+
     def test_close_releases_mappings(self, store_dir):
         store = ShardedFrameStore.open(store_dir)
         store.get_frames(np.arange(8))

@@ -49,7 +49,7 @@ def test_descriptor_batch_constructed_only_in_model_and_serve():
 
 def test_active_loop_has_no_descriptor_imports():
     """The active-learning loop (repro.online) consumes the session
-    protocol; importing neighbor_table or DescriptorBatch there would
+    protocol; importing a neighbor-table builder or DescriptorBatch there would
     mean the hand-rolled batch assembly crept back in."""
     imported = set()
     for path in sorted((SRC / "online").glob("*.py")):
@@ -60,4 +60,5 @@ def test_active_loop_has_no_descriptor_imports():
                 imported.update(alias.name for alias in node.names)
     assert "DescriptorBatch" not in imported
     assert "neighbor_table" not in imported
+    assert "batch_neighbor_tables" not in imported
     assert "make_batch" not in imported

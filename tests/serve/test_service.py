@@ -5,8 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.model import ModelEnsemble, ModelSession
+from repro.model import ModelEnsemble, ModelSession, frames_to_batch
 from repro.serve import InferenceService, ServeConfig
+from repro.serve import service as service_mod
+from repro.telemetry import Tracer
 
 pytestmark = pytest.mark.usefixtures("cu_dataset")
 
@@ -130,6 +132,82 @@ class TestCaching:
         assert not a.cached and not b.cached
         assert a.energy == b.energy
         assert stats["neighbor_cache"]["hits"] == 0
+
+
+class TestBatchedNeighbors:
+    """A micro-batch's cache misses are built in one kernel call, and the
+    batch it assembles does not depend on which frames were cached."""
+
+    @pytest.fixture()
+    def spies(self, monkeypatch):
+        """Record every assembled DescriptorBatch and every kernel call's
+        frame count inside the service."""
+        batches, kernel_frames = [], []
+        assemble, kernel = service_mod.frames_to_batch, service_mod.batch_neighbor_tables
+
+        def batch_spy(*args, **kwargs):
+            batches.append(assemble(*args, **kwargs))
+            return batches[-1]
+
+        def kernel_spy(frames, *args):
+            kernel_frames.append(len(frames))
+            return kernel(frames, *args)
+
+        monkeypatch.setattr(service_mod, "frames_to_batch", batch_spy)
+        monkeypatch.setattr(service_mod, "batch_neighbor_tables", kernel_spy)
+        return batches, kernel_frames
+
+    @staticmethod
+    def _same_bytes(a, b):
+        assert np.array_equal(a.coords.view(np.int64), b.coords.view(np.int64))
+        assert np.array_equal(a.idx_flat, b.idx_flat)
+        assert np.array_equal(a.shift.view(np.int64), b.shift.view(np.int64))
+        assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(a.species, b.species)
+
+    def test_mixed_batch_equals_all_miss_and_direct(self, cu_model, small_cfg, system, spies):
+        frames, species, cell = system
+        batches, kernel_frames = spies
+        cfg = ServeConfig(cache_predictions=False, max_batch=4, max_delay_s=1.0)
+        with Tracer() as tr:
+            with InferenceService(ModelSession(cu_model), cfg) as svc:
+                svc.predict_many(frames[1:3], species, cell)  # warms 2 frames
+                mixed_before = len(batches)
+                svc.predict_many(frames[:4], species, cell)  # 2 hits, 2 misses
+        mixed = batches[mixed_before:]
+        assert [b.batch_size for b in mixed] == [4]
+        assert kernel_frames[-1] == 2
+        with InferenceService(ModelSession(cu_model), cfg) as svc:
+            svc.predict_many(frames[:4], species, cell)
+        all_miss = batches[-1]
+        assert kernel_frames[-1] == 4
+        direct = frames_to_batch(frames[:4], species, cell, small_cfg)
+        self._same_bytes(mixed[0], all_miss)
+        self._same_bytes(mixed[0], direct)
+        misses = [e.attrs["misses"] for e in tr.events if e.name == "serve.neighbors"]
+        assert misses[-1] == 2 and sum(misses) == 4
+
+    def test_cached_tables_not_rebuilt(self, cu_model, system, spies):
+        frames, species, cell = system
+        _, kernel_frames = spies
+        cfg = ServeConfig(cache_predictions=False, max_batch=3, max_delay_s=1.0)
+        with InferenceService(ModelSession(cu_model), cfg) as svc:
+            svc.predict_many(frames[:3], species, cell)
+            svc.predict_many(frames[:3], species, cell)
+            stats = svc.stats()
+        assert kernel_frames == [3]  # the second batch built nothing
+        assert stats["neighbor_cache"]["hits"] == 3
+
+    def test_cache_disabled_builds_every_frame(self, cu_model, system, spies):
+        frames, species, cell = system
+        _, kernel_frames = spies
+        cfg = ServeConfig(
+            cache_predictions=False, cache_neighbors=False, max_batch=2, max_delay_s=1.0
+        )
+        with InferenceService(ModelSession(cu_model), cfg) as svc:
+            svc.predict_many(frames[:2], species, cell)
+            svc.predict_many(frames[:2], species, cell)
+        assert kernel_frames == [2, 2]
 
 
 class TestConfig:
