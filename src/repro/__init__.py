@@ -21,7 +21,11 @@ Quickstart::
     print(model.evaluate_rmse(test))
 """
 
-from . import telemetry
+from .heap import keep_freed_pages
+
+keep_freed_pages()  # before anything allocates; see repro.heap
+
+from . import telemetry  # noqa: E402
 from .autograd import KernelCounter, Tensor, grad, no_grad
 from .data import (
     BatchLoader,

@@ -17,6 +17,7 @@ and ``reshape`` ops and therefore also double-backward safe.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -144,9 +145,10 @@ def exp(a: TensorLike) -> Tensor:
     out_arr = np.exp(a.data)
 
     def backward(g: Tensor, needs):
-        return (mul(g, out),)
+        return (mul(g, out_ref()),)
 
     out = make_op(out_arr, (a,), backward, "exp")
+    out_ref = weakref.ref(out)  # the closure rule: no strong ref to ``out``
     return out
 
 
@@ -165,9 +167,11 @@ def tanh(a: TensorLike) -> Tensor:
     out_arr = np.tanh(a.data)
 
     def backward(g: Tensor, needs):
+        out = out_ref()
         return (mul(g, sub(1.0, mul(out, out))),)
 
     out = make_op(out_arr, (a,), backward, "tanh")
+    out_ref = weakref.ref(out)
     return out
 
 
@@ -176,9 +180,10 @@ def sqrt(a: TensorLike) -> Tensor:
     out_arr = np.sqrt(a.data)
 
     def backward(g: Tensor, needs):
-        return (div(mul(g, 0.5), out),)
+        return (div(mul(g, 0.5), out_ref()),)
 
     out = make_op(out_arr, (a,), backward, "sqrt")
+    out_ref = weakref.ref(out)
     return out
 
 

@@ -17,6 +17,16 @@ requirements come straight from the paper:
 The engine is deliberately eager and minimal: a :class:`Tensor` wraps an
 ``ndarray`` plus (optionally) the closure that maps an output gradient to
 parent gradients.  ``backward`` is an iterative reverse topological sweep.
+
+**The closure rule.**  Every graph must be acyclic, so that reference
+counting frees it the moment its last handle drops (a cycle waits for the
+cyclic GC, and the graph's buffers with it).  A backward closure must
+therefore not hold a strong reference to the tensor its op returns, nor
+to another closure that does.  An op whose gradient reads its own output
+(``tanh``, ``exp``, ``sqrt``) captures ``weakref.ref(out)``: the sweep
+holds the node while its closure runs, so the reference is always live.
+Mutually-adjoint ops (the Opt1 descriptor pair) call each other by
+module-level name, never through captured closures.
 """
 
 from __future__ import annotations
@@ -54,7 +64,10 @@ class Tensor:
         tensor when it participates in a ``backward`` call.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = (
+        "data", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
+        "__weakref__",  # the closure rule (module docstring)
+    )
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):  # pragma: no cover - defensive

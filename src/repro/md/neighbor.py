@@ -39,6 +39,7 @@ by each pair's rank within its atom's distance-sorted run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,13 +64,23 @@ class PairList:
         return len(self.i)
 
 
+@functools.lru_cache(maxsize=32)
+def _triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per atom count (every MD step
+    of a labeling run asks for the same one) and read-only, as it is
+    shared."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def pair_list_bruteforce(positions: np.ndarray, cell: Cell, rcut: float) -> PairList:
     """All-pairs minimum-image search; exact for rcut <= min(L)/2."""
     n = positions.shape[0]
     dr = positions[None, :, :] - positions[:, None, :]
     dr = cell.minimum_image(dr)
     r2 = np.sum(dr * dr, axis=-1)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _triu_pairs(n)
     mask = r2[iu, ju] < rcut * rcut
     i, j = iu[mask], ju[mask]
     rij = dr[i, j]

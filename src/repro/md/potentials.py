@@ -80,7 +80,9 @@ class PairPotential(Potential):
         t2 = self.species[pl.j]
         lo = np.minimum(t1, t2)
         hi = np.maximum(t1, t2)
-        for pair in {(int(a), int(b)) for a, b in zip(lo, hi)}:
+        # the set's iteration order is the energy's summation order: keep
+        # inserting the pairs in pair-list order
+        for pair in set(zip(lo.tolist(), hi.tolist())):
             sel = (lo == pair[0]) & (hi == pair[1])
             r = pl.r[sel]
             phi, dphi = self._phi_dphi(pair, r)

@@ -33,7 +33,7 @@ from .smooth import smooth_graph, smooth_np
 
 # the hand-derived Opt1 descriptor kernels: the vjp and its adjoint are
 # mutually-transposed linear maps, so derivatives of any order along the
-# weight direction are exact (see _make_env_linear_ops)
+# weight direction are exact (see _env_vjp_op)
 for _name in ("env_fused", "env_bwd_fused", "env_bwd_transpose_fused"):
     register_op(_name, kind="fused")
 del _name
@@ -263,30 +263,41 @@ def _env_vjp_transpose(
     return out
 
 
+def _env_vjp_op(
+    g_rn: Tensor, env: EnvIntermediates, batch: DescriptorBatch, stats: EnvStats
+) -> Tensor:
+    """The Opt1 vjp as a primitive: g_rn -> gcoords.  Its backward is
+    :func:`_env_adjoint_op` and vice versa; the map is linear with
+    weight-independent coefficients, so the pair gives correct derivatives
+    of any order along the weight direction.  Each names the other at
+    module level, so neither closure keeps the other (or its own output)
+    alive and the graph stays acyclic."""
+    out = _env_vjp(g_rn.data, env, batch, stats)
+
+    def backward(g: Tensor, needs):
+        return (_env_adjoint_op(g, env, batch, stats),)
+
+    return make_op(out, (g_rn,), backward, "env_bwd_fused")
+
+
+def _env_adjoint_op(
+    gg: Tensor, env: EnvIntermediates, batch: DescriptorBatch, stats: EnvStats
+) -> Tensor:
+    """The adjoint of :func:`_env_vjp_op`: gcoords-gradient -> g_rn."""
+    out = _env_vjp_transpose(gg.data, env, batch, stats)
+
+    def backward(g: Tensor, needs):
+        return (_env_vjp_op(g, env, batch, stats),)
+
+    return make_op(out, (gg,), backward, "env_bwd_transpose_fused")
+
+
 def _make_env_linear_ops(env, batch, stats):
-    """Mutually-transposed primitives: vjp(g_rn)->gcoords and its adjoint.
-
-    Because the map is linear with weight-independent coefficients, each
-    op's backward is exactly the other op, giving correct derivatives of
-    any order along the weight direction."""
-
-    def vjp_op(g_rn: Tensor) -> Tensor:
-        out = _env_vjp(g_rn.data, env, batch, stats)
-
-        def backward(g: Tensor, needs):
-            return (adjoint_op(g),)
-
-        return make_op(out, (g_rn,), backward, "env_bwd_fused")
-
-    def adjoint_op(gg: Tensor) -> Tensor:
-        out = _env_vjp_transpose(gg.data, env, batch, stats)
-
-        def backward(g: Tensor, needs):
-            return (vjp_op(g),)
-
-        return make_op(out, (gg,), backward, "env_bwd_transpose_fused")
-
-    return vjp_op, adjoint_op
+    """``(vjp_op, adjoint_op)`` bound to one batch's geometry."""
+    return (
+        lambda g_rn: _env_vjp_op(g_rn, env, batch, stats),
+        lambda gg: _env_adjoint_op(gg, env, batch, stats),
+    )
 
 
 def environment_fused(
@@ -294,9 +305,8 @@ def environment_fused(
 ) -> Tensor:
     """R~n as a single fused kernel with hand-derived backward (Opt1)."""
     rn, env = environment_np(coords.data, batch, cfg, stats)
-    vjp_op, _ = _make_env_linear_ops(env, batch, stats)
 
     def backward(g_rn: Tensor, needs):
-        return (vjp_op(g_rn),)
+        return (_env_vjp_op(g_rn, env, batch, stats),)
 
     return make_op(rn, (coords,), backward, "env_fused")

@@ -26,15 +26,29 @@ from scipy.linalg import cython_blas
 __all__ = ["blas_threads", "lane_count", "map_lanes"]
 
 
-def blas_threads() -> int | None:
-    """OpenBLAS's thread count, or ``None`` when the BLAS behind scipy
-    does not export ``scipy_openblas_get_num_threads``."""
+def _resolve_blas_threads():
+    """scipy's ``scipy_openblas_get_num_threads``, or ``None`` when the BLAS
+    behind scipy does not export it."""
     try:
         get = ctypes.CDLL(cython_blas.__file__).scipy_openblas_get_num_threads
     except AttributeError:
         return None
     get.restype, get.argtypes = ctypes.c_int, []
-    return int(get())
+    return get
+
+
+#: resolved once: a ``CDLL`` per call cost ~27 us and left cyclic ctypes
+#: garbage behind every FEKF step
+_GET_BLAS_THREADS = _resolve_blas_threads()
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count (its live value, read on every call), or
+    ``None`` when the BLAS behind scipy does not export
+    ``scipy_openblas_get_num_threads``."""
+    if _GET_BLAS_THREADS is None:
+        return None
+    return int(_GET_BLAS_THREADS())
 
 
 def lane_count(n_items: int) -> int:

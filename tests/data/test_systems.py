@@ -1,9 +1,13 @@
 """The eight canonical systems: builds, label consistency, Table 3 rows."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data import SYSTEMS, generate_dataset, table3_rows
+from repro.md import neighbor as neighbor_mod
+from repro.md import potentials as potentials_mod
 
 
 class TestRegistry:
@@ -81,3 +85,62 @@ class TestGeneratedData:
         rows = table3_rows("paper")
         assert len(rows) == 8
         assert all({"system", "temperatures_K", "time_step_fs", "atom_number"} <= set(r) for r in rows)
+
+
+# the labeling path before its two setup speed-ups, kept as the oracle
+def _oracle_pair_list_bruteforce(positions, cell, rcut):
+    n = positions.shape[0]
+    dr = cell.minimum_image(positions[None, :, :] - positions[:, None, :])
+    r2 = np.sum(dr * dr, axis=-1)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = r2[iu, ju] < rcut * rcut
+    i, j = iu[mask], ju[mask]
+    return neighbor_mod.PairList(i=i, j=j, rij=dr[i, j], r=np.sqrt(r2[i, j]))
+
+
+def _oracle_pair_energy_forces(self, positions, cell):
+    n = positions.shape[0]
+    pl = neighbor_mod.pair_list(positions, cell, self.rcut)
+    forces = np.zeros((n, 3))
+    energy = 0.0
+    if len(pl) == 0:
+        return energy, forces
+    t1, t2 = self.species[pl.i], self.species[pl.j]
+    lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
+    for pair in {(int(a), int(b)) for a, b in zip(lo, hi)}:
+        sel = (lo == pair[0]) & (hi == pair[1])
+        r = pl.r[sel]
+        phi, dphi = self._phi_dphi(pair, r)
+        phi_cut, _ = self._phi_dphi(pair, np.array([self.rcut]))
+        energy += float(np.sum(phi - phi_cut[0]))
+        fvec = (-dphi / r)[:, None] * pl.rij[sel]
+        np.add.at(forces, pl.j[sel], fvec)
+        np.add.at(forces, pl.i[sel], -fvec)
+    return energy, forces
+
+
+def _label_digests(name):
+    ds = generate_dataset(name, frames_per_temperature=2, size="small",
+                          equilibration_steps=4, stride=2)
+    return [hashlib.sha256(a.tobytes()).hexdigest()
+            for a in (ds.positions, ds.energies, ds.forces)]
+
+
+class TestLabelingBytes:
+    """The cached triangle indices and the list-built type-pair set leave
+    every trajectory and label byte-identical."""
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_labels_match_the_oracle(self, monkeypatch, name):
+        fast = _label_digests(name)
+        monkeypatch.setattr(neighbor_mod, "pair_list_bruteforce", _oracle_pair_list_bruteforce)
+        monkeypatch.setattr(potentials_mod.PairPotential, "energy_forces",
+                            _oracle_pair_energy_forces)
+        assert _label_digests(name) == fast
+
+    def test_cached_triangle_is_read_only(self):
+        iu, ju = neighbor_mod._triu_pairs(5)
+        assert neighbor_mod._triu_pairs(5)[0] is iu
+        assert not iu.flags.writeable and not ju.flags.writeable
+        with pytest.raises(ValueError):
+            iu[0] = 1

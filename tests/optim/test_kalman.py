@@ -1,12 +1,14 @@
 """Kalman core: kernel equivalence, algebraic invariants, guards, lanes."""
 
+import ctypes
+import gc
 import multiprocessing
 import sys
 import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import blas
+from scipy.linalg import blas, cython_blas
 
 from repro.autograd.instrument import KernelCounter
 from repro.model import DeePMD, make_batch
@@ -491,3 +493,26 @@ class TestLanes:
         assert sorted(i for lane in state.lanes for i in lane) == list(
             range(len(state.blocks))
         )
+
+    def test_blas_threads_reads_the_live_count_and_leaves_no_garbage(self):
+        """Resolved once at import, read on every call: a changed thread
+        count shows at once, and a call leaves nothing for the cyclic GC
+        (a ``CDLL`` per call did)."""
+        if lanes_mod._GET_BLAS_THREADS is None:
+            pytest.skip("the BLAS behind scipy does not export its thread count")
+        set_threads = ctypes.CDLL(cython_blas.__file__).scipy_openblas_set_num_threads
+        set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+        before = lanes_mod.blas_threads()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            set_threads(1)
+            assert lanes_mod.blas_threads() == 1
+            set_threads(2)
+            assert lanes_mod.blas_threads() == 2
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            set_threads(before)
