@@ -39,4 +39,8 @@ def run(measure_blocksize: int = 4096) -> Report:
         "flush window), resident P excluded; "
         "the fused kernel's in-place triangular downdate removes the N_b^2 temporaries"
     )
+    report.notes.append(
+        "P rows are the paper's square accounting (N_b^2 per block); the fused "
+        "filter maps only each block's upper-triangle pages, about half of it"
+    )
     return report

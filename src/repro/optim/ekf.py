@@ -199,14 +199,7 @@ class FEKF:
                  st["has_uint32"], st["uinteger"]],
                 dtype=np.uint64,
             )
-        for i, p in enumerate(k.p_mats):
-            out[f"kalman/p{i}"] = p.copy(order="K")
-        if k.cfg.fused_update:
-            # the deferred downdates are filter state: saved as they are
-            # (live columns only), never flushed to take a snapshot
-            out["kalman/pending_beta"] = k.pend_beta[:, : k.pending].copy()
-            for i, u in enumerate(k.pend_u):
-                out[f"kalman/pending_u{i}"] = u[:, : k.pending].copy()
+        out.update(k.p_state())  # the P blocks and the pending downdates
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -223,27 +216,7 @@ class FEKF:
                 "checkpoint P storage layout (fused vs naive) does not match "
                 "the optimizer's KalmanConfig"
             )
-        n_blocks = len(k.p_mats)
-        for i in range(n_blocks):
-            key = f"kalman/p{i}"
-            if key not in state or state[key].shape != k.p_mats[i].shape:
-                raise ValueError("checkpoint block structure does not match")
-        # absent before the deferred downdate existed: nothing pending
-        pending = np.asarray(state.get("kalman/pending_beta", k.pend_beta[:, :0]))
-        if pending.shape[1] >= k.pend_beta.shape[1]:
-            raise ValueError(
-                "checkpoint holds more pending downdates than this build defers"
-            )
-        # always copy: the fused update runs in place, and the caller's
-        # snapshot must not be the array it then mutates
-        order = "F" if k.cfg.fused_update else "C"
-        for i in range(n_blocks):
-            k.p_mats[i] = np.array(state[f"kalman/p{i}"], order=order)
-        k.pending = pending.shape[1]
-        if k.pending:
-            k.pend_beta[:, : k.pending] = pending
-            for i, u in enumerate(k.pend_u):
-                u[:, : k.pending] = state[f"kalman/pending_u{i}"]
+        k.load_p_state(state)
         k.p_scales = [float(c) for c in np.asarray(state["kalman/p_scales"])]
         k.lam = float(state["kalman/lam"])
         k.updates = int(state["kalman/updates"])

@@ -63,6 +63,8 @@ and can be disabled (``inf``) to recover the unguarded Algorithm 1.
 from __future__ import annotations
 
 import ctypes
+import mmap
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +96,36 @@ FLUSH_EVERY = 20
 def _tri(n: int) -> int:
     """Elements of one triangle (diagonal included) of an n x n block."""
     return n * (n + 1) // 2
+
+
+def _triangle_block(n: int, src: np.ndarray | None = None) -> np.ndarray:
+    """A fused P block: n x n, F-ordered, holding the upper triangle of
+    ``src`` (the identity when ``src`` is None), with only the pages of
+    that triangle resident.
+
+    The block is a private anonymous mapping with 4 KB pages, filled
+    column by column, so no page that lies wholly below the diagonal is
+    ever touched; the lower triangle still reads 0.0 (the shared zero
+    page, which RSS does not count).  Not ``np.eye``: numpy hints every
+    array of 4 MB or more for transparent hugepages, and one 2 MB page of
+    an F-ordered block spans whole columns, diagonal included, so the
+    identity alone would fault in the entire square.  ``MAP_PRIVATE``,
+    not Python's default ``MAP_SHARED``: a forked rank must get its own
+    copy-on-write filter, not write into its parent's.  Every page of the
+    triangle is written here, when the block is built, so no timed flush
+    faults one in.
+    """
+    buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # absent where there is no THP
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    p = np.frombuffer(buf, dtype=np.float64).reshape((n, n), order="F")
+    for j in range(n):
+        if src is None:
+            p[:j, j] = 0.0
+            p[j, j] = 1.0
+        else:
+            p[: j + 1, j] = src[: j + 1, j]
+    return p
 
 
 # ----------------------------------------------------------------------
@@ -190,10 +222,11 @@ class KalmanConfig:
 class KalmanState:
     """Block-diagonal P, the memory factor lambda, and update kernels.
 
-    Internally each block is stored as a full square array.  The naive
-    backend keeps it dense-symmetric; the fused backend uses only the
-    upper triangle (Fortran order for BLAS) plus a folded scalar
-    ``p_scale`` absorbing the accumulated 1/lambda factors, and holds the
+    Internally each block is an n x n array.  The naive backend keeps it
+    dense-symmetric; the fused backend uses only the upper triangle
+    (Fortran order for BLAS, only the triangle's pages resident, see
+    :func:`_triangle_block`) plus a folded scalar ``p_scale`` absorbing
+    the accumulated 1/lambda factors, and holds the
     last ``pending`` (< :data:`FLUSH_EVERY`) rank-1 downdates of every
     block unapplied in ``pend_u[i][:, :pending]`` /
     ``pend_beta[i, :pending]`` (see the module docstring).  ``lanes``
@@ -208,9 +241,9 @@ class KalmanState:
         total = sum(b.size for b in self.blocks)
         if total != num_params:
             raise ValueError(f"blocks cover {total} of {num_params} weights")
-        order = "F" if cfg.fused_update else "C"
         self.p_mats: list[np.ndarray] = [
-            np.eye(b.size, order=order) for b in self.blocks
+            _triangle_block(b.size) if cfg.fused_update else np.eye(b.size)
+            for b in self.blocks
         ]
         self.p_scales: list[float] = [1.0 for _ in self.blocks]
         # deferred downdates (fused backend only; the naive one has none)
@@ -226,7 +259,10 @@ class KalmanState:
 
     # ------------------------------------------------------------------
     def p_memory_bytes(self) -> int:
-        """Resident filter state: the P blocks plus the pending buffers."""
+        """Filter state in the paper's Sec. 5.3 accounting: the logical
+        bytes of the square P blocks plus the pending buffers.  On the
+        fused backend only each block's upper triangle is resident, about
+        half of this."""
         return (
             sum(p.nbytes for p in self.p_mats)
             + sum(u.nbytes for u in self.pend_u)
@@ -387,7 +423,7 @@ class KalmanState:
         other.cfg = self.cfg
         other.num_params = self.num_params
         other.blocks = self.blocks
-        other.p_mats = [p.copy(order="K") for p in self.p_mats]
+        other.p_mats = self._copy_p_mats()
         other.p_scales = list(self.p_scales)
         other.pending = self.pending
         other.pend_u = [u.copy(order="K") for u in self.pend_u]
@@ -396,6 +432,57 @@ class KalmanState:
         other.updates = self.updates
         other.lanes = self.lanes
         return other
+
+    def _copy_p_mats(self) -> list[np.ndarray]:
+        """New copies of the stored blocks: the upper triangle into a
+        fresh triangle block (fused), the whole square (naive)."""
+        if self.cfg.fused_update:
+            return [_triangle_block(p.shape[0], p) for p in self.p_mats]
+        return [p.copy(order="K") for p in self.p_mats]
+
+    def p_state(self) -> dict[str, np.ndarray]:
+        """Copies of the stored P under the checkpoint keys: every block
+        as ``kalman/p{i}`` and, on the fused backend, the live pending
+        pairs as ``kalman/pending_beta`` / ``kalman/pending_u{i}`` --
+        saved as they are, never flushed to take a snapshot."""
+        out = {f"kalman/p{i}": p for i, p in enumerate(self._copy_p_mats())}
+        if self.cfg.fused_update:
+            out["kalman/pending_beta"] = self.pend_beta[:, : self.pending].copy()
+            for i, u in enumerate(self.pend_u):
+                out[f"kalman/pending_u{i}"] = u[:, : self.pending].copy()
+        return out
+
+    def load_p_state(self, state: Mapping[str, np.ndarray]) -> None:
+        """Restore the stored P from arrays :meth:`p_state` produced.
+
+        The blocks are copied (the fused update runs in place, and the
+        caller's snapshot must not be the array it then mutates); a fused
+        block copies the upper triangle only: everything this code writes
+        holds 0.0 below the diagonal.  A missing or misshapen block, or
+        more pending pairs than this build defers, raises ``ValueError``
+        before anything changes.
+        """
+        blocks = [state.get(f"kalman/p{i}") for i in range(len(self.blocks))]
+        for p, b in zip(blocks, self.blocks):
+            if p is None or np.shape(p) != (b.size, b.size):
+                raise ValueError("checkpoint block structure does not match")
+        # absent before the deferred downdate existed: nothing pending
+        pending = np.asarray(
+            state.get("kalman/pending_beta", self.pend_beta[:, :0])
+        )
+        if pending.shape[1] >= self.pend_beta.shape[1]:
+            raise ValueError(
+                "checkpoint holds more pending downdates than this build defers"
+            )
+        if self.cfg.fused_update:
+            self.p_mats = [_triangle_block(p.shape[0], np.asarray(p)) for p in blocks]
+        else:
+            self.p_mats = [np.array(p, order="C") for p in blocks]
+        self.pending = pending.shape[1]
+        if self.pending:
+            self.pend_beta[:, : self.pending] = pending
+            for i, u in enumerate(self.pend_u):
+                u[:, : self.pending] = state[f"kalman/pending_u{i}"]
 
     def checksum(self) -> float:
         """Cheap fingerprint for replica-consistency assertions."""

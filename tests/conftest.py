@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,31 @@ def nacl_dataset():
     return generate_dataset(
         "NaCl", frames_per_temperature=4, size="small", equilibration_steps=8, stride=2
     )
+
+
+@pytest.fixture(scope="session")
+def resident_bytes():
+    """``resident_bytes(a)``: bytes of ``a``'s pages that hold memory
+    of their own -- present and mapped once, per ``/proc/self/pagemap``
+    (bits 63 and 56).  A page only read is the shared zero page, present
+    but not exclusive, so it does not count (``mincore`` would count it);
+    and unlike ``smaps``' ``Anonymous:``, which is per mapping, this is
+    exact for one array even when the kernel merges two adjacent
+    mappings with the same flags into one entry."""
+    try:
+        with open("/proc/self/pagemap", "rb") as f:
+            f.read(8)
+    except OSError:
+        pytest.skip("needs Linux /proc/self/pagemap")
+
+    page = mmap.PAGESIZE
+
+    def measure(a: np.ndarray) -> int:
+        lo, hi = a.ctypes.data // page, -(-(a.ctypes.data + a.nbytes) // page)
+        with open("/proc/self/pagemap", "rb") as f:
+            f.seek(lo * 8)
+            entries = np.frombuffer(f.read((hi - lo) * 8), dtype=np.uint64)
+        own = (entries >> np.uint64(63)) & (entries >> np.uint64(56)) & np.uint64(1)
+        return int(own.sum()) * page
+
+    return measure

@@ -6,6 +6,8 @@ fitting [400,50,50,50,1], blocksize 10240 -- through one full FEKF step
 and a prediction, so nothing silently assumes the small sizes.
 """
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,19 @@ class TestPaperNetwork:
         model, _ = paper_model
         assert model.num_params == 26551  # paper reports 26651
 
-    def test_block_structure_at_paper_blocksize(self, paper_model):
+    def test_block_structure_at_paper_blocksize(self, paper_model, resident_bytes):
         model, _ = paper_model
         opt = FEKF(model, KalmanConfig(blocksize=10240, fused_update=True))
         shapes = block_shapes(opt.kalman.blocks)
         assert shapes == [1350, 10240, 9810, 5151]
-        # P resident: ~1.75 GB at the paper's blocksize
+        # the paper's Sec. 5.3 accounting: the logical bytes of the square
+        # blocks, ~1.84 GB at the paper's blocksize
         assert opt.kalman.p_memory_bytes() / 1e6 == pytest.approx(1836, rel=0.02)
+        # resident: the upper triangles only, ~918 MB (+ <= a page a column)
+        tri = sum(n * (n + 1) // 2 * 8 for n in shapes)
+        assert tri / 1e6 == pytest.approx(918, rel=0.01)
+        own = sum(resident_bytes(p) for p in opt.kalman.p_mats)
+        assert tri <= own <= tri + sum(shapes) * mmap.PAGESIZE
 
     def test_prediction_and_forces(self, paper_model, cu_dataset):
         model, cfg = paper_model
