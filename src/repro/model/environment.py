@@ -132,7 +132,9 @@ def compute_stats(source: FrameSource, cfg: DeePMDConfig, max_frames: int = 32) 
     env = _env_intermediates(batch.coords, batch, cfg)
     m = batch.mask
     s = env.s[m]
-    sv = (env.s[..., None] * env.rhat)[m]
+    # slot-major, component-minor: std()'s pairwise sums depend on the
+    # element order, and the normalization constants must not move
+    sv = np.ascontiguousarray((env.s * env.rhat)[:, m].T)
     davg0 = float(s.mean()) if s.size else 0.0
     std0 = float(s.std()) + 1e-8
     stdv = float(sv.std()) + 1e-8
@@ -151,30 +153,62 @@ def identity_stats() -> EnvStats:
 # ---------------------------------------------------------------------------
 @dataclass
 class EnvIntermediates:
-    """Raw-numpy geometric quantities reused by fused kernels."""
+    """Raw-numpy geometric quantities reused by the fused kernels, in
+    structure-of-arrays form: one ``(B, N, Nm)`` plane per Cartesian
+    component rather than a trailing axis of length 3."""
 
-    rij: np.ndarray  # (B, N, Nm, 3)
-    r: np.ndarray  # (B, N, Nm), 0 on padded slots
-    rhat: np.ndarray  # (B, N, Nm, 3), 0 on padded slots
+    rhat: np.ndarray  # (3, B, N, Nm), 0 on padded slots
     s: np.ndarray  # (B, N, Nm), 0 outside cutoff / padding
     ds: np.ndarray  # (B, N, Nm)
+    s_over_r: np.ndarray  # (B, N, Nm), s / r with r := 1 on padded slots
+
+
+def _planes(a: np.ndarray) -> np.ndarray:
+    """(..., 3) -> (3, ...) view: the component planes of an AoS array."""
+    return np.moveaxis(a, -1, 0)
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Plane-wise 3-vector dot, bit-equal to ``np.sum(aos_a * aos_b,
+    axis=-1)``: numpy reduces a length-3 axis as ``((0 + p0) + p1) + p2``,
+    which equals ``((p0 + p1) + p2) + 0`` (the trailing ``+ 0`` only turns
+    an all-``-0.0`` sum into ``+0.0``, as the identity-seeded reduce does)."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    out += 0.0
+    return out
+
+
+def _scatter_sum(idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``zeros(size)`` with ``values`` added at ``idx`` in input order:
+    bit-equal to ``np.add.at`` and to a strided ``sum`` over the slots."""
+    return np.bincount(idx.reshape(-1), weights=values.reshape(-1), minlength=size)
 
 
 def _env_intermediates(
     coords: np.ndarray, batch: DescriptorBatch, cfg: DeePMDConfig
 ) -> EnvIntermediates:
     b, n, _ = coords.shape
-    flat = coords.reshape(b * n, 3)
-    neigh = flat[batch.idx_flat] + batch.shift
-    rij = neigh - coords[:, :, None, :]
-    r = np.linalg.norm(rij, axis=-1)
-    r = np.where(batch.mask, r, 0.0)
+    mask = batch.mask
+    c = _planes(coords).reshape(3, b * n)
+    rij = np.take(c, batch.idx_flat, axis=1)  # neighbor positions
+    rij += _planes(batch.shift)
+    rij -= c.reshape(3, b, n)[..., None]
+    sq = rij * rij
+    r = sq[0] + sq[1]
+    r += sq[2]
+    r = np.where(mask, np.sqrt(r, out=r), 0.0)  # == linalg.norm: squares are >= +0
     r_safe = np.where(r > 0, r, 1.0)
-    rhat = np.where(batch.mask[..., None], rij / r_safe[..., None], 0.0)
+    rij /= r_safe
     s, ds = smooth_np(r, cfg.rcut_smooth, cfg.rcut)
-    s = np.where(batch.mask, s, 0.0)
-    ds = np.where(batch.mask, ds, 0.0)
-    return EnvIntermediates(rij=rij, r=r, rhat=rhat, s=s, ds=ds)
+    s = np.where(mask, s, 0.0)
+    return EnvIntermediates(
+        rhat=np.where(mask, rij, 0.0),
+        s=s,
+        ds=np.where(mask, ds, 0.0),
+        s_over_r=s / r_safe,
+    )
 
 
 def environment_np(
@@ -182,12 +216,13 @@ def environment_np(
 ) -> tuple[np.ndarray, EnvIntermediates]:
     """Raw-numpy normalized environment matrix (B, N, Nm, 4) + caches."""
     env = _env_intermediates(coords, batch, cfg)
-    raw = np.concatenate(
-        [env.s[..., None], env.s[..., None] * env.rhat], axis=-1
-    )
-    rn = (raw - stats.davg) / stats.dstd
-    rn = np.where(batch.mask[..., None], rn, 0.0)
-    return rn, env
+    raw = np.empty((4,) + env.s.shape)
+    raw[0] = env.s
+    np.multiply(env.s, env.rhat, out=raw[1:])
+    raw -= stats.davg[:, None, None, None]
+    raw /= stats.dstd[:, None, None, None]
+    np.copyto(raw, 0.0, where=~batch.mask)
+    return np.ascontiguousarray(np.moveaxis(raw, 0, -1)), env
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +259,29 @@ def _env_vjp(
     """d(sum(R~n * g_rn))/d(coords): the hand-derived Opt1 kernel.
 
     grij = ds*(g0 + gv.rhat)*rhat + (s/r)*(gv - (gv.rhat)*rhat), scattered
-    with -grij on the center atom and +grij on the neighbor.
+    with -grij on the center atom and +grij on the neighbor.  Works on
+    component planes; both sums run in slot order (bincount), as the
+    strided center sum and ``np.add.at`` did.
     """
-    g = np.where(batch.mask[..., None], g_rn / stats.dstd, 0.0)
-    g0 = g[..., 0]
-    gv = g[..., 1:4]
-    gv_dot = np.sum(gv * env.rhat, axis=-1)
-    r_safe = np.where(env.r > 0, env.r, 1.0)
-    radial = env.ds * (g0 + gv_dot)
-    grij = radial[..., None] * env.rhat + (env.s / r_safe)[..., None] * (
-        gv - gv_dot[..., None] * env.rhat
-    )
-    grij = np.where(batch.mask[..., None], grij, 0.0)
-    b, n = env.r.shape[:2]
-    gcoords = -grij.sum(axis=2)  # center contribution
-    flat = np.zeros((b * n, 3))
-    np.add.at(flat, batch.idx_flat.reshape(-1), grij.reshape(-1, 3))
-    return gcoords + flat.reshape(b, n, 3)
+    pad = ~batch.mask
+    g = np.empty((4,) + pad.shape)
+    np.divide(_planes(g_rn), stats.dstd[:, None, None, None], out=g)
+    np.copyto(g, 0.0, where=pad)
+    gv_dot = _dot3(g[1:], env.rhat)
+    radial = g[0] + gv_dot
+    radial *= env.ds
+    grij = env.rhat * gv_dot
+    np.subtract(g[1:], grij, out=grij)
+    grij *= env.s_over_r
+    grij += env.rhat * radial
+    np.copyto(grij, 0.0, where=pad)
+    b, n, nm = pad.shape
+    center = np.repeat(np.arange(b * n), nm)
+    out = np.empty((3, b * n))
+    for k in range(3):
+        out[k] = _scatter_sum(batch.idx_flat, grij[k], b * n)
+        out[k] -= _scatter_sum(center, grij[k], b * n)  # == -center + neighbor
+    return np.ascontiguousarray(np.moveaxis(out.reshape(3, b, n), 0, -1))
 
 
 def _env_vjp_transpose(
@@ -249,18 +290,20 @@ def _env_vjp_transpose(
     """Transpose of :func:`_env_vjp` as a linear map: given an upstream
     gradient on coords-gradients, produce the gradient on g_rn.  Needed
     when force predictions are differentiated w.r.t. the weights."""
-    b, n = env.r.shape[:2]
-    flat = gg.reshape(b * n, 3)
-    delta = flat[batch.idx_flat] - gg[:, :, None, :]  # (B, N, Nm, 3)
-    d_dot = np.sum(delta * env.rhat, axis=-1)
-    r_safe = np.where(env.r > 0, env.r, 1.0)
-    out = np.empty(env.rij.shape[:3] + (4,))
-    out[..., 0] = env.ds * d_dot
-    out[..., 1:4] = (env.ds * d_dot)[..., None] * env.rhat + (env.s / r_safe)[
-        ..., None
-    ] * (delta - d_dot[..., None] * env.rhat)
-    out = np.where(batch.mask[..., None], out / stats.dstd, 0.0)
-    return out
+    b, n = gg.shape[:2]
+    c = _planes(gg).reshape(3, b * n)
+    delta = np.take(c, batch.idx_flat, axis=1)  # (3, B, N, Nm)
+    delta -= c.reshape(3, b, n)[..., None]
+    d_dot = _dot3(delta, env.rhat)
+    out = np.empty((4,) + d_dot.shape)
+    np.multiply(env.ds, d_dot, out=out[0])
+    np.multiply(env.rhat, out[0], out=out[1:])
+    delta -= env.rhat * d_dot
+    delta *= env.s_over_r
+    out[1:] += delta
+    out /= stats.dstd[:, None, None, None]
+    np.copyto(out, 0.0, where=~batch.mask)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def _env_vjp_op(

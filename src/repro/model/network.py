@@ -12,6 +12,7 @@ Pipeline (paper Sec. 2.1, Figure 2):
 Optimization toggles mirror the paper's Figure 7 presets:
 
 * ``fused_env``    -- hand-derived descriptor-environment kernel (Opt1);
+  with it, inference (``predict`` / ``predict_energy``) builds no graph;
 * ``fused layers`` -- via :func:`repro.autograd.fused_kernels` (Opt2);
 * the optimizer-side fusions (Opt3) live in :mod:`repro.optim.kalman`.
 """
@@ -30,9 +31,11 @@ from .config import DeePMDConfig
 from .environment import (
     DescriptorBatch,
     EnvStats,
+    _env_vjp,
     compute_stats,
     environment_fused,
     environment_graph,
+    environment_np,
     identity_stats,
     make_batch,
 )
@@ -162,6 +165,16 @@ class DeePMD:
                 h = linear_tanh(h, w, p[f"{prefix}{i}_b"])
         return h
 
+    def _channels(self, batch: DescriptorBatch) -> np.ndarray:
+        """The type-aware embedding's constant channels: s(r) is multiplied
+        by ``[1, onehot(neighbor type)]`` (B, N, Nm, 1 + n_species)."""
+        b, n = batch.batch_size, batch.n_atoms
+        neigh_types = batch.species[batch.idx_flat % n]  # (B, N, Nm)
+        chan = np.zeros((b, n, batch.nmax, 1 + self.n_species))
+        chan[..., 0] = 1.0
+        np.put_along_axis(chan[..., 1:], neigh_types[..., None], 1.0, axis=-1)
+        return chan
+
     def energy_graph(
         self,
         coords: Tensor,
@@ -178,15 +191,9 @@ class DeePMD:
         rn = env_fn(coords, batch, cfg, self.stats)  # (B, N, Nm, 4)
         sn = rn[..., 0:1]  # radial column feeds the embedding
         if cfg.type_aware:
-            # s(r) * [1, onehot(neighbor type)]: the species channels are
-            # constants, so this is a single broadcasting multiply
-            neigh_types = batch.species[batch.idx_flat % n]  # (B, N, Nm)
-            chan = np.zeros((b, n, batch.nmax, 1 + self.n_species))
-            chan[..., 0] = 1.0
-            np.put_along_axis(
-                chan[..., 1:], neigh_types[..., None], 1.0, axis=-1
-            )
-            sn = ops.mul(sn, Tensor(chan))
+            # the species channels are constants, so this is a single
+            # broadcasting multiply
+            sn = ops.mul(sn, Tensor(self._channels(batch)))
         g = self._net("emb", sn, p, len(cfg.embedding_widths))  # (B,N,Nm,M)
         x = ops.matmul(ops.swapaxes(rn, -1, -2), g)  # (B, N, 4, M)
         x = ops.mul(x, 1.0 / cfg.nmax)
@@ -200,21 +207,109 @@ class DeePMD:
         return ops.tsum(ops.reshape(e_atom, (b, n)), axis=1)
 
     # ------------------------------------------------------------------
+    # graph-free inference (fused_env=True)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _net_np(prefix: str, x: np.ndarray, p: dict, n_layers: int):
+        """:meth:`_net` in plain numpy: the output and, per layer, what its
+        backward reads (``W``, the tanh output, whether it is residual)."""
+        tape = []
+        for i in range(n_layers):
+            w = p[f"{prefix}{i}_W"]
+            t = x @ w
+            t += p[f"{prefix}{i}_b"]
+            np.tanh(t, out=t)
+            residual = i > 0 and w.shape[0] == w.shape[1]
+            tape.append((w, t, residual))
+            x = x + t if residual else t
+        return x, tape
+
+    @staticmethod
+    def _net_vjp_np(g: np.ndarray, tape) -> np.ndarray:
+        """d(sum(out * g))/d(input) of a :meth:`_net_np` pass."""
+        for w, t, residual in reversed(tape):
+            gpre = t * t
+            np.subtract(1.0, gpre, out=gpre)
+            gpre *= g
+            gx = gpre @ w.T
+            if residual:
+                gx += g
+            g = gx
+        return g
+
+    def _forward_np(self, batch: DescriptorBatch, want_forces: bool):
+        """Energies (B,) and, if asked, forces (B, N, 3) through the Opt1
+        kernels without a graph.
+
+        Bit-identical to :meth:`energy_graph` (``fused_env=True``) plus a
+        coordinate-only ``grad``: every array op is the one the graph
+        launches, on operands of the same layout, in the same order
+        (DESIGN §5, "Inference without a graph").
+        """
+        cfg = self.cfg
+        p = {name: self.params[name] for name in self.params.names()}
+        stats, bias = self.stats, self.energy_bias
+        b, n = batch.batch_size, batch.n_atoms
+        rn, env = environment_np(batch.coords, batch, cfg, stats)
+        sn = np.ascontiguousarray(rn[..., 0:1])
+        chan = self._channels(batch) if cfg.type_aware else None
+        if chan is not None:
+            sn = sn * chan
+        g_emb, emb_tape = self._net_np("emb", sn, p, len(cfg.embedding_widths))
+        scale = 1.0 / cfg.nmax
+        x = np.swapaxes(rn, -1, -2) @ g_emb  # (B, N, 4, M)
+        x *= scale
+        x_less = np.ascontiguousarray(x[..., : cfg.m_less])
+        d = (np.swapaxes(x, -1, -2) @ x_less).reshape(b, n, cfg.descriptor_size)
+        h, fit_tape = self._net_np("fit", d, p, len(cfg.fitting_widths))
+        e_atom = h @ p["fit_out_W"]
+        e_atom += p["fit_out_b"]
+        e_atom += bias[batch.species][None, :, None]
+        energy = np.sum(e_atom.reshape(b, n), axis=1)
+        if not want_forces:
+            return energy, None
+        # reverse sweep, d(sum E)/d(coords).  A swapaxes of a swapaxes is
+        # the original array (same strides), so ``x`` and ``rn`` stand in
+        # for them; each fan-in adds its two terms (commutative)
+        g_h = np.ones((b, n, 1)) @ p["fit_out_W"].T
+        g_d = self._net_vjp_np(g_h, fit_tape).reshape(b, n, cfg.m, cfg.m_less)
+        g_x_t = g_d @ np.swapaxes(x_less, -1, -2)
+        g_x = np.zeros(x.shape)  # the slice gather's backward: 0 + g
+        g_x[..., : cfg.m_less] += x @ g_d
+        g_x += np.swapaxes(g_x_t, -1, -2)
+        g_x *= scale
+        g_rn_t = g_x @ np.swapaxes(g_emb, -1, -2)
+        g_sn = self._net_vjp_np(rn @ g_x, emb_tape)
+        if chan is not None:
+            g_sn = np.sum(g_sn * chan, axis=-1, keepdims=True)
+        g_rn = np.zeros(rn.shape)
+        g_rn[..., 0:1] += g_sn
+        g_rn += np.swapaxes(g_rn_t, -1, -2)
+        forces = _env_vjp(g_rn, env, batch, stats)
+        return energy, np.negative(forces, out=forces)
+
+    # ------------------------------------------------------------------
     # prediction APIs (numpy in / numpy out)
     # ------------------------------------------------------------------
     def predict_energy(self, batch: DescriptorBatch, fused_env: bool = True) -> np.ndarray:
         """Total energies without force evaluation (inference path)."""
+        if fused_env:
+            return self._forward_np(batch, want_forces=False)[0]
         with no_grad():
-            e = self.energy_graph(Tensor(batch.coords), batch, fused_env=fused_env)
+            e = self.energy_graph(Tensor(batch.coords), batch)
         return e.data
 
     def predict(
         self, batch: DescriptorBatch, fused_env: bool = False
     ) -> EnergyForces:
-        """Energies and forces; forces via backward through the graph
-        (``fused_env=True`` switches to the hand-derived Opt1 kernel)."""
+        """Energies and forces.  ``fused_env=True`` runs the hand-derived
+        Opt1 kernel with no graph at all (:meth:`_forward_np`); the default
+        is the paper's baseline, forces by backward through the graph."""
+        if fused_env:
+            energy, forces = self._forward_np(batch, want_forces=True)
+            return EnergyForces(energy=energy, forces=forces)
         coords = Tensor(batch.coords, requires_grad=True)
-        e = self.energy_graph(coords, batch, fused_env=fused_env)
+        e = self.energy_graph(coords, batch)
         (gc,) = grad(ops.tsum(e), [coords])
         return EnergyForces(energy=e.data, forces=-gc.data)
 

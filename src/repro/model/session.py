@@ -51,6 +51,10 @@ class Prediction:
     ``model_version`` identifies the weights that produced it (monotonic
     under hot swap; 0 for a session that never swaps).  The uncertainty
     fields are ``None`` unless the session is ensemble-backed.
+
+    ``forces`` is a read-only view: a served prediction may be cached and
+    handed to every later caller of the same frame, so no caller may
+    write into it (copy first).
     """
 
     energy: float
@@ -61,6 +65,10 @@ class Prediction:
     max_force_dev: Optional[float] = None
     #: served from a prediction cache (no forward pass ran for it)
     cached: bool = False
+
+    def __post_init__(self):
+        self.forces = np.asarray(self.forces).view()
+        self.forces.flags.writeable = False
 
 
 class InferenceSession(abc.ABC):

@@ -67,9 +67,12 @@ class TestForward:
 
 
 class TestForces:
-    def test_forces_match_numeric_gradient(self, cu_model, cu_dataset, small_cfg):
+    @pytest.mark.parametrize("fused_env", [False, True])
+    def test_forces_match_numeric_gradient(self, cu_model, cu_dataset, small_cfg, fused_env):
+        """Central differences of the energy, on each path (True: the
+        graph-free predict, energies and forces alike)."""
         batch = make_batch(cu_dataset, np.arange(2), small_cfg)
-        out = cu_model.predict(batch)
+        out = cu_model.predict(batch, fused_env=fused_env)
         eps = 1e-5
         for (b, i, d) in [(0, 4, 0), (1, 10, 2), (0, 20, 1)]:
             def e_at(delta):
@@ -77,7 +80,7 @@ class TestForces:
                 c = nb.coords.copy()
                 c[b, i, d] += delta
                 nb.coords = c
-                return cu_model.predict_energy(nb, fused_env=False)[b]
+                return cu_model.predict_energy(nb, fused_env=fused_env)[b]
             num = -(e_at(eps) - e_at(-eps)) / (2 * eps)
             assert out.forces[b, i, d] == pytest.approx(num, abs=1e-6)
 

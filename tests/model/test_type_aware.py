@@ -30,16 +30,17 @@ class TestTypeAware:
         aware = DeePMD.for_dataset(nacl_dataset, ta_cfg, seed=1)
         assert aware.num_params == blind.num_params + 2 * 6
 
-    def test_forces_consistent_with_energy(self, nacl_dataset, ta_cfg):
+    @pytest.mark.parametrize("fused_env", [False, True])
+    def test_forces_consistent_with_energy(self, nacl_dataset, ta_cfg, fused_env):
         model = DeePMD.for_dataset(nacl_dataset, ta_cfg, seed=1)
         batch = make_batch(nacl_dataset, np.arange(2), ta_cfg)
-        out = model.predict(batch)
+        out = model.predict(batch, fused_env=fused_env)
         eps = 1e-5
         for (b, i, d) in [(0, 3, 0), (1, 29, 2)]:
             def e_at(delta):
                 nb = make_batch(nacl_dataset, np.arange(2), ta_cfg)
                 c = nb.coords.copy(); c[b, i, d] += delta; nb.coords = c
-                return model.predict_energy(nb, fused_env=False)[b]
+                return model.predict_energy(nb, fused_env=fused_env)[b]
             num = -(e_at(eps) - e_at(-eps)) / (2 * eps)
             assert out.forces[b, i, d] == pytest.approx(num, abs=1e-6)
 

@@ -112,6 +112,23 @@ class TestCaching:
         assert stats["cache_hits"] == 1
         assert stats["batches"] == 1  # no second forward pass
 
+    def test_served_forces_are_read_only(self, cu_model, system):
+        """A served prediction shares its forces with the cache: a caller's
+        in-place write must raise, not poison every later hit."""
+        frames, species, cell = system
+        with InferenceService(ModelSession(cu_model), ServeConfig()) as svc:
+            first = svc.predict(frames[0], species, cell)
+            expect = first.forces.tobytes()
+            with pytest.raises(ValueError):
+                first.forces *= 0
+            hit = svc.predict(frames[0], species, cell)
+            with pytest.raises(ValueError):
+                hit.forces[0, 0] = 1.0
+        assert hit.cached
+        assert hit.forces.tobytes() == expect
+        direct = ModelSession(cu_model).predict(frames[0], species, cell)
+        assert not direct.forces.flags.writeable
+
     def test_neighbor_cache_hits_across_duplicate_frames(self, cu_model, system):
         frames, species, cell = system
         cfg = ServeConfig(cache_predictions=False, max_batch=1)
