@@ -14,6 +14,19 @@ its pages kept.
 :func:`keep_freed_pages` pins both thresholds far above any one step's
 allocations, so freed blocks go back to the heap's free lists and are
 reused as they are, and grows the heap in large steps when it must grow.
+
+Keeping freed pages is a per-heap promise, and glibc keeps one heap (an
+*arena*) per allocating thread, up to eight per core.  Lanes, thread
+ranks, prefetch producers, the serve batcher and the online stages each
+filled an arena of their own to its own high-water mark, which the
+policy then kept.  So the policy also caps glibc at one arena: every
+thread's freed blocks go back to the one heap the policy keeps, and a
+process peaks at its concurrent live set, not at the sum of its threads'
+peaks (``train_stream`` 364 -> 239 MB; DESIGN.md §5 has the table for
+every workload).  The threads then share one arena lock; their
+allocations are few and large (numpy arrays), and no timing moved
+beyond noise.
+
 It runs once when :mod:`repro` is imported: forked ranks inherit it,
 spawned ranks re-import the package and set it again.  The policy
 changes where memory comes from, never what is computed.
@@ -23,7 +36,9 @@ from __future__ import annotations
 
 import ctypes
 
-__all__ = ["MMAP_THRESHOLD", "TOP_PAD", "TRIM_THRESHOLD", "keep_freed_pages"]
+__all__ = [
+    "ARENA_MAX", "MMAP_THRESHOLD", "TOP_PAD", "TRIM_THRESHOLD", "keep_freed_pages",
+]
 
 #: blocks below this size come from the heap instead of a private mapping
 #: that ``free`` unmaps (glibc's default is dynamic and capped at 32 MB)
@@ -35,11 +50,15 @@ TRIM_THRESHOLD = 1 << 30
 #: 128 KB).  On a 2-vCPU host a traced ``train_paper`` step still took
 #: 4-181 minor faults without it (7 runs), and 5-10 with it (6 runs)
 TOP_PAD = 64 << 20
+#: malloc arenas every thread shares (glibc's default: eight per core,
+#: one per allocating thread until then)
+ARENA_MAX = 1
 
 # mallopt parameter numbers, from glibc's <malloc.h>
 _M_TRIM_THRESHOLD = -1
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _libc():
@@ -61,5 +80,6 @@ def keep_freed_pages() -> bool:
         mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD),
         mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD),
         mallopt(_M_TOP_PAD, TOP_PAD),
+        mallopt(_M_ARENA_MAX, ARENA_MAX),
     ]
     return all(r == 1 for r in took)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .cell import Cell
 from .neighbor import PairList, pair_list
@@ -180,6 +179,11 @@ class WolfCoulomb(Potential):
         self.rcut = float(rcut)
         #: pairs of *atom indices* (i < j) excluded (e.g. intramolecular)
         self.exclude = exclude or set()
+        # resolved here, not at import: only a process that labels ionic
+        # systems pays for scipy
+        from scipy.special import erfc
+
+        self._erfc = erfc
 
     def energy_forces(self, positions: np.ndarray, cell: Cell) -> tuple[float, np.ndarray]:
         n = positions.shape[0]
@@ -193,7 +197,7 @@ class WolfCoulomb(Potential):
             )
             pl = PairList(pl.i[keep], pl.j[keep], pl.rij[keep], pl.r[keep])
         qq = COULOMB_K * self.charges[pl.i] * self.charges[pl.j]
-        a, r, rc = self.alpha, pl.r, self.rcut
+        a, r, rc, erfc = self.alpha, pl.r, self.rcut, self._erfc
         shift = erfc(a * rc) / rc
         phi = qq * (erfc(a * r) / r - shift)
         dphi = -qq * (

@@ -63,12 +63,13 @@ and can be disabled (``inf``) to recover the unguarded Algorithm 1.
 from __future__ import annotations
 
 import ctypes
+import functools
 import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cython_blas
 
 from ..autograd.instrument import record_launch, register_op
 from .blocks import Block, shard_blocks, split_blocks
@@ -139,13 +140,26 @@ _capsule_ptr.restype = ctypes.c_void_p
 _capsule_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
 
 
-def _blas_fn(name: str, n_args: int):
-    cap = cython_blas.__pyx_capi__[name]
-    addr = _capsule_ptr(cap, _capsule_name(cap))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(addr)
+@functools.cache
+def bind_blas() -> SimpleNamespace:
+    """The BLAS routines of the Kalman kernels, bound on first use, not at
+    import: scipy costs ~25 MB of RSS that a process which never runs a
+    filter (a server, a labeler) should not pay.  Every
+    :class:`KalmanState` binds them when it is built, on the caller's
+    thread, before any of its lanes runs.  A process that forks ranks
+    which will build filters binds first, so the ranks share its scipy
+    instead of each importing their own (~0.3 s of CPU and ~4k page
+    faults per rank, inside the caller's first round)."""
+    from scipy.linalg import cython_blas
 
+    def bind(name: str, n_args: int):
+        cap = cython_blas.__pyx_capi__[name]
+        addr = _capsule_ptr(cap, _capsule_name(cap))
+        return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(addr)
 
-_DSYMV, _DGEMV, _DSYRK = _blas_fn("dsymv", 10), _blas_fn("dgemv", 11), _blas_fn("dsyrk", 10)
+    return SimpleNamespace(
+        dsymv=bind("dsymv", 10), dgemv=bind("dgemv", 11), dsyrk=bind("dsyrk", 10)
+    )
 
 
 def _i(v: int):
@@ -170,23 +184,23 @@ def _symv(alpha: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``alpha * A x`` from the upper triangle of the n x n block ``a``."""
     n = x.shape[0]
     y = np.zeros(n)
-    _DSYMV(b"U", _i(n), _d(alpha), _ptr(a, (n, n)), _i(n), _ptr(x, (n,)), _i(1),
-           _d(0.0), _ptr(y, (n,)), _i(1))
+    bind_blas().dsymv(b"U", _i(n), _d(alpha), _ptr(a, (n, n)), _i(n), _ptr(x, (n,)),
+                      _i(1), _d(0.0), _ptr(y, (n,)), _i(1))
     return y
 
 
 def _gemv_into(alpha: float, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """``y += alpha * A x`` in place, ``a`` n x k."""
     n, k = a.shape
-    _DGEMV(b"N", _i(n), _i(k), _d(alpha), _ptr(a, (n, k)), _i(n), _ptr(x, (k,)), _i(1),
-           _d(1.0), _ptr(y, (n,)), _i(1))
+    bind_blas().dgemv(b"N", _i(n), _i(k), _d(alpha), _ptr(a, (n, k)), _i(n),
+                      _ptr(x, (k,)), _i(1), _d(1.0), _ptr(y, (n,)), _i(1))
 
 
 def _syrk_into(alpha: float, w: np.ndarray, c: np.ndarray) -> None:
     """``C += alpha * W W^T`` on the upper triangle of ``c``, in place."""
     n, k = w.shape
-    _DSYRK(b"U", b"N", _i(n), _i(k), _d(alpha), _ptr(w, (n, k)), _i(n), _d(1.0),
-           _ptr(c, (n, n)), _i(n))
+    bind_blas().dsyrk(b"U", b"N", _i(n), _i(k), _d(alpha), _ptr(w, (n, k)), _i(n),
+                      _d(1.0), _ptr(c, (n, n)), _i(n))
 
 
 @dataclass
@@ -235,6 +249,7 @@ class KalmanState:
     """
 
     def __init__(self, num_params: int, layer_sizes: list[tuple[int, int]], cfg: KalmanConfig):
+        bind_blas()
         self.cfg = cfg
         self.num_params = num_params
         self.blocks: list[Block] = split_blocks(layer_sizes, cfg.blocksize)

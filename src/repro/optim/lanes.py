@@ -18,17 +18,23 @@ lane per core that a multi-threaded BLAS call would not already occupy.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-
-from scipy.linalg import cython_blas
 
 __all__ = ["blas_threads", "lane_count", "map_lanes"]
 
 
+#: resolved once (a ``CDLL`` per call costs ~27 us and leaves cyclic
+#: ctypes garbage behind every FEKF step), on the first
+#: :func:`blas_threads` call, not at import: scipy costs ~25 MB of RSS
+#: that a process which never runs a filter should not pay
+@functools.cache
 def _resolve_blas_threads():
     """scipy's ``scipy_openblas_get_num_threads``, or ``None`` when the BLAS
     behind scipy does not export it."""
+    from scipy.linalg import cython_blas
+
     try:
         get = ctypes.CDLL(cython_blas.__file__).scipy_openblas_get_num_threads
     except AttributeError:
@@ -37,18 +43,12 @@ def _resolve_blas_threads():
     return get
 
 
-#: resolved once: a ``CDLL`` per call cost ~27 us and left cyclic ctypes
-#: garbage behind every FEKF step
-_GET_BLAS_THREADS = _resolve_blas_threads()
-
-
 def blas_threads() -> int | None:
     """OpenBLAS's thread count (its live value, read on every call), or
     ``None`` when the BLAS behind scipy does not export
     ``scipy_openblas_get_num_threads``."""
-    if _GET_BLAS_THREADS is None:
-        return None
-    return int(_GET_BLAS_THREADS())
+    get = _resolve_blas_threads()
+    return None if get is None else int(get())
 
 
 def lane_count(n_items: int) -> int:

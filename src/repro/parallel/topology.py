@@ -5,15 +5,19 @@ with RoCE at 25 GB/s.  We model two layers of locality: intra-node links
 (NVLink/PCIe-class bandwidth between the 4 GPUs of a node) and the
 inter-node fat tree.  The topology informs the alpha-beta parameters the
 :class:`~repro.parallel.comm.CostModel` uses for a given ring placement.
+networkx is imported where a graph is built or walked, not with the
+package: a process that never models a cluster never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .comm import CostModel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ def build_fat_tree(n_nodes: int, gpus_per_node: int = 4) -> nx.Graph:
     how the paper describes its interconnect; enough structure for path
     and bisection queries in the tests.
     """
+    import networkx as nx
+
     g = nx.Graph()
     g.add_node("core", kind="switch")
     for node in range(n_nodes):
@@ -58,6 +64,8 @@ def ring_order(graph: nx.Graph) -> list[str]:
 
 def ring_hops(graph: nx.Graph) -> list[int]:
     """Switch-hop count between consecutive ring members (wrap included)."""
+    import networkx as nx
+
     order = ring_order(graph)
     hops = []
     for a, b in zip(order, order[1:] + order[:1]):

@@ -495,10 +495,10 @@ class TestLanes:
         )
 
     def test_blas_threads_reads_the_live_count_and_leaves_no_garbage(self):
-        """Resolved once at import, read on every call: a changed thread
-        count shows at once, and a call leaves nothing for the cyclic GC
-        (a ``CDLL`` per call did)."""
-        if lanes_mod._GET_BLAS_THREADS is None:
+        """Resolved once, read on every call: a changed thread count
+        shows at once, and a call leaves nothing for the cyclic GC (a
+        ``CDLL`` per call did)."""
+        if lanes_mod.blas_threads() is None:
             pytest.skip("the BLAS behind scipy does not export its thread count")
         set_threads = ctypes.CDLL(cython_blas.__file__).scipy_openblas_set_num_threads
         set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]

@@ -40,13 +40,56 @@ _ROUNDS = textwrap.dedent("""
 """)
 
 
-@glibc_only
-def test_freed_pages_are_reused():
+#: two live threads take turns running the same step, three times each:
+#: one step's 48 MB is live at a time, so the process should peak at one
+#: step above its start.  With a malloc arena per thread each thread kept
+#: its own 48 MB (96 MB of growth); with one shared arena, 48 MB
+_TWO_THREADS = _ROUNDS.split("def faults", 1)[0] + textwrap.dedent("""
+    import threading
+
+    def peak_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    turns = [threading.Event(), threading.Event()]
+
+    def take_turns(me):
+        for _ in range(3):
+            turns[me].wait()
+            turns[me].clear()
+            step()
+            turns[1 - me].set()
+
+    start = peak_mb()
+    threads = [threading.Thread(target=take_turns, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    turns[0].set()
+    for t in threads:
+        t.join()
+    print(peak_mb() - start)
+""")
+
+#: one step's live set: three 16 MB arrays
+_STEP_MB = 48
+
+
+def _run(script: str) -> float:
+    """The last number a fresh interpreter running ``script`` prints."""
     run = subprocess.run(
-        [sys.executable, "-c", _ROUNDS], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
         timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert float(run.stdout.split()[-1]) <= 50
+    return float(run.stdout.split()[-1])
+
+
+@glibc_only
+def test_freed_pages_are_reused():
+    assert _run(_ROUNDS) <= 50
+
+
+@glibc_only
+def test_threads_share_one_heap():
+    assert _run(_TWO_THREADS) < 1.5 * _STEP_MB
 
 
 @glibc_only
