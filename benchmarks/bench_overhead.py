@@ -42,8 +42,7 @@ def overhead(run_off, run_on, repeats):
 
 def _train_wall(cu_data, cfg, observer=None):
     model = DeePMD.for_dataset(cu_data, cfg, seed=1)
-    opt = make_optimizer("fekf", model, blocksize=2048, fused_update=True,
-                         fused_env=True)
+    opt = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
     trainer = Trainer(model, opt, cu_data, None, batch_size=8, seed=0,
                       eval_frames=4)
     t0 = time.perf_counter()

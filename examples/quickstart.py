@@ -24,11 +24,9 @@ def main() -> None:
           f"(embedding {cfg.embedding_widths}, M<={cfg.m_less}, "
           f"fitting {cfg.fitting_widths})")
 
-    optimizer = make_optimizer(
-        "fekf", model,
-        blocksize=2048, fused_update=True,  # Opt3 kernels
-        fused_env=True,  # Opt1 hand-derived descriptor kernel
-    )
+    # the model's descriptor is always the Opt1 hand-derived kernel;
+    # fused_update selects the Opt3 P-update kernel
+    optimizer = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
     trainer = Trainer(model, optimizer, train, test, batch_size=8, seed=0)
     print("Training with FEKF (1 energy + 4 force Kalman updates per batch)...")
     result = trainer.run(max_epochs=8, callbacks=[ConsoleCallback()])

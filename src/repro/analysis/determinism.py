@@ -155,7 +155,6 @@ def run_backend(
         kalman_cfg=KalmanConfig(blocksize=1024, fused_update=True),
         seed=seed,
         executor=backend,
-        fused_env=True,
     )
     probe = SharedStateProbe(dist.kalman)
     batch = make_batch(dataset, np.arange(batch_size), cfg)

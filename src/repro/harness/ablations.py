@@ -46,7 +46,6 @@ def run_lambda_nu(
                 KalmanConfig(
                     lambda0=lam0, nu=nu, blocksize=2048, fused_update=True
                 ),
-                fused_env=True,
                 seed=seed,
             )
             res = Trainer(
@@ -83,7 +82,6 @@ def run_funnel_vs_fusiform(
         opt = cls(
             model,
             KalmanConfig(blocksize=2048, fused_update=True),
-            fused_env=True,
             seed=seed,
         )
         t0 = time.perf_counter()
@@ -121,7 +119,6 @@ def run_force_graph_reuse(
         opt = FEKF(
             model,
             KalmanConfig(blocksize=2048, fused_update=True),
-            fused_env=True,
             reuse_force_graph=reuse,
             seed=seed,
         )

@@ -163,14 +163,11 @@ def scaled_adam(
     )
 
 
-def fast_kalman(blocksize: int = 2048, **overrides) -> KalmanConfig:
+def fast_kalman(blocksize: int = 2048) -> KalmanConfig:
     """Kalman config used by convergence-focused experiments: fused P
     kernel (identical numerics, ~40x faster) and a blocksize matched to
     the scaled-down network."""
-    cfg = KalmanConfig(blocksize=blocksize, fused_update=True)
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return KalmanConfig(blocksize=blocksize, fused_update=True)
 
 
 def parse_systems(arg: Optional[str]) -> Sequence[str]:

@@ -45,7 +45,7 @@ def run(
 
     setup = experiment_setup(system, frames_per_temperature=4, seed=seed)
     model = setup.model(seed=1)
-    opt = FEKF(model, fast_kalman(), fused_env=True, seed=seed)
+    opt = FEKF(model, fast_kalman(), seed=seed)
 
     report = Report(
         experiment="Figure 1",

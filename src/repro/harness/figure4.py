@@ -35,9 +35,7 @@ def run(
     )
     for label, scale in scales.items():
         model = setup.model(seed=1)
-        opt = FEKF(
-            model, fast_kalman(), fused_env=True, step_scale=scale, seed=seed
-        )
+        opt = FEKF(model, fast_kalman(), step_scale=scale, seed=seed)
         trainer = Trainer(
             model, opt, setup.train, setup.test, batch_size=batch_size, seed=seed
         )

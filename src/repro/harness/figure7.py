@@ -1,8 +1,9 @@
 """Figure 7 -- end-to-end times (a), kernel counts (b), iteration time (c).
 
-(a) trains each system with Adam bs1, RLEKF bs1, FEKF bs32 (baseline
-    kernels) and FEKF bs32 fully optimized (opt3 preset), all to the same
-    total-RMSE target, and reports wall seconds + speedups over RLEKF.
+(a) trains each system with Adam bs1, RLEKF bs1, FEKF bs32 (all three on
+    the baseline preset's model and Kalman backend) and FEKF bs32 fully
+    optimized (opt3 Kalman backend), all to the same total-RMSE target,
+    and reports wall seconds + speedups over RLEKF.
 (b) counts kernel launches of one energy-driven and one force-driven FEKF
     update under each optimization preset.
 (c) reports the forward / gradient / Kalman phase times per iteration
@@ -15,8 +16,7 @@ import numpy as np
 
 from ..model.environment import make_batch
 from ..optim.ekf import FEKF, RLEKF
-from ..optim.kalman import KalmanConfig
-from ..perf.presets import PRESET_ORDER, PRESETS
+from ..perf.presets import BASELINE, PRESET_ORDER, PRESETS
 from ..perf.timer import profile_update
 from ..train.trainer import TargetCriterion, Trainer
 from .common import Report, experiment_setup, fast_kalman, parse_systems, scaled_adam
@@ -53,7 +53,7 @@ def run_7a(
 
         # establish the common accuracy target with an optimized FEKF probe
         probe = setup.model(seed=1)
-        probe_opt = FEKF(probe, fast_kalman(), fused_env=True, seed=seed)
+        probe_opt = FEKF(probe, fast_kalman(), seed=seed)
         probe_res = Trainer(
             probe, probe_opt, setup.train, setup.test, batch_size=batch_size, seed=seed
         ).run(max_epochs=ekf_epochs)
@@ -62,10 +62,9 @@ def run_7a(
 
         def time_to_target(optimizer_factory, bs: int, max_epochs: int) -> tuple[str, float, float]:
             """(tag, seconds-to-target, seconds-per-data-pass)."""
-            model = setup.model(seed=1)
-            opt = optimizer_factory(model)
+            opt = optimizer_factory(setup.model(seed=1))
             res = Trainer(
-                model, opt, setup.train, setup.test, batch_size=bs, seed=seed
+                opt.model, opt, setup.train, setup.test, batch_size=bs, seed=seed
             ).run(max_epochs=max_epochs, target=criterion)
             # pure optimizer time; per-epoch evaluation overhead (an
             # artifact of our tiny datasets) is excluded
@@ -74,24 +73,23 @@ def run_7a(
             tag = f"{t:.1f}" + ("" if res.converged else "+")
             return tag, t, per_pass
 
-        kalman_naive = KalmanConfig(blocksize=2048, fused_update=False)
         t_adam, _, _ = time_to_target(
-            lambda m: scaled_adam(m, setup.train.n_frames, adam_epochs), 1, adam_epochs
+            lambda m: scaled_adam(BASELINE.model(m), setup.train.n_frames, adam_epochs),
+            1,
+            adam_epochs,
         )
         t_rlekf, v_rlekf, pass_rlekf = time_to_target(
-            lambda m: RLEKF(m, kalman_naive, fused_env=False, seed=seed), 1, ekf_epochs
+            lambda m: BASELINE.optimizer(m, RLEKF, seed=seed, blocksize=2048),
+            1,
+            ekf_epochs,
         )
         t_fekf, v_fekf, pass_fekf = time_to_target(
-            lambda m: FEKF(m, kalman_naive, fused_env=False, seed=seed),
+            lambda m: BASELINE.optimizer(m, seed=seed, blocksize=2048),
             batch_size,
             ekf_epochs,
         )
         t_opt, v_opt, pass_opt = time_to_target(
-            lambda m: FEKF(
-                m, fast_kalman(), fused_env=True, seed=seed
-            ),
-            batch_size,
-            ekf_epochs,
+            lambda m: FEKF(m, fast_kalman(), seed=seed), batch_size, ekf_epochs
         )
         report.add_row(
             system,
@@ -123,15 +121,10 @@ def _profile_all(system: str, batch_size: int, frames_per_temperature: int, seed
     profiles = []
     for name in PRESET_ORDER:
         preset = PRESETS[name]
-        opt = FEKF(
-            model,
-            preset.kalman_config(blocksize=2048),
-            fused_env=preset.fused_env,
-            seed=seed,
-        )
+        opt = preset.optimizer(model, seed=seed, blocksize=2048)
         # warm-up once so timings exclude first-touch costs
-        profile_update(model, opt, batch, preset)
-        profiles.append(profile_update(model, opt, batch, preset))
+        profile_update(opt.model, opt, batch, preset)
+        profiles.append(profile_update(opt.model, opt, batch, preset))
     return profiles
 
 

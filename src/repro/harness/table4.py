@@ -49,7 +49,7 @@ def run(
         best_a = min(res_a.history, key=lambda r: r.train_total)
 
         model_f = setup.model(seed=1)
-        fekf = FEKF(model_f, fast_kalman(), fused_env=True, seed=seed)
+        fekf = FEKF(model_f, fast_kalman(), seed=seed)
         res_f = Trainer(
             model_f, fekf, setup.train, setup.test, batch_size=batch_size, seed=seed
         ).run(max_epochs=fekf_epochs, target=TargetCriterion(target, metric="total"))

@@ -51,7 +51,7 @@ def run(
 
     # baseline accuracy: what RLEKF reaches after its first data pass
     model = setup.model(seed=1)
-    rlekf = RLEKF(model, fast_kalman(), fused_env=True, seed=seed)
+    rlekf = RLEKF(model, fast_kalman(), seed=seed)
     res0 = Trainer(
         model, rlekf, setup.train, setup.test, batch_size=1, seed=seed,
         evals_per_epoch=8,
@@ -75,7 +75,7 @@ def run(
         model = setup.model(seed=1)
         kcfg = KalmanConfig.for_batch_size(bs, blocksize=2048, fused_update=True)
         if gpus == 1:
-            opt = FEKF(model, kcfg, fused_env=True, seed=seed)
+            opt = FEKF(model, kcfg, seed=seed)
         else:
             opt = DistributedFEKF(model, world_size=gpus, kalman_cfg=kcfg, seed=seed)
         res = Trainer(

@@ -6,7 +6,6 @@ from .environment import (
     EnvStats,
     compute_stats,
     environment_fused,
-    environment_graph,
     environment_np,
     identity_stats,
     make_batch,
@@ -38,7 +37,6 @@ __all__ = [
     "compute_stats",
     "identity_stats",
     "make_batch",
-    "environment_graph",
     "environment_fused",
     "environment_np",
     "ParamStore",

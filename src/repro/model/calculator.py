@@ -29,16 +29,15 @@ class DeePMDCalculator(Potential, InferenceSession):
         Trained network (its config fixes the cutoff and Nm).
     species:
         Per-atom species indices of the system being simulated.
-    fused_env:
-        Use the hand-derived Opt1 descriptor kernel for inference (the
-        fast path; bit-identical to the graph path).
+
+    Predictions run the model's graph-free Opt1 kernels
+    (:meth:`DeePMD.predict`).
     """
 
-    def __init__(self, model: DeePMD, species: np.ndarray, fused_env: bool = True):
+    def __init__(self, model: DeePMD, species: np.ndarray):
         self.model = model
         self.species = np.asarray(species, dtype=np.int64)
-        self.fused_env = bool(fused_env)
-        self._session = ModelSession(model, fused_env=fused_env)
+        self._session = ModelSession(model)
 
     # -- InferenceSession ----------------------------------------------
     @property

@@ -63,7 +63,7 @@ class ModelEnsemble(InferenceSession):
         return self.models[0].cfg
 
     # ------------------------------------------------------------------
-    def predict(self, batch, species=None, cell=None, fused_env: bool = True):
+    def predict(self, batch, species=None, cell=None):
         """Two entry points behind one name:
 
         * ``predict(batch: DescriptorBatch)`` -- the pre-protocol batched
@@ -73,7 +73,7 @@ class ModelEnsemble(InferenceSession):
           :class:`~repro.model.session.Prediction`.
         """
         if isinstance(batch, DescriptorBatch):
-            return self._predict_batch(batch, fused_env=fused_env)
+            return self._predict_batch(batch)
         if species is None or cell is None:
             raise TypeError(
                 "predict(positions, species, cell) requires species and cell "
@@ -81,12 +81,10 @@ class ModelEnsemble(InferenceSession):
             )
         return InferenceSession.predict(self, batch, species, cell)
 
-    def _predict_batch(
-        self, batch: DescriptorBatch, fused_env: bool = True
-    ) -> EnsemblePrediction:
+    def _predict_batch(self, batch: DescriptorBatch) -> EnsemblePrediction:
         energies, forces = [], []
         for model in self.models:
-            out = model.predict(batch, fused_env=fused_env)
+            out = model.predict(batch)
             energies.append(out.energy)
             forces.append(out.forces)
         e = np.stack(energies)  # (M, B)
@@ -101,7 +99,7 @@ class ModelEnsemble(InferenceSession):
         )
 
     def predict_descriptor_batch(self, batch: DescriptorBatch) -> dict:
-        ep = self._predict_batch(batch, fused_env=True)
+        ep = self._predict_batch(batch)
         return {
             "energy": ep.energy,
             "forces": ep.forces,
@@ -125,7 +123,7 @@ class ModelEnsemble(InferenceSession):
         if dataset.n_frames > max_frames:
             take = np.linspace(0, dataset.n_frames - 1, max_frames).astype(int)
         batch = make_batch(dataset, take, self.cfg)
-        ep = self._predict_batch(batch, fused_env=True)
+        ep = self._predict_batch(batch)
         n = dataset.n_atoms
         e_rmse = float(np.sqrt(np.mean(((ep.energy - batch.energies) / n) ** 2)))
         f_rmse = float(np.sqrt(np.mean((ep.forces - batch.forces) ** 2)))

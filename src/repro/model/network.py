@@ -9,12 +9,13 @@ Pipeline (paper Sec. 2.1, Figure 2):
 4. fitting net (tanh layer, two residual layers, linear head) -> E_i;
 5. E_tot = sum_i E_i (+ per-species energy bias), F_i = -dE_tot/dr_i.
 
-Optimization toggles mirror the paper's Figure 7 presets:
-
-* ``fused_env``    -- hand-derived descriptor-environment kernel (Opt1);
-  with it, inference (``predict`` / ``predict_energy``) builds no graph;
-* ``fused layers`` -- via :func:`repro.autograd.fused_kernels` (Opt2);
-* the optimizer-side fusions (Opt3) live in :mod:`repro.optim.kalman`.
+The descriptor environment always runs the hand-derived Opt1 kernel:
+the training graph uses :func:`~.environment.environment_fused`, and
+inference (``predict`` / ``predict_energy``) builds no graph at all.  The
+other Figure 7 optimizations are Opt2's fused layers
+(:func:`repro.autograd.fused_kernels`) and Opt3's fused ``P`` update
+(:mod:`repro.optim.kalman`); the graph-descriptor baseline lives in
+:mod:`repro.perf.presets`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, grad, no_grad, ops
+from ..autograd import Tensor, ops
 from ..autograd.fuse import linear, linear_tanh, residual_linear_tanh
 from ..data.source import FrameSource
 from .config import DeePMDConfig
@@ -34,7 +35,6 @@ from .environment import (
     _env_vjp,
     compute_stats,
     environment_fused,
-    environment_graph,
     environment_np,
     identity_stats,
     make_batch,
@@ -67,6 +67,12 @@ class DeePMD:
         Per-species constant added to each atomic energy (non-trainable);
         typically the dataset mean energy per atom.
     """
+
+    #: the descriptor-environment kernel of :meth:`energy_graph` (Opt1).
+    #: The Figure 7 baseline subclass in :mod:`repro.perf.presets` swaps
+    #: in the autograd-primitive one: a class attribute, not a flag, so
+    #: the choice travels with the model to lane threads and rank processes
+    environment = staticmethod(environment_fused)
 
     def __init__(
         self,
@@ -180,15 +186,13 @@ class DeePMD:
         coords: Tensor,
         batch: DescriptorBatch,
         p: Optional[dict[str, Tensor]] = None,
-        fused_env: bool = False,
     ) -> Tensor:
         """Per-frame total energies (B,) as a differentiable graph."""
         if p is None:
             p = self.param_tensors()
         cfg = self.cfg
         b, n = batch.batch_size, batch.n_atoms
-        env_fn = environment_fused if fused_env else environment_graph
-        rn = env_fn(coords, batch, cfg, self.stats)  # (B, N, Nm, 4)
+        rn = self.environment(coords, batch, cfg, self.stats)  # (B, N, Nm, 4)
         sn = rn[..., 0:1]  # radial column feeds the embedding
         if cfg.type_aware:
             # the species channels are constants, so this is a single
@@ -207,7 +211,7 @@ class DeePMD:
         return ops.tsum(ops.reshape(e_atom, (b, n)), axis=1)
 
     # ------------------------------------------------------------------
-    # graph-free inference (fused_env=True)
+    # graph-free inference
     # ------------------------------------------------------------------
     @staticmethod
     def _net_np(prefix: str, x: np.ndarray, p: dict, n_layers: int):
@@ -241,7 +245,7 @@ class DeePMD:
         """Energies (B,) and, if asked, forces (B, N, 3) through the Opt1
         kernels without a graph.
 
-        Bit-identical to :meth:`energy_graph` (``fused_env=True``) plus a
+        Bit-identical to :meth:`energy_graph` (Opt1 kernel) plus a
         coordinate-only ``grad``: every array op is the one the graph
         launches, on operands of the same layout, in the same order
         (DESIGN §5, "Inference without a graph").
@@ -291,37 +295,25 @@ class DeePMD:
     # ------------------------------------------------------------------
     # prediction APIs (numpy in / numpy out)
     # ------------------------------------------------------------------
-    def predict_energy(self, batch: DescriptorBatch, fused_env: bool = True) -> np.ndarray:
+    def predict_energy(self, batch: DescriptorBatch) -> np.ndarray:
         """Total energies without force evaluation (inference path)."""
-        if fused_env:
-            return self._forward_np(batch, want_forces=False)[0]
-        with no_grad():
-            e = self.energy_graph(Tensor(batch.coords), batch)
-        return e.data
+        return self._forward_np(batch, want_forces=False)[0]
 
-    def predict(
-        self, batch: DescriptorBatch, fused_env: bool = False
-    ) -> EnergyForces:
-        """Energies and forces.  ``fused_env=True`` runs the hand-derived
-        Opt1 kernel with no graph at all (:meth:`_forward_np`); the default
-        is the paper's baseline, forces by backward through the graph."""
-        if fused_env:
-            energy, forces = self._forward_np(batch, want_forces=True)
-            return EnergyForces(energy=energy, forces=forces)
-        coords = Tensor(batch.coords, requires_grad=True)
-        e = self.energy_graph(coords, batch)
-        (gc,) = grad(ops.tsum(e), [coords])
-        return EnergyForces(energy=e.data, forces=-gc.data)
+    def predict(self, batch: DescriptorBatch) -> EnergyForces:
+        """Energies and forces through the Opt1 kernels, with no graph at
+        all (:meth:`_forward_np`)."""
+        energy, forces = self._forward_np(batch, want_forces=True)
+        return EnergyForces(energy=energy, forces=forces)
 
     def evaluate_rmse(
-        self, dataset: FrameSource, max_frames: int = 128, fused_env: bool = True
+        self, dataset: FrameSource, max_frames: int = 128
     ) -> dict[str, float]:
         """Energy (per atom) and force RMSE over (a sample of) a source."""
         take = np.arange(dataset.n_frames)
         if dataset.n_frames > max_frames:
             take = np.linspace(0, dataset.n_frames - 1, max_frames).astype(int)
         batch = make_batch(dataset, take, self.cfg)
-        pred = self.predict(batch, fused_env=fused_env)
+        pred = self.predict(batch)
         n = dataset.n_atoms
         e_rmse = float(
             np.sqrt(np.mean(((pred.energy - batch.energies) / n) ** 2))

@@ -160,16 +160,15 @@ class InferenceSession(abc.ABC):
 class ModelSession(InferenceSession):
     """A single :class:`DeePMD` model behind the session protocol."""
 
-    def __init__(self, model: DeePMD, fused_env: bool = True):
+    def __init__(self, model: DeePMD):
         self.model = model
-        self.fused_env = bool(fused_env)
 
     @property
     def cfg(self) -> DeePMDConfig:
         return self.model.cfg
 
     def predict_descriptor_batch(self, batch: DescriptorBatch) -> dict:
-        out = self.model.predict(batch, fused_env=self.fused_env)
+        out = self.model.predict(batch)
         return {"energy": out.energy, "forces": out.forces}
 
     def _load_state(self, state: dict) -> None:

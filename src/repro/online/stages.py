@@ -284,8 +284,7 @@ class MemberSpec:
     def build(self, rank: int = 0, live: bool = False) -> MemberWorker:
         model = self.models[rank] if live else copy.deepcopy(self.models[rank])
         optimizer = FEKF(
-            model, KalmanConfig(**vars(self.kalman_cfg)), fused_env=True,
-            seed=self.seed + rank,
+            model, KalmanConfig(**vars(self.kalman_cfg)), seed=self.seed + rank
         )
         return MemberWorker(model, optimizer, self.batch_size, self.epochs, rank)
 

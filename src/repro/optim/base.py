@@ -19,8 +19,7 @@ entry point: experiment code names the algorithm and passes flat keyword
 overrides; the factory routes each override to the right place
 (``KalmanConfig`` field, learning-rate schedule, constructor keyword)::
 
-    opt = make_optimizer("fekf", model, blocksize=2048,
-                         fused_update=True, fused_env=True)
+    opt = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
     opt = make_optimizer("adam", model, lr0=1e-3, decay_steps=500)
 
 Overrides that fit nowhere raise ``TypeError`` up front, so a typo'd
@@ -183,13 +182,15 @@ _LOSS_FIELDS = {f.name for f in dataclasses.fields(LossConfig)}
 _SCHEDULE_ALIASES = {"lr0": "lr0", "decay_rate": "rate", "decay_steps": "steps"}
 
 _EKF_CLASSES = {"fekf": FEKF, "rlekf": RLEKF, "naive_ekf": NaiveEKF}
-_EKF_CTOR_KEYS = {
-    "n_force_splits", "fused_env", "reuse_force_graph", "step_scale", "seed",
+_EKF_CTOR_KEYS = {"n_force_splits", "reuse_force_graph", "step_scale", "seed"}
+_DISTRIBUTED_CTOR_KEYS = {
+    "n_force_splits", "reuse_force_graph", "verify_replicas", "cost_model",
+    "seed", "executor",
 }
 _FIRST_ORDER_CLASSES = {"adam": Adam, "sgd": SGD}
 _FIRST_ORDER_CTOR_KEYS = {
-    "adam": {"beta1", "beta2", "eps", "batch_scale_lr", "fused_env"},
-    "sgd": {"momentum", "batch_scale_lr", "fused_env"},
+    "adam": {"beta1", "beta2", "eps", "batch_scale_lr"},
+    "sgd": {"momentum", "batch_scale_lr"},
 }
 
 #: canonical algorithm names accepted by :func:`make_optimizer`
@@ -210,8 +211,10 @@ def _reject_unknown(name: str, leftover: dict) -> None:
         )
 
 
-def _make_ekf(key: str, model: DeePMD, overrides: dict):
-    cls = _EKF_CLASSES[key]
+def _kalman_config(overrides: dict) -> KalmanConfig:
+    """Pop the Kalman settings out of ``overrides``: a pre-built
+    ``kalman_cfg``, or flat ``KalmanConfig`` fields (plus ``batch_size``
+    for the paper's large-batch guidance), never both."""
     kalman_cfg = overrides.pop("kalman_cfg", None)
     kalman_overrides = {
         k: overrides.pop(k) for k in list(overrides) if k in _KALMAN_FIELDS
@@ -227,6 +230,12 @@ def _make_ekf(key: str, model: DeePMD, overrides: dict):
             "pass either kalman_cfg or flat KalmanConfig fields, not both: "
             f"{sorted(kalman_overrides)}"
         )
+    return kalman_cfg
+
+
+def _make_ekf(key: str, model: DeePMD, overrides: dict):
+    cls = _EKF_CLASSES[key]
+    kalman_cfg = _kalman_config(overrides)
     ctor = {k: overrides.pop(k) for k in list(overrides) if k in _EKF_CTOR_KEYS}
     _reject_unknown(key, overrides)
     return cls(model, kalman_cfg=kalman_cfg, **ctor)
@@ -284,15 +293,16 @@ def make_optimizer(name: str, model: DeePMD, **overrides) -> Optimizer:
 
         * EKF family -- ``KalmanConfig`` fields (``lambda0``, ``nu``,
           ``blocksize``, ``fused_update``, ...), constructor keywords
-          (``n_force_splits``, ``fused_env``, ``reuse_force_graph``,
-          ``step_scale``, ``seed``), a pre-built ``kalman_cfg``, or
+          (``n_force_splits``, ``reuse_force_graph``, ``step_scale``,
+          ``seed``), a pre-built ``kalman_cfg``, or
           ``batch_size=...`` to apply the paper's large-batch tuning
           guidance;
         * first-order -- schedule fields (``lr0``, ``decay_rate``,
           ``decay_steps``), ``LossConfig`` fields, or class keywords
           (``beta1``, ``momentum``, ``batch_scale_lr``, ...);
-        * ``distributed_fekf`` -- ``world_size`` (required) plus the
-          FEKF keywords above.
+        * ``distributed_fekf`` -- ``world_size`` (required), the Kalman
+          settings above, and ``n_force_splits``, ``reuse_force_graph``,
+          ``verify_replicas``, ``cost_model``, ``seed``, ``executor``.
     """
     key = _ALIASES.get(name.lower().replace("-", "_"), name.lower().replace("-", "_"))
     if key in _EKF_CLASSES:
@@ -306,17 +316,10 @@ def make_optimizer(name: str, model: DeePMD, **overrides) -> Optimizer:
         if "world_size" not in overrides:
             raise TypeError("make_optimizer('distributed_fekf') requires world_size=")
         world_size = overrides.pop("world_size")
-        kalman_cfg = overrides.pop("kalman_cfg", None)
-        kalman_overrides = {
-            k: overrides.pop(k) for k in list(overrides) if k in _KALMAN_FIELDS
+        kalman_cfg = _kalman_config(overrides)
+        ctor = {
+            k: overrides.pop(k) for k in list(overrides) if k in _DISTRIBUTED_CTOR_KEYS
         }
-        if kalman_cfg is None and kalman_overrides:
-            kalman_cfg = KalmanConfig(**kalman_overrides)
-        ctor_keys = {
-            "n_force_splits", "fused_env", "reuse_force_graph",
-            "verify_replicas", "cost_model", "seed", "executor",
-        }
-        ctor = {k: overrides.pop(k) for k in list(overrides) if k in ctor_keys}
         _reject_unknown(key, overrides)
         return DistributedFEKF(model, world_size, kalman_cfg=kalman_cfg, **ctor)
     raise KeyError(

@@ -81,11 +81,10 @@ class FEKF:
         ``KalmanConfig.for_batch_size(bs)`` for the large-batch guidance.
     n_force_splits:
         Number of force-group updates per batch (paper: 4).
-    fused_env:
-        Route the descriptor through the hand-derived Opt1 kernel.
-    compiled:
-        Accepted and ignored.  The benchmark's pinned ``train_small``
-        twin still passes it; the eager step is the only step.
+    fused_env, compiled:
+        Accepted and ignored.  The benchmark's pinned adapter still passes
+        both; the descriptor kernel is the model's
+        (:attr:`DeePMD.environment`) and the eager step is the only step.
     """
 
     name = "FEKF"
@@ -95,10 +94,10 @@ class FEKF:
         model: DeePMD,
         kalman_cfg: KalmanConfig | None = None,
         n_force_splits: int = 4,
-        fused_env: bool = False,
         reuse_force_graph: bool = True,
         step_scale: float | None = None,
         seed: int = 0,
+        fused_env: bool | None = None,
         compiled: bool | None = None,
     ):
         self.model = model
@@ -107,7 +106,7 @@ class FEKF:
         self.n_force_splits = int(n_force_splits)
         #: the per-shard gradient math, shared (same model object) with the
         #: rank workers of the data-parallel trainer
-        self.worker = GradientWorker(model, fused_env=fused_env)
+        self.worker = GradientWorker(model)
         #: when True, the n_force_splits group updates share one force
         #: graph (H evaluated at the weights before the first group update)
         #: instead of a fresh forward per group -- a large CPU saving with
@@ -124,15 +123,6 @@ class FEKF:
     # ------------------------------------------------------------------
     # gradient building blocks (implementation lives in GradientWorker)
     # ------------------------------------------------------------------
-    @property
-    def fused_env(self) -> bool:
-        """Route the descriptor through the hand-derived Opt1 kernel."""
-        return self.worker.fused_env
-
-    @fused_env.setter
-    def fused_env(self, value: bool) -> None:
-        self.worker.fused_env = value
-
     def stats(self) -> dict:
         """Optimizer-level diagnostics: the filter's step count, lambda
         and update count, and ``force_lanes``, the lanes the last step
@@ -171,7 +161,6 @@ class FEKF:
             "p_trace_cap": cfg.p_trace_cap,
             "max_step_norm": cfg.max_step_norm,
             "n_force_splits": self.n_force_splits,
-            "fused_env": self.fused_env,
             "reuse_force_graph": self.reuse_force_graph,
             "step_scale": self.step_scale,
         }

@@ -67,13 +67,11 @@ class FirstOrderOptimizer:
         schedule: ExponentialDecay | None = None,
         loss_cfg: LossConfig | None = None,
         batch_scale_lr: bool = True,
-        fused_env: bool = False,
     ):
         self.model = model
         self.schedule = schedule or ExponentialDecay()
         self.loss_cfg = loss_cfg or LossConfig()
         self.batch_scale_lr = batch_scale_lr
-        self.fused_env = fused_env
         self.step_count = 0
 
     # ------------------------------------------------------------------
@@ -85,7 +83,7 @@ class FirstOrderOptimizer:
         p = model.param_tensors()
         names = model.params.names()
         coords = Tensor(batch.coords, requires_grad=True)
-        e = model.energy_graph(coords, batch, p=p, fused_env=self.fused_env)
+        e = model.energy_graph(coords, batch, p=p)
         (gc,) = grad(ops.tsum(e), [coords], create_graph=True)
         n = batch.n_atoms
         de = ops.mul(ops.sub(e, Tensor(batch.energies)), 1.0 / n)
@@ -138,7 +136,6 @@ class FirstOrderOptimizer:
             "pf_start": self.loss_cfg.pf_start,
             "pf_limit": self.loss_cfg.pf_limit,
             "batch_scale_lr": self.batch_scale_lr,
-            "fused_env": self.fused_env,
         }
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -66,7 +66,7 @@ import ctypes
 import functools
 import mmap
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -223,14 +223,10 @@ class KalmanConfig:
     @staticmethod
     def for_batch_size(batch_size: int, **overrides) -> "KalmanConfig":
         """The paper's tuning guidance: lambda0=0.98/nu=0.9987 by default,
-        lambda0=0.90/nu=0.996 once the batch size exceeds 1024."""
-        if batch_size > 1024:
-            base = KalmanConfig(lambda0=0.90, nu=0.996)
-        else:
-            base = KalmanConfig()
-        for k, v in overrides.items():
-            setattr(base, k, v)
-        return base
+        lambda0=0.90/nu=0.996 once the batch size exceeds 1024.  An
+        override that names no field raises ``TypeError``."""
+        base = KalmanConfig(lambda0=0.90, nu=0.996) if batch_size > 1024 else KalmanConfig()
+        return replace(base, **overrides)
 
 
 class KalmanState:

@@ -101,14 +101,8 @@ class GradientWorker:
     }
     counter = "parallel.worker_tasks"
 
-    def __init__(
-        self,
-        model: DeePMD,
-        fused_env: bool = False,
-        rank: int = 0,
-    ):
+    def __init__(self, model: DeePMD, rank: int = 0):
         self.model = model
-        self.fused_env = fused_env
         self.rank = int(rank)
         self.shard: Optional[DescriptorBatch] = None
         #: cached (f_pred, params) force graph for the current shard;
@@ -128,9 +122,7 @@ class GradientWorker:
         model = self.model
         with _span("fekf.forward"):
             p = model.param_tensors()
-            e = model.energy_graph(
-                Tensor(batch.coords), batch, p=p, fused_env=self.fused_env
-            )
+            e = model.energy_graph(Tensor(batch.coords), batch, p=p)
             n = batch.n_atoms
             err = (batch.energies - e.data) / n
             abe = float(np.mean(np.abs(err)))
@@ -149,7 +141,7 @@ class GradientWorker:
         with _span("fekf.forward"):
             p = model.param_tensors()
             coords = Tensor(batch.coords, requires_grad=True)
-            e = model.energy_graph(coords, batch, p=p, fused_env=self.fused_env)
+            e = model.energy_graph(coords, batch, p=p)
             (gc,) = grad(ops.tsum(e), [coords], create_graph=True)
             f_pred = ops.neg(gc)
         return f_pred, p
@@ -256,9 +248,6 @@ class WorkerSpec:
     """
 
     model: DeePMD
-    fused_env: bool = False
 
     def build(self, rank: int = 0) -> GradientWorker:
-        return GradientWorker(
-            copy.deepcopy(self.model), fused_env=self.fused_env, rank=rank
-        )
+        return GradientWorker(copy.deepcopy(self.model), rank=rank)

@@ -97,7 +97,6 @@ class DistributedFEKF:
         world_size: int,
         kalman_cfg: KalmanConfig | None = None,
         n_force_splits: int = 4,
-        fused_env: bool = True,
         reuse_force_graph: bool = True,
         verify_replicas: bool = False,
         cost_model: CostModel | None = None,
@@ -113,12 +112,11 @@ class DistributedFEKF:
             model,
             kalman_cfg=kalman_cfg,
             n_force_splits=n_force_splits,
-            fused_env=fused_env,
             reuse_force_graph=reuse_force_graph,
             seed=seed,
         )
         self.model = model
-        self._spec = WorkerSpec(model=model, fused_env=fused_env)
+        self._spec = WorkerSpec(model=model)
         self.executor = make_executor(executor, self.world_size)
         self.executor.start(self._spec)
         self.timing = StepTiming()

@@ -40,8 +40,6 @@ class ServeConfig:
     cache_predictions: bool = True
     #: LRU capacity of each cache (entries)
     cache_capacity: int = 256
-    #: use the fused Opt1 descriptor kernel in workers and fallback path
-    fused_env: bool = True
     #: extent of the sliding latency/error windows the health monitor
     #: reads (``InferenceService.health()``)
     window_s: float = 30.0

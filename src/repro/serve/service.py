@@ -206,9 +206,7 @@ class InferenceService(InferenceSession):
             model = getattr(self._session, "model", None)
             models = None if model is None else [model]
         if models is not None:
-            self._spec = PredictSpec(
-                models=list(models), fused_env=self.config.fused_env
-            )
+            self._spec = PredictSpec(models=list(models))
             with self._swap_lock:
                 self._executor = make_executor(
                     self.config.executor, self.config.world_size

@@ -27,14 +27,14 @@ from ..model.ensemble import ModelEnsemble
 __all__ = ["PredictWorker", "PredictSpec"]
 
 
-def session_for_models(models: Sequence[DeePMD], fused_env: bool = True) -> InferenceSession:
+def session_for_models(models: Sequence[DeePMD]) -> InferenceSession:
     """One model -> :class:`ModelSession`; several -> :class:`ModelEnsemble`
     (committee mean + uncertainty in every response)."""
     models = list(models)
     if not models:
         raise ValueError("need at least one model to serve")
     if len(models) == 1:
-        return ModelSession(models[0], fused_env=fused_env)
+        return ModelSession(models[0])
     return ModelEnsemble(models)
 
 
@@ -75,10 +75,7 @@ class PredictSpec:
     """
 
     models: list = field(default_factory=list)
-    fused_env: bool = True
 
     def build(self, rank: int = 0) -> PredictWorker:
         replicas = [copy.deepcopy(m) for m in self.models]
-        return PredictWorker(
-            session_for_models(replicas, fused_env=self.fused_env), rank=rank
-        )
+        return PredictWorker(session_for_models(replicas), rank=rank)

@@ -14,6 +14,7 @@ from repro.analysis import (
 )
 from repro.autograd import Tensor, fuse, make_op, ops, register_op
 from repro.autograd.instrument import tensors_wanted
+from repro.perf import BASELINE
 
 
 def _rules(report):
@@ -213,8 +214,7 @@ class TestSanitizer:
         tensor finite, and the op counter proves the sanitizer looked."""
         from repro.optim import FEKF, KalmanConfig
 
-        opt = FEKF(cu_model, KalmanConfig(blocksize=1024, fused_update=True),
-                   fused_env=True)
+        opt = FEKF(cu_model, KalmanConfig(blocksize=1024, fused_update=True))
         with Sanitizer(mode="raise") as san:
             opt.step_batch(cu_batch)
         report = san.report()
@@ -224,7 +224,7 @@ class TestSanitizer:
 
 
 class TestVerifySecondOrder:
-    def _force_path_fn(self, model, batch, fused_env):
+    def _force_path_fn(self, model, batch):
         """Scalar energy as a function of (coords-subspace coefficients,
         output-layer bias) -- the derivative structure force training
         exercises under create_graph=True."""
@@ -240,7 +240,7 @@ class TestVerifySecondOrder:
             )
             p = model.param_tensors()
             p["fit_out_b"] = wb
-            e = model.energy_graph(coords, batch, p=p, fused_env=fused_env)
+            e = model.energy_graph(coords, batch, p=p)
             return ops.tsum(e)
 
         return energy
@@ -249,7 +249,7 @@ class TestVerifySecondOrder:
         """With the primitive-composed environment the whole force path
         is exact to any order: double backward matches central
         differences along coords *and* weight directions."""
-        energy = self._force_path_fn(cu_model, cu_batch, fused_env=False)
+        energy = self._force_path_fn(BASELINE.model(cu_model), cu_batch)
         report = verify_second_order(
             energy, [np.zeros(2), cu_model.params["fit_out_b"]],
             label="force-path", eps=1e-5, atol=1e-5, rtol=1e-2,
@@ -262,7 +262,7 @@ class TestVerifySecondOrder:
         weight directions (the training use), inexact for d2E/dcoords2.
         The dynamic checker must catch that boundary when probed along
         coordinate directions."""
-        energy = self._force_path_fn(cu_model, cu_batch, fused_env=True)
+        energy = self._force_path_fn(cu_model, cu_batch)
         report = verify_second_order(
             energy, [np.zeros(2), cu_model.params["fit_out_b"]],
             label="fused-env", eps=1e-5, atol=1e-5, rtol=1e-2,

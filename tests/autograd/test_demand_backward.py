@@ -20,8 +20,8 @@ from repro.autograd.config import config as ag_config
 from repro.autograd.instrument import registered_ops
 from repro.model import DeePMD, make_batch
 from repro.model import environment as envmod
-from repro.optim import FEKF, KalmanConfig
 from repro.parallel.executor import ThreadExecutor
+from repro.perf import BASELINE, OPT1
 
 #: snapshot at collection time: other test modules register throwaway op
 #: names while they *run*, and those are not the engine's
@@ -297,8 +297,9 @@ def test_concurrent_sweeps_over_one_graph_match_serial():
 # ---------------------------------------------------------------------------
 # end to end: training fingerprints and the inference sweep
 # ---------------------------------------------------------------------------
-#: recorded on the parent commit (unpruned sweep) with this file's recipe;
-#: the demand-driven sweep reorders no arithmetic, so they must not move
+#: recorded on the parent commit (unpruned sweep) with this file's recipe
+#: (True: Opt1, False: the Figure 7 baseline's graph descriptor); the
+#: demand-driven sweep reorders no arithmetic, so they must not move
 PINNED = {
     True: ("b38404fb5d79da2a99b7dfebc8cec04681cad5bc9c79a66e4a0d0040fbdeaed1",
            5235.86308982611),
@@ -307,34 +308,38 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("fused_env", [True, False])
-def test_three_fekf_steps_keep_the_parent_fingerprint(cu_dataset, small_cfg, fused_env):
+@pytest.mark.parametrize("opt1", [True, False])
+def test_three_fekf_steps_keep_the_parent_fingerprint(cu_dataset, small_cfg, opt1):
     model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-    opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True), seed=11,
-               fused_env=fused_env)
+    opt = (OPT1 if opt1 else BASELINE).optimizer(
+        model, seed=11, blocksize=1024, fused_update=True
+    )
     for i in range(3):
         opt.step_batch(make_batch(cu_dataset, np.arange(3) + 3 * i, small_cfg))
-    sha = hashlib.sha256(model.params.flatten().tobytes()).hexdigest()
-    assert (sha, opt.kalman.checksum()) == PINNED[fused_env]
+    sha = hashlib.sha256(opt.model.params.flatten().tobytes()).hexdigest()
+    assert (sha, opt.kalman.checksum()) == PINNED[opt1]
 
 
 @pytest.mark.parametrize("fused_layers", [False, True])
-@pytest.mark.parametrize("fused_env", [False, True])
+@pytest.mark.parametrize("opt1", [False, True])
 def test_predict_launches_no_weight_gradients(
-    cu_dataset, small_cfg, cu_model, cu_batch, fused_env, fused_layers
+    cu_dataset, small_cfg, cu_model, cu_batch, opt1, fused_layers
 ):
     """Forces need dE/dr only: with live (requires_grad) weights the sweep
-    launches exactly what it launches when the weights are constants.
-    ``predict`` with the Opt1 kernel builds no graph, so it launches
-    nothing at all; the graph baseline launches what the sweep does."""
+    launches exactly what it launches when the weights are constants, on
+    the Opt1 graph and on the baseline's.  ``predict`` builds no graph,
+    so it launches nothing at all, and its forces are the Opt1 graph's
+    bytes."""
+    model = cu_model if opt1 else BASELINE.model(cu_model)
+
     def forces(p):
         with KernelCounter() as kc:
             coords = Tensor(cu_batch.coords, requires_grad=True)
-            e = cu_model.energy_graph(coords, cu_batch, p=p, fused_env=fused_env)
+            e = model.energy_graph(coords, cu_batch, p=p)
             (gc,) = grad(ops.tsum(e), [coords])
         return kc, gc.data
 
-    live = cu_model.param_tensors()
+    live = model.param_tensors()
     assert all(t.requires_grad for t in live.values())
     frozen = {name: t.detach() for name, t in live.items()}
     old = ag_config.fused_elementwise
@@ -343,14 +348,14 @@ def test_predict_launches_no_weight_gradients(
         kc_live, f_live = forces(live)
         kc_frozen, f_frozen = forces(frozen)
         with KernelCounter() as kc_predict:
-            pred = cu_model.predict(cu_batch, fused_env=fused_env)
+            pred = model.predict(cu_batch)
     finally:
         ag_config.fused_elementwise = old
     assert kc_live.launches == kc_frozen.launches
     assert kc_live.total_bytes == kc_frozen.total_bytes
-    if fused_env:
-        assert not kc_predict.launches and kc_predict.total_bytes == 0
-    else:
-        assert kc_predict.launches == kc_live.launches
+    assert not kc_predict.launches and kc_predict.total_bytes == 0
     assert np.array_equal(f_live, f_frozen)
-    assert np.array_equal(pred.forces, -f_live)
+    if opt1:
+        assert np.array_equal(pred.forces, -f_live)
+    else:
+        assert np.allclose(pred.forces, -f_live, atol=1e-12)

@@ -20,6 +20,7 @@ from repro.model import environment as envmod
 from repro.optim import FEKF, RLEKF, Adam, KalmanConfig
 from repro.optim import ekf as ekf_mod
 from repro.parallel import DistributedFEKF
+from repro.perf import BASELINE
 from repro.serve import InferenceService, ServeConfig
 
 
@@ -63,9 +64,8 @@ def big_batch(cu_dataset, small_cfg):
 
 
 class TestNoCyclicGarbage:
-    @pytest.mark.parametrize("fused_env", [False, True])
-    def test_predict(self, cu_model, cu_batch, fused_env):
-        assert cyclic_garbage(lambda: cu_model.predict(cu_batch, fused_env=fused_env)) == []
+    def test_predict(self, cu_model, cu_batch):
+        assert cyclic_garbage(lambda: cu_model.predict(cu_batch)) == []
 
     def test_predict_energy(self, cu_model, cu_batch):
         assert cyclic_garbage(lambda: cu_model.predict_energy(cu_batch)) == []
@@ -76,7 +76,7 @@ class TestNoCyclicGarbage:
     @pytest.mark.parametrize("n_lanes", [1, 2])
     def test_fekf_step(self, monkeypatch, cu_model, big_batch, n_lanes):
         monkeypatch.setattr(ekf_mod, "lane_count", lambda n: min(n, n_lanes))
-        opt = FEKF(cu_model, _kcfg(), fused_env=True, seed=3)
+        opt = FEKF(cu_model, _kcfg(), seed=3)
         assert cyclic_garbage(lambda: opt.step_batch(big_batch)) == []
         assert opt.stats()["force_lanes"] == n_lanes
 
@@ -143,10 +143,11 @@ class TestRefcountFreesTheGraph:
         del y
         assert act() is None
 
-    @pytest.mark.parametrize("fused_env", [False, True])
-    def test_energy_graph_dies_with_the_energy(self, cu_model, cu_batch, fused_env):
+    @pytest.mark.parametrize("opt1", [False, True])
+    def test_energy_graph_dies_with_the_energy(self, cu_model, cu_batch, opt1):
+        model = cu_model if opt1 else BASELINE.model(cu_model)
         coords = Tensor(cu_batch.coords, requires_grad=True)
-        e = cu_model.energy_graph(coords, cu_batch, fused_env=fused_env)
+        e = model.energy_graph(coords, cu_batch)
         refs = _graph_refs(e)
         assert len(refs) > 10
         del e
@@ -156,7 +157,7 @@ class TestRefcountFreesTheGraph:
         """The create_graph backward through the Opt1 pair: forces hold
         the env vjp nodes, whose backward is the adjoint."""
         coords = Tensor(cu_batch.coords, requires_grad=True)
-        e = cu_model.energy_graph(coords, cu_batch, fused_env=True)
+        e = cu_model.energy_graph(coords, cu_batch)
         (f,) = grad(ops.tsum(e), [coords], create_graph=True)
         del e
         refs = _graph_refs(f)

@@ -139,7 +139,7 @@ class TestThreadLocalSinks:
         from repro.optim import WorkerSpec
         from repro.parallel import ThreadExecutor
 
-        spec = WorkerSpec(model=cu_model, fused_env=True)
+        spec = WorkerSpec(model=cu_model)
         with ThreadExecutor(2) as ex:
             ex.start(spec)
             ex.broadcast("set_shard", cu_batch)

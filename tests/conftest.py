@@ -7,8 +7,9 @@ import mmap
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor, grad, ops
 from repro.data import generate_dataset
-from repro.model import DeePMD, DeePMDConfig, make_batch
+from repro.model import DeePMD, DeePMDConfig, EnergyForces, make_batch
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,21 @@ def cu_model(cu_dataset, small_cfg):
 @pytest.fixture()
 def cu_batch(cu_dataset, small_cfg):
     return make_batch(cu_dataset, np.arange(3), small_cfg)
+
+
+@pytest.fixture(scope="session")
+def graph_predict():
+    """``graph_predict(model, batch)``: energies and forces by ``grad``
+    through ``model.energy_graph`` -- the oracle of the graph-free
+    ``predict``, and the only forces of the Figure 7 baseline's graph."""
+
+    def run(model, batch):
+        coords = Tensor(batch.coords, requires_grad=True)
+        e = model.energy_graph(coords, batch)
+        (gc,) = grad(ops.tsum(e), [coords])
+        return EnergyForces(energy=e.data, forces=-gc.data)
+
+    return run
 
 
 @pytest.fixture(scope="session")

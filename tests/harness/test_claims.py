@@ -12,7 +12,7 @@ import numpy as np
 from repro.autograd import KernelCounter
 from repro.model import DeePMD, make_batch
 from repro.optim import Adam, FEKF, KalmanConfig, KalmanState, RLEKF
-from repro.perf import measured_update_peak
+from repro.perf import BASELINE, measured_update_peak
 
 
 def test_table4_fekf_beats_adam_bs1_at_equal_data_budget(cu_dataset, small_cfg):
@@ -33,9 +33,7 @@ def test_table4_fekf_beats_adam_bs1_at_equal_data_budget(cu_dataset, small_cfg):
 
     rmse_adam = rmse_after(Adam, 1)
     rmse_fekf = rmse_after(
-        lambda m: FEKF(m, KalmanConfig(blocksize=2048, fused_update=True),
-                       fused_env=True),
-        8,
+        lambda m: FEKF(m, KalmanConfig(blocksize=2048, fused_update=True)), 8
     )
     assert rmse_fekf < rmse_adam
 
@@ -57,13 +55,10 @@ def test_figure7a_per_pass_cost_ordering(cu_dataset, small_cfg):
                 )
         return kc.total_bytes
 
-    naive = KalmanConfig(blocksize=1024, fused_update=False)
-    rlekf = pass_bytes(lambda m: RLEKF(m, naive), 1)
-    fekf = pass_bytes(lambda m: FEKF(m, naive), n)
+    rlekf = pass_bytes(lambda m: BASELINE.optimizer(m, RLEKF, blocksize=1024), 1)
+    fekf = pass_bytes(lambda m: BASELINE.optimizer(m, blocksize=1024), n)
     fekf_opt = pass_bytes(
-        lambda m: FEKF(m, KalmanConfig(blocksize=1024, fused_update=True),
-                       fused_env=True),
-        n,
+        lambda m: FEKF(m, KalmanConfig(blocksize=1024, fused_update=True)), n
     )
     assert rlekf > 4 * fekf
     assert fekf > 1.5 * fekf_opt

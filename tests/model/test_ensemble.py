@@ -32,7 +32,7 @@ class TestEnsemble:
     def test_mean_is_member_average(self, ensemble, cu_dataset, small_cfg):
         batch = make_batch(cu_dataset, np.arange(2), small_cfg)
         out = ensemble.predict(batch)
-        members = np.stack([m.predict(batch, fused_env=True).energy for m in ensemble.models])
+        members = np.stack([m.predict(batch).energy for m in ensemble.models])
         assert np.allclose(out.energy, members.mean(axis=0))
 
     def test_identical_members_zero_deviation(self, cu_dataset, small_cfg):

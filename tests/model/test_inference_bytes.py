@@ -1,9 +1,9 @@
 """Graph-free inference is byte-identical to the graph it replaces.
 
-``DeePMD.predict`` / ``predict_energy`` with ``fused_env=True`` run plain
-numpy (no Tensor, no closure, no launch); they must return the very bytes
-``energy_graph(..., fused_env=True)`` + a coordinate ``grad`` produce, on
-every system, with and without the fused layers (Opt2).
+``DeePMD.predict`` / ``predict_energy`` run plain numpy (no Tensor, no
+closure, no launch); they must return the very bytes ``energy_graph`` + a
+coordinate ``grad`` produce, on every system, with and without the fused
+layers (Opt2).
 
 The structure-of-arrays Opt1 kernels are checked against the
 array-of-structures kernels they replaced, kept below as the oracle.
@@ -120,7 +120,7 @@ def bits(a):
 
 def graph_prediction(model, batch):
     coords = Tensor(batch.coords, requires_grad=True)
-    e = model.energy_graph(coords, batch, fused_env=True)
+    e = model.energy_graph(coords, batch)
     (gc,) = grad(ops.tsum(e), [coords])
     return e.data, -gc.data
 
@@ -167,8 +167,8 @@ class TestPredictMatchesGraph:
         assert (~batch.mask).any()
         energy, forces = graph_prediction(model, batch)
         with KernelCounter() as kc:
-            pred = model.predict(batch, fused_env=True)
-            e_only = model.predict_energy(batch, fused_env=True)
+            pred = model.predict(batch)
+            e_only = model.predict_energy(batch)
         assert not kc.launches  # no graph, no recorded op
         assert bits(pred.energy) == bits(energy)
         assert bits(pred.forces) == bits(forces)
@@ -179,8 +179,8 @@ class TestPredictMatchesGraph:
         batch = make_batch(ds, np.arange(4), cfg)
         with fused_kernels():
             energy, forces = graph_prediction(model, batch)
-            pred = model.predict(batch, fused_env=True)
-            e_only = model.predict_energy(batch, fused_env=True)
+            pred = model.predict(batch)
+            e_only = model.predict_energy(batch)
         assert bits(pred.energy) == bits(energy)
         assert bits(pred.forces) == bits(forces)
         assert bits(e_only) == bits(energy)

@@ -7,6 +7,7 @@ from repro.autograd import Tensor, grad, ops
 from repro.data import Dataset
 from repro.md import Cell
 from repro.model import DeePMD, DeePMDConfig, make_batch
+from repro.perf import BASELINE
 
 
 class TestConfig:
@@ -50,9 +51,10 @@ class TestForward:
         e1 = cu_model.predict_energy(b1)
         assert e3[1] == pytest.approx(e1[0], rel=1e-12)
 
-    def test_fused_env_identical(self, cu_model, cu_batch):
-        a = cu_model.predict(cu_batch, fused_env=False)
-        b = cu_model.predict(cu_batch, fused_env=True)
+    def test_fused_env_identical(self, cu_model, cu_batch, graph_predict):
+        """Opt1's graph-free predict agrees with the baseline's graph."""
+        a = graph_predict(BASELINE.model(cu_model), cu_batch)
+        b = cu_model.predict(cu_batch)
         assert np.allclose(a.energy, b.energy, atol=1e-12)
         assert np.allclose(a.forces, b.forces, atol=1e-12)
 
@@ -67,12 +69,20 @@ class TestForward:
 
 
 class TestForces:
-    @pytest.mark.parametrize("fused_env", [False, True])
-    def test_forces_match_numeric_gradient(self, cu_model, cu_dataset, small_cfg, fused_env):
+    @pytest.mark.parametrize("opt1", [False, True])
+    def test_forces_match_numeric_gradient(
+        self, cu_model, cu_dataset, small_cfg, graph_predict, opt1
+    ):
         """Central differences of the energy, on each path (True: the
-        graph-free predict, energies and forces alike)."""
+        graph-free predict, energies and forces alike; False: the
+        baseline's graph)."""
+        if opt1:
+            predict = cu_model.predict
+        else:
+            base = BASELINE.model(cu_model)
+            predict = lambda b: graph_predict(base, b)  # noqa: E731
         batch = make_batch(cu_dataset, np.arange(2), small_cfg)
-        out = cu_model.predict(batch, fused_env=fused_env)
+        out = predict(batch)
         eps = 1e-5
         for (b, i, d) in [(0, 4, 0), (1, 10, 2), (0, 20, 1)]:
             def e_at(delta):
@@ -80,7 +90,7 @@ class TestForces:
                 c = nb.coords.copy()
                 c[b, i, d] += delta
                 nb.coords = c
-                return cu_model.predict_energy(nb, fused_env=fused_env)[b]
+                return predict(nb).energy[b]
             num = -(e_at(eps) - e_at(-eps)) / (2 * eps)
             assert out.forces[b, i, d] == pytest.approx(num, abs=1e-6)
 
@@ -161,10 +171,10 @@ class TestWeightGradients:
         rng = np.random.default_rng(4)
         proj = rng.normal(size=cu_batch.coords.shape)
         results = []
-        for fused in (False, True):
-            p = cu_model.param_tensors()
+        for model in (BASELINE.model(cu_model), cu_model):
+            p = model.param_tensors()
             coords = Tensor(cu_batch.coords, requires_grad=True)
-            e = cu_model.energy_graph(coords, cu_batch, p=p, fused_env=fused)
+            e = model.energy_graph(coords, cu_batch, p=p)
             (gc,) = grad(ops.tsum(e), [coords], create_graph=True)
             scal = ops.tsum(ops.mul(gc, Tensor(proj)))
             gs = grad(scal, [p[n] for n in cu_model.params.names()])

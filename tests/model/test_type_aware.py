@@ -7,6 +7,7 @@ import pytest
 
 from repro.autograd import Tensor, grad, ops
 from repro.model import DeePMD, DeePMDConfig, make_batch
+from repro.perf import BASELINE
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +31,22 @@ class TestTypeAware:
         aware = DeePMD.for_dataset(nacl_dataset, ta_cfg, seed=1)
         assert aware.num_params == blind.num_params + 2 * 6
 
-    @pytest.mark.parametrize("fused_env", [False, True])
-    def test_forces_consistent_with_energy(self, nacl_dataset, ta_cfg, fused_env):
+    @pytest.mark.parametrize("opt1", [False, True])
+    def test_forces_consistent_with_energy(self, nacl_dataset, ta_cfg, graph_predict, opt1):
         model = DeePMD.for_dataset(nacl_dataset, ta_cfg, seed=1)
+        if opt1:
+            predict = model.predict
+        else:
+            base = BASELINE.model(model)
+            predict = lambda b: graph_predict(base, b)  # noqa: E731
         batch = make_batch(nacl_dataset, np.arange(2), ta_cfg)
-        out = model.predict(batch, fused_env=fused_env)
+        out = predict(batch)
         eps = 1e-5
         for (b, i, d) in [(0, 3, 0), (1, 29, 2)]:
             def e_at(delta):
                 nb = make_batch(nacl_dataset, np.arange(2), ta_cfg)
                 c = nb.coords.copy(); c[b, i, d] += delta; nb.coords = c
-                return model.predict_energy(nb, fused_env=fused_env)[b]
+                return predict(nb).energy[b]
             num = -(e_at(eps) - e_at(-eps)) / (2 * eps)
             assert out.forces[b, i, d] == pytest.approx(num, abs=1e-6)
 
@@ -65,11 +71,11 @@ class TestTypeAware:
         e_blind_swapped = blind.predict_energy(swapped)[0]
         assert e_blind == pytest.approx(e_blind_swapped, abs=1e-9)
 
-    def test_fused_env_path_identical(self, nacl_dataset, ta_cfg):
+    def test_fused_env_path_identical(self, nacl_dataset, ta_cfg, graph_predict):
         model = DeePMD.for_dataset(nacl_dataset, ta_cfg, seed=1)
         batch = make_batch(nacl_dataset, np.arange(2), ta_cfg)
-        a = model.predict(batch, fused_env=False)
-        b = model.predict(batch, fused_env=True)
+        a = graph_predict(BASELINE.model(model), batch)
+        b = model.predict(batch)
         assert np.allclose(a.forces, b.forces, atol=1e-12)
 
     def test_force_weight_gradients_exact(self, nacl_dataset, ta_cfg):

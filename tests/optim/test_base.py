@@ -27,11 +27,9 @@ class TestFactoryParity:
 
     def test_fekf(self, cu_dataset, small_cfg, cu_batch):
         m1 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        o1 = FEKF(m1, KalmanConfig(blocksize=1024, fused_update=True),
-                  fused_env=True, seed=7)
+        o1 = FEKF(m1, KalmanConfig(blocksize=1024, fused_update=True), seed=7)
         m2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        o2 = make_optimizer("fekf", m2, blocksize=1024, fused_update=True,
-                            fused_env=True, seed=7)
+        o2 = make_optimizer("fekf", m2, blocksize=1024, fused_update=True, seed=7)
         assert np.array_equal(
             _trajectory(m1, o1, cu_batch), _trajectory(m2, o2, cu_batch)
         )
@@ -87,6 +85,18 @@ class TestFactoryErrors:
         with pytest.raises(TypeError, match="not both"):
             make_optimizer("fekf", cu_model, kalman_cfg=KalmanConfig(),
                            blocksize=512)
+
+    @pytest.mark.parametrize("name", ["fekf", "rlekf", "naive_ekf", "distributed_fekf"])
+    def test_every_ekf_name_resolves_kalman_settings_alike(self, cu_model, name):
+        """One rule for every EKF name: a ``kalman_cfg`` excludes flat
+        fields, and ``batch_size`` applies the large-batch guidance."""
+        kw = {"world_size": 2, "executor": "serial"} if name == "distributed_fekf" else {}
+        with pytest.raises(TypeError, match="not both"):
+            make_optimizer(name, cu_model, kalman_cfg=KalmanConfig(blocksize=512),
+                           lambda0=0.5, **kw)
+        opt = make_optimizer(name, cu_model, batch_size=2048, blocksize=512, **kw)
+        cfg = opt.kalman.cfg
+        assert (cfg.lambda0, cfg.nu, cfg.blocksize) == (0.90, 0.996, 512)
 
     def test_distributed_requires_world_size(self, cu_model):
         with pytest.raises(TypeError, match="world_size"):

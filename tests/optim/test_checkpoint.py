@@ -9,9 +9,7 @@ from repro.optim.kalman import FLUSH_EVERY
 
 
 def _opt(model, fused=True):
-    return FEKF(
-        model, KalmanConfig(blocksize=1024, fused_update=fused), fused_env=True, seed=9
-    )
+    return FEKF(model, KalmanConfig(blocksize=1024, fused_update=fused), seed=9)
 
 
 class TestCheckpoint:

@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 from repro.autograd import KernelCounter, Sanitizer, TapeRecorder
-from repro.model import DeePMD, make_batch
-from repro.optim import FEKF, KalmanConfig, NaiveEKF, RLEKF, error_signs, make_optimizer
+from repro.model import DeePMD, ModelEnsemble, ModelSession, make_batch
+from repro.model.calculator import DeePMDCalculator
+from repro.optim import (
+    FEKF, SGD, Adam, GradientWorker, KalmanConfig, NaiveEKF, RLEKF, WorkerSpec,
+    error_signs, make_optimizer,
+)
 from repro.optim import ekf as ekf_mod
 from repro.optim import lanes as lanes_mod
+from repro.optim.base import OPTIMIZER_NAMES
 from repro.optim.kalman import FLUSH_EVERY
 from repro.parallel import DistributedFEKF
+from repro.perf import BASELINE, OPT1
+from repro.serve import ServeConfig
+from repro.serve.worker import PredictSpec, session_for_models
 from repro.telemetry import Tracer
 
 
@@ -64,13 +72,14 @@ class TestFEKFStep:
         assert np.array_equal(outs[0], outs[1])
 
     def test_fused_env_same_trajectory(self, cu_dataset, small_cfg, cu_batch):
+        """The baseline's graph descriptor and Opt1 train alike."""
         outs = []
-        for fused in (False, True):
+        for preset in (BASELINE, OPT1):
             model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-            opt = FEKF(model, _kcfg(), fused_env=fused, seed=3)
+            opt = preset.optimizer(model, seed=3, blocksize=1024, fused_update=True)
             for _ in range(2):
                 opt.step_batch(cu_batch)
-            outs.append(model.params.flatten())
+            outs.append(opt.model.params.flatten())
         assert np.allclose(outs[0], outs[1], atol=1e-9)
 
     def test_step_scale_overrides_sqrt_bs(self, cu_dataset, small_cfg, cu_batch):
@@ -91,10 +100,10 @@ class TestFEKFStep:
         batch = make_batch(cu_dataset, np.arange(4), small_cfg)
         kcfg = _kcfg()
         kcfg.coupled_gain = coupled_gain
-        opt = FEKF(model, kcfg, fused_env=True)
+        opt = FEKF(model, kcfg)
 
         def rmse():
-            out = model.predict(batch, fused_env=True)
+            out = model.predict(batch)
             e = np.sqrt(np.mean(((out.energy - batch.energies) / batch.n_atoms) ** 2))
             f = np.sqrt(np.mean((out.forces - batch.forces) ** 2))
             return e, f
@@ -206,23 +215,24 @@ class TestForceGraphReuse:
 
 
 class TestIgnoredCompiledKeyword:
-    """The benchmark's pinned ``train_small`` twin builds
-    ``FEKF(..., fused_env=False, compiled=True)``: FEKF accepts the keyword
-    and ignores it, and nothing else takes it."""
+    """The benchmark's pinned adapter builds ``FEKF(..., fused_env=...,
+    compiled=...)``: FEKF accepts both keywords and ignores them (the
+    descriptor is the model's), and nothing else takes either."""
 
     def test_fekf_accepts_it_and_trains_bit_identically(
         self, cu_dataset, small_cfg, cu_batch
     ):
         outs = []
-        for compiled in (False, True):
+        for kw in ({}, {"fused_env": False, "compiled": True}, {"fused_env": True}):
             model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-            opt = FEKF(model, _kcfg(), fused_env=False, compiled=compiled, seed=11)
+            opt = FEKF(model, _kcfg(), seed=11, **kw)
             for _ in range(2):
                 opt.step_batch(cu_batch)
             outs.append(model.params.flatten())
-            assert "compiled" not in opt.stats()
-            assert "compiled" not in opt.hyperparams
-        assert outs[0].tobytes() == outs[1].tobytes()
+            for key in ("compiled", "fused_env"):
+                assert key not in opt.stats()
+                assert key not in opt.hyperparams
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
     def test_no_other_constructor_takes_it(self, cu_model):
         with pytest.raises(TypeError, match="compiled"):
@@ -231,6 +241,36 @@ class TestIgnoredCompiledKeyword:
             make_optimizer("distributed_fekf", cu_model, world_size=2, compiled=True)
         with pytest.raises(TypeError, match="compiled"):
             DistributedFEKF(cu_model, world_size=2, executor="serial", compiled=True)
+
+    @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+    def test_no_optimizer_name_takes_fused_env(self, cu_model, name):
+        kw = {"world_size": 2} if name == "distributed_fekf" else {}
+        with pytest.raises(TypeError, match="fused_env"):
+            make_optimizer(name, cu_model, fused_env=True, **kw)
+
+    def test_no_other_public_name_takes_fused_env(self, cu_model, cu_dataset, cu_batch):
+        calls = [
+            lambda: cu_model.energy_graph(cu_batch.coords, cu_batch, fused_env=True),
+            lambda: cu_model.predict(cu_batch, fused_env=True),
+            lambda: cu_model.predict_energy(cu_batch, fused_env=True),
+            lambda: cu_model.evaluate_rmse(cu_dataset, fused_env=True),
+            lambda: ModelSession(cu_model, fused_env=True),
+            lambda: DeePMDCalculator(cu_model, cu_dataset.species, fused_env=True),
+            lambda: ModelEnsemble([cu_model]).predict(cu_batch, fused_env=True),
+            lambda: ServeConfig(fused_env=True),
+            lambda: session_for_models([cu_model], fused_env=True),
+            lambda: PredictSpec(models=[cu_model], fused_env=True),
+            lambda: GradientWorker(cu_model, fused_env=True),
+            lambda: WorkerSpec(model=cu_model, fused_env=True),
+            lambda: DistributedFEKF(cu_model, world_size=2, executor="serial",
+                                    fused_env=True),
+            lambda: Adam(cu_model, fused_env=True),
+            lambda: SGD(cu_model, fused_env=True),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="fused_env"):
+                call()
+        assert not hasattr(FEKF(cu_model, _kcfg()), "fused_env")
 
 
 class _PoolSpy:
@@ -284,7 +324,7 @@ class TestForceLanes:
     @staticmethod
     def _opt(dataset, cfg, kcfg=None, **kw):
         model = DeePMD.for_dataset(dataset, cfg, seed=1)
-        return FEKF(model, kcfg or _kcfg(), fused_env=True, seed=3, **kw)
+        return FEKF(model, kcfg or _kcfg(), seed=3, **kw)
 
     def _batches(self, dataset, cfg):
         n = len(dataset)
@@ -322,6 +362,24 @@ class TestForceLanes:
         for key in sd_one:
             assert np.array_equal(sd_one[key], sd_two[key]), key
 
+    def test_baseline_preset_two_lanes_match_one(self, monkeypatch, cu_dataset, small_cfg):
+        """The baseline's graph descriptor is the model's class, so it
+        reaches the lane threads with the model: same bits on 1 and 2."""
+        batches = self._batches(cu_dataset, small_cfg)
+        runs = []
+        for n_lanes in (1, 2):
+            _stub_lanes(monkeypatch, n_lanes)
+            model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+            opt = BASELINE.optimizer(model, seed=3, blocksize=512)
+            for k in range(25):
+                opt.step_batch(batches[k % len(batches)])
+                assert opt.stats()["force_lanes"] == n_lanes
+            runs.append(opt)
+        one, two = runs
+        assert type(one.model) is type(two.model) is BASELINE.model_class
+        assert one.model.params.flatten().tobytes() == two.model.params.flatten().tobytes()
+        assert one.kalman.checksum() == two.kalman.checksum()
+
     def test_groups_go_to_the_pool(self, pool_spy, cu_dataset, small_cfg):
         opt = _serial_kalman(self._opt(cu_dataset, small_cfg))
         opt.step_batch(self._batches(cu_dataset, small_cfg)[0])
@@ -338,7 +396,7 @@ class TestForceLanes:
             batch = big
         else:
             model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-            opt = RLEKF(model, _kcfg(), fused_env=True, seed=3)
+            opt = RLEKF(model, _kcfg(), seed=3)
             batch = big.frame_slice(0, 1)
         _serial_kalman(opt).step_batch(batch)
         assert pool_spy.submitted == []

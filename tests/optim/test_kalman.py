@@ -346,6 +346,10 @@ class TestLifecycle:
         cfg = KalmanConfig.for_batch_size(8, blocksize=128, fused_update=True)
         assert cfg.blocksize == 128 and cfg.fused_update
 
+    def test_for_batch_size_rejects_a_misspelt_field(self):
+        with pytest.raises(TypeError, match="blocksze"):
+            KalmanConfig.for_batch_size(8, blocksze=512)
+
     def test_blocks_must_cover_params(self):
         with pytest.raises(ValueError):
             KalmanState(N + 5, LAYERS, KalmanConfig(blocksize=32))
@@ -440,7 +444,7 @@ class TestLanes:
         # the groups, a batch above the size constant
         monkeypatch.setattr(ekf_mod, "lane_count", lambda n: min(n, 2))
         model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True), fused_env=True)
+        opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True))
         first, second = (make_batch(cu_dataset, np.arange(8) + k, small_cfg) for k in (0, 8))
         opt.step_batch(first)
         assert opt.stats()["force_lanes"] == 2

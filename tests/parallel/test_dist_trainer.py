@@ -18,7 +18,7 @@ class TestSerialEquivalence:
     def test_matches_serial_fekf(self, cu_dataset, small_cfg, world):
         m_serial = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
         m_dist = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        serial = FEKF(m_serial, _kcfg(), fused_env=True, seed=7)
+        serial = FEKF(m_serial, _kcfg(), seed=7)
         dist = DistributedFEKF(
             m_dist, world_size=world, kalman_cfg=_kcfg(), seed=7
         )
@@ -72,7 +72,7 @@ class TestSharding:
         m_dist = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
         m_serial = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
         dist = DistributedFEKF(m_dist, world_size=4, kalman_cfg=_kcfg(), seed=7)
-        serial = FEKF(m_serial, _kcfg(), fused_env=True, seed=7)
+        serial = FEKF(m_serial, _kcfg(), seed=7)
         batch = make_batch(cu_dataset, np.arange(2), small_cfg)
         shards = dist._shards(batch)
         assert len(shards) == 4

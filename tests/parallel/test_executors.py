@@ -89,7 +89,7 @@ class TestDeterminism:
         """The raw per-rank reduced gradients/ABEs coming back from an
         executor round are bit-identical to in-process evaluation."""
         model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        spec = WorkerSpec(model=model, fused_env=True)
+        spec = WorkerSpec(model=model)
         batch = make_batch(cu_dataset, np.arange(4), small_cfg)
         shards = [batch.frame_slice(0, 2), batch.frame_slice(2, 4)]
         ref = [spec.build(rank=r) for r in range(2)]
@@ -386,7 +386,7 @@ class TestCrashRobustness:
         """A killed worker process surfaces as WorkerCrash; heal()
         respawns it and the executor serves tasks again."""
         model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        spec = WorkerSpec(model=model, fused_env=True)
+        spec = WorkerSpec(model=model)
         with ProcessExecutor(2) as ex:
             ex.start(spec)
             ex._procs[1].terminate()

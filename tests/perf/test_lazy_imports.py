@@ -46,8 +46,7 @@ _SERVE_THEN_TRAIN = textwrap.dedent("""
     model = DeePMD.for_dataset(ds, cfg, seed=1)
     ModelSession(model).predict(ds.positions[0], ds.species, ds.cell)
     served = heavy_modules()
-    opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True), seed=11,
-               fused_env=True)
+    opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True), seed=11)
     for i in range(3):
         opt.step_batch(make_batch(ds, np.arange(3) + 3 * i, cfg))
     sha = hashlib.sha256(model.params.flatten().tobytes()).hexdigest()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.autograd.config import config as ag_config
-from repro.model import make_batch
-from repro.optim import FEKF
+from repro.model import DeePMD, make_batch
+from repro.optim import RLEKF
 from repro.optim.kalman import FLUSH_EVERY
-from repro.perf import PRESET_ORDER, PRESETS, profile_update
+from repro.perf import BASELINE, OPT1, PRESET_ORDER, PRESETS, profile_update
+from repro.perf.presets import BaselineDeePMD
 from repro.telemetry import Tracer, summarize_phases
 
 
@@ -17,7 +18,7 @@ class TestPresets:
 
     def test_monotone_feature_enablement(self):
         flags = [
-            (p.fused_env, p.fused_layers, p.fused_p_update)
+            (p.model_class is DeePMD, p.fused_layers, p.fused_p_update)
             for p in (PRESETS[n] for n in PRESET_ORDER)
         ]
         for a, b in zip(flags, flags[1:]):
@@ -34,6 +35,27 @@ class TestPresets:
         assert cfg.fused_update and cfg.blocksize == 512
         assert not PRESETS["opt1"].kalman_config().fused_update
 
+    def test_misspelt_kalman_override_raises(self):
+        with pytest.raises(TypeError, match="blocksze"):
+            PRESETS["opt3"].kalman_config(blocksze=512)
+
+    def test_model_is_a_baseline_twin(self, cu_model, cu_batch):
+        """The baseline model copies the weights, stats and bias and
+        changes only the training graph's descriptor kernel."""
+        base = BASELINE.model(cu_model)
+        assert type(base) is BaselineDeePMD and base is not cu_model
+        assert type(cu_model) is DeePMD and OPT1.model(cu_model) is cu_model
+        assert BASELINE.model(base) is base and type(OPT1.model(base)) is DeePMD
+        assert base.params.flatten().tobytes() == cu_model.params.flatten().tobytes()
+        assert base.predict(cu_batch).forces.tobytes() == (
+            cu_model.predict(cu_batch).forces.tobytes()
+        )
+
+    def test_optimizer_trains_the_preset_model(self, cu_model):
+        opt = BASELINE.optimizer(cu_model, RLEKF, seed=5, blocksize=512)
+        assert type(opt) is RLEKF and type(opt.model) is BaselineDeePMD
+        assert opt.kalman.cfg.blocksize == 512 and not opt.kalman.cfg.fused_update
+
 
 class TestProfiler:
     @pytest.fixture()
@@ -42,9 +64,8 @@ class TestProfiler:
         out = {}
         for name in ("baseline", "opt3"):
             preset = PRESETS[name]
-            opt = FEKF(cu_model, preset.kalman_config(blocksize=1024),
-                       fused_env=preset.fused_env)
-            out[name] = profile_update(cu_model, opt, batch, preset)
+            opt = preset.optimizer(cu_model, blocksize=1024)
+            out[name] = profile_update(opt.model, opt, batch, preset)
         return out
 
     def test_kernel_counts_drop(self, profile_pair):
@@ -93,9 +114,8 @@ class TestFigure7bKernelCounts:
         counts = {}
         for name in PRESET_ORDER:
             preset = PRESETS[name]
-            opt = FEKF(cu_model, preset.kalman_config(blocksize=2048),
-                       fused_env=preset.fused_env)
-            prof = profile_update(cu_model, opt, batch, preset)
+            opt = preset.optimizer(cu_model, blocksize=2048)
+            prof = profile_update(opt.model, opt, batch, preset)
             counts[name] = (prof.energy.total_kernels, prof.force.total_kernels,
                             prof.total_iteration_kernels())
         assert counts == self.PINNED
@@ -119,11 +139,10 @@ class TestProfilerReconciliation:
         # identical and the single-update force profile scales exactly
         assert batch.n_atoms % 4 == 0
         preset = PRESETS[preset_name]
-        opt = FEKF(cu_model, preset.kalman_config(blocksize=1024),
-                   fused_env=preset.fused_env)
+        opt = preset.optimizer(cu_model, blocksize=1024)
         # the caller's tracer adopts the profiled step's op events
         with Tracer(profile=True) as tracer:
-            prof = profile_update(cu_model, opt, batch, preset)
+            prof = profile_update(opt.model, opt, batch, preset)
         # the profile is the first step of a fresh optimizer (5 Kalman
         # updates); the fused backend's rank-k flush comes every
         # FLUSH_EVERY (> 5) updates, so none lands inside it and the

@@ -144,8 +144,7 @@ class TestTrainingEmitsSpans:
         from repro.train import Trainer
 
         model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        opt = make_optimizer("fekf", model, blocksize=1024, fused_update=True,
-                             fused_env=True)
+        opt = make_optimizer("fekf", model, blocksize=1024, fused_update=True)
         trainer = Trainer(model, opt, cu_dataset, None, batch_size=6, seed=0,
                           eval_frames=4)
         with Tracer() as tr:

@@ -44,7 +44,7 @@ class TestPaperNetwork:
     def test_prediction_and_forces(self, paper_model, cu_dataset):
         model, cfg = paper_model
         batch = make_batch(cu_dataset, np.arange(2), cfg)
-        out = model.predict(batch, fused_env=True)
+        out = model.predict(batch)
         assert np.all(np.isfinite(out.energy))
         assert np.allclose(out.forces.sum(axis=1), 0.0, atol=1e-8)
 
@@ -56,7 +56,7 @@ class TestPaperNetwork:
         """
         model, cfg = paper_model
         opt = FEKF(
-            model, KalmanConfig(blocksize=10240, fused_update=True), fused_env=True
+            model, KalmanConfig(blocksize=10240, fused_update=True)
         )
         batch = make_batch(cu_dataset, np.arange(2), cfg)
         before = model.params.flatten()
