@@ -32,7 +32,7 @@ def main() -> None:
     system = sys.argv[1] if len(sys.argv) > 1 else "Cu"
     print(f"System: {system}")
     setup = experiment_setup(system, frames_per_temperature=24)
-    ekf = dict(blocksize=2048, fused_update=True)
+    ekf = dict(blocksize=2048)
 
     run_one("Adam", setup,
             lambda m: scaled_adam(m, setup.train.n_frames, 20), 1, 20)

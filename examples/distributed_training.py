@@ -33,7 +33,7 @@ def main() -> None:
     opt = DistributedFEKF(
         model,
         world_size=world,
-        kalman_cfg=KalmanConfig(blocksize=2048, fused_update=True),
+        kalman_cfg=KalmanConfig(blocksize=2048),
         verify_replicas=True,  # assert bit-identical P on every update
         seed=0,
         executor=None,  # None -> $REPRO_EXECUTOR, default "serial"

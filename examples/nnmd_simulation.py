@@ -24,7 +24,7 @@ def main() -> None:
     print("2) Train the surrogate with FEKF...")
     cfg = DeePMDConfig.scaled_down(rcut=4.0, nmax=18)
     model = DeePMD.for_dataset(train, cfg, seed=1)
-    opt = FEKF(model, KalmanConfig(blocksize=2048, fused_update=True))
+    opt = FEKF(model, KalmanConfig(blocksize=2048))
     Trainer(model, opt, train, test, batch_size=8, seed=0).run(max_epochs=8)
     rmse = model.evaluate_rmse(test)
     print(f"   surrogate test RMSE: E {rmse['energy_rmse']:.4f} eV/atom, "

@@ -47,7 +47,7 @@ def main() -> None:
 
     cfg = DeePMDConfig.scaled_down(rcut=4.0, nmax=18)
     model = DeePMD.for_dataset(datasets[400.0], cfg, seed=1)
-    optimizer = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
+    optimizer = make_optimizer("fekf", model, blocksize=2048)
     watcher = FilterWatcher()
 
     def report(stage: str) -> None:

@@ -24,9 +24,9 @@ def main() -> None:
           f"(embedding {cfg.embedding_widths}, M<={cfg.m_less}, "
           f"fitting {cfg.fitting_widths})")
 
-    # the model's descriptor is always the Opt1 hand-derived kernel;
-    # fused_update selects the Opt3 P-update kernel
-    optimizer = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
+    # the model's descriptor is always the Opt1 hand-derived kernel and
+    # the filter's P update always the Opt3 fused one
+    optimizer = make_optimizer("fekf", model, blocksize=2048)
     trainer = Trainer(model, optimizer, train, test, batch_size=8, seed=0)
     print("Training with FEKF (1 energy + 4 force Kalman updates per batch)...")
     result = trainer.run(max_epochs=8, callbacks=[ConsoleCallback()])

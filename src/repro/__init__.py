@@ -15,7 +15,7 @@ Quickstart::
     data = generate_dataset("Cu", frames_per_temperature=32, size="small")
     train, test = data.split(0.8)
     model = DeePMD.for_dataset(train, DeePMDConfig.scaled_down(rcut=4.0))
-    opt = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
+    opt = make_optimizer("fekf", model, blocksize=2048)
     Trainer(model, opt, train, test, batch_size=32).run(max_epochs=10)
     print(model.evaluate_rmse(test))
 """

@@ -152,7 +152,7 @@ def run_backend(
     dist = DistributedFEKF(
         model,
         world_size=world_size,
-        kalman_cfg=KalmanConfig(blocksize=1024, fused_update=True),
+        kalman_cfg=KalmanConfig(blocksize=1024),
         seed=seed,
         executor=backend,
     )

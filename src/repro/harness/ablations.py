@@ -41,13 +41,7 @@ def run_lambda_nu(
     for bs in batch_sizes:
         for lam0, nu in ((0.98, 0.9987), (0.90, 0.996)):
             model = setup.model(seed=1)
-            opt = FEKF(
-                model,
-                KalmanConfig(
-                    lambda0=lam0, nu=nu, blocksize=2048, fused_update=True
-                ),
-                seed=seed,
-            )
+            opt = FEKF(model, KalmanConfig(lambda0=lam0, nu=nu, blocksize=2048), seed=seed)
             res = Trainer(
                 model, opt, setup.train, setup.test, batch_size=bs, seed=seed
             ).run(max_epochs=epochs)
@@ -79,11 +73,7 @@ def run_funnel_vs_fusiform(
     batch = make_batch(setup.train, np.arange(batch_size), setup.cfg)
     for cls in (FEKF, NaiveEKF):
         model = setup.model(seed=1)
-        opt = cls(
-            model,
-            KalmanConfig(blocksize=2048, fused_update=True),
-            seed=seed,
-        )
+        opt = cls(model, KalmanConfig(blocksize=2048), seed=seed)
         t0 = time.perf_counter()
         for _ in range(steps):
             opt.step_batch(batch)
@@ -116,12 +106,7 @@ def run_force_graph_reuse(
     setup = experiment_setup(system, frames_per_temperature=frames_per_temperature, seed=seed)
     for reuse, label in ((True, "shared graph"), (False, "fresh per group")):
         model = setup.model(seed=1)
-        opt = FEKF(
-            model,
-            KalmanConfig(blocksize=2048, fused_update=True),
-            reuse_force_graph=reuse,
-            seed=seed,
-        )
+        opt = FEKF(model, KalmanConfig(blocksize=2048), reuse_force_graph=reuse, seed=seed)
         res = Trainer(
             model, opt, setup.train, setup.test, batch_size=batch_size, seed=seed
         ).run(max_epochs=epochs)

@@ -164,10 +164,9 @@ def scaled_adam(
 
 
 def fast_kalman(blocksize: int = 2048) -> KalmanConfig:
-    """Kalman config used by convergence-focused experiments: fused P
-    kernel (identical numerics, ~40x faster) and a blocksize matched to
-    the scaled-down network."""
-    return KalmanConfig(blocksize=blocksize, fused_update=True)
+    """Kalman config used by convergence-focused experiments: a
+    blocksize matched to the scaled-down network."""
+    return KalmanConfig(blocksize=blocksize)
 
 
 def parse_systems(arg: Optional[str]) -> Sequence[str]:

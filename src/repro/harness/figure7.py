@@ -1,9 +1,9 @@
 """Figure 7 -- end-to-end times (a), kernel counts (b), iteration time (c).
 
 (a) trains each system with Adam bs1, RLEKF bs1, FEKF bs32 (all three on
-    the baseline preset's model and Kalman backend) and FEKF bs32 fully
-    optimized (opt3 Kalman backend), all to the same total-RMSE target,
-    and reports wall seconds + speedups over RLEKF.
+    the baseline preset's model and Kalman filter) and FEKF bs32 fully
+    optimized (the opt3 preset, inside its context), all to the same
+    total-RMSE target, and reports wall seconds + speedups over RLEKF.
 (b) counts kernel launches of one energy-driven and one force-driven FEKF
     update under each optimization preset.
 (c) reports the forward / gradient / Kalman phase times per iteration
@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..model.environment import make_batch
-from ..optim.ekf import FEKF, RLEKF
-from ..perf.presets import BASELINE, PRESET_ORDER, PRESETS
+from ..optim.ekf import RLEKF
+from ..perf.presets import BASELINE, OPT3, PRESET_ORDER, PRESETS
 from ..perf.timer import profile_update
 from ..train.trainer import TargetCriterion, Trainer
-from .common import Report, experiment_setup, fast_kalman, parse_systems, scaled_adam
+from .common import Report, experiment_setup, parse_systems, scaled_adam
 
 
 def run_7a(
@@ -51,12 +51,13 @@ def run_7a(
     for system in parse_systems(systems):
         setup = experiment_setup(system, frames_per_temperature=frames_per_temperature, seed=seed)
 
-        # establish the common accuracy target with an optimized FEKF probe
+        # establish the common accuracy target with the opt3 preset
         probe = setup.model(seed=1)
-        probe_opt = FEKF(probe, fast_kalman(), seed=seed)
-        probe_res = Trainer(
-            probe, probe_opt, setup.train, setup.test, batch_size=batch_size, seed=seed
-        ).run(max_epochs=ekf_epochs)
+        probe_opt = OPT3.optimizer(probe, seed=seed, blocksize=2048)
+        with OPT3.context():
+            probe_res = Trainer(
+                probe, probe_opt, setup.train, setup.test, batch_size=batch_size, seed=seed
+            ).run(max_epochs=ekf_epochs)
         target = probe_res.best_total("train") * target_slack
         criterion = TargetCriterion(target, metric="total")
 
@@ -88,9 +89,10 @@ def run_7a(
             batch_size,
             ekf_epochs,
         )
-        t_opt, v_opt, pass_opt = time_to_target(
-            lambda m: FEKF(m, fast_kalman(), seed=seed), batch_size, ekf_epochs
-        )
+        with OPT3.context():
+            t_opt, v_opt, pass_opt = time_to_target(
+                lambda m: OPT3.optimizer(m, seed=seed, blocksize=2048), batch_size, ekf_epochs
+            )
         report.add_row(
             system,
             f"{target:.4f}",

@@ -73,7 +73,7 @@ def run(
 
     for bs, gpus in configs:
         model = setup.model(seed=1)
-        kcfg = KalmanConfig.for_batch_size(bs, blocksize=2048, fused_update=True)
+        kcfg = KalmanConfig.for_batch_size(bs, blocksize=2048)
         if gpus == 1:
             opt = FEKF(model, kcfg, seed=seed)
         else:

@@ -340,7 +340,7 @@ class IncrementalTrainer:
         self.epochs_per_round = int(epochs_per_round)
         self._spec = MemberSpec(
             models=ensemble.models,
-            kalman_cfg=kalman_cfg or KalmanConfig(blocksize=2048, fused_update=True),
+            kalman_cfg=kalman_cfg or KalmanConfig(blocksize=2048),
             batch_size=self.batch_size,
             epochs=self.epochs_per_round,
             seed=seed,

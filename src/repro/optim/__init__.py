@@ -3,7 +3,7 @@
 Construct by name through the single factory surface::
 
     from repro.optim import make_optimizer
-    opt = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
+    opt = make_optimizer("fekf", model, blocksize=2048)
 
 Every optimizer satisfies the :class:`Optimizer` protocol
 (``step_batch`` / ``state_dict`` / ``load_state_dict`` / ``hyperparams``).

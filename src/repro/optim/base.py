@@ -19,7 +19,7 @@ entry point: experiment code names the algorithm and passes flat keyword
 overrides; the factory routes each override to the right place
 (``KalmanConfig`` field, learning-rate schedule, constructor keyword)::
 
-    opt = make_optimizer("fekf", model, blocksize=2048, fused_update=True)
+    opt = make_optimizer("fekf", model, blocksize=2048)
     opt = make_optimizer("adam", model, lr0=1e-3, decay_steps=500)
 
 Overrides that fit nowhere raise ``TypeError`` up front, so a typo'd
@@ -292,7 +292,7 @@ def make_optimizer(name: str, model: DeePMD, **overrides) -> Optimizer:
         Flat keyword overrides, routed automatically:
 
         * EKF family -- ``KalmanConfig`` fields (``lambda0``, ``nu``,
-          ``blocksize``, ``fused_update``, ...), constructor keywords
+          ``blocksize``, ``coupled_gain``, ...), constructor keywords
           (``n_force_splits``, ``reuse_force_graph``, ``step_scale``,
           ``seed``), a pre-built ``kalman_cfg``, or
           ``batch_size=...`` to apply the paper's large-batch tuning

@@ -157,7 +157,6 @@ class FEKF:
             "nu": cfg.nu,
             "blocksize": cfg.blocksize,
             "coupled_gain": cfg.coupled_gain,
-            "fused_update": cfg.fused_update,
             "p_trace_cap": cfg.p_trace_cap,
             "max_step_norm": cfg.max_step_norm,
             "n_force_splits": self.n_force_splits,
@@ -173,7 +172,7 @@ class FEKF:
             "kalman/lam": np.array(k.lam),
             "kalman/updates": np.array(k.updates),
             "kalman/p_scales": np.array(k.p_scales),
-            "kalman/fused": np.array(int(k.cfg.fused_update)),
+            "kalman/fused": np.array(int(k.fused)),
             "kalman/step_count": np.array(self.step_count),
         }
         st = self._rng.bit_generator.state
@@ -194,17 +193,20 @@ class FEKF:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore filter state produced by :meth:`state_dict`.
 
-        The block structure and fused/naive storage layout must match
-        this optimizer's ``KalmanConfig``; mismatches raise.
+        The block structure, the P layout (``kalman/fused``) and the
+        ``p_scales`` count must match this optimizer's filter; mismatches
+        raise before anything changes.
         """
         if "kalman/lam" not in state:
             raise KeyError("state holds no EKF optimizer state ('kalman/lam' missing)")
         k = self.kalman
-        if bool(state["kalman/fused"]) != k.cfg.fused_update:
+        if bool(state["kalman/fused"]) != k.fused:
             raise ValueError(
-                "checkpoint P storage layout (fused vs naive) does not match "
-                "the optimizer's KalmanConfig"
+                "checkpoint P storage layout (fused vs dense) does not match "
+                f"the optimizer's {type(k).__name__}"
             )
+        if np.shape(state["kalman/p_scales"]) != (len(k.blocks),):
+            raise ValueError(f"checkpoint kalman/p_scales has no entry per block ({len(k.blocks)})")
         k.load_p_state(state)
         k.p_scales = [float(c) for c in np.asarray(state["kalman/p_scales"])]
         k.lam = float(state["kalman/lam"])

@@ -8,35 +8,29 @@ Implements Algorithm 1 of the paper over a block-diagonal P:
     lambda <- lambda * nu + 1 - nu
     w <- w + scale * ABE * K
 
-Two P-update kernels are provided, mirroring the paper's Opt3 ("rewrite P
-updating" + "cache intermediate results"):
+The P update is the paper's Opt3 ("rewrite P updating" + "cache
+intermediate results"), the handwritten-kernel analog built around moving
+P as little as possible.  Only the upper triangle is stored (symmetry by
+construction, no symmetrization pass) and the 1/lambda rescaling is
+*folded into a scalar* carried next to the block.  The rank-1 downdate is
+**deferred**: an update appends its ``(P g, A / scale)`` pair to a small
+per-block pending buffer ``U (n x k)``, ``beta (k)`` instead of rewriting
+the triangle, so the block the filter means is
 
-* ``naive``  -- one dense temporary per algebraic step, exactly how a
-  framework-level implementation (``torch.matmul``/``torch.outer``)
-  executes it; every step records a kernel launch and allocates an
-  N_b x N_b temporary -- the memory behaviour Sec. 5.3 attributes to the
-  PyTorch implementation.
-* ``fused``  -- the handwritten-kernel analog, built around moving P as
-  little as possible.  Only the upper triangle is stored (symmetry by
-  construction, no symmetrization pass) and the 1/lambda rescaling is
-  *folded into a scalar* carried next to the block.  The rank-1 downdate
-  is **deferred**: an update appends its ``(P g, A / scale)`` pair to a
-  small per-block pending buffer ``U (n x k)``, ``beta (k)`` instead of
-  rewriting the triangle, so the block the filter means is
+    P_eff = scale * (P_stored - U diag(beta) U^T)
 
-      P_eff = scale * (P_stored - U diag(beta) U^T)
-
-  and the cached product is ``P_eff g = scale * (dsymv(P_stored, g) -
-  U (beta * (U^T g)))`` -- one triangle read plus an O(n k) correction.
-  Every :data:`FLUSH_EVERY` updates the pending pairs are applied in
-  *one* in-place rank-k pass over the triangle (BLAS ``dsyrk``).  Per
-  update the P traffic drops from 1.5 |P| (symv read + syr read/write)
-  to 0.5 |P| + |P| / FLUSH_EVERY; the algebra is the eager ``dsyr``'s
-  (the tests keep one as the oracle), only the rounding order differs.
-  The pending pairs are part of the filter state: ``clone``,
-  ``checksum``, ``p_dense``, ``p_memory_bytes`` and the checkpoint keys
-  carry them *without* flushing, so observing a filter never perturbs
-  its trajectory.
+and the cached product is ``P_eff g = scale * (dsymv(P_stored, g) -
+U (beta * (U^T g)))`` -- one triangle read plus an O(n k) correction.
+Every :data:`FLUSH_EVERY` updates the pending pairs are applied in *one*
+in-place rank-k pass over the triangle (BLAS ``dsyrk``).  Per update the P
+traffic drops from 1.5 |P| (symv read + syr read/write) to 0.5 |P| +
+|P| / FLUSH_EVERY; the algebra is the eager ``dsyr``'s (the tests keep
+one as the oracle), only the rounding order differs.  The pending pairs
+are part of the filter state: ``clone``, ``checksum``, ``p_dense``,
+``p_memory_bytes`` and the checkpoint keys carry them *without* flushing,
+so observing a filter never perturbs its trajectory.
+The framework-style dense update is not an option of this class; it is
+Figure 7's baseline, :class:`repro.perf.presets.DenseKalmanState`.
 
 The blocks are independent inside the two passes over P, so each state
 splits them into *lanes* (:func:`~repro.optim.blocks.shard_blocks`, one
@@ -66,7 +60,7 @@ import ctypes
 import functools
 import mmap
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,7 +78,7 @@ for _name in (
     register_op(_name, kind="optim", second_order=False)
 del _name
 
-#: fused backend: rank-1 downdates held pending per block before one
+#: rank-1 downdates held pending per block before one
 #: in-place rank-k pass applies them.  A constant of the kernel, not a
 #: knob: ``dsyrk`` costs about the same for any k <= 20 (62-67 ms at
 #: n = 10240 against 41 ms for a single ``dsyr``), beyond that it grows
@@ -213,12 +207,17 @@ class KalmanConfig:
     #: per-block scalar gains (RLEKF layerwise behaviour) vs one coupled
     #: global gain across blocks (the literal Algorithm 1 reading).
     coupled_gain: bool = False
-    #: use the fused triangular-BLAS P update kernel (paper Opt3).
-    fused_update: bool = False
     #: anti-windup bound on mean(diag(P_i)); ``inf`` disables.
     p_trace_cap: float = 2.0
     #: trust-region clip on |dw| per update; ``inf`` disables.
     max_step_norm: float = 0.1
+    #: retired (Opt3 is the only ``KalmanState``): stores nothing, only True passes
+    fused_update: InitVar[bool] = True
+
+    def __post_init__(self, fused_update: bool) -> None:
+        if fused_update is not True:
+            raise ValueError("the fused P update is the only KalmanState; the dense one is the "
+                             "baseline/opt1/opt2 presets' (repro.perf.presets.DenseKalmanState)")
 
     @staticmethod
     def for_batch_size(batch_size: int, **overrides) -> "KalmanConfig":
@@ -232,17 +231,22 @@ class KalmanConfig:
 class KalmanState:
     """Block-diagonal P, the memory factor lambda, and update kernels.
 
-    Internally each block is an n x n array.  The naive backend keeps it
-    dense-symmetric; the fused backend uses only the upper triangle
-    (Fortran order for BLAS, only the triangle's pages resident, see
-    :func:`_triangle_block`) plus a folded scalar ``p_scale`` absorbing
-    the accumulated 1/lambda factors, and holds the
-    last ``pending`` (< :data:`FLUSH_EVERY`) rank-1 downdates of every
-    block unapplied in ``pend_u[i][:, :pending]`` /
-    ``pend_beta[i, :pending]`` (see the module docstring).  ``lanes``
+    Each block is an n x n F-ordered array of which only the upper
+    triangle is used (and resident, see :func:`_triangle_block`), times a
+    folded scalar ``p_scale``, minus the last ``pending`` (<
+    :data:`FLUSH_EVERY`) rank-1 downdates held in
+    ``pend_u[i][:, :pending]`` / ``pend_beta[i, :pending]``.  ``lanes``
     lists the block indices each lane runs, lane 0 on the caller's
-    thread; it is fixed at construction.
+    thread.  Figure 7's dense baseline (``perf.presets.DenseKalmanState``)
+    overrides the per-block storage and kernels; ``fused`` is the
+    checkpoint's ``kalman/fused``.
     """
+
+    fused = True
+    #: pending pairs each block's buffers hold (``update`` flushes when full)
+    defers = FLUSH_EVERY
+    #: a stored block: the identity, or a copy of ``src``'s upper triangle
+    _block = staticmethod(_triangle_block)
 
     def __init__(self, num_params: int, layer_sizes: list[tuple[int, int]], cfg: KalmanConfig):
         bind_blas()
@@ -252,18 +256,11 @@ class KalmanState:
         total = sum(b.size for b in self.blocks)
         if total != num_params:
             raise ValueError(f"blocks cover {total} of {num_params} weights")
-        self.p_mats: list[np.ndarray] = [
-            _triangle_block(b.size) if cfg.fused_update else np.eye(b.size)
-            for b in self.blocks
-        ]
+        self.p_mats: list[np.ndarray] = [self._block(b.size) for b in self.blocks]
         self.p_scales: list[float] = [1.0 for _ in self.blocks]
-        # deferred downdates (fused backend only; the naive one has none)
         self.pending = 0
-        self.pend_u: list[np.ndarray] = [
-            np.zeros((b.size, FLUSH_EVERY), order="F")
-            for b in (self.blocks if cfg.fused_update else ())
-        ]
-        self.pend_beta = np.zeros((len(self.pend_u), FLUSH_EVERY))
+        self.pend_u = [np.zeros((b.size, self.defers), order="F") for b in self.blocks]
+        self.pend_beta = np.zeros((len(self.blocks), self.defers))
         self.lam = float(cfg.lambda0)
         self.updates = 0
         self.lanes = shard_blocks(self.blocks, lane_count(len(self.blocks)))
@@ -271,9 +268,8 @@ class KalmanState:
     # ------------------------------------------------------------------
     def p_memory_bytes(self) -> int:
         """Filter state in the paper's Sec. 5.3 accounting: the logical
-        bytes of the square P blocks plus the pending buffers.  On the
-        fused backend only each block's upper triangle is resident, about
-        half of this."""
+        bytes of the square P blocks plus the pending buffers.  Only each
+        block's upper triangle is resident, about half of this."""
         return (
             sum(p.nbytes for p in self.p_mats)
             + sum(u.nbytes for u in self.pend_u)
@@ -286,11 +282,9 @@ class KalmanState:
     def p_dense(self, i: int) -> np.ndarray:
         """Reconstruct the full dense P block (test/diagnostic helper)."""
         p = self.p_mats[i]
-        if self.cfg.fused_update:
-            full = np.triu(p) + np.triu(p, 1).T
-            u, beta = self._pending(i)
-            return self.p_scales[i] * (full - (u * beta) @ u.T)
-        return p.copy()
+        full = np.triu(p) + np.triu(p, 1).T
+        u, beta = self._pending(i)
+        return self.p_scales[i] * (full - (u * beta) @ u.T)
 
     def _pending(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The live pending pairs of block i: ``U (n x k)``, ``beta (k)``."""
@@ -311,40 +305,28 @@ class KalmanState:
     # performed and the caller records it (launch sinks are per thread)
     # ------------------------------------------------------------------
     def _pg(self, i: int, g: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """P g for block i (the cached intermediate of the paper's Opt3)."""
-        if self.cfg.fused_update:
-            # one fused "P_eff g" kernel: triangle read + pending correction
-            c, n, k = self.p_scales[i], g.shape[0], self.pending
-            pg = _symv(c, self.p_mats[i], g)
-            if k:
-                u, beta = self._pending(i)
-                _gemv_into(-c, u, beta * (u.T @ g), pg)
-            return pg, ("p_symv_fused", 8 * (_tri(n) + 2 * n * k), (n,), ((n, n), (n, k)))
-        pg = self.p_mats[i] @ g
-        return pg, ("p_gemv", pg.nbytes)
+        """P g for block i (the cached intermediate of the paper's Opt3):
+        one fused "P_eff g" kernel, triangle read + pending correction."""
+        c, n, k = self.p_scales[i], g.shape[0], self.pending
+        pg = _symv(c, self.p_mats[i], g)
+        if k:
+            u, beta = self._pending(i)
+            _gemv_into(-c, u, beta * (u.T @ g), pg)
+        return pg, ("p_symv_fused", 8 * (_tri(n) + 2 * n * k), (n,), ((n, n), (n, k)))
 
-    def _downdate(self, i: int, pg: np.ndarray, a: float) -> None:
-        """P_i <- (P_i - a * pg pg^T) / lambda."""
-        if self.cfg.fused_update:
-            # deferred: park the pair (update() flushes every FLUSH_EVERY);
-            # 1/lambda folded into the block scale, so nothing touches P.
+    def _downdate(self, pgs: list[np.ndarray], gains: list[float]) -> None:
+        """P_i <- (P_i - a_i * pg_i pg_i^T) / lambda, deferred: park the
+        pairs (update() flushes when full), fold 1/lambda into the scales."""
+        k = self.pending
+        for i, (pg, a) in enumerate(zip(pgs, gains)):
             c = self.p_scales[i]
-            self.pend_u[i][:, self.pending] = pg
-            self.pend_beta[i, self.pending] = a / c
+            self.pend_u[i][:, k] = pg
+            self.pend_beta[i, k] = a / c
             self.p_scales[i] = c / self.lam
-        else:
-            p = self.p_mats[i]
-            k = a * pg
-            record_launch("k_scale", k.nbytes)
-            kkt = np.outer(k, k / a)  # the N_b x N_b temporary
-            record_launch("kkT_outer", kkt.nbytes)
-            p1 = p - kkt
-            record_launch("p_sub", p1.nbytes)
-            p1 = p1 / self.lam
-            record_launch("p_scale", p1.nbytes)
-            p1 = (p1 + p1.T) / 2.0
-            record_launch("p_symmetrize", p1.nbytes)
-            self.p_mats[i] = p1
+        self.pending = k + 1
+
+    def _rescale(self, i: int, factor: float) -> None:
+        self.p_scales[i] *= factor
 
     def _flush_block(self, i: int) -> tuple:
         """Apply block i's pending downdates in place:
@@ -397,11 +379,9 @@ class KalmanState:
         else:
             gains = [1.0 / (self.lam + q) for q in quads]
 
+        self._downdate(pgs, gains)
         for i, blk in enumerate(self.blocks):
-            self._downdate(i, pgs[i], gains[i])
             dw[blk.slice()] = (scale * error * gains[i]) * pgs[i]
-        if self.cfg.fused_update:
-            self.pending += 1
 
         self._guard()
         self.advance_lambda()
@@ -422,19 +402,17 @@ class KalmanState:
         for i, p in enumerate(self.p_mats):
             mean_diag = self.p_scales[i] * self._trace(i) / p.shape[0]
             if mean_diag > cap:
-                if self.cfg.fused_update:
-                    self.p_scales[i] *= cap / mean_diag
-                else:
-                    p *= cap / mean_diag
+                self._rescale(i, cap / mean_diag)
 
     # ------------------------------------------------------------------
     def clone(self) -> "KalmanState":
-        """Deep copy (used to fork per-sample P replicas in Naive-EKF)."""
-        other = KalmanState.__new__(KalmanState)
+        """Deep copy of the same class (used to fork per-sample P
+        replicas in Naive-EKF)."""
+        other = object.__new__(type(self))
         other.cfg = self.cfg
         other.num_params = self.num_params
         other.blocks = self.blocks
-        other.p_mats = self._copy_p_mats()
+        other.p_mats = [self._block(p.shape[0], p) for p in self.p_mats]
         other.p_scales = list(self.p_scales)
         other.pending = self.pending
         other.pend_u = [u.copy(order="K") for u in self.pend_u]
@@ -444,56 +422,48 @@ class KalmanState:
         other.lanes = self.lanes
         return other
 
-    def _copy_p_mats(self) -> list[np.ndarray]:
-        """New copies of the stored blocks: the upper triangle into a
-        fresh triangle block (fused), the whole square (naive)."""
-        if self.cfg.fused_update:
-            return [_triangle_block(p.shape[0], p) for p in self.p_mats]
-        return [p.copy(order="K") for p in self.p_mats]
-
     def p_state(self) -> dict[str, np.ndarray]:
         """Copies of the stored P under the checkpoint keys: every block
-        as ``kalman/p{i}`` and, on the fused backend, the live pending
-        pairs as ``kalman/pending_beta`` / ``kalman/pending_u{i}`` --
-        saved as they are, never flushed to take a snapshot."""
-        out = {f"kalman/p{i}": p for i, p in enumerate(self._copy_p_mats())}
-        if self.cfg.fused_update:
-            out["kalman/pending_beta"] = self.pend_beta[:, : self.pending].copy()
-            for i, u in enumerate(self.pend_u):
-                out[f"kalman/pending_u{i}"] = u[:, : self.pending].copy()
+        as ``kalman/p{i}`` and the live pending pairs as
+        ``kalman/pending_beta`` / ``kalman/pending_u{i}`` -- saved as they
+        are, never flushed to take a snapshot."""
+        out = {f"kalman/p{i}": self._block(p.shape[0], p) for i, p in enumerate(self.p_mats)}
+        out["kalman/pending_beta"] = self.pend_beta[:, : self.pending].copy()
+        for i, u in enumerate(self.pend_u):
+            out[f"kalman/pending_u{i}"] = u[:, : self.pending].copy()
         return out
 
     def load_p_state(self, state: Mapping[str, np.ndarray]) -> None:
         """Restore the stored P from arrays :meth:`p_state` produced.
 
-        The blocks are copied (the fused update runs in place, and the
-        caller's snapshot must not be the array it then mutates); a fused
-        block copies the upper triangle only: everything this code writes
-        holds 0.0 below the diagonal.  A missing or misshapen block, or
-        more pending pairs than this build defers, raises ``ValueError``
-        before anything changes.
+        The blocks are copied (the update runs in place, and the caller's
+        snapshot must not be the array it then mutates); a triangle block
+        copies the upper triangle only: everything this code writes holds
+        0.0 below the diagonal.  A missing or misshapen block,
+        ``pending_beta`` not ``(n_blocks, k)``, ``pending_u{i}`` not
+        ``(block size, k)``, or more pending pairs than this filter defers
+        raises ``ValueError`` before anything changes.
         """
         blocks = [state.get(f"kalman/p{i}") for i in range(len(self.blocks))]
         for p, b in zip(blocks, self.blocks):
             if p is None or np.shape(p) != (b.size, b.size):
                 raise ValueError("checkpoint block structure does not match")
         # absent before the deferred downdate existed: nothing pending
-        pending = np.asarray(
-            state.get("kalman/pending_beta", self.pend_beta[:, :0])
-        )
-        if pending.shape[1] >= self.pend_beta.shape[1]:
-            raise ValueError(
-                "checkpoint holds more pending downdates than this build defers"
-            )
-        if self.cfg.fused_update:
-            self.p_mats = [_triangle_block(p.shape[0], np.asarray(p)) for p in blocks]
-        else:
-            self.p_mats = [np.array(p, order="C") for p in blocks]
-        self.pending = pending.shape[1]
-        if self.pending:
-            self.pend_beta[:, : self.pending] = pending
-            for i, u in enumerate(self.pend_u):
-                u[:, : self.pending] = state[f"kalman/pending_u{i}"]
+        beta = np.asarray(state.get("kalman/pending_beta", self.pend_beta[:, :0]))
+        if beta.ndim != 2 or beta.shape[0] != len(self.blocks):
+            raise ValueError(f"checkpoint kalman/pending_beta has shape {beta.shape}")
+        k = beta.shape[1]
+        if k > min(self.defers, FLUSH_EVERY - 1):
+            raise ValueError("checkpoint holds more pending downdates than this filter defers")
+        us = [state.get(f"kalman/pending_u{i}") for i in range(len(self.blocks) if k else 0)]
+        for i, (u, b) in enumerate(zip(us, self.blocks)):
+            if u is None or np.shape(u) != (b.size, k):
+                raise ValueError(f"checkpoint kalman/pending_u{i} is not ({b.size}, {k})")
+        self.p_mats = [self._block(p.shape[0], np.asarray(p)) for p in blocks]
+        self.pending = k
+        self.pend_beta[:, :k] = beta
+        for dst, u in zip(self.pend_u, us):
+            dst[:, :k] = u
 
     def checksum(self) -> float:
         """Cheap fingerprint for replica-consistency assertions."""

@@ -27,6 +27,7 @@ from ..optim.blocks import Block, split_blocks
 from ..optim.kalman import FLUSH_EVERY, KalmanConfig, KalmanState
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import span as _span
+from .presets import DenseKalmanState
 
 MB = 1024 * 1024
 
@@ -126,9 +127,9 @@ def measured_update_peak(
     """
     if n_updates is None:
         n_updates = FLUSH_EVERY if fused else 3
-    cfg = KalmanConfig(blocksize=blocksize, fused_update=fused)
     num = sum(s for _, s in layer_sizes)
-    state = KalmanState(num, layer_sizes, cfg)
+    cfg = KalmanConfig(blocksize=blocksize)
+    state = (KalmanState if fused else DenseKalmanState)(num, layer_sizes, cfg)
     rng = np.random.default_rng(0)
     g = rng.normal(size=num) * 0.1
     state.update(g, 0.1, 1.0)  # warm any lazy allocations

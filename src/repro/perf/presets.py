@@ -11,24 +11,28 @@ opt2         + fused elementwise layer kernels (the ``torch.compile``
 opt3         + fused P-update kernel with cached P g reuse
 ===========  ======================================================
 
-Opt1 is every :class:`~repro.model.network.DeePMD`'s descriptor; the
-baseline's autograd-primitive descriptor exists only here, as
-:class:`BaselineDeePMD`.  ``preset.optimizer(model, ...)`` builds an
-optimizer on the preset's model class and Kalman backend, and
-``preset.context()`` switches on its layer fusion for the duration.
+Opt1 is every ``DeePMD``'s descriptor and Opt3 every ``KalmanState``'s
+P update; the graph descriptor and the dense P update exist only here, as
+:class:`BaselineDeePMD` and :class:`DenseKalmanState`.
+``preset.optimizer(model, ...)`` builds an optimizer on the preset's
+model and filter classes, and ``preset.context()`` switches on its layer
+fusion for the duration.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..autograd import fused_kernels
+from ..autograd.instrument import record_launch
 from ..model.environment import environment_graph
 from ..model.network import DeePMD
 from ..optim.ekf import FEKF
-from ..optim.kalman import KalmanConfig
+from ..optim.kalman import KalmanConfig, KalmanState
 
 
 class BaselineDeePMD(DeePMD):
@@ -40,6 +44,39 @@ class BaselineDeePMD(DeePMD):
     environment = staticmethod(environment_graph)
 
 
+class DenseKalmanState(KalmanState):
+    """The P update before Opt3, as a framework runs it: dense blocks, one
+    launch and one N_b x N_b temporary per algebraic step (the memory
+    behaviour Sec. 5.3 attributes to PyTorch), nothing deferred or folded."""
+
+    fused, defers = False, 0
+
+    @staticmethod
+    def _block(n: int, src: np.ndarray | None = None) -> np.ndarray:
+        return np.eye(n) if src is None else np.copy(src)
+
+    def _pg(self, i: int, g: np.ndarray) -> tuple[np.ndarray, tuple]:
+        pg = self.p_mats[i] @ g
+        return pg, ("p_gemv", pg.nbytes)
+
+    def _downdate(self, pgs: list[np.ndarray], gains: list[float]) -> None:
+        for i, (pg, a) in enumerate(zip(pgs, gains)):
+            k = a * pg
+            record_launch("k_scale", k.nbytes)
+            kkt = np.outer(k, k / a)  # the N_b x N_b temporary
+            record_launch("kkT_outer", kkt.nbytes)
+            p1 = self.p_mats[i] - kkt
+            record_launch("p_sub", p1.nbytes)
+            p1 = p1 / self.lam
+            record_launch("p_scale", p1.nbytes)
+            p1 = (p1 + p1.T) / 2.0
+            record_launch("p_symmetrize", p1.nbytes)
+            self.p_mats[i] = p1
+
+    def _rescale(self, i: int, factor: float) -> None:
+        self.p_mats[i] *= factor
+
+
 @dataclass(frozen=True)
 class Preset:
     """One optimization level."""
@@ -47,18 +84,13 @@ class Preset:
     name: str
     model_class: type
     fused_layers: bool
-    fused_p_update: bool
+    kalman_class: type
 
     @contextlib.contextmanager
     def context(self):
         """Activate the layer-fusion flag for the duration."""
         with fused_kernels(self.fused_layers):
             yield
-
-    def kalman_config(self, **overrides) -> KalmanConfig:
-        """The preset's Kalman backend; an override that names no
-        ``KalmanConfig`` field raises ``TypeError``."""
-        return replace(KalmanConfig(fused_update=self.fused_p_update), **overrides)
 
     def model(self, model: DeePMD) -> DeePMD:
         """``model`` when it is already of the preset's class, else a copy
@@ -71,15 +103,21 @@ class Preset:
 
     def optimizer(self, model: DeePMD, cls: type = FEKF, seed: int = 0, **kalman):
         """An EKF optimizer ``cls`` over ``self.model(model)`` with
-        ``self.kalman_config(**kalman)``.  It trains ``opt.model``, which
-        is a copy when ``model`` is of another class."""
-        return cls(self.model(model), self.kalman_config(**kalman), seed=seed)
+        ``KalmanConfig(**kalman)`` and a ``self.kalman_class`` filter,
+        installed before any update.  It trains ``opt.model``, which is a
+        copy when ``model`` is of another class."""
+        opt = cls(self.model(model), KalmanConfig(**kalman), seed=seed)
+        if type(opt.kalman) is not self.kalman_class:
+            opt.kalman = self.kalman_class(
+                opt.model.num_params, opt.model.params.layer_sizes(), opt.kalman.cfg
+            )
+        return opt
 
 
-BASELINE = Preset("baseline", BaselineDeePMD, fused_layers=False, fused_p_update=False)
-OPT1 = Preset("opt1", DeePMD, fused_layers=False, fused_p_update=False)
-OPT2 = Preset("opt2", DeePMD, fused_layers=True, fused_p_update=False)
-OPT3 = Preset("opt3", DeePMD, fused_layers=True, fused_p_update=True)
+BASELINE = Preset("baseline", BaselineDeePMD, fused_layers=False, kalman_class=DenseKalmanState)
+OPT1 = Preset("opt1", DeePMD, fused_layers=False, kalman_class=DenseKalmanState)
+OPT2 = Preset("opt2", DeePMD, fused_layers=True, kalman_class=DenseKalmanState)
+OPT3 = Preset("opt3", DeePMD, fused_layers=True, kalman_class=KalmanState)
 
 PRESETS: dict[str, Preset] = {p.name: p for p in (BASELINE, OPT1, OPT2, OPT3)}
 PRESET_ORDER = ["baseline", "opt1", "opt2", "opt3"]

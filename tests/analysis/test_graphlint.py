@@ -214,7 +214,7 @@ class TestSanitizer:
         tensor finite, and the op counter proves the sanitizer looked."""
         from repro.optim import FEKF, KalmanConfig
 
-        opt = FEKF(cu_model, KalmanConfig(blocksize=1024, fused_update=True))
+        opt = FEKF(cu_model, KalmanConfig(blocksize=1024))
         with Sanitizer(mode="raise") as san:
             opt.step_batch(cu_batch)
         report = san.report()

@@ -20,6 +20,7 @@ from repro.autograd.config import config as ag_config
 from repro.autograd.instrument import registered_ops
 from repro.model import DeePMD, make_batch
 from repro.model import environment as envmod
+from repro.optim import FEKF, KalmanConfig
 from repro.parallel.executor import ThreadExecutor
 from repro.perf import BASELINE, OPT1
 
@@ -311,9 +312,10 @@ PINNED = {
 @pytest.mark.parametrize("opt1", [True, False])
 def test_three_fekf_steps_keep_the_parent_fingerprint(cu_dataset, small_cfg, opt1):
     model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-    opt = (OPT1 if opt1 else BASELINE).optimizer(
-        model, seed=11, blocksize=1024, fused_update=True
-    )
+    # the fused P update on both models (the baseline preset's own
+    # optimizer would install its dense one and move the hash)
+    twin = (OPT1 if opt1 else BASELINE).model(model)
+    opt = FEKF(twin, KalmanConfig(blocksize=1024), seed=11)
     for i in range(3):
         opt.step_batch(make_batch(cu_dataset, np.arange(3) + 3 * i, small_cfg))
     sha = hashlib.sha256(opt.model.params.flatten().tobytes()).hexdigest()

@@ -25,7 +25,7 @@ from repro.serve import InferenceService, ServeConfig
 
 
 def _kcfg():
-    return KalmanConfig(blocksize=1024, fused_update=True)
+    return KalmanConfig(blocksize=1024)
 
 
 def _holds_arrays(obj) -> bool:

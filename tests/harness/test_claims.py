@@ -13,6 +13,7 @@ from repro.autograd import KernelCounter
 from repro.model import DeePMD, make_batch
 from repro.optim import Adam, FEKF, KalmanConfig, KalmanState, RLEKF
 from repro.perf import BASELINE, measured_update_peak
+from repro.perf.presets import DenseKalmanState
 
 
 def test_table4_fekf_beats_adam_bs1_at_equal_data_budget(cu_dataset, small_cfg):
@@ -33,7 +34,7 @@ def test_table4_fekf_beats_adam_bs1_at_equal_data_budget(cu_dataset, small_cfg):
 
     rmse_adam = rmse_after(Adam, 1)
     rmse_fekf = rmse_after(
-        lambda m: FEKF(m, KalmanConfig(blocksize=2048, fused_update=True)), 8
+        lambda m: FEKF(m, KalmanConfig(blocksize=2048)), 8
     )
     assert rmse_fekf < rmse_adam
 
@@ -58,7 +59,7 @@ def test_figure7a_per_pass_cost_ordering(cu_dataset, small_cfg):
     rlekf = pass_bytes(lambda m: BASELINE.optimizer(m, RLEKF, blocksize=1024), 1)
     fekf = pass_bytes(lambda m: BASELINE.optimizer(m, blocksize=1024), n)
     fekf_opt = pass_bytes(
-        lambda m: FEKF(m, KalmanConfig(blocksize=1024, fused_update=True)), n
+        lambda m: FEKF(m, KalmanConfig(blocksize=1024)), n
     )
     assert rlekf > 4 * fekf
     assert fekf > 1.5 * fekf_opt
@@ -73,9 +74,8 @@ def test_opt3_fused_p_update_moves_5x_less_and_drops_the_transient():
     g = np.random.default_rng(0).normal(size=n) * 0.1
 
     def counted(fused):
-        state = KalmanState(
-            n, layers, KalmanConfig(blocksize=2048, fused_update=fused)
-        )
+        cls = KalmanState if fused else DenseKalmanState
+        state = cls(n, layers, KalmanConfig(blocksize=2048))
         with KernelCounter() as kc:
             state.update(g, 0.1, 1.0)
         return kc

@@ -173,7 +173,7 @@ class TestLabelerAndTrainer:
 
         ref = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
         for k, model in enumerate(ref.models):
-            opt = FEKF(model, KalmanConfig(blocksize=2048, fused_update=True), seed=3 + k)
+            opt = FEKF(model, KalmanConfig(blocksize=2048), seed=3 + k)
             Trainer(model, opt, cu_dataset, None, batch_size=4, seed=1).run(max_epochs=2)
             assert np.array_equal(
                 model.params.flatten(), ens.models[k].params.flatten()
@@ -234,7 +234,7 @@ class TestBatchDriverBitIdentity:
         # --- the pre-refactor loop, replayed verbatim ------------------
         ens = ModelEnsemble.for_dataset(cu_dataset, small_cfg, n_models=2, seed=1)
         rng = np.random.default_rng(0)
-        kcfg = KalmanConfig(blocksize=2048, fused_update=True)
+        kcfg = KalmanConfig(blocksize=2048)
         optimizers = [
             FEKF(m, KalmanConfig(**vars(kcfg)), seed=k)
             for k, m in enumerate(ens.models)

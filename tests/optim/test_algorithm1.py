@@ -8,17 +8,12 @@ import numpy as np
 import pytest
 
 from repro.optim import KalmanConfig, KalmanState, error_signs
+from repro.perf.presets import DenseKalmanState
 
 
 def _unguarded(fused):
-    return KalmanState(
-        2,
-        [(0, 2)],
-        KalmanConfig(
-            blocksize=4, fused_update=fused,
-            p_trace_cap=np.inf, max_step_norm=np.inf,
-        ),
-    )
+    cfg = KalmanConfig(blocksize=4, p_trace_cap=np.inf, max_step_norm=np.inf)
+    return (KalmanState if fused else DenseKalmanState)(2, [(0, 2)], cfg)
 
 
 @pytest.mark.parametrize("fused", [False, True], ids=["naive", "fused"])

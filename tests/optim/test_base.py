@@ -27,9 +27,9 @@ class TestFactoryParity:
 
     def test_fekf(self, cu_dataset, small_cfg, cu_batch):
         m1 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        o1 = FEKF(m1, KalmanConfig(blocksize=1024, fused_update=True), seed=7)
+        o1 = FEKF(m1, KalmanConfig(blocksize=1024), seed=7)
         m2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        o2 = make_optimizer("fekf", m2, blocksize=1024, fused_update=True, seed=7)
+        o2 = make_optimizer("fekf", m2, blocksize=1024, seed=7)
         assert np.array_equal(
             _trajectory(m1, o1, cu_batch), _trajectory(m2, o2, cu_batch)
         )
@@ -39,9 +39,9 @@ class TestFactoryParity:
 
         batch = make_batch(cu_dataset, np.arange(1), small_cfg)  # RLEKF is bs=1
         m1 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        o1 = RLEKF(m1, KalmanConfig(blocksize=1024, fused_update=True), seed=3)
+        o1 = RLEKF(m1, KalmanConfig(blocksize=1024), seed=3)
         m2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        o2 = make_optimizer("rlekf", m2, blocksize=1024, fused_update=True,
+        o2 = make_optimizer("rlekf", m2, blocksize=1024,
                             seed=3)
         assert np.array_equal(
             _trajectory(m1, o1, batch, steps=2),
@@ -81,6 +81,13 @@ class TestFactoryErrors:
         with pytest.raises(TypeError, match="blocksz"):
             make_optimizer("fekf", cu_model, blocksz=2048)
 
+    def test_p_update_is_not_an_override(self, cu_model):
+        """The fused P update is the only filter: no factory override and
+        no hyperparameter selects it."""
+        with pytest.raises(TypeError, match="fused_update"):
+            make_optimizer("fekf", cu_model, blocksize=512, fused_update=True)
+        assert "fused_update" not in make_optimizer("fekf", cu_model, blocksize=512).hyperparams
+
     def test_cfg_and_flat_fields_conflict(self, cu_model):
         with pytest.raises(TypeError, match="not both"):
             make_optimizer("fekf", cu_model, kalman_cfg=KalmanConfig(),
@@ -106,7 +113,7 @@ class TestFactoryErrors:
 class TestStateDict:
     def test_fekf_save_load_resume_equivalence(self, cu_dataset, small_cfg, cu_batch):
         m1 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        o1 = make_optimizer("fekf", m1, blocksize=1024, fused_update=True,
+        o1 = make_optimizer("fekf", m1, blocksize=1024,
                             seed=5)
         for _ in range(2):
             o1.step_batch(cu_batch)
@@ -114,7 +121,7 @@ class TestStateDict:
 
         m2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=44)
         m2.load_state_dict(m1.state_dict())
-        o2 = make_optimizer("fekf", m2, blocksize=1024, fused_update=True,
+        o2 = make_optimizer("fekf", m2, blocksize=1024,
                             seed=5)
         o2.load_state_dict(state)
         # re-sync the force-group shuffle rng, as test_checkpoint does

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.model import DeePMD, make_batch
-from repro.optim import FEKF, KalmanConfig, load_state, save_state
+from repro.optim import FEKF, load_state, save_state
 from repro.optim.kalman import FLUSH_EVERY
+from repro.perf import OPT1, OPT3
 
 
 def _opt(model, fused=True):
-    return FEKF(model, KalmanConfig(blocksize=1024, fused_update=fused), seed=9)
+    """The fused filter, or Figure 7's dense one (on the same model)."""
+    return (OPT3 if fused else OPT1).optimizer(model, seed=9, blocksize=1024)
 
 
 class TestCheckpoint:

@@ -18,14 +18,14 @@ from repro.optim import lanes as lanes_mod
 from repro.optim.base import OPTIMIZER_NAMES
 from repro.optim.kalman import FLUSH_EVERY
 from repro.parallel import DistributedFEKF
-from repro.perf import BASELINE, OPT1
+from repro.perf import BASELINE, OPT1, OPT3
 from repro.serve import ServeConfig
 from repro.serve.worker import PredictSpec, session_for_models
 from repro.telemetry import Tracer
 
 
 def _kcfg(**kw):
-    return KalmanConfig(blocksize=1024, fused_update=True, **kw)
+    return KalmanConfig(blocksize=1024, **kw)
 
 
 class TestSignTrick:
@@ -76,7 +76,7 @@ class TestFEKFStep:
         outs = []
         for preset in (BASELINE, OPT1):
             model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-            opt = preset.optimizer(model, seed=3, blocksize=1024, fused_update=True)
+            opt = FEKF(preset.model(model), _kcfg(), seed=3)
             for _ in range(2):
                 opt.step_batch(cu_batch)
             outs.append(opt.model.params.flatten())
@@ -343,12 +343,13 @@ class TestForceLanes:
     def test_two_lanes_match_one_bit_for_bit(
         self, monkeypatch, cu_dataset, small_cfg, fused, coupled
     ):
-        kcfg = KalmanConfig(blocksize=512, fused_update=fused, coupled_gain=coupled)
+        preset = OPT3 if fused else OPT1  # the fused filter, or the dense one
         batches = self._batches(cu_dataset, small_cfg)
         runs = []
         for n_lanes in (1, 2):
             _stub_lanes(monkeypatch, n_lanes)
-            opt = self._opt(cu_dataset, small_cfg, kcfg)
+            model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+            opt = preset.optimizer(model, seed=3, blocksize=512, coupled_gain=coupled)
             for k in range(25):  # 125 updates: the fused backend flushes 6 times
                 opt.step_batch(batches[k % len(batches)])
                 assert opt.stats()["force_lanes"] == n_lanes

@@ -6,6 +6,8 @@ import multiprocessing
 import sys
 import threading
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import blas, cython_blas
@@ -17,14 +19,17 @@ from repro.optim import ekf as ekf_mod
 from repro.optim import lanes as lanes_mod
 from repro.optim.blocks import shard_blocks
 from repro.optim.kalman import FLUSH_EVERY
+from repro.perf import OPT1, OPT3
+from repro.perf.presets import DenseKalmanState
 
 LAYERS = [(0, 12), (1, 40), (2, 8)]
 N = 60
 
 
-def _state(**kw):
+def _state(dense=False, **kw):
+    """The filter (``dense``: Figure 7's framework-style one, the oracle)."""
     cfg = KalmanConfig(blocksize=kw.pop("blocksize", 32), **kw)
-    return KalmanState(N, LAYERS, cfg)
+    return (DenseKalmanState if dense else KalmanState)(N, LAYERS, cfg)
 
 
 rng = np.random.default_rng(0)
@@ -71,11 +76,10 @@ class TestUpdateAlgebra:
         assert state.lam == pytest.approx(1.0, abs=1e-3)
 
     def test_p_stays_symmetric_naive(self):
-        state = _state(max_step_norm=np.inf)
+        state = _state(dense=True, max_step_norm=np.inf)
         for _ in range(10):
             state.update(rng.normal(size=N), 0.1, 1.0)
-        for i in range(len(state.blocks)):
-            p = state.p_dense(i)
+        for p in state.p_mats:  # the dense filter stores the whole square
             assert np.allclose(p, p.T)
 
     def test_p_stays_positive_definite(self):
@@ -96,8 +100,8 @@ class TestUpdateAlgebra:
 class TestFusedEquivalence:
     @pytest.mark.parametrize("coupled", [False, True])
     def test_fused_matches_naive(self, coupled):
-        sn = _state(fused_update=False, coupled_gain=coupled, max_step_norm=np.inf)
-        sf = _state(fused_update=True, coupled_gain=coupled, max_step_norm=np.inf)
+        sn = _state(dense=True, coupled_gain=coupled, max_step_norm=np.inf)
+        sf = _state(coupled_gain=coupled, max_step_norm=np.inf)
         for step in range(25):
             g = rng.normal(size=N) * 0.3
             dwn = sn.update(g, 0.1, 1.0)
@@ -107,8 +111,8 @@ class TestFusedEquivalence:
             assert np.allclose(sn.p_dense(i), sf.p_dense(i), atol=1e-10)
 
     def test_fused_with_guards_matches_naive(self):
-        sn = _state(fused_update=False)
-        sf = _state(fused_update=True)
+        sn = _state(dense=True)
+        sf = _state()
         for _ in range(40):
             g = rng.normal(size=N) * 2.0  # large grads exercise the guards
             assert np.allclose(sn.update(g, 0.5, 2.0), sf.update(g, 0.5, 2.0), atol=1e-10)
@@ -127,7 +131,7 @@ class EagerFused:
     Starts from a copy of ``state``'s blocks (nothing may be pending)."""
 
     def __init__(self, state: KalmanState):
-        assert state.cfg.fused_update and state.pending == 0
+        assert state.fused and state.pending == 0
         self.cfg, self.blocks = state.cfg, state.blocks
         self.p = [p.copy(order="F") for p in state.p_mats]
         self.c = list(state.p_scales)
@@ -187,8 +191,8 @@ class TestDeferredDowndate:
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_matches_eager_oracle(self, coupled):
-        sf = _state(fused_update=True, coupled_gain=coupled)
-        sn = _state(fused_update=False, coupled_gain=coupled)
+        sf = _state(coupled_gain=coupled)
+        sn = _state(dense=True, coupled_gain=coupled)
         oracle = EagerFused(sf)
         flushes = 0
         for j, g in enumerate(_mixed_gradients(3 * FLUSH_EVERY + 4)):
@@ -211,8 +215,8 @@ class TestDeferredDowndate:
         """The sequence above is only an oracle for the guards if they
         fire: the same gradients with the guards off end elsewhere."""
         guarded, free = (
-            _state(fused_update=True),
-            _state(fused_update=True, p_trace_cap=np.inf, max_step_norm=np.inf),
+            _state(),
+            _state(p_trace_cap=np.inf, max_step_norm=np.inf),
         )
         clipped = 0
         for g in _mixed_gradients(3 * FLUSH_EVERY + 4):
@@ -225,7 +229,7 @@ class TestDeferredDowndate:
         """A block that lost definiteness gives a = 1/(lambda + g.Pg) < 0;
         the rank-k pass must apply that pair with its sign, as
         ``dsyr(-a/c, ...)`` did (no sqrt(beta) on a negative beta)."""
-        sf = _state(fused_update=True, p_trace_cap=np.inf, max_step_norm=np.inf)
+        sf = _state(p_trace_cap=np.inf, max_step_norm=np.inf)
         sf.p_mats[1][:] = -np.eye(sf.blocks[1].size)  # indefinite on purpose
         oracle = EagerFused(sf)
         r = np.random.default_rng(11)
@@ -247,7 +251,7 @@ class TestDeferredDowndate:
             )
 
     def test_flush_is_in_place_and_memory_is_flat(self):
-        state = _state(fused_update=True)
+        state = _state()
         blocks_before = list(state.p_mats)
         expect = (
             sum(b.size**2 * 8 for b in state.blocks)
@@ -267,7 +271,7 @@ class TestDeferredDowndate:
     def test_stored_triangle_untouched_between_flushes(self):
         """Per update only the pending buffers change -- the point of the
         deferral (no pass over P) -- and observers do not flush."""
-        state = _state(fused_update=True)
+        state = _state()
         stored = [p.copy() for p in state.p_mats]
         for _ in range(FLUSH_EVERY - 1):
             state.update(rng.normal(size=N), 0.1, 1.0)
@@ -279,7 +283,7 @@ class TestDeferredDowndate:
         assert not np.array_equal(stored[1], state.p_mats[1])
 
     def test_clone_mid_window_stays_checksum_equal(self):
-        state = _state(fused_update=True)
+        state = _state()
         grads = _mixed_gradients(2 * FLUSH_EVERY)
         for g in grads[:7]:
             state.update(g, 0.3, 2.0)
@@ -318,7 +322,7 @@ class TestGuards:
 
 class TestLifecycle:
     def test_clone_independent(self):
-        state = _state(fused_update=True)
+        state = _state()
         other = state.clone()
         state.update(rng.normal(size=N), 0.5, 1.0)
         assert other.checksum() != state.checksum()
@@ -332,7 +336,7 @@ class TestLifecycle:
         assert a.checksum() == b.checksum()
 
     def test_p_memory_bytes(self):
-        state = _state(blocksize=32)  # naive backend: blocks only
+        state = _state(dense=True)  # naive backend: blocks only
         expect = sum(b.size**2 * 8 for b in state.blocks)
         assert state.p_memory_bytes() == expect
 
@@ -343,8 +347,8 @@ class TestLifecycle:
         assert (large.lambda0, large.nu) == (0.90, 0.996)
 
     def test_for_batch_size_overrides(self):
-        cfg = KalmanConfig.for_batch_size(8, blocksize=128, fused_update=True)
-        assert cfg.blocksize == 128 and cfg.fused_update
+        cfg = KalmanConfig.for_batch_size(8, blocksize=128, coupled_gain=True)
+        assert cfg.blocksize == 128 and cfg.coupled_gain
 
     def test_for_batch_size_rejects_a_misspelt_field(self):
         with pytest.raises(TypeError, match="blocksze"):
@@ -353,6 +357,89 @@ class TestLifecycle:
     def test_blocks_must_cover_params(self):
         with pytest.raises(ValueError):
             KalmanState(N + 5, LAYERS, KalmanConfig(blocksize=32))
+
+    def test_fused_update_accepts_only_true_and_stores_nothing(self):
+        cfg = KalmanConfig(blocksize=32, fused_update=True)
+        assert "fused_update" not in vars(cfg) and cfg == KalmanConfig(blocksize=32)
+        assert KalmanConfig(**vars(cfg)) == cfg
+        with pytest.raises(ValueError, match="DenseKalmanState"):
+            KalmanConfig(fused_update=False)
+        with pytest.raises(ValueError, match="DenseKalmanState"):
+            replace(cfg, fused_update=False)
+        with pytest.raises(ValueError, match="DenseKalmanState"):
+            KalmanConfig.for_batch_size(8, fused_update=False)
+
+    def test_dense_clone_is_dense(self):
+        dense = _state(dense=True)
+        for g in _mixed_gradients(3):
+            dense.update(g, 0.3, 2.0)
+        twin = dense.clone()
+        assert type(twin) is DenseKalmanState and not twin.fused
+        g = rng.normal(size=N)
+        assert np.array_equal(twin.update(g, 0.3, 2.0), dense.update(g, 0.3, 2.0))
+        assert twin.checksum() == dense.checksum()
+
+
+class TestLoadPState:
+    """``load_p_state`` checks every shape before it changes anything: a
+    malformed checkpoint raises and leaves the filter as it was."""
+
+    @pytest.fixture()
+    def snap(self):
+        state = _state()
+        for g in _mixed_gradients(3):
+            state.update(g, 0.3, 2.0)
+        assert len(state.blocks) == 4 and state.pending == 3
+        return state, state.p_state()
+
+    def _assert_rejected(self, snap, **changes):
+        state, good = snap
+        bad = {**good, **changes}
+        for key, value in changes.items():
+            if value is None:
+                del bad[key]
+        target = _state()
+        target.update(rng.normal(size=N), 0.3, 2.0)
+        before = (target.checksum(), target.pending, [p.copy() for p in target.p_mats])
+        with pytest.raises(ValueError, match="pending"):
+            target.load_p_state(bad)
+        assert (target.checksum(), target.pending) == before[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(before[2], target.p_mats))
+
+    def test_good_snapshot_loads(self, snap):
+        state, good = snap
+        target = _state()
+        target.load_p_state(good)
+        target.p_scales, target.lam = list(state.p_scales), state.lam
+        assert target.pending == 3 and target.checksum() == state.checksum()
+
+    def test_pending_beta_with_too_few_rows(self, snap):
+        self._assert_rejected(snap, **{"kalman/pending_beta": snap[1]["kalman/pending_beta"][:1]})
+
+    def test_misshapen_pending_u(self, snap):
+        self._assert_rejected(snap, **{"kalman/pending_u1": snap[1]["kalman/pending_u1"][:, :2]})
+
+    def test_missing_pending_u(self, snap):
+        self._assert_rejected(snap, **{"kalman/pending_u2": None})
+
+    def test_p_scales_of_another_block_count(self, cu_model, cu_batch):
+        opt = FEKF(cu_model, KalmanConfig(blocksize=1024), seed=3)
+        opt.step_batch(cu_batch)
+        state = opt.state_dict()
+        lam, checksum = opt.kalman.lam, opt.kalman.checksum()
+        state["kalman/p_scales"] = state["kalman/p_scales"][:-1]
+        state["kalman/lam"] = np.array(0.5)
+        with pytest.raises(ValueError, match="p_scales"):
+            opt.load_state_dict(state)
+        assert (opt.kalman.lam, opt.kalman.checksum()) == (lam, checksum)
+
+    def test_dense_checkpoint_into_the_fused_filter(self, cu_model, cu_batch):
+        dense = OPT1.optimizer(cu_model, seed=3, blocksize=1024)
+        dense.step_batch(cu_batch)
+        state = dense.state_dict()
+        assert int(state["kalman/fused"]) == 0
+        with pytest.raises(ValueError, match="fused vs dense"):
+            FEKF(cu_model, KalmanConfig(blocksize=1024)).load_state_dict(state)
 
 
 class _LaunchLog(KernelCounter):
@@ -398,8 +485,10 @@ class TestLanes:
     @pytest.mark.parametrize("fused", [True, False])
     def test_two_lanes_match_one_bit_for_bit(self, cu_dataset, tiny_cfg, fused, coupled):
         model = DeePMD.for_dataset(cu_dataset, tiny_cfg, seed=1)
-        cfg = KalmanConfig(blocksize=64, fused_update=fused, coupled_gain=coupled)
-        one, two = FEKF(model, cfg), FEKF(model, cfg)
+        preset = OPT3 if fused else OPT1  # the fused filter, or the dense one
+        one, two = (
+            preset.optimizer(model, blocksize=64, coupled_gain=coupled) for _ in range(2)
+        )
         blocks = one.kalman.blocks
         one.kalman.lanes = [list(range(len(blocks)))]
         two.kalman.lanes = shard_blocks(blocks, 2)
@@ -432,7 +521,7 @@ class TestLanes:
     def test_forked_child_rebuilds_the_lane_threads(
         self, monkeypatch, cu_dataset, small_cfg
     ):
-        state = _state(fused_update=True)
+        state = _state()
         state.lanes = shard_blocks(state.blocks, 2)
         r = np.random.default_rng(9)
         state.update(r.normal(size=N), 0.3, 2.0)  # the helper thread now exists
@@ -444,7 +533,7 @@ class TestLanes:
         # the groups, a batch above the size constant
         monkeypatch.setattr(ekf_mod, "lane_count", lambda n: min(n, 2))
         model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True))
+        opt = FEKF(model, KalmanConfig(blocksize=1024))
         first, second = (make_batch(cu_dataset, np.arange(8) + k, small_cfg) for k in (0, 8))
         opt.step_batch(first)
         assert opt.stats()["force_lanes"] == 2
@@ -458,10 +547,10 @@ class TestLanes:
         under the thread executor) queue on the one helper pool; each
         still ends where it ends alone."""
         grads = _mixed_gradients(2 * FLUSH_EVERY + 3)
-        alone = _state(fused_update=True)
+        alone = _state()
         alone.lanes = [list(range(len(alone.blocks)))]
         expect = [alone.update(g, 0.3, 2.0) for g in grads]
-        states = [_state(fused_update=True) for _ in range(6)]
+        states = [_state() for _ in range(6)]
         results = [[] for _ in states]
 
         def drive(state, out):
@@ -492,7 +581,7 @@ class TestLanes:
     ):
         monkeypatch.setattr(lanes_mod, "blas_threads", lambda: threads)
         monkeypatch.setattr(lanes_mod.os, "sched_getaffinity", lambda pid: {0, 1})
-        state = _state(fused_update=True)
+        state = _state()
         assert len(state.lanes) == lanes
         assert sorted(i for lane in state.lanes for i in lane) == list(
             range(len(state.blocks))

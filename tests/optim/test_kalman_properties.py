@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.optim import KalmanConfig, KalmanState
 from repro.optim.kalman import FLUSH_EVERY
+from repro.perf.presets import DenseKalmanState
 
 LAYERS = [(0, 8), (1, 20), (2, 7)]
 N = 35
 
 
 def _state(fused=False):
-    return KalmanState(N, LAYERS, KalmanConfig(blocksize=16, fused_update=fused))
+    return (KalmanState if fused else DenseKalmanState)(N, LAYERS, KalmanConfig(blocksize=16))
 
 
 @settings(max_examples=30, deadline=None)

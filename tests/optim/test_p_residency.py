@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from repro.model import make_batch
-from repro.optim import FEKF, KalmanConfig, KalmanState
+from repro.optim import FEKF, KalmanConfig, KalmanState, NaiveEKF, make_optimizer
 from repro.optim.kalman import FLUSH_EVERY
 
 N = 4096
 
 
 def _fused(n=N):
-    cfg = KalmanConfig(blocksize=n, fused_update=True, p_trace_cap=np.inf)
+    cfg = KalmanConfig(blocksize=n, p_trace_cap=np.inf)
     return KalmanState(n, [(0, n)], cfg)
 
 
@@ -87,9 +87,9 @@ class TestResidency:
         assert np.array_equal(restored.pend_u[0][:, :5], state.pend_u[0][:, :5])
 
     def test_fekf_state_dict_round_trip(self, resident_bytes, cu_model, cu_dataset, small_cfg):
-        opt = FEKF(cu_model, KalmanConfig(blocksize=1024, fused_update=True))
+        opt = FEKF(cu_model, KalmanConfig(blocksize=1024))
         opt.step_batch(make_batch(cu_dataset, np.arange(2), small_cfg))
-        other = FEKF(cu_model, KalmanConfig(blocksize=1024, fused_update=True))
+        other = FEKF(cu_model, KalmanConfig(blocksize=1024))
         other.load_state_dict(opt.state_dict())
         for state in (opt.kalman, other.kalman):
             _assert_triangle_resident(state, resident_bytes)
@@ -104,6 +104,26 @@ class TestResidency:
         child.join()
         assert child.exitcode == 0
         assert state.p_mats[0][0, 0] == 1.0
+
+
+class TestDefaultIsTheTriangleFilter:
+    """No argument selects the P update: the default optimizers build the
+    deferred triangle filter."""
+
+    @pytest.mark.parametrize("build", ["FEKF", "make_optimizer", "NaiveEKF"])
+    def test_default_filter_defers_and_holds_the_triangle(
+        self, resident_bytes, cu_model, cu_dataset, small_cfg, build
+    ):
+        opt = {
+            "FEKF": lambda: FEKF(cu_model),
+            "make_optimizer": lambda: make_optimizer("fekf", cu_model),
+            "NaiveEKF": lambda: NaiveEKF(cu_model),
+        }[build]()
+        opt.step_batch(make_batch(cu_dataset, np.arange(2), small_cfg))
+        states = getattr(opt, "_replicas", None) or [opt.kalman]
+        for state in states:
+            assert type(state) is KalmanState and state.pending == 5
+            _assert_triangle_resident(state, resident_bytes)
 
 
 class TestByteIdentity:

@@ -10,7 +10,7 @@ from repro.parallel import DistributedFEKF
 
 
 def _kcfg():
-    return KalmanConfig(blocksize=1024, fused_update=True)
+    return KalmanConfig(blocksize=1024)
 
 
 class TestSerialEquivalence:

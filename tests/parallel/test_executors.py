@@ -36,7 +36,7 @@ from repro.telemetry import metrics as _metrics
 
 
 def _kcfg():
-    return KalmanConfig(blocksize=1024, fused_update=True)
+    return KalmanConfig(blocksize=1024)
 
 
 def _exists(pid: int) -> bool:

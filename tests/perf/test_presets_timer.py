@@ -1,14 +1,17 @@
 """Optimization presets and the Figure 7 profiler."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.autograd.config import config as ag_config
 from repro.model import DeePMD, make_batch
-from repro.optim import RLEKF
+from repro.optim import RLEKF, KalmanConfig, KalmanState, NaiveEKF
 from repro.optim.kalman import FLUSH_EVERY
 from repro.perf import BASELINE, OPT1, PRESET_ORDER, PRESETS, profile_update
-from repro.perf.presets import BaselineDeePMD
+from repro.perf.presets import BaselineDeePMD, DenseKalmanState
 from repro.telemetry import Tracer, summarize_phases
 
 
@@ -18,7 +21,7 @@ class TestPresets:
 
     def test_monotone_feature_enablement(self):
         flags = [
-            (p.model_class is DeePMD, p.fused_layers, p.fused_p_update)
+            (p.model_class is DeePMD, p.fused_layers, p.kalman_class is KalmanState)
             for p in (PRESETS[n] for n in PRESET_ORDER)
         ]
         for a, b in zip(flags, flags[1:]):
@@ -30,14 +33,17 @@ class TestPresets:
             assert ag_config.fused_elementwise
         assert not ag_config.fused_elementwise
 
-    def test_kalman_config_override(self):
-        cfg = PRESETS["opt3"].kalman_config(blocksize=512)
-        assert cfg.fused_update and cfg.blocksize == 512
-        assert not PRESETS["opt1"].kalman_config().fused_update
+    def test_kalman_config_override(self, cu_model):
+        opt = PRESETS["opt3"].optimizer(cu_model, blocksize=512, coupled_gain=True)
+        assert type(opt.kalman) is KalmanState
+        assert opt.kalman.cfg == KalmanConfig(blocksize=512, coupled_gain=True)
+        dense = PRESETS["opt1"].optimizer(cu_model, blocksize=512)
+        assert type(dense.kalman) is DenseKalmanState
+        assert dense.kalman.cfg == KalmanConfig(blocksize=512)
 
-    def test_misspelt_kalman_override_raises(self):
+    def test_misspelt_kalman_override_raises(self, cu_model):
         with pytest.raises(TypeError, match="blocksze"):
-            PRESETS["opt3"].kalman_config(blocksze=512)
+            PRESETS["opt3"].optimizer(cu_model, blocksze=512)
 
     def test_model_is_a_baseline_twin(self, cu_model, cu_batch):
         """The baseline model copies the weights, stats and bias and
@@ -54,7 +60,19 @@ class TestPresets:
     def test_optimizer_trains_the_preset_model(self, cu_model):
         opt = BASELINE.optimizer(cu_model, RLEKF, seed=5, blocksize=512)
         assert type(opt) is RLEKF and type(opt.model) is BaselineDeePMD
-        assert opt.kalman.cfg.blocksize == 512 and not opt.kalman.cfg.fused_update
+        assert opt.kalman.cfg.blocksize == 512 and type(opt.kalman) is DenseKalmanState
+
+    def test_dense_filter_survives_replicas_and_copies(self, cu_model, cu_batch):
+        """Naive-EKF's per-sample replicas, a deep copy and a pickle of a
+        dense-preset optimizer all keep the dense filter."""
+        opt = OPT1.optimizer(cu_model, NaiveEKF, seed=5, blocksize=512)
+        opt.step_batch(cu_batch)
+        assert len(opt._replicas) == cu_batch.batch_size
+        assert all(type(r) is DenseKalmanState and r.pending == 0 for r in opt._replicas)
+        for twin in (copy.deepcopy(opt), pickle.loads(pickle.dumps(opt))):
+            assert type(twin.kalman) is DenseKalmanState
+            assert all(type(r) is DenseKalmanState for r in twin._replicas)
+            assert twin.kalman.checksum() == opt.kalman.checksum()
 
 
 class TestProfiler:
@@ -148,7 +166,7 @@ class TestProfilerReconciliation:
         # FLUSH_EVERY (> 5) updates, so none lands inside it and the
         # single-update Kalman kernel count scales exactly
         assert opt.kalman.updates == 5 < FLUSH_EVERY
-        assert opt.kalman.pending == (5 if preset.fused_p_update else 0)
+        assert opt.kalman.pending == (5 if preset.kalman_class.fused else 0)
         pk = {
             phase: agg["kernels"]
             for phase, agg in summarize_phases(tracer.profiler.events).items()

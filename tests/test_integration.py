@@ -25,7 +25,7 @@ def trained():
     train, test = ds.split(0.8, seed=0)
     cfg = DeePMDConfig.scaled_down(rcut=3.5, nmax=16)
     model = DeePMD.for_dataset(train, cfg, seed=1)
-    opt = FEKF(model, KalmanConfig(blocksize=2048, fused_update=True))
+    opt = FEKF(model, KalmanConfig(blocksize=2048))
     result = Trainer(model, opt, train, test, batch_size=4, seed=0).run(max_epochs=6)
     return model, opt, train, test, result
 
@@ -50,7 +50,7 @@ class TestTrainingPipeline:
         cfg = DeePMDConfig.scaled_down(rcut=3.9, nmax=16)
 
         m_f = DeePMD.for_dataset(train, cfg, seed=1)
-        fekf = FEKF(m_f, KalmanConfig(blocksize=2048, fused_update=True))
+        fekf = FEKF(m_f, KalmanConfig(blocksize=2048))
         res_f = Trainer(m_f, fekf, train, test, batch_size=4, seed=0).run(max_epochs=5)
 
         m_a = DeePMD.for_dataset(train, cfg, seed=1)

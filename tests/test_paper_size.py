@@ -29,7 +29,7 @@ class TestPaperNetwork:
 
     def test_block_structure_at_paper_blocksize(self, paper_model, resident_bytes):
         model, _ = paper_model
-        opt = FEKF(model, KalmanConfig(blocksize=10240, fused_update=True))
+        opt = FEKF(model, KalmanConfig(blocksize=10240))
         shapes = block_shapes(opt.kalman.blocks)
         assert shapes == [1350, 10240, 9810, 5151]
         # the paper's Sec. 5.3 accounting: the logical bytes of the square
@@ -56,7 +56,7 @@ class TestPaperNetwork:
         """
         model, cfg = paper_model
         opt = FEKF(
-            model, KalmanConfig(blocksize=10240, fused_update=True)
+            model, KalmanConfig(blocksize=10240)
         )
         batch = make_batch(cu_dataset, np.arange(2), cfg)
         before = model.params.flatten()

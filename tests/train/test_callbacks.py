@@ -33,7 +33,7 @@ class Recorder(Callback):
 
 @pytest.fixture()
 def trainer(cu_model, cu_dataset):
-    opt = make_optimizer("fekf", cu_model, blocksize=1024, fused_update=True)
+    opt = make_optimizer("fekf", cu_model, blocksize=1024)
     return Trainer(cu_model, opt, cu_dataset, None, batch_size=8, seed=0,
                    eval_frames=4)
 
@@ -66,8 +66,7 @@ class TestDispatch:
         assert "lambda" in first.stats  # FEKF per-batch diagnostics
 
     def test_mid_epoch_evals_fire_on_eval_not_epoch_end(self, cu_model, cu_dataset):
-        opt = make_optimizer("fekf", cu_model, blocksize=1024,
-                             fused_update=True)
+        opt = make_optimizer("fekf", cu_model, blocksize=1024)
         t = Trainer(cu_model, opt, cu_dataset, None, batch_size=4, seed=0,
                     eval_frames=4, evals_per_epoch=2)
         rec = Recorder()
@@ -83,8 +82,7 @@ class TestDispatch:
 
 class TestConsoleShim:
     def test_verbose_equals_console_callback(self, cu_model, cu_dataset):
-        opt = make_optimizer("fekf", cu_model, blocksize=1024,
-                             fused_update=True)
+        opt = make_optimizer("fekf", cu_model, blocksize=1024)
         lines = []
         cb = ConsoleCallback(printer=lines.append)
         Trainer(cu_model, opt, cu_dataset, None, batch_size=8, seed=0,

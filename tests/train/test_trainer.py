@@ -39,7 +39,7 @@ class TestTargetCriterion:
 def trainer_parts(cu_dataset, small_cfg):
     train, test = cu_dataset.split(0.75, seed=0)
     model = DeePMD.for_dataset(train, small_cfg, seed=1)
-    opt = FEKF(model, KalmanConfig(blocksize=1024, fused_update=True))
+    opt = FEKF(model, KalmanConfig(blocksize=1024))
     return model, opt, train, test
 
 
