@@ -130,8 +130,8 @@ def _scenario_serve() -> Dict[str, float]:
 
     service = InferenceService(
         ModelSession(model),
-        ServeConfig(max_batch=4, max_delay_s=0.002, executor="thread",
-                    world_size=2, cache_predictions=False),
+        ServeConfig(max_batch=4, executor="thread", world_size=2,
+                    cache_predictions=False),
     )
 
     def client(k: int):

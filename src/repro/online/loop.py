@@ -162,10 +162,10 @@ class OnlineLearner:
         # the serving surface, started lazily in run
         frames = max(1, self.cfg.md_steps // self.cfg.sample_every)
         self.service = InferenceService(ensemble, ServeConfig(
-            # one exploration segment co-batches into one micro-batch,
-            # so every gate decision is single-version by construction
+            # the batcher serves a bundle of up to max_batch frames in one
+            # micro-batch, so one exploration segment's gate decision is
+            # single-version by construction
             max_batch=frames,
-            max_delay_s=0.005,
             max_queue=max(64, 4 * frames),
         ))
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 
@@ -10,18 +10,17 @@ from typing import Optional
 class ServeConfig:
     """Knobs of :class:`repro.serve.InferenceService`.
 
-    The two micro-batching triggers mirror every production inference
-    server: a batch is flushed as soon as it holds ``max_batch`` frames
-    *or* the oldest queued request has waited ``max_delay_s`` -- whichever
-    comes first.  Throughput comes from the first trigger, the latency
-    bound from the second.
+    The batcher is work-conserving: whenever it is free it flushes what
+    is queued, up to ``max_batch`` frames, so batches grow with load and
+    no request waits for batch-mates.
     """
 
-    #: frames per forward pass (the size flush trigger)
+    #: most frames per forward pass
     max_batch: int = 8
-    #: longest a queued request waits for batch-mates (the deadline flush
-    #: trigger); 2 ms keeps serving latency MD-step scale
-    max_delay_s: float = 0.002
+    #: retired (the batcher waits on no deadline): any value >= 0 is
+    #: accepted and ignored, and nothing is stored; ROADMAP 1(d) stops
+    #: perfbench passing it, after which the keyword goes
+    max_delay_s: InitVar[float] = 0.0
     #: bounded request queue -- submissions beyond this are rejected with
     #: :class:`repro.serve.ServeOverloaded` (backpressure, never OOM)
     max_queue: int = 64
@@ -48,10 +47,10 @@ class ServeConfig:
     #: the default only fires on a genuinely wedged batch)
     heartbeat_deadline_s: float = 5.0
 
-    def __post_init__(self):
+    def __post_init__(self, max_delay_s: float):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_delay_s < 0.0:
+        if max_delay_s < 0.0:
             raise ValueError("max_delay_s must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")

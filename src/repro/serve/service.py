@@ -8,12 +8,15 @@ multiplexing eight MD walkers onto one forward pass.
 
 Request path
 ------------
-``predict`` computes the frame fingerprint, consults the prediction
-cache, and on a miss enqueues the request into a bounded queue.  A
-single batcher thread collects compatible requests (same atom count,
-species, and cell) into micro-batches, flushing on whichever trigger
-fires first: ``max_batch`` frames or the oldest request aging past
-``max_delay_s``.  Each micro-batch becomes one neighbor-cached
+``predict_many`` (``predict`` is a bundle of one) fingerprints its
+frames, consults the prediction cache, and queues the misses as one
+*bundle*, admitted whole or refused whole.  A single work-conserving
+batcher thread flushes whatever compatible work (same atom count,
+species, and cell) is queued as soon as it is free: whole bundles in
+FIFO order up to ``max_batch`` frames, cutting only a bundle larger
+than that.  What arrives during a batch coalesces into the next one,
+so batches grow with load and no request waits on a timer.  Each
+micro-batch becomes one neighbor-cached
 :class:`DescriptorBatch`, sharded across the rank workers of a
 :mod:`repro.parallel.executor` backend and stitched back in rank order
 -- so results are bit-identical to a direct ``predict_many`` on the
@@ -25,8 +28,9 @@ Hot swap
 bumps the monotonic ``model_version``, records the payload for the lazy
 worker broadcast, and purges the prediction cache.  The batcher
 snapshots ``(version, payload)`` *once per micro-batch* and syncs
-workers before dispatch, so every batch -- and therefore every response
--- is computed entirely under a single version; requests in flight when
+workers before dispatch, so every batch -- and therefore every response,
+and every ``predict_many`` of up to ``max_batch`` frames -- is computed
+entirely under a single version; requests in flight when
 ``swap`` lands simply drain under the version they were dispatched with.
 Every :class:`~repro.model.Prediction` carries the version that produced
 it, which is what the swap tests assert on.
@@ -134,7 +138,8 @@ class InferenceService(InferenceSession):
         # reentrant: swap() and the batcher's fallback nest it under
         # their own holds
         self._swap_lock = TrackedRLock("serve.swap")
-        self._queue: list[_Request] = []
+        #: FIFO of bundles, each the queued misses of one predict_many
+        self._queue: list[list[_Request]] = []
         self._stopping = False
         self._drain = True
         self._started = False
@@ -268,11 +273,8 @@ class InferenceService(InferenceSession):
         cell: Cell,
         timeout: Optional[float] = None,
     ) -> Prediction:
-        """One frame through the micro-batching queue (blocking)."""
-        req = self._submit(positions, species, cell, timeout)
-        if isinstance(req, Prediction):
-            return req
-        return self._await(req)
+        """One frame through the batching queue (blocking)."""
+        return self.predict_many(np.asarray(positions)[None], species, cell, timeout)[0]
 
     def predict_many(
         self,
@@ -281,82 +283,76 @@ class InferenceService(InferenceSession):
         cell: Cell,
         timeout: Optional[float] = None,
     ) -> list[Prediction]:
-        """Submit every frame at once (they co-batch), then collect."""
+        """Submit the frames as one bundle, then collect: the cache misses
+        are admitted (and batched) whole, or all refused and counted so."""
         frames = np.asarray(frames, dtype=np.float64)
-        pending: list = []
-        try:
-            for pos in frames:
-                pending.append(self._submit(pos, species, cell, timeout))
-        except ServeError:
-            for item in pending:
-                if isinstance(item, _Request):
-                    self._cancel(item)
-            raise
-        return [
-            item if isinstance(item, Prediction) else self._await(item)
-            for item in pending
-        ]
-
-    def _submit(self, positions, species, cell, timeout):
-        """Cache-check then enqueue; returns a :class:`Prediction` on a
-        cache hit, else the queued :class:`_Request`."""
-        positions = np.asarray(positions, dtype=np.float64)
         species = np.asarray(species, dtype=np.int64)
-        c = self.cfg
-        fp = frame_fingerprint(positions, cell, c.rcut, c.nmax)
-        skey = species.tobytes()
+        c, skey, n = self.cfg, species.tobytes(), len(frames)
+        fps = [frame_fingerprint(pos, cell, c.rcut, c.nmax) for pos in frames]
+        lengths = np.asarray(cell.lengths, dtype=np.float64).tobytes()
+        group_key = (frames.shape[1], skey, lengths)
         timeout_s = self.config.request_timeout_s if timeout is None else float(timeout)
+        out: list = [None] * n
         with self._cond:
             if self._stopping or not self._started:
                 raise ServiceStopped("inference service is not running")
-            self._counts["requests"] += 1
-            _metrics.REGISTRY.counter("serve.requests").inc()
+            self._counts["requests"] += n
+            _metrics.REGISTRY.counter("serve.requests").inc(n)
             if self.config.cache_predictions:
-                hit = self._prediction_cache.get(
-                    (fp, skey, self._session.model_version)
-                )
-                if hit is not None:
-                    self._counts["cache_hits"] += 1
-                    self._counts["responses"] += 1
-                    _metrics.REGISTRY.counter("serve.cache_hits").inc()
-                    return replace(hit, cached=True)
-            if not self._admission.admits(len(self._queue)):
-                self._counts["rejected"] += 1
-                _metrics.REGISTRY.counter("serve.rejected").inc()
-                self._traffic.mark(errors=1.0)
-                self._admission.check(len(self._queue))  # raises ServeOverloaded
-            group_key = (
-                positions.shape[0],
-                skey,
-                np.asarray(cell.lengths, dtype=np.float64).tobytes(),
-            )
-            req = _Request(positions, species, cell, fp, group_key, timeout_s)
-            self._queue.append(req)
-            _metrics.REGISTRY.gauge("serve.queue_depth").set(len(self._queue))
-            self._cond.notify_all()
-        return req
+                version = self._session.model_version
+                out = [self._prediction_cache.get((fp, skey, version)) for fp in fps]
+            miss = [k for k, hit in enumerate(out) if hit is None]
+            depth = self._depth() + len(miss) - 1  # as the last miss queues
+            if miss and not self._admission.admits(depth):
+                self._counts["rejected"] += n
+                _metrics.REGISTRY.counter("serve.rejected").inc(n)
+                self._traffic.mark(n, errors=n)
+                self._admission.check(depth)  # raises ServeOverloaded
+            hits = n - len(miss)
+            if hits:
+                self._counts["cache_hits"] += hits
+                self._counts["responses"] += hits
+                _metrics.REGISTRY.counter("serve.cache_hits").inc(hits)
+                out = [None if hit is None else replace(hit, cached=True) for hit in out]
+            bundle = [
+                _Request(frames[k], species, cell, fps[k], group_key, timeout_s)
+                for k in miss
+            ]
+            if bundle:
+                self._queue.append(bundle)
+                _metrics.REGISTRY.gauge("serve.queue_depth").set(self._depth())
+                self._cond.notify()
+        if bundle:
+            for k, pred in zip(miss, self._await(bundle)):
+                out[k] = pred
+        return out
 
-    def _await(self, req: _Request) -> Prediction:
-        remaining = req.deadline - time.monotonic()
-        if not req.event.wait(timeout=max(remaining, 0.0)):
-            self._cancel(req)
-            # the batcher may have fulfilled it between expiry and cancel
-            if not req.event.is_set():
-                with self._cond:  # client threads race on the tally
-                    self._counts["timeouts"] += 1
-                _metrics.REGISTRY.counter("serve.timeouts").inc()
-                self._traffic.mark(errors=1.0)
-                raise ServeTimeout(f"request expired after {req.timeout_s}s")
-        if req.error is not None:
-            raise req.error
-        return req.prediction
+    def _depth(self) -> int:
+        """Queued frames (caller holds ``_cond``)."""
+        return sum(map(len, self._queue))
 
-    def _cancel(self, req: _Request) -> None:
-        with self._cond:
-            if not req.event.is_set():
-                req.cancelled = True
-                if req in self._queue:
-                    self._queue.remove(req)
+    def _await(self, bundle: list[_Request]) -> list[Prediction]:
+        for req in bundle:
+            req.event.wait(timeout=max(req.deadline - time.monotonic(), 0.0))
+        missed = [req for req in bundle if not req.event.is_set()]
+        if missed:
+            with self._cond:
+                # the batcher may have fulfilled some between expiry and
+                # here; the rest leave the queue (or _respond skips them)
+                missed = [req for req in missed if not req.event.is_set()]
+                for req in missed:
+                    req.cancelled = True
+                self._queue = [b for b in ([r for r in b if not r.cancelled]
+                                           for b in self._queue) if b]
+                self._counts["timeouts"] += len(missed)
+        if missed:
+            _metrics.REGISTRY.counter("serve.timeouts").inc(len(missed))
+            self._traffic.mark(len(missed), errors=len(missed))
+            raise ServeTimeout(f"request expired after {bundle[0].timeout_s}s")
+        for req in bundle:
+            if req.error is not None:
+                raise req.error
+        return [req.prediction for req in bundle]
 
     # ------------------------------------------------------------------
     # hot swap
@@ -414,8 +410,9 @@ class InferenceService(InferenceSession):
             self.heartbeats.done("serve-batcher")
 
     def _collect(self) -> Optional[list[_Request]]:
-        """Block until a flush trigger fires; returns one compatible
-        micro-batch (or ``None`` when stopped and done)."""
+        """Block until work is queued, then flush it at once: whole bundles
+        compatible with the head, in FIFO order, until one does not fit in
+        ``max_batch`` (``None`` when stopped and done)."""
         cfg = self.config
         with self._cond:
             while True:
@@ -424,27 +421,25 @@ class InferenceService(InferenceSession):
                 self.heartbeats.beat("serve-batcher")
                 if self._stopping and not self._drain:
                     return None  # _fail_remaining rejects whatever is queued
-                self._queue = [r for r in self._queue if not r.cancelled]
                 if self._queue:
                     break
                 if self._stopping:
                     return None
                 self._cond.wait(timeout=0.05)
-            head = self._queue[0]
-            flush_at = time.monotonic() + cfg.max_delay_s
-            while True:
-                self.heartbeats.beat("serve-batcher")
-                group = [
-                    r for r in self._queue
-                    if not r.cancelled and r.group_key == head.group_key
-                ][: cfg.max_batch]
-                now = time.monotonic()
-                if len(group) >= cfg.max_batch or now >= flush_at or self._stopping:
-                    for r in group:
-                        self._queue.remove(r)
-                    _metrics.REGISTRY.gauge("serve.queue_depth").set(len(self._queue))
-                    return group
-                self._cond.wait(timeout=flush_at - now)
+            head, *rest = self._queue
+            group, kept = head[: cfg.max_batch], [head[cfg.max_batch:]]
+            room = cfg.max_batch - len(group)
+            for bundle in rest:
+                if bundle[0].group_key == head[0].group_key:
+                    if len(bundle) <= room:
+                        group += bundle
+                        room -= len(bundle)
+                        continue
+                    room = 0
+                kept.append(bundle)
+            self._queue = [b for b in kept if b]
+            _metrics.REGISTRY.gauge("serve.queue_depth").set(self._depth())
+            return group
 
     def _sync_workers_locked(self) -> None:
         """Broadcast the pending swap payload (caller holds _swap_lock);
@@ -555,29 +550,31 @@ class InferenceService(InferenceSession):
     def _respond(self, group: list[_Request], out: dict, version: int) -> None:
         e_std = out.get("energy_std")
         dev = out.get("max_force_dev")
-        self._counts["batches"] += 1
-        _metrics.REGISTRY.counter("serve.batches").inc()
-        self._occupancy.observe(len(group))
-        _metrics.REGISTRY.histogram("serve.batch_occupancy").observe(len(group))
         now = time.perf_counter()
-        for t, req in enumerate(group):
-            pred = Prediction(
-                energy=float(out["energy"][t]),
-                forces=out["forces"][t],
-                model_version=version,
-                energy_std=None if e_std is None else float(e_std[t]),
-                max_force_dev=None if dev is None else float(dev[t]),
-            )
-            with self._cond:
+        answered = []
+        with self._cond:
+            self._counts["batches"] += 1
+            for t, req in enumerate(group):
+                pred = Prediction(
+                    energy=float(out["energy"][t]),
+                    forces=out["forces"][t],
+                    model_version=version,
+                    energy_std=None if e_std is None else float(e_std[t]),
+                    max_force_dev=None if dev is None else float(dev[t]),
+                )
                 if self.config.cache_predictions:
                     self._prediction_cache.put(
                         (req.fingerprint, req.group_key[1], version), pred
                     )
-                if req.cancelled:
-                    continue
-                req.prediction = pred
-                self._counts["responses"] += 1
-                req.event.set()
+                if not req.cancelled:
+                    req.prediction = pred
+                    req.event.set()
+                    answered.append(req)
+            self._counts["responses"] += len(answered)
+        _metrics.REGISTRY.counter("serve.batches").inc()
+        self._occupancy.observe(len(group))
+        _metrics.REGISTRY.histogram("serve.batch_occupancy").observe(len(group))
+        for req in answered:
             latency = now - req.t_submit
             self._latency.observe(latency)
             self._latency_window.observe(latency)
@@ -586,8 +583,8 @@ class InferenceService(InferenceSession):
 
     def _fail_remaining(self) -> None:
         with self._cond:
-            for req in self._queue:
-                if not req.event.is_set():
+            for bundle in self._queue:
+                for req in bundle:
                     req.error = ServiceStopped("service stopped before dispatch")
                     req.event.set()
             self._queue = []
@@ -611,7 +608,7 @@ class InferenceService(InferenceSession):
         lat = self._latency.summary()
         lat["p99"] = self._latency.percentile(99)
         with self._cond:
-            depth = len(self._queue)
+            depth = self._depth()
         return {
             **dict(self._counts),
             "model_version": self._session.model_version,
@@ -631,7 +628,7 @@ class InferenceService(InferenceSession):
         (:func:`repro.telemetry.monitor.default_serve_rules`) evaluate.
         """
         with self._cond:
-            depth = len(self._queue)
+            depth = self._depth()
         capacity = max(self.config.max_queue, 1)
         return {
             "started": self._started,

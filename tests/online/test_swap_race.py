@@ -22,7 +22,7 @@ class TestSwapRace:
         """swap() racing in-flight predict_many: every micro-batch is
         computed under exactly one version snapshot, so a batch of
         co-submitted frames never mixes versions."""
-        cfg = ServeConfig(max_batch=4, max_delay_s=0.25, cache_predictions=False)
+        cfg = ServeConfig(max_batch=4, cache_predictions=False)
         payload = ensemble.state_dicts()
         rng = np.random.default_rng(3)
         base = cu_dataset.positions[:4]
@@ -56,7 +56,7 @@ class TestSwapRace:
     def test_gate_decisions_are_single_version_under_swaps(
         self, ensemble, cu_dataset
     ):
-        cfg = ServeConfig(max_batch=4, max_delay_s=0.25, cache_predictions=False)
+        cfg = ServeConfig(max_batch=4, cache_predictions=False)
         payload = ensemble.state_dicts()
         rng = np.random.default_rng(5)
         base = cu_dataset.positions[:4]
@@ -86,7 +86,7 @@ class TestSwapRace:
     def test_swap_purges_version_keyed_cache(self, ensemble, cu_dataset):
         """A swap must be visible to the very next request: the cached
         old-version prediction may not be served again."""
-        cfg = ServeConfig(max_batch=1, max_delay_s=0.0, cache_predictions=True)
+        cfg = ServeConfig(max_batch=1, cache_predictions=True)
         frame = cu_dataset.positions[0]
         with InferenceService(ensemble, cfg) as svc:
             first = svc.predict(frame, cu_dataset.species, cu_dataset.cell)
@@ -104,7 +104,7 @@ class TestSwapRace:
             assert warm.model_version == version
 
     def test_swap_purge_visible_to_next_gate_decision(self, ensemble, cu_dataset):
-        cfg = ServeConfig(max_batch=4, max_delay_s=0.05, cache_predictions=True)
+        cfg = ServeConfig(max_batch=4, cache_predictions=True)
         frames = cu_dataset.positions[:3]
         with InferenceService(ensemble, cfg) as svc:
             gate = UncertaintyGate(

@@ -119,7 +119,7 @@ class TestStalledServeWorker:
     @pytest.fixture()
     def service(self, cu_model, cu_dataset):
         cfg = ServeConfig(
-            max_batch=2, max_delay_s=0.001, executor="thread", world_size=1,
+            max_batch=2, executor="thread", world_size=1,
             window_s=2.0, heartbeat_deadline_s=0.3,
             cache_predictions=False, cache_neighbors=False,
         )

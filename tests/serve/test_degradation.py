@@ -57,7 +57,7 @@ class TestBackpressure:
     def test_full_queue_rejects_with_overloaded(self, cu_model, system):
         frames, species, cell = system
         gate = threading.Event()
-        cfg = ServeConfig(max_batch=1, max_delay_s=0.0, max_queue=2)
+        cfg = ServeConfig(max_batch=1, max_queue=2)
         svc = InferenceService(GatedSession(ModelSession(cu_model), gate), cfg)
         with svc:
             background = []
@@ -89,7 +89,7 @@ class TestTimeout:
     def test_request_expires_while_batcher_busy(self, cu_model, system):
         frames, species, cell = system
         gate = threading.Event()
-        cfg = ServeConfig(max_batch=1, max_delay_s=0.0, request_timeout_s=0.2)
+        cfg = ServeConfig(max_batch=1, request_timeout_s=0.2)
         svc = InferenceService(GatedSession(ModelSession(cu_model), gate), cfg)
         with svc:
             with pytest.raises(ServeTimeout):
@@ -105,7 +105,7 @@ class TestTimeout:
     def test_per_call_timeout_overrides_config(self, cu_model, system):
         frames, species, cell = system
         gate = threading.Event()
-        cfg = ServeConfig(max_batch=1, max_delay_s=0.0, request_timeout_s=60.0)
+        cfg = ServeConfig(max_batch=1, request_timeout_s=60.0)
         svc = InferenceService(GatedSession(ModelSession(cu_model), gate), cfg)
         with svc:
             t0 = time.perf_counter()
@@ -122,7 +122,7 @@ class TestTimeout:
         frames, species, cell = system
         gate = threading.Event()
         n = 16
-        cfg = ServeConfig(max_batch=1, max_delay_s=0.0, max_queue=n + 1)
+        cfg = ServeConfig(max_batch=1, max_queue=n + 1)
         svc = InferenceService(GatedSession(ModelSession(cu_model), gate), cfg)
         start = threading.Barrier(n)
         expired = []
@@ -165,7 +165,7 @@ class TestShutdown:
     def test_stop_without_drain_fails_queued_requests(self, cu_model, system):
         frames, species, cell = system
         gate = threading.Event()
-        cfg = ServeConfig(max_batch=1, max_delay_s=0.0, max_queue=8)
+        cfg = ServeConfig(max_batch=1, max_queue=8)
         svc = InferenceService(GatedSession(ModelSession(cu_model), gate), cfg)
         svc.start()
         outcomes: list = []
@@ -193,7 +193,7 @@ class TestShutdown:
 
     def test_drain_completes_queued_requests(self, cu_model, system):
         frames, species, cell = system
-        cfg = ServeConfig(max_batch=4, max_delay_s=0.05)
+        cfg = ServeConfig(max_batch=4)
         svc = InferenceService(ModelSession(cu_model), cfg)
         svc.start()
         preds = svc.predict_many(frames[:3], species, cell)

@@ -1,12 +1,15 @@
 """InferenceService basics: bit-identity, micro-batching, caching."""
 
+import dataclasses
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.model import ModelEnsemble, ModelSession, frames_to_batch
-from repro.serve import InferenceService, ServeConfig
+from repro.serve import InferenceService, ServeConfig, ServeOverloaded
 from repro.serve import service as service_mod
 from repro.telemetry import Tracer
 
@@ -56,30 +59,173 @@ class TestBitIdentity:
             assert d.max_force_dev == s.max_force_dev
 
 
+@pytest.fixture()
+def gated_batches(monkeypatch):
+    """Record every assembled batch's size; each assembly signals
+    ``entered`` and then blocks until ``gate`` is set, which holds the
+    batcher busy so that the queue behind it fills in a known order."""
+    sizes, entered, gate = [], threading.Event(), threading.Event()
+    assemble = service_mod.frames_to_batch
+
+    def spy(frames, *args, **kwargs):
+        sizes.append(len(frames))
+        entered.set()
+        assert gate.wait(timeout=30.0), "test gate never opened"
+        return assemble(frames, *args, **kwargs)
+
+    monkeypatch.setattr(service_mod, "frames_to_batch", spy)
+    return sizes, entered, gate
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def _in_background(fn, *args):
+    t = threading.Thread(target=fn, args=args)
+    t.start()
+    return t
+
+
+def _join_all(threads, timeout=30.0):
+    for t in threads:
+        t.join(timeout=timeout)
+    assert not any(t.is_alive() for t in threads), "a client never finished"
+
+
 class TestMicroBatching:
-    def test_concurrent_clients_share_batches(self, cu_model, system):
-        """Eight concurrent clients with a generous deadline must produce
-        fewer forward batches than requests (i.e. real co-batching)."""
+    def test_concurrent_clients_share_batches(self, cu_model, system, gated_batches):
+        """Requests that arrive while a batch runs coalesce into the next
+        batch: one batch in flight, seven single frames queued behind it,
+        exactly two batches."""
         frames, species, cell = system
-        cfg = ServeConfig(max_batch=8, max_delay_s=0.1, cache_predictions=False)
+        sizes, entered, gate = gated_batches
+        cfg = ServeConfig(max_batch=8, cache_predictions=False)
         results = {}
         with InferenceService(ModelSession(cu_model), cfg) as svc:
-            barrier = threading.Barrier(8)
-
             def client(k):
-                barrier.wait()
                 results[k] = svc.predict(frames[k % len(frames)], species, cell)
 
-            threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            threads = [_in_background(client, 0)]
+            assert entered.wait(timeout=10.0)
+            threads += [_in_background(client, k) for k in range(1, 8)]
+            _wait_until(lambda: svc.stats()["queue_depth"] == 7)
+            gate.set()
+            _join_all(threads)
             stats = svc.stats()
-        assert len(results) == 8
-        assert stats["responses"] == 8
-        assert stats["batches"] < 8
-        assert stats["batch_occupancy"]["max"] > 1
+        assert len(results) == 8 and stats["responses"] == 8
+        assert sizes == [1, 7]
+        assert stats["batches"] == 2 and stats["batch_occupancy"]["max"] == 7
+
+    def test_lone_request_does_not_wait_for_mates(self, cu_model, system):
+        """With no other work queued, a request is flushed at once: the
+        retired ``max_delay_s`` is ignored, however long."""
+        frames, species, cell = system
+        cfg = ServeConfig(max_batch=8, max_delay_s=1.0, cache_predictions=False)
+        with InferenceService(ModelSession(cu_model), cfg) as svc:
+            t0 = time.perf_counter()
+            svc.predict(frames[0], species, cell)
+            assert time.perf_counter() - t0 < 0.5
+
+    def test_bundle_served_in_one_batch_under_one_version(
+        self, cu_model, system, gated_batches, monkeypatch
+    ):
+        """Batches take whole bundles in FIFO order: a 4-frame bundle queued
+        behind a single frame does not fit beside it in ``max_batch`` 4, so
+        it waits for the next batch instead of being split.  Every batch
+        here swaps the weights, so a split bundle would mix versions."""
+        frames, species, cell = system
+        sizes, entered, gate = gated_batches
+        cfg = ServeConfig(max_batch=4, cache_predictions=False)
+        state = cu_model.state_dict()
+        got = []
+        with InferenceService(ModelSession(cu_model), cfg) as svc:
+            assemble = service_mod.frames_to_batch
+
+            def swapping(*args, **kwargs):
+                batch = assemble(*args, **kwargs)
+                svc.swap(state)  # the next batch runs under a new version
+                return batch
+
+            monkeypatch.setattr(service_mod, "frames_to_batch", swapping)
+            first = _in_background(svc.predict, frames[0], species, cell)
+            assert entered.wait(timeout=10.0)
+            single = _in_background(svc.predict, frames[1], species, cell)
+            _wait_until(lambda: svc.stats()["queue_depth"] == 1)
+            bundle = _in_background(
+                lambda: got.extend(svc.predict_many(frames[2:6], species, cell))
+            )
+            _wait_until(lambda: svc.stats()["queue_depth"] == 5)
+            gate.set()
+            _join_all([first, single, bundle])
+        assert sizes == [1, 1, 4]
+        assert len(got) == 4 and len({p.model_version for p in got}) == 1
+
+    def test_rejected_bundle_never_reaches_assembly(self, cu_model, system, gated_batches):
+        """A bundle that does not fit the queue is refused whole: none of
+        its frames is batched, and every frame counts as requested and
+        rejected."""
+        frames, species, cell = system
+        sizes, _, gate = gated_batches
+        gate.set()
+        cfg = ServeConfig(max_batch=4, max_queue=2, cache_predictions=False)
+        with InferenceService(ModelSession(cu_model), cfg) as svc:
+            with pytest.raises(ServeOverloaded):
+                svc.predict_many(frames[:3], species, cell)
+            stats = svc.stats()
+            assert sizes == []
+            assert (stats["requests"], stats["rejected"], stats["responses"]) == (3, 3, 0)
+            assert stats["queue_depth"] == 0
+            svc.predict_many(frames[:2], species, cell)
+            stats = svc.stats()
+        assert sizes == [2]
+        assert stats["requests"] == stats["responses"] + stats["rejected"] == 5
+
+    def test_bundles_under_contention_keep_counts_and_versions(self, cu_model, system):
+        """More clients than cores, a tiny switch interval and a swapper:
+        every frame is answered once, batch sizes add up to the responses,
+        and no bundle of up to ``max_batch`` frames mixes versions."""
+        frames, species, cell = system
+        cfg = ServeConfig(max_batch=4, cache_predictions=False)
+        state = cu_model.state_dict()
+        rng = np.random.default_rng(11)
+        work = [
+            [frames[rng.integers(0, len(frames), 1 + (k + j) % 4)]
+             + rng.normal(scale=1e-4, size=(1 + (k + j) % 4,) + frames.shape[1:])
+             for j in range(5)]
+            for k in range(6)
+        ]
+        mixed, stop = [], threading.Event()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with InferenceService(ModelSession(cu_model), cfg) as svc:
+                def client(k):
+                    for bundle in work[k]:
+                        preds = svc.predict_many(bundle, species, cell, timeout=30.0)
+                        if len({p.model_version for p in preds}) != 1:
+                            mixed.append(k)
+
+                def swapper():
+                    while not stop.is_set():
+                        svc.swap(state)
+                        time.sleep(0.001)
+
+                threads = [_in_background(client, k) for k in range(6)]
+                swaps = _in_background(swapper)
+                _join_all(threads)
+                stop.set()
+                _join_all([swaps])
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(old_interval)
+        n = sum(len(b) for per in work for b in per)
+        assert stats["requests"] == stats["responses"] == n
+        assert stats["batch_occupancy"]["sum"] == n
+        assert not mixed
 
     def test_incompatible_frames_batched_separately(
         self, cu_model, cu_dataset, nacl_dataset
@@ -87,7 +233,7 @@ class TestMicroBatching:
         """Requests for different systems must never co-batch; both still
         get answered (the NaCl model here is the Cu model -- only shapes
         matter for grouping)."""
-        cfg = ServeConfig(max_batch=4, max_delay_s=0.05)
+        cfg = ServeConfig(max_batch=4)
         with InferenceService(ModelSession(cu_model), cfg) as svc:
             cu = svc.predict(
                 cu_dataset.positions[0], cu_dataset.species, cu_dataset.cell
@@ -185,7 +331,7 @@ class TestBatchedNeighbors:
     def test_mixed_batch_equals_all_miss_and_direct(self, cu_model, small_cfg, system, spies):
         frames, species, cell = system
         batches, kernel_frames = spies
-        cfg = ServeConfig(cache_predictions=False, max_batch=4, max_delay_s=1.0)
+        cfg = ServeConfig(cache_predictions=False, max_batch=4)
         with Tracer() as tr:
             with InferenceService(ModelSession(cu_model), cfg) as svc:
                 svc.predict_many(frames[1:3], species, cell)  # warms 2 frames
@@ -207,7 +353,7 @@ class TestBatchedNeighbors:
     def test_cached_tables_not_rebuilt(self, cu_model, system, spies):
         frames, species, cell = system
         _, kernel_frames = spies
-        cfg = ServeConfig(cache_predictions=False, max_batch=3, max_delay_s=1.0)
+        cfg = ServeConfig(cache_predictions=False, max_batch=3)
         with InferenceService(ModelSession(cu_model), cfg) as svc:
             svc.predict_many(frames[:3], species, cell)
             svc.predict_many(frames[:3], species, cell)
@@ -218,9 +364,7 @@ class TestBatchedNeighbors:
     def test_cache_disabled_builds_every_frame(self, cu_model, system, spies):
         frames, species, cell = system
         _, kernel_frames = spies
-        cfg = ServeConfig(
-            cache_predictions=False, cache_neighbors=False, max_batch=2, max_delay_s=1.0
-        )
+        cfg = ServeConfig(cache_predictions=False, cache_neighbors=False, max_batch=2)
         with InferenceService(ModelSession(cu_model), cfg) as svc:
             svc.predict_many(frames[:2], species, cell)
             svc.predict_many(frames[:2], species, cell)
@@ -232,7 +376,7 @@ class TestConfig:
         "kwargs",
         [
             {"max_batch": 0},
-            {"max_delay_s": -1.0},
+            {"heartbeat_deadline_s": 0.0},
             {"max_queue": 0},
             {"request_timeout_s": 0.0},
             {"world_size": 0},
@@ -242,3 +386,16 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
+
+    def test_max_delay_s_accepted_ignored_and_not_stored(self):
+        """The retired deadline keyword: any value >= 0 passes and leaves
+        no trace in the config; a negative one is still rejected."""
+        for value in (0.0, 0.002, 1.0):
+            cfg = ServeConfig(max_batch=4, max_delay_s=value)
+            assert "max_delay_s" not in vars(cfg) and cfg == ServeConfig(max_batch=4)
+            assert ServeConfig(**vars(cfg)) == cfg
+        assert "max_delay_s" not in {f.name for f in dataclasses.fields(ServeConfig)}
+        with pytest.raises(ValueError, match="max_delay_s"):
+            ServeConfig(max_delay_s=-1.0)
+        with pytest.raises(ValueError, match="max_delay_s"):
+            dataclasses.replace(ServeConfig(), max_delay_s=-0.5)

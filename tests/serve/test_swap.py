@@ -85,7 +85,7 @@ class TestConcurrentSwap:
             [ModelSession(m).predict(p, sp, cell).energy for p in pool]
             for m in models
         ]
-        cfg = ServeConfig(max_batch=4, max_delay_s=0.005)
+        cfg = ServeConfig(max_batch=4)
         responses: list = []
         errors: list = []
         with InferenceService(ModelSession(models[0]), cfg) as svc:
