@@ -36,7 +36,7 @@ from ..model.network import DeePMD
 from ..model.session import InferenceSession
 from ..optim.base import load_ensemble_state
 from ..optim.ekf import FEKF
-from ..optim.kalman import KalmanConfig, bind_blas
+from ..optim.kalman import KalmanConfig, bind_kernels
 from ..parallel.executor import Executor, make_executor
 from ..runtime import capture_mode, merge_worker_telemetry, run_task
 from ..telemetry import metrics as _metrics
@@ -353,7 +353,7 @@ class IncrementalTrainer:
         #: arrives (the online loop beats its trainer heartbeat on it)
         self.on_member_result: Optional[Callable[[int], None]] = None
         self.executor.on_result = self._member_done
-        bind_blas()  # before process ranks fork from this one
+        bind_kernels()  # before process ranks fork from this one
         self.executor.start(self._spec)
         #: parent-side members over the live ensemble models, built on
         #: first demand; ``_local_current`` says their filters are the

@@ -88,6 +88,9 @@ class FEKF:
     """
 
     name = "FEKF"
+    #: the filter the constructor builds; Figure 7's dense presets set it
+    #: on the instance before ``__init__`` runs (``perf.presets.Preset``)
+    kalman_class: type = KalmanState
 
     def __init__(
         self,
@@ -102,7 +105,7 @@ class FEKF:
     ):
         self.model = model
         cfg = kalman_cfg or KalmanConfig()
-        self.kalman = KalmanState(model.num_params, model.params.layer_sizes(), cfg)
+        self.kalman = self.kalman_class(model.num_params, model.params.layer_sizes(), cfg)
         self.n_force_splits = int(n_force_splits)
         #: the per-shard gradient math, shared (same model object) with the
         #: rank workers of the data-parallel trainer
@@ -274,7 +277,9 @@ class FEKF:
         Under the shared force graph the groups' gradients are all swept
         before the first force update, on up to one lane per idle core
         (:meth:`_group_gradients`); the force updates then run in group
-        order, so the result does not depend on the lane count."""
+        order through :meth:`KalmanState.update_many` (one pass over P for
+        the four of them, the bits of four ``update`` calls), so the
+        result does not depend on the lane count."""
         scale = (
             float(np.sqrt(batch.batch_size))
             if self.step_scale is None
@@ -291,12 +296,14 @@ class FEKF:
         if self.reuse_force_graph:
             # every group's gradient comes from the one graph built at the
             # post-energy-update weights (unflatten replaces the weight
-            # arrays, so no increment reaches it)
-            for gi, (g, f_abe) in enumerate(self._group_gradients(batch, groups)):
-                with _span("fekf.kalman", kind="force", group=gi, step=self.step_count):
-                    dw = self.kalman.update(g, f_abe, scale)
+            # arrays, so no increment reaches it); so all of them are known
+            # before the first force update, and one pass over P serves all
+            grads = self._group_gradients(batch, groups)
+            with _span("fekf.kalman", kind="force", groups=len(grads), step=self.step_count):
+                dws = self.kalman.update_many(grads, scale)
+            for dw in dws:
                 self.apply_increment(dw)
-                f_abes.append(f_abe)
+            f_abes = [f_abe for _, f_abe in grads]
         else:
             self._force_lanes = 1
             for gi, group in enumerate(groups):

@@ -19,8 +19,13 @@ the triangle, so the block the filter means is
 
     P_eff = scale * (P_stored - U diag(beta) U^T)
 
-and the cached product is ``P_eff g = scale * (dsymv(P_stored, g) -
-U (beta * (U^T g)))`` -- one triangle read plus an O(n k) correction.
+and the cached product is ``P_eff g = scale * (P_stored g - U (beta *
+(U^T g)))`` -- one triangle read plus an O(n k) correction.  The triangle
+read is a hand-written kernel (:mod:`repro.optim.tri_kernel`), not
+``dsymv``: ``P_stored`` holds between flushes, so updates whose
+gradients are known together (FEKF's four force groups under the shared
+force graph, :meth:`KalmanState.update_many`) share one read of it, and
+each column gets the bits a one-column read gives it.
 Every :data:`FLUSH_EVERY` updates the pending pairs are applied in *one*
 in-place rank-k pass over the triangle (BLAS ``dsyrk``).  Per update the P
 traffic drops from 1.5 |P| (symv read + syr read/write) to 0.5 |P| +
@@ -35,10 +40,11 @@ Figure 7's baseline, :class:`repro.perf.presets.DenseKalmanState`.
 The blocks are independent inside the two passes over P, so each state
 splits them into *lanes* (:func:`~repro.optim.blocks.shard_blocks`, one
 per core the BLAS leaves idle, see :mod:`repro.optim.lanes`): every
-update's per-block ``P_eff g`` and every block's flush run on the lanes,
-the caller's thread taking lane 0.  The BLAS calls go through scipy's
-``cython_blas`` C entry points with ``ctypes``, which release the GIL
-(its f2py wrappers do not).  Each block has exactly one writer lane and
+pass's per-block ``P_stored G``, every update's per-block correction and
+every block's flush run on the lanes, the caller's thread taking lane 0.
+The kernel and the BLAS calls (scipy's ``cython_blas`` C entry points)
+go through ``ctypes``, which releases the GIL (scipy's f2py wrappers do
+not).  Each block has exactly one writer lane and
 everything between the two passes -- gains, downdate parking, the guard,
 lambda, the step clip and the kernel-launch records, in block order --
 stays on the caller's thread, so the result is bit-identical for any
@@ -66,6 +72,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..autograd.instrument import record_launch, register_op
+from . import tri_kernel
 from .blocks import Block, shard_blocks, split_blocks
 from .lanes import lane_count, map_lanes
 
@@ -124,8 +131,9 @@ def _triangle_block(n: int, src: np.ndarray | None = None) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# GIL-free BLAS: the Fortran routines behind scipy.linalg.cython_blas,
-# called through ctypes (which drops the GIL for the call)
+# GIL-free kernels: the hand-written P.G pass (``tri_kernel``) and the
+# Fortran BLAS behind scipy.linalg.cython_blas, called through ctypes
+# (which drops the GIL for the call)
 # ----------------------------------------------------------------------
 _capsule_name = ctypes.pythonapi.PyCapsule_GetName
 _capsule_name.restype, _capsule_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
@@ -135,15 +143,16 @@ _capsule_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
 
 
 @functools.cache
-def bind_blas() -> SimpleNamespace:
-    """The BLAS routines of the Kalman kernels, bound on first use, not at
-    import: scipy costs ~25 MB of RSS that a process which never runs a
-    filter (a server, a labeler) should not pay.  Every
-    :class:`KalmanState` binds them when it is built, on the caller's
-    thread, before any of its lanes runs.  A process that forks ranks
-    which will build filters binds first, so the ranks share its scipy
-    instead of each importing their own (~0.3 s of CPU and ~4k page
-    faults per rank, inside the caller's first round)."""
+def bind_kernels() -> SimpleNamespace:
+    """The Kalman kernels, bound on first use, not at import: scipy costs
+    ~25 MB of RSS that a process which never runs a filter (a server, a
+    labeler) should not pay, and the P.G kernel may have to be compiled
+    (:mod:`repro.optim.tri_kernel`).  Every :class:`KalmanState` binds
+    them when it is built, on the caller's thread, before any of its
+    lanes runs.  A process that forks ranks which will build filters
+    binds first, so the ranks share its scipy and its library instead of
+    each loading their own (~0.3 s of CPU and ~4k page faults per rank,
+    inside the caller's first round)."""
     from scipy.linalg import cython_blas
 
     def bind(name: str, n_args: int):
@@ -152,7 +161,7 @@ def bind_blas() -> SimpleNamespace:
         return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(addr)
 
     return SimpleNamespace(
-        dsymv=bind("dsymv", 10), dgemv=bind("dgemv", 11), dsyrk=bind("dsyrk", 10)
+        tri_pg=tri_kernel.load(), dgemv=bind("dgemv", 11), dsyrk=bind("dsyrk", 10)
     )
 
 
@@ -174,27 +183,29 @@ def _ptr(a: np.ndarray, shape: tuple) -> int:
     return a.ctypes.data
 
 
-def _symv(alpha: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``alpha * A x`` from the upper triangle of the n x n block ``a``."""
-    n = x.shape[0]
-    y = np.zeros(n)
-    bind_blas().dsymv(b"U", _i(n), _d(alpha), _ptr(a, (n, n)), _i(n), _ptr(x, (n,)),
-                      _i(1), _d(0.0), _ptr(y, (n,)), _i(1))
+def _tri_pg(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``A G`` from the upper triangle of the n x n block ``a``, read once
+    per 4 columns of the n x m ``g`` (m == 1 or a multiple of 4)."""
+    n, m = g.shape
+    if m != 1 and m % 4:
+        raise ValueError(f"the P.G kernel takes 1 or 4k columns, got {m}")
+    y = np.empty((n, m), order="F")
+    bind_kernels().tri_pg(n, _ptr(a, (n, n)), _ptr(g, (n, m)), _ptr(y, (n, m)), m)
     return y
 
 
 def _gemv_into(alpha: float, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """``y += alpha * A x`` in place, ``a`` n x k."""
     n, k = a.shape
-    bind_blas().dgemv(b"N", _i(n), _i(k), _d(alpha), _ptr(a, (n, k)), _i(n),
-                      _ptr(x, (k,)), _i(1), _d(1.0), _ptr(y, (n,)), _i(1))
+    bind_kernels().dgemv(b"N", _i(n), _i(k), _d(alpha), _ptr(a, (n, k)), _i(n),
+                         _ptr(x, (k,)), _i(1), _d(1.0), _ptr(y, (n,)), _i(1))
 
 
 def _syrk_into(alpha: float, w: np.ndarray, c: np.ndarray) -> None:
     """``C += alpha * W W^T`` on the upper triangle of ``c``, in place."""
     n, k = w.shape
-    bind_blas().dsyrk(b"U", b"N", _i(n), _i(k), _d(alpha), _ptr(w, (n, k)), _i(n),
-                      _d(1.0), _ptr(c, (n, n)), _i(n))
+    bind_kernels().dsyrk(b"U", b"N", _i(n), _i(k), _d(alpha), _ptr(w, (n, k)), _i(n),
+                         _d(1.0), _ptr(c, (n, n)), _i(n))
 
 
 @dataclass
@@ -249,7 +260,7 @@ class KalmanState:
     _block = staticmethod(_triangle_block)
 
     def __init__(self, num_params: int, layer_sizes: list[tuple[int, int]], cfg: KalmanConfig):
-        bind_blas()
+        bind_kernels()
         self.cfg = cfg
         self.num_params = num_params
         self.blocks: list[Block] = split_blocks(layer_sizes, cfg.blocksize)
@@ -304,15 +315,34 @@ class KalmanState:
     # kernels: they run on the lanes, so each returns the launch it
     # performed and the caller records it (launch sinks are per thread)
     # ------------------------------------------------------------------
-    def _pg(self, i: int, g: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """P g for block i (the cached intermediate of the paper's Opt3):
-        one fused "P_eff g" kernel, triangle read + pending correction."""
-        c, n, k = self.p_scales[i], g.shape[0], self.pending
-        pg = _symv(c, self.p_mats[i], g)
-        if k:
+    def _pass(self, i: int, gs: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
+        """``P_stored [g_1 .. g_m]`` for block i (n x m, 2 or 3 columns
+        padded to 4: the kernel gives every column the same bits for any
+        column count): one triangle read per 4 columns, recorded as one
+        ``p_symv_fused`` launch with the column count in its output
+        shape, ``(n,)`` for one column and ``(n, m)`` for more, and the
+        pending pairs when the pass starts in its input shapes."""
+        n, m, k = gs[0].shape[0], len(gs), self.pending
+        if m == 1:
+            g = gs[0].reshape(n, 1)
+        else:
+            g = np.zeros((n, -(-m // 4) * 4), order="F")
+            for j, gj in enumerate(gs):
+                g[:, j] = gj
+        out = (n,) if m == 1 else (n, m)
+        launch = ("p_symv_fused", 8 * (_tri(n) + 2 * m * n * k), out, ((n, n), (n, k)))
+        return _tri_pg(self.p_mats[i], g), launch
+
+    def _pg(self, i: int, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """P_eff g for block i from ``y = P_stored g`` (the cached
+        intermediate of the paper's Opt3): the folded scale and the O(n k)
+        correction of the pending downdates."""
+        c = self.p_scales[i]
+        pg = c * y
+        if self.pending:
             u, beta = self._pending(i)
             _gemv_into(-c, u, beta * (u.T @ g), pg)
-        return pg, ("p_symv_fused", 8 * (_tri(n) + 2 * n * k), (n,), ((n, n), (n, k)))
+        return pg
 
     def _downdate(self, pgs: list[np.ndarray], gains: list[float]) -> None:
         """P_i <- (P_i - a_i * pg_i pg_i^T) / lambda, deferred: park the
@@ -361,24 +391,64 @@ class KalmanState:
         ``error`` is the (sign-aligned) mean absolute error ABE, ``scale``
         the sqrt(batch-size) quasi-learning-rate factor of Eq. 2.
         """
-        if g_flat.shape != (self.num_params,):
-            raise ValueError(f"gradient shape {g_flat.shape} != ({self.num_params},)")
-        g_flat = np.ascontiguousarray(g_flat, dtype=np.float64)
-        dw = np.zeros(self.num_params)
+        return self.update_many([(g_flat, error)], scale)[0]
 
-        gs = [g_flat[blk.slice()] for blk in self.blocks]
-        pgs = []
-        for pg, launch in map_lanes(lambda i: self._pg(i, gs[i]), self.lanes):
-            record_launch(*launch)
-            pgs.append(pg)
+    def update_many(
+        self, items: list[tuple[np.ndarray, float]], scale: float
+    ) -> list[np.ndarray]:
+        """One Kalman update per ``(g_flat, error)`` of ``items``, in
+        order, for gradients that are all known before the first update;
+        returns the weight increments.
+
+        Gives the bits of one :meth:`update` per item.  ``P_stored``
+        changes only at a flush, so one pass per block forms
+        ``P_stored g`` for every item up to the next flush (one triangle
+        read per 4 items); each update then applies its own scale,
+        pending correction, gain, guard, lambda and clip in turn, and a
+        flush starts a new pass for the items after it.
+        """
+        gs = []
+        for g_flat, _ in items:
+            if g_flat.shape != (self.num_params,):
+                raise ValueError(f"gradient shape {g_flat.shape} != ({self.num_params},)")
+            g_flat = np.ascontiguousarray(g_flat, dtype=np.float64)
+            gs.append([g_flat[blk.slice()] for blk in self.blocks])
+        dws: list[np.ndarray] = []
+        while len(dws) < len(items):
+            # the stored blocks hold until the next flush (the dense filter
+            # rewrites them every update, so its windows are one update)
+            start = len(dws)
+            window = gs[start: start + max(1, self.defers - self.pending)]
+
+            def first(i: int):  # the pass, then the first update's P_eff g from it
+                y, launch = self._pass(i, [w[i] for w in window])
+                return y, launch, self._pg(i, y[:, 0], window[0][i])
+
+            ys, pgs = [], []
+            for y, launch, pg in map_lanes(first, self.lanes):
+                record_launch(*launch)
+                ys.append(y)
+                pgs.append(pg)
+            for j, g_blocks in enumerate(window):
+                if j:
+                    pgs = map_lanes(lambda i: self._pg(i, ys[i][:, j], g_blocks[i]), self.lanes)
+                dws.append(self._finish(g_blocks, pgs, items[start + j][1], scale))
+        return dws
+
+    def _finish(
+        self, gs: list[np.ndarray], pgs: list[np.ndarray], error: float, scale: float
+    ) -> np.ndarray:
+        """Everything of one update after its ``P_eff g``: gains, the
+        (parked) downdate, the increment, the guard, lambda, a due flush
+        and the step clip."""
         quads = [float(g @ pg) for g, pg in zip(gs, pgs)]
-
         if self.cfg.coupled_gain:
             a = 1.0 / (self.lam + sum(quads))
             gains = [a] * len(self.blocks)
         else:
             gains = [1.0 / (self.lam + q) for q in quads]
 
+        dw = np.zeros(self.num_params)
         self._downdate(pgs, gains)
         for i, blk in enumerate(self.blocks):
             dw[blk.slice()] = (scale * error * gains[i]) * pgs[i]

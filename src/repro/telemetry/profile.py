@@ -210,10 +210,12 @@ def estimate_flops(op: str, out_shape, in_shapes) -> float:
     if op in ("sum", "scatter_add") and in_shapes:
         return float(math.prod(in_shapes[0]))
     if op == "p_symv_fused" and in_shapes:
-        # P_eff g: the symv over the n x n block plus the two n x k
-        # products of the pending-downdate correction
+        # P_eff G for m columns (output (n,) for one, (n, m) for more):
+        # per column, the symmetric product with the n x n block plus the
+        # two n x k products of the pending-downdate correction
         (n, _), (_, k) = in_shapes
-        return 2.0 * n * n + 4.0 * n * k
+        m = out_shape[1] if len(out_shape) == 2 else 1
+        return 2.0 * m * n * n + 4.0 * m * n * k
     if op == "p_update_fused" and in_shapes:
         # rank-k flush of one triangle: k multiply-adds per stored element
         n, k = in_shapes[0]

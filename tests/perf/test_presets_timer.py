@@ -8,7 +8,7 @@ import pytest
 
 from repro.autograd.config import config as ag_config
 from repro.model import DeePMD, make_batch
-from repro.optim import RLEKF, KalmanConfig, KalmanState, NaiveEKF
+from repro.optim import FEKF, RLEKF, KalmanConfig, KalmanState, NaiveEKF
 from repro.optim.kalman import FLUSH_EVERY
 from repro.perf import BASELINE, OPT1, PRESET_ORDER, PRESETS, profile_update
 from repro.perf.presets import BaselineDeePMD, DenseKalmanState
@@ -61,6 +61,21 @@ class TestPresets:
         opt = BASELINE.optimizer(cu_model, RLEKF, seed=5, blocksize=512)
         assert type(opt) is RLEKF and type(opt.model) is BaselineDeePMD
         assert opt.kalman.cfg.blocksize == 512 and type(opt.kalman) is DenseKalmanState
+
+    @pytest.mark.parametrize("cls", [FEKF, RLEKF, NaiveEKF])
+    def test_dense_presets_never_build_a_triangle_block(self, monkeypatch, cu_model, cls):
+        """A dense preset builds its dense filter directly: no fused
+        triangle is mapped, written and thrown away first."""
+        built = []
+        real = KalmanState._block
+        monkeypatch.setattr(KalmanState, "_block",
+                            staticmethod(lambda n, src=None: built.append(n) or real(n, src)))
+        for preset in (BASELINE, OPT1, PRESETS["opt2"]):
+            opt = preset.optimizer(cu_model, cls, blocksize=512)
+            assert type(opt) is cls and type(opt.kalman) is DenseKalmanState
+        assert built == []
+        PRESETS["opt3"].optimizer(cu_model, cls, blocksize=512)
+        assert built  # the spy sees the fused filter's blocks
 
     def test_dense_filter_survives_replicas_and_copies(self, cu_model, cu_batch):
         """Naive-EKF's per-sample replicas, a deep copy and a pickle of a

@@ -93,6 +93,11 @@ class TestEstimateFlops:
             2 * n * n + 4 * n * k
         )
         assert estimate_flops("p_symv_fused", (n,), ((n, n), (n, 0))) == 2 * n * n
+        # a batched pass over m columns: m products and m corrections
+        for m in (2, 3, 4):
+            assert estimate_flops("p_symv_fused", (n, m), ((n, n), (n, k))) == (
+                2 * m * n * n + 4 * m * n * k
+            )
         # rank-k flush: one multiply-add per triangle element per pair
         assert estimate_flops("p_update_fused", (n, n), ((n, k),)) == k * n * n + k * n
 
