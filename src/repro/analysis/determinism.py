@@ -81,12 +81,13 @@ def state_fingerprint(optimizer, model=None) -> str:
 class SharedStateProbe:
     """Records the write epochs of a ``KalmanState`` instance.
 
-    Wraps ``update`` (as an *instance* attribute, so other states are
-    untouched): each call records the writer thread and checks no other
-    call is concurrently inside -- update calls must be serialized on a
-    single caller thread for the replicated-filter argument to hold.
-    Inside one update the per-block passes over P run on the state's
-    lanes, and each block has exactly one writer lane.
+    Wraps ``update_many`` (as an *instance* attribute, so other states
+    are untouched; ``update`` goes through it too): each call records the
+    writer thread and checks no other call is concurrently inside --
+    filter calls must be serialized on a single caller thread for the
+    replicated-filter argument to hold.  Inside one call the per-block
+    passes over P run on the state's lanes, and each block has exactly
+    one writer lane.
     """
 
     def __init__(self, kalman):
@@ -96,9 +97,9 @@ class SharedStateProbe:
         self.overlaps = 0
         self._inside = 0
         self._lock = threading.Lock()
-        self._orig = kalman.update
+        self._orig = kalman.update_many
 
-        def probed_update(g_flat, error, scale):
+        def probed_update(items, scale):
             with self._lock:
                 if self._inside:
                     self.overlaps += 1
@@ -106,15 +107,15 @@ class SharedStateProbe:
                 self.writer_threads.add(threading.get_ident())
                 self.write_epochs += 1
             try:
-                return self._orig(g_flat, error, scale)
+                return self._orig(items, scale)
             finally:
                 with self._lock:
                     self._inside -= 1
 
-        kalman.update = probed_update
+        kalman.update_many = probed_update
 
     def uninstall(self) -> None:
-        self.kalman.update = self._orig
+        self.kalman.update_many = self._orig
 
 
 @dataclass

@@ -25,7 +25,6 @@ They differ in how a multi-sample minibatch is digested:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,9 @@ from ..autograd.instrument import thread_observed
 from ..model.environment import DescriptorBatch
 from ..model.network import DeePMD
 from ..telemetry import metrics as _metrics
-from ..telemetry.trace import Tracer, current_tracer
 from ..telemetry.trace import span as _span
 from .kalman import KalmanConfig, KalmanState
-from .lanes import lane_count, map_lanes
+from .lanes import lane_count
 from .worker import GradientWorker
 
 #: batches with fewer neighbour-level activation values than this
@@ -143,9 +141,10 @@ class FEKF:
         perm = self._rng.permutation(n_atoms)
         return [np.sort(g) for g in np.array_split(perm, self.n_force_splits) if g.size]
 
-    def apply_increment(self, dw: np.ndarray) -> None:
-        """w <- w + dw (the shared weight-update step of Algorithm 1)."""
-        self.worker.apply_increment(dw)
+    def apply_increment(self, *dws: np.ndarray) -> None:
+        """w <- w + dw for each ``dw`` in turn (the shared weight-update
+        step of Algorithm 1)."""
+        self.worker.apply_increment(*dws)
 
     # ------------------------------------------------------------------
     # optimizer protocol: state + hyperparameters
@@ -238,81 +237,77 @@ class FEKF:
             return 1
         return lane_count(n_groups)
 
+    # ------------------------------------------------------------------
+    # the step's seams: where gradients come from, where the filter runs
+    # (the data-parallel trainer supplies its own)
+    # ------------------------------------------------------------------
+    def _energy_gradient(self, batch: DescriptorBatch) -> tuple[np.ndarray, float]:
+        """The batch's reduced energy gradient and ABE."""
+        return self.worker.energy_gradient(batch)
+
     def _group_gradients(
         self, batch: DescriptorBatch, groups: list[np.ndarray]
     ) -> list[tuple[np.ndarray, float]]:
-        """Every group's ``(g, abe)`` from one shared force graph, the
-        groups split over lanes.
+        """Every group's ``(g, abe)`` from one force graph built at the
+        current weights, swept on up to one lane per idle core
+        (:meth:`GradientWorker.group_gradients`).  The paper-exact
+        protocol asks for one group at a time inside its own
+        ``fekf.update`` (which Figure 7's profile reads), so there the
+        group is computed inline, under the caller's span."""
+        if not self.reuse_force_graph:
+            self._force_lanes = 1
+            return [self.worker.force_gradient(batch, g) for g in groups]
+        self._force_lanes = self._sweep_lanes(batch, len(groups))
+        return self.worker.group_gradients(
+            batch, groups, self._force_lanes, step=self.step_count
+        )
 
-        A sweep only reads the graph, so the same ops run on the same
-        inputs on any lane.  Each group records its spans under a
-        ``fekf.update`` of kind ``force``; on more than one lane, under a
-        private tracer per group that the caller's tracer adopts in group
-        order once every lane has joined."""
-        f_pred, p = self.worker.force_graph(batch)
-        n_lanes = self._sweep_lanes(batch, len(groups))
-        self._force_lanes = n_lanes
-        parent = current_tracer() if n_lanes > 1 else None
-        step = self.step_count
-
-        def sweep(gi: int):
-            with Tracer() if parent is not None else nullcontext() as tracer:
-                with _span("fekf.update", kind="force", group=gi, step=step):
-                    g, abe = self.worker.force_group_gradient(
-                        f_pred, p, batch, groups[gi]
-                    )
-            return g, abe, tracer
-
-        lanes = [list(range(k, len(groups), n_lanes)) for k in range(n_lanes)]
-        out = []
-        for g, abe, tracer in map_lanes(sweep, lanes):
-            if tracer is not None:
-                parent.adopt(tracer)
-            out.append((g, abe))
-        return out
+    def _filter(
+        self, items: list[tuple[np.ndarray, float]], scale: float
+    ) -> list[np.ndarray]:
+        """One Kalman update per ``(g, abe)`` of ``items``, in order; the
+        weight increments."""
+        return self.kalman.update_many(items, scale)
 
     def step_batch(self, batch: DescriptorBatch) -> dict[str, float]:
         """One training step: 1 energy update + n_force_splits force updates.
 
         Under the shared force graph the groups' gradients are all swept
-        before the first force update, on up to one lane per idle core
-        (:meth:`_group_gradients`); the force updates then run in group
-        order through :meth:`KalmanState.update_many` (one pass over P for
-        the four of them, the bits of four ``update`` calls), so the
-        result does not depend on the lane count."""
+        before the first force update (:meth:`_group_gradients`); the
+        force updates then run in group order through
+        :meth:`KalmanState.update_many` (one pass over P for the four of
+        them, the bits of four ``update`` calls), so the result does not
+        depend on the lane count."""
         scale = (
             float(np.sqrt(batch.batch_size))
             if self.step_scale is None
             else float(self.step_scale)
         )
-        with _span("fekf.update", kind="energy", step=self.step_count):
-            g, e_abe = self.worker.energy_gradient(batch)
+        step = self.step_count
+        with _span("fekf.update", kind="energy", step=step):
+            g, e_abe = self._energy_gradient(batch)
             with _span("fekf.kalman"):
-                dw = self.kalman.update(g, e_abe, scale)
-        self.apply_increment(dw)
+                dws = self._filter([(g, e_abe)], scale)
+        self.apply_increment(*dws)
 
         groups = self.force_groups(batch.n_atoms)
-        f_abes = []
         if self.reuse_force_graph:
             # every group's gradient comes from the one graph built at the
-            # post-energy-update weights (unflatten replaces the weight
-            # arrays, so no increment reaches it); so all of them are known
-            # before the first force update, and one pass over P serves all
+            # post-energy-update weights, so all of them are known before
+            # the first force update, and one pass over P serves all
             grads = self._group_gradients(batch, groups)
-            with _span("fekf.kalman", kind="force", groups=len(grads), step=self.step_count):
-                dws = self.kalman.update_many(grads, scale)
-            for dw in dws:
-                self.apply_increment(dw)
-            f_abes = [f_abe for _, f_abe in grads]
+            with _span("fekf.kalman", kind="force", groups=len(grads), step=step):
+                dws = self._filter(grads, scale)
+            self.apply_increment(*dws)
         else:
-            self._force_lanes = 1
+            grads = []
             for gi, group in enumerate(groups):
-                with _span("fekf.update", kind="force", group=gi, step=self.step_count):
-                    g, f_abe = self.worker.force_gradient(batch, group)
+                with _span("fekf.update", kind="force", group=gi, step=step):
+                    grads += self._group_gradients(batch, [group])
                     with _span("fekf.kalman"):
-                        dw = self.kalman.update(g, f_abe, scale)
-                self.apply_increment(dw)
-                f_abes.append(f_abe)
+                        dws = self._filter(grads[-1:], scale)
+                self.apply_increment(*dws)
+        f_abes = [f_abe for _, f_abe in grads]
         self.step_count += 1
         _metrics.REGISTRY.counter("optim.steps", optimizer=self.name).inc()
         _metrics.REGISTRY.gauge("kalman.lambda").set(self.kalman.lam)

@@ -21,13 +21,16 @@ Executors drive a worker exclusively through the shared task envelope
 runtime's one description of envelope, telemetry merge and crash path);
 the worker itself only declares its vocabulary.  State mutations
 (``set_shard`` / ``set_weights`` / ``apply_delta``) and compute tasks
-(``energy_task`` / ``graph_task`` / ``force_task``) are all of it, and
-everything is picklable so the same protocol works over a pipe.
+(``energy_task`` / ``force_task``) are all of it, and everything is
+picklable so the same protocol works over a pipe.  A compute task is a
+pure function of the replica's weights and shard: it keeps nothing
+between rounds.
 """
 
 from __future__ import annotations
 
 import copy
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +39,9 @@ import numpy as np
 from ..autograd import Tensor, grad, ops
 from ..model.environment import DescriptorBatch
 from ..model.network import DeePMD
+from ..telemetry.trace import Tracer, current_tracer
 from ..telemetry.trace import span as _span
+from .lanes import map_lanes
 
 __all__ = [
     "error_signs",
@@ -71,11 +76,11 @@ class GradientWorker:
     """Reduced-gradient compute over one model replica.
 
     The low-level methods (:meth:`energy_gradient`, :meth:`force_graph`,
-    :meth:`force_group_gradient`, :meth:`force_gradient`) are the single
-    implementation of FEKF's per-shard math -- the serial optimizer calls
-    them directly on its own model.  The ``*_task`` methods add the
-    rank-local state an executor round needs: the current shard, a cached
-    force graph, and empty-shard short-circuits.
+    :meth:`force_group_gradient`, :meth:`force_gradient`,
+    :meth:`group_gradients`) are the single implementation of FEKF's
+    per-shard math -- the serial optimizer calls them directly on its own
+    model.  The ``*_task`` methods add what an executor round needs: the
+    rank's current shard and empty-shard short-circuits.
     """
 
     #: rank-runtime declarations (see :func:`repro.runtime.run_task`)
@@ -86,18 +91,17 @@ class GradientWorker:
             "get_weights",
             "apply_delta",
             "energy_task",
-            "graph_task",
             "force_task",
         }
     )
     span = "worker.task"
     #: the update kind each compute task contributes to (phase
-    #: attribution for the profiler; ``graph_task`` has no kind -- it is
-    #: the shared force-graph build)
+    #: attribution for the profiler); ``force_task`` has none: its force
+    #: graph build is the shared one, and each group's sweep carries a
+    #: ``fekf.update`` of kind ``force`` of its own
     compute_tasks = {
         "energy_task": {"kind": "energy"},
-        "graph_task": {},
-        "force_task": {"kind": "force"},
+        "force_task": {},
     }
     counter = "parallel.worker_tasks"
 
@@ -105,11 +109,6 @@ class GradientWorker:
         self.model = model
         self.rank = int(rank)
         self.shard: Optional[DescriptorBatch] = None
-        #: cached (f_pred, params) force graph for the current shard;
-        #: deliberately *kept* across ``apply_delta`` (the shared-graph
-        #: protocol evaluates all force groups on one stale graph) and
-        #: dropped on ``set_shard`` / ``set_weights``.
-        self.graph = None
 
     # ------------------------------------------------------------------
     # gradient math (shared with the serial FEKF path)
@@ -176,27 +175,58 @@ class GradientWorker:
         f_pred, p = self.force_graph(batch)
         return self.force_group_gradient(f_pred, p, batch, atom_group)
 
-    def apply_increment(self, dw: np.ndarray) -> None:
-        """w <- w + dw on this replica (bit-identical on every rank)."""
-        self.model.params.unflatten(self.model.params.flatten() + dw)
+    def group_gradients(
+        self,
+        batch: DescriptorBatch,
+        groups: list[np.ndarray],
+        n_lanes: int = 1,
+        **attrs,
+    ) -> list[tuple[np.ndarray, float]]:
+        """Every group's ``(g, abe)`` from one force graph built at the
+        current weights, the groups split over ``n_lanes`` lanes.
+
+        A sweep only reads the graph, so the same ops run on the same
+        inputs on any lane.  Each group records its spans under a
+        ``fekf.update`` of kind ``force`` (plus ``attrs``); on more than
+        one lane, under a private tracer per group that the caller's
+        tracer adopts in group order once every lane has joined."""
+        f_pred, p = self.force_graph(batch)
+        parent = current_tracer() if n_lanes > 1 else None
+
+        def sweep(gi: int):
+            with Tracer() if parent is not None else nullcontext() as tracer:
+                with _span("fekf.update", kind="force", group=gi, **attrs):
+                    g, abe = self.force_group_gradient(f_pred, p, batch, groups[gi])
+            return g, abe, tracer
+
+        lanes = [list(range(k, len(groups), n_lanes)) for k in range(n_lanes)]
+        out = []
+        for g, abe, tracer in map_lanes(sweep, lanes):
+            if tracer is not None:
+                parent.adopt(tracer)
+            out.append((g, abe))
+        return out
+
+    def apply_increment(self, *dws: np.ndarray) -> None:
+        """w <- w + dw on this replica for each ``dw`` in turn (never
+        their sum, so the bits match on every rank)."""
+        for dw in dws:
+            self.model.params.unflatten(self.model.params.flatten() + dw)
 
     # ------------------------------------------------------------------
     # rank-local task state
     # ------------------------------------------------------------------
     def set_shard(self, shard: DescriptorBatch) -> None:
         self.shard = shard
-        self.graph = None
 
     def set_weights(self, w: np.ndarray) -> None:
         self.model.params.unflatten(np.asarray(w, dtype=np.float64))
-        self.graph = None
 
     def get_weights(self) -> np.ndarray:
         return self.model.params.flatten()
 
-    def apply_delta(self, dw: np.ndarray) -> None:
-        # graph cache intentionally survives (shared-graph protocol)
-        self.apply_increment(np.asarray(dw, dtype=np.float64))
+    def apply_delta(self, *dws: np.ndarray) -> None:
+        self.apply_increment(*(np.asarray(dw, dtype=np.float64) for dw in dws))
 
     def _zero_result(self) -> ShardResult:
         return ShardResult(np.zeros(self.model.num_params), 0.0, 0)
@@ -216,26 +246,17 @@ class GradientWorker:
         g, abe = self.energy_gradient(shard)
         return ShardResult(g, abe * shard.batch_size, shard.batch_size)
 
-    def graph_task(self) -> None:
-        """Build and cache the force graph for the current shard."""
-        shard = self._require_shard()
-        self.graph = self.force_graph(shard) if shard.batch_size else None
-
-    def force_task(self, atom_group: np.ndarray, fresh: bool) -> ShardResult:
+    def force_task(self, atom_groups: list[np.ndarray]) -> list[ShardResult]:
+        """Each group's result off one force graph of the shard, built at
+        this replica's current weights (:meth:`group_gradients`)."""
         shard = self._require_shard()
         if shard.batch_size == 0:
-            return self._zero_result()
-        if fresh:
-            g, abe = self.force_gradient(shard, atom_group)
-        else:
-            if self.graph is None:
-                raise RuntimeError(
-                    "shared-graph force task without a cached graph "
-                    "(dispatch graph_task first)"
-                )
-            g, abe = self.force_group_gradient(*self.graph, shard, atom_group)
-        n_comp = shard.batch_size * len(atom_group) * 3
-        return ShardResult(g, abe * n_comp, n_comp)
+            return [self._zero_result() for _ in atom_groups]
+        out = []
+        for group, (g, abe) in zip(atom_groups, self.group_gradients(shard, atom_groups)):
+            n_comp = shard.batch_size * len(group) * 3
+            out.append(ShardResult(g, abe * n_comp, n_comp))
+        return out
 
 
 @dataclass

@@ -8,10 +8,15 @@ The paper's Sec. 3.3 argument, executed literally:
   happens before any Kalman algebra);
 * gradients are summed with a real ring-allreduce, ABEs with a scalar
   allreduce;
-* the parent performs one Kalman update and broadcasts the weight *delta*
-  to every replica, so the P replicas never diverge and are never
+* the parent performs the Kalman updates and broadcasts the weight
+  *deltas* to every replica, so the P replicas never diverge and are never
   communicated.  A verification mode keeps a genuinely independent shadow
-  replica and asserts bit-equality of the checksums every update.
+  replica and asserts bit-equality of the increments and checksums after
+  every filter call.
+
+The step itself is :meth:`FEKF.step_batch`; a shared-graph step is five
+executor rounds -- ``set_shard``, energy, ``apply_delta``, force (each
+rank builds its force graph and sweeps every group), ``apply_delta``.
 
 Execution backend is pluggable (:mod:`repro.parallel.executor`): ranks run
 serially in-process (default), on worker threads, or in persistent worker
@@ -20,10 +25,11 @@ function of (weights, shard) and results are reduced in rank order.
 
 Robustness is the rank runtime's (:mod:`repro.runtime`): every round
 goes through :meth:`Executor.run_resilient` with :meth:`DistributedFEKF.
-_fallback` as the fallback -- a serial scratch worker that reproduces the
-crashed round bit-identically (the shared force graph is rebuilt at the
-snapshotted post-energy weights) -- and the executor is healed once at
-the end of the step.
+_fallback` as the fallback -- the parent's own worker reproduces the
+crashed round bit-identically, because a compute round always runs at the
+parent's current weights (no increment lands between a compute round and
+its reduction) and keeps nothing on the rank -- and the executor is
+healed once at the end of the step.
 
 Two clocks are reported per step:
 
@@ -53,11 +59,10 @@ from ..runtime import (
     merge_worker_telemetry,
     run_task,
 )
-from ..telemetry import metrics as _metrics
 from ..telemetry.trace import current_tracer, span as _span
 from .comm import CostModel, SimCommunicator
 from .executor import Executor, make_executor
-from .topology import ClusterSpec, cluster_for_gpus, cost_model_for
+from .topology import cluster_for_gpus, cost_model_for
 
 
 @dataclass
@@ -80,12 +85,15 @@ class StepTiming:
         return self.compute_s + self.comm_s + self.kalman_s
 
 
-class DistributedFEKF:
+class DistributedFEKF(FEKF):
     """FEKF with the minibatch sharded over ``world_size`` ranks.
 
-    Exposes the same ``step_batch`` protocol as the serial optimizers, so
-    it plugs straight into :class:`repro.train.Trainer`.  ``executor``
-    selects the backend: ``"serial"`` / ``"thread"`` / ``"process"``, an
+    The step is :meth:`FEKF.step_batch`; this class supplies only where
+    its gradients come from (executor rounds, then the count-weighted
+    ring and scalar allreduces), where its increments go (the parent, then
+    every replica) and the filter's timing and shadow check.  It plugs
+    straight into :class:`repro.train.Trainer`.  ``executor`` selects the
+    backend: ``"serial"`` / ``"thread"`` / ``"process"``, an
     :class:`Executor` instance, or ``None`` to consult ``$REPRO_EXECUTOR``.
     """
 
@@ -103,61 +111,41 @@ class DistributedFEKF:
         seed: int = 0,
         executor: "str | Executor | None" = None,
     ):
-        self.world_size = int(world_size)
-        if cost_model is None:
-            cost_model = cost_model_for(cluster_for_gpus(self.world_size))
-        self.comm = SimCommunicator(self.world_size, cost_model)
-        # the parent optimizer: owns the canonical weights + filter state
-        self._local = FEKF(
+        # the parent: owns the canonical weights + filter state
+        super().__init__(
             model,
             kalman_cfg=kalman_cfg,
             n_force_splits=n_force_splits,
             reuse_force_graph=reuse_force_graph,
             seed=seed,
         )
-        self.model = model
+        self.world_size = int(world_size)
+        if cost_model is None:
+            cost_model = cost_model_for(cluster_for_gpus(self.world_size))
+        self.comm = SimCommunicator(self.world_size, cost_model)
         self._spec = WorkerSpec(model=model)
         self.executor = make_executor(executor, self.world_size)
         self.executor.start(self._spec)
         self.timing = StepTiming()
         self.verify_replicas = verify_replicas
         self._shadow: KalmanState | None = (
-            self._local.kalman.clone() if verify_replicas else None
+            self.kalman.clone() if verify_replicas else None
         )
-        self.step_count = 0
-        # per-step fallback state (see _fallback)
-        self._fb_worker: GradientWorker | None = None
-        self._fb_graphs: dict[int, object] = {}
-        self._graph_weights: np.ndarray | None = None
         self._shard_cache: list[DescriptorBatch] = []
 
     # ------------------------------------------------------------------
     @property
-    def kalman(self) -> KalmanState:
-        return self._local.kalman
-
-    # optimizer protocol: the parent holds one filter state and the
-    # canonical weights, so state and hyperparameters delegate to it
-    @property
     def hyperparams(self) -> dict:
         return {
-            **self._local.hyperparams,
-            "name": self.name,
+            **super().hyperparams,
             "world_size": self.world_size,
             "executor": self.executor.name,
         }
 
-    def stats(self) -> dict:
-        """Parent-side optimizer diagnostics (see :meth:`FEKF.stats`)."""
-        return self._local.stats()
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return self._local.state_dict()
-
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self._local.load_state_dict(state)
+        super().load_state_dict(state)
         if self._shadow is not None:
-            self._shadow = self._local.kalman.clone()
+            self._shadow = self.kalman.clone()
         self.sync_workers()
 
     def sync_workers(self) -> None:
@@ -207,125 +195,97 @@ class DistributedFEKF:
     def _fallback(
         self, calls: list[tuple[str, tuple]], capture: "bool | str"
     ) -> list[TaskResult]:
-        """Reproduce a round on the serial scratch worker.
+        """Reproduce a round on the parent's own worker.
 
-        State tasks are no-ops (the parent already holds the canonical
-        state; stale replicas are healed wholesale after the step), and
-        ``graph_task`` is deferred -- the shared graph is rebuilt lazily
-        per rank at the snapshotted post-energy weights, which is exactly
-        where the live workers built theirs.
+        State tasks are no-ops: the parent already holds the canonical
+        state, and stale replicas are healed wholesale after the step.
+        A compute task runs at the parent's current weights, which is
+        where every live rank ran it: no increment lands between a
+        compute round and the reduction of its results.
         """
-        worker = self._fb_worker
-        if worker is None:
-            worker = self._fb_worker = self._spec.build()
         results = []
         for rank, (method, args) in enumerate(calls):
-            if method not in ("energy_task", "force_task"):
+            if method not in GradientWorker.compute_tasks:
                 results.append(TaskResult(None, WorkerTelemetry(rank=rank)))
                 continue
-            shard = self._shard_cache[rank]
-            if method == "energy_task" or args[1]:  # fresh forward
-                worker.set_weights(self.model.params.flatten())
-                worker.set_shard(shard)
-            else:
-                if rank not in self._fb_graphs:
-                    worker.set_weights(self._graph_weights)
-                    worker.set_shard(shard)
-                    worker.graph_task()
-                    self._fb_graphs[rank] = worker.graph
-                worker.set_shard(shard)
-                worker.graph = self._fb_graphs[rank]
-            results.append(run_task(worker, method, args, capture))
+            self.worker.set_shard(self._shard_cache[rank])
+            results.append(run_task(self.worker, method, args, capture))
         return results
 
-    # ------------------------------------------------------------------
+    def _compute(self, kind: str, calls: list[tuple[str, tuple]]) -> list:
+        with _span("parallel.compute", kind=kind, ranks=self.world_size):
+            payloads, wall = self._round(calls, capture_mode(current_tracer()))
+            self.timing.compute_s += wall
+        return payloads
+
     def _allreduce_gradient(
-        self, locals_: list[ShardResult], total: int
+        self, kind: str, locals_: list[ShardResult], total: int
     ) -> tuple[np.ndarray, float]:
         """Combine per-rank shard results into the global mean gradient
         and ABE via ring/scalar allreduce (zero-count ranks contribute
         zero weight)."""
-        weighted = [r.grad * (r.count / total) for r in locals_]
-        reduced = self.comm.ring_allreduce(weighted)
-        # every replica must hold the same result bit-for-bit
-        for other in reduced[1:]:
-            if not np.array_equal(reduced[0], other):
-                raise AssertionError("ring-allreduce replicas diverged")
-        abe = self.comm.allreduce_scalar([r.abe_sum for r in locals_]) / total
+        with _span("parallel.comm", kind=kind):
+            weighted = [r.grad * (r.count / total) for r in locals_]
+            reduced = self.comm.ring_allreduce(weighted)
+            # every replica must hold the same result bit-for-bit
+            for other in reduced[1:]:
+                if not np.array_equal(reduced[0], other):
+                    raise AssertionError("ring-allreduce replicas diverged")
+            abe = self.comm.allreduce_scalar([r.abe_sum for r in locals_]) / total
         return reduced[0], abe
 
-    def _kf_update(self, g: np.ndarray, abe: float, scale: float) -> None:
-        """One Kalman update on the parent, mirrored onto every replica."""
+    # ------------------------------------------------------------------
+    # FEKF's seams
+    # ------------------------------------------------------------------
+    def _energy_gradient(self, batch: DescriptorBatch) -> tuple[np.ndarray, float]:
+        locals_ = self._compute("energy", [("energy_task", ())] * self.world_size)
+        return self._allreduce_gradient("energy", locals_, batch.batch_size)
+
+    def _group_gradients(
+        self, batch: DescriptorBatch, groups: list[np.ndarray]
+    ) -> list[tuple[np.ndarray, float]]:
+        per_rank = self._compute("force", [("force_task", (groups,))] * self.world_size)
+        return [
+            self._allreduce_gradient(
+                "force", [r[k] for r in per_rank], batch.batch_size * len(group) * 3
+            )
+            for k, group in enumerate(groups)
+        ]
+
+    def _filter(
+        self, items: list[tuple[np.ndarray, float]], scale: float
+    ) -> list[np.ndarray]:
         t0 = time.perf_counter()
-        with _span("parallel.kalman"):
-            dw = self._local.kalman.update(g, abe, scale)
+        dws = super()._filter(items, scale)
         self.timing.kalman_s += time.perf_counter() - t0
         if self._shadow is not None:
-            dw2 = self._shadow.update(g, abe, scale)
-            if not np.array_equal(dw, dw2):
+            shadow = self._shadow.update_many(items, scale)
+            if any(not np.array_equal(a, b) for a, b in zip(dws, shadow)):
                 raise AssertionError("Kalman replicas diverged")
-            if self._shadow.checksum() != self._local.kalman.checksum():
+            if self._shadow.checksum() != self.kalman.checksum():
                 raise AssertionError("P replica checksums diverged")
-        self._local.apply_increment(dw)
-        # broadcast the delta so every replica tracks the parent (a no-op
-        # on the fallback: heal() re-syncs wholesale afterwards)
-        self._round([("apply_delta", (dw,))] * self.world_size)
+        return dws
+
+    def apply_increment(self, *dws: np.ndarray) -> None:
+        """Each ``dw`` in turn on the parent, then on every replica in one
+        ``apply_delta`` round (a no-op on the fallback: the heal at the end
+        of the step re-syncs wholesale)."""
+        super().apply_increment(*dws)
+        self._round([("apply_delta", dws)] * self.world_size)
 
     # ------------------------------------------------------------------
     def step_batch(self, batch: DescriptorBatch) -> dict[str, float]:
         step_t0 = time.perf_counter()
-        shards = self._shards(batch)
-        self._shard_cache = shards
-        self._fb_graphs = {}
-        self._graph_weights = None
-        bs = batch.batch_size
-        scale = float(np.sqrt(bs))
         comm_t0 = self.comm.modeled_time_s
-        capture = capture_mode(current_tracer())
-        ranks = len(shards)
-
-        # ---- distribute shards ---------------------------------------
-        self._round([("set_shard", (s,)) for s in shards])
-
-        # ---- energy update -------------------------------------------
-        with _span("parallel.compute", kind="energy", ranks=ranks):
-            locals_, wall = self._round([("energy_task", ())] * ranks, capture)
-            self.timing.compute_s += wall
-        with _span("parallel.comm", kind="energy"):
-            g_mean, abe = self._allreduce_gradient(locals_, bs)
-        self._kf_update(g_mean, abe, scale)
-
-        # ---- force updates -------------------------------------------
-        groups = self._local.force_groups(batch.n_atoms)
-        fresh = not self._local.reuse_force_graph
-        if not fresh:
-            # the shared graphs are built at the post-energy-update
-            # weights; snapshot them so a fallback can rebuild any rank's
-            # graph bit-identically after a mid-step crash
-            self._graph_weights = self.model.params.flatten()
-            with _span("parallel.compute", kind="force_graph", ranks=ranks):
-                _, wall = self._round([("graph_task", ())] * ranks, capture)
-                self.timing.compute_s += wall
-        f_abes = []
-        for group in groups:
-            with _span("parallel.compute", kind="force", ranks=ranks):
-                locals_, wall = self._round(
-                    [("force_task", (group, fresh))] * ranks, capture
-                )
-                self.timing.compute_s += wall
-            with _span("parallel.comm", kind="force"):
-                g_mean, abe = self._allreduce_gradient(locals_, bs * len(group) * 3)
-            self._kf_update(g_mean, abe, scale)
-            f_abes.append(abe)
-
+        self._shard_cache = self._shards(batch)
+        self._round([("set_shard", (s,)) for s in self._shard_cache])
+        stats = super().step_batch(batch)
         self._heal_if_degraded()
         self.timing.comm_s += self.comm.modeled_time_s - comm_t0
         self.timing.wall_s += time.perf_counter() - step_t0
         self.timing.steps += 1
-        self.step_count += 1
-        _metrics.REGISTRY.counter("optim.steps", optimizer=self.name).inc()
         return {
-            "force_abe": float(np.mean(f_abes)) if f_abes else 0.0,
+            **stats,
             "modeled_time_s": self.timing.total_s,
             "wall_time_s": self.timing.wall_s,
             "comm_bytes_per_rank": self.comm.ledger.bytes_sent_per_rank,

@@ -141,14 +141,15 @@ def classify_phase(stack) -> str:
 
     The rules mirror how the hot paths are instrumented:
 
-    * ``fekf.forward`` inside a ``fekf.update`` (serial path) or
-      ``worker.task`` (rank-worker path) span is the energy- or
-      force-update forward, by the enclosing span's ``kind`` attr; a
-      *bare* ``fekf.forward`` is the shared force-graph build (serial
-      reuse path and the executor ``graph_task`` both run it outside any
-      kinded span);
+    * ``fekf.forward`` inside a ``fekf.update`` or a rank's
+      ``worker.task`` span is the energy- or force-update forward, by the
+      nearer one's ``kind`` attr; a ``fekf.forward`` under neither, or
+      under an un-kinded ``worker.task``, is the shared force-graph build
+      (the serial sweep and a rank's ``force_task`` both build it before
+      opening any group's ``fekf.update``);
     * ``fekf.gradient`` is the backward pass;
-    * ``fekf.kalman`` / ``parallel.kalman`` is the filter algebra;
+    * ``fekf.kalman`` is the filter algebra (serial and data-parallel
+      steps alike);
     * ``parallel.comm`` is the allreduce/broadcast reduction step.
     """
     if not stack:
@@ -156,7 +157,7 @@ def classify_phase(stack) -> str:
     inner = stack[-1].name
     if inner == "fekf.gradient":
         return "backward"
-    if inner in ("fekf.kalman", "parallel.kalman"):
+    if inner == "fekf.kalman":
         return "kf_update"
     if inner == "parallel.comm":
         return "reduce"
@@ -168,7 +169,7 @@ def classify_phase(stack) -> str:
                     return "forward_energy"
                 if kind == "force":
                     return "forward_force"
-                break  # un-kinded worker.task == graph_task
+                break  # an un-kinded worker.task: force_task's graph build
         return "force_graph"
     return inner
 

@@ -120,13 +120,13 @@ class TestProbesFire:
         assert trace.findings[0].context["step"] == 4
 
     def test_multi_writer_detected(self):
-        # both writers are held inside update() at once, so the thread
-        # ids are necessarily distinct and the write epochs overlap
+        # both writers are held inside update_many() at once, so the
+        # thread ids are necessarily distinct and the write epochs overlap
         barrier = threading.Barrier(2, timeout=10)
-        kalman = SimpleNamespace(update=lambda g, e, s: barrier.wait())
+        kalman = SimpleNamespace(update_many=lambda items, s: barrier.wait())
         probe = SharedStateProbe(kalman)
         threads = [
-            threading.Thread(target=kalman.update, args=(None, 0.0, 1.0))
+            threading.Thread(target=kalman.update_many, args=([], 1.0))
             for _ in range(2)
         ]
         for t in threads:

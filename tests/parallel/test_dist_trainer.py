@@ -1,16 +1,129 @@
 """Distributed FEKF: serial equivalence, replica consistency, accounting."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.analysis.determinism import state_fingerprint
+from repro.autograd.instrument import KernelCounter
 from repro.model import DeePMD, make_batch
 from repro.optim import FEKF, KalmanConfig
 from repro.optim.kalman import FLUSH_EVERY
 from repro.parallel import DistributedFEKF
+from repro.telemetry import Tracer
+from repro.telemetry import metrics as _metrics
 
 
 def _kcfg():
     return KalmanConfig(blocksize=1024)
+
+
+#: ``state_fingerprint`` (first 16 hex digits) of the weights and the
+#: filter state but its step count, after ``FLUSH_EVERY // 5 + 1`` steps on
+#: serial ranks -- 25 updates, across a flush -- by (world size,
+#: ``reuse_force_graph``).  Recorded when the data-parallel trainer still
+#: kept its own copy of the step (whose state dict left
+#: ``kalman/step_count`` at 0), so they pin the trajectory across the move
+#: to FEKF's step.
+PINNED = {
+    (2, True): "3ce99eeaec1d2129",
+    (2, False): "c25ee899574930b9",
+    (3, True): "9de73e69a98e4246",
+    (3, False): "f84a07679990e952",
+}
+
+
+class TestPinnedTrajectory:
+    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize("world", [2, 3])
+    def test_fingerprint_across_a_flush(self, cu_dataset, small_cfg, world, reuse):
+        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+        dist = DistributedFEKF(
+            model, world_size=world, kalman_cfg=_kcfg(),
+            reuse_force_graph=reuse, seed=7, executor="serial",
+        )
+        steps = FLUSH_EVERY // 5 + 1
+        for i in range(steps):
+            idx = (np.arange(4) + 4 * i) % cu_dataset.n_frames
+            dist.step_batch(make_batch(cu_dataset, idx, small_cfg))
+        dist.close()
+        assert (dist.kalman.updates, dist.kalman.pending) == (5 * steps, 5)
+        state = dist.state_dict()
+        del state["kalman/step_count"]
+        trajectory = SimpleNamespace(state_dict=lambda: state)
+        assert state_fingerprint(trajectory, model)[:16] == PINNED[world, reuse]
+
+
+class _PassLog(KernelCounter):
+    """A kernel counter that keeps the output shape of each ``P g`` pass."""
+
+    def __init__(self):
+        super().__init__()
+        self.passes = []
+
+    def record(self, op_name, nbytes=0, out_shape=None, in_shapes=None):
+        super().record(op_name, nbytes, out_shape, in_shapes)
+        if op_name == "p_symv_fused":
+            self.passes.append(out_shape)
+
+
+class TestOneStep:
+    """The data-parallel step is FEKF's: under the shared force graph the
+    four force updates are one ``update_many``, fed by one force round."""
+
+    def _dist(self, cu_dataset, small_cfg, **kw):
+        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+        return DistributedFEKF(
+            model, world_size=2, kalman_cfg=_kcfg(), seed=7, executor="serial", **kw
+        )
+
+    def test_two_filter_spans_and_one_pass_per_block_for_the_force_updates(
+        self, cu_dataset, small_cfg
+    ):
+        dist = self._dist(cu_dataset, small_cfg)
+        batch = make_batch(cu_dataset, np.arange(4), small_cfg)
+        with Tracer() as tr, _PassLog() as log:
+            dist.step_batch(batch)
+        dist.close()
+        kalman = [e.attrs for e in tr.events if e.name == "fekf.kalman"]
+        assert kalman == [{}, {"kind": "force", "groups": 4, "step": 0}]
+        sizes = [b.size for b in dist.kalman.blocks]
+        assert log.passes == [(n,) for n in sizes] + [(n, 4) for n in sizes]
+
+    def test_a_step_takes_at_most_seven_rounds(self, cu_dataset, small_cfg):
+        dist = self._dist(cu_dataset, small_cfg)
+        rounds = []
+        inner = dist.executor.submit
+
+        def submit(calls, capture=False):
+            rounds.append(calls[0][0])
+            return inner(calls, capture=capture)
+
+        dist.executor.submit = submit
+        batch = make_batch(cu_dataset, np.arange(4), small_cfg)
+        dist.step_batch(batch)
+        dist.close()
+        assert len(rounds) <= 7
+        assert rounds.count("force_task") == 1
+
+    def test_state_carries_the_step_count(self, cu_dataset, small_cfg):
+        dist = self._dist(cu_dataset, small_cfg)
+        batch = make_batch(cu_dataset, np.arange(4), small_cfg)
+        for _ in range(2):
+            dist.step_batch(batch)
+        dist.close()
+        assert dist.stats()["step_count"] == 2
+        assert int(dist.state_dict()["kalman/step_count"]) == 2
+
+    def test_moves_the_filter_signals_on_the_registry(self, cu_dataset, small_cfg):
+        dist = self._dist(cu_dataset, small_cfg)
+        batch = make_batch(cu_dataset, np.arange(4), small_cfg)
+        updates0 = _metrics.REGISTRY.counter("kalman.updates").value
+        dist.step_batch(batch)
+        dist.close()
+        assert _metrics.REGISTRY.counter("kalman.updates").value == updates0 + 5
+        assert _metrics.REGISTRY.gauge("kalman.lambda").value == dist.kalman.lam
 
 
 class TestSerialEquivalence:

@@ -52,11 +52,12 @@ def _counter(name, **labels):
 
 
 def _train(cu_dataset, small_cfg, executor, world=2, steps=2, fault=None,
-           fault_rank=1):
+           fault_rank=1, reuse_force_graph=True):
     """Run a short training and return (weights, checksum trace, abe trace)."""
     model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
     dist = DistributedFEKF(
-        model, world_size=world, kalman_cfg=_kcfg(), seed=7, executor=executor
+        model, world_size=world, kalman_cfg=_kcfg(), seed=7, executor=executor,
+        reuse_force_graph=reuse_force_graph,
     )
     if fault is not None:
         dist.inject_fault(fault_rank, fault)
@@ -69,6 +70,12 @@ def _train(cu_dataset, small_cfg, executor, world=2, steps=2, fault=None,
     weights = model.params.flatten()
     dist.close()
     return weights, checksums, abes
+
+
+def _train_fresh(cu_dataset, small_cfg, executor, fault=None):
+    """:func:`_train` under the paper-exact protocol: a fresh force graph
+    per group, so one force round per group."""
+    return _train(cu_dataset, small_cfg, executor, fault=fault, reuse_force_graph=False)
 
 
 class TestDeterminism:
@@ -241,6 +248,7 @@ CONSUMERS = {
         ("energy_task", "force_task"),
         ("parallel.serial_fallbacks",),
     ),
+    "trainer-fresh": (_train_fresh, ("force_task",), ("parallel.serial_fallbacks",)),
     "service": (
         _run_service,
         ("predict_task",),

@@ -37,7 +37,8 @@ class TestClassifyPhase:
 
     def test_kalman_flavours(self):
         assert classify_phase([_FakeSpan("fekf.kalman")]) == "kf_update"
-        assert classify_phase([_FakeSpan("parallel.kalman")]) == "kf_update"
+        force = {"kind": "force", "groups": 4}
+        assert classify_phase([_FakeSpan("fekf.kalman", force)]) == "kf_update"
 
     def test_comm_is_reduce(self):
         assert classify_phase([_FakeSpan("parallel.comm", {"kind": "energy"})]) == "reduce"
@@ -57,11 +58,16 @@ class TestClassifyPhase:
             _FakeSpan("fekf.forward"),
         ]
         worker_g = [
-            _FakeSpan("worker.task", {"method": "graph_task"}),
+            _FakeSpan("worker.task", {"method": "force_task"}),
+            _FakeSpan("fekf.forward"),
+        ]
+        worker_f = worker_g[:1] + [
+            _FakeSpan("fekf.update", {"kind": "force", "group": 0}),
             _FakeSpan("fekf.forward"),
         ]
         assert classify_phase(worker_e) == "forward_energy"
         assert classify_phase(worker_g) == "force_graph"
+        assert classify_phase(worker_f) == "forward_force"
 
     def test_other_span_passes_through(self):
         assert classify_phase([_FakeSpan("train.eval")]) == "train.eval"
