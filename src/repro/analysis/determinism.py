@@ -69,8 +69,9 @@ def state_fingerprint(optimizer, model=None) -> str:
     model weight vector: two runs share a fingerprint iff their training
     state is bit-identical."""
     h = hashlib.sha256()
-    for key in sorted(optimizer.state_dict()):
-        arr = np.ascontiguousarray(optimizer.state_dict()[key])
+    state = optimizer.state_dict()  # each call copies every P block
+    for key in sorted(state):
+        arr = np.ascontiguousarray(state[key])
         h.update(key.encode())
         h.update(arr.tobytes())
     if model is not None:

@@ -55,6 +55,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..durable import atomic_write_json
 from ..md.cell import Cell
 from ..md.neighbor import NeighborArrays, NeighborTable, batch_neighbor_tables
 from .dataset import Dataset
@@ -99,15 +100,6 @@ def _record_elems(n_atoms: int) -> int:
 
 def _shard_name(index: int) -> str:
     return f"shard-{index:05d}.rfs"
-
-
-def _atomic_write_json(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 @dataclass
@@ -354,7 +346,7 @@ class ShardedFrameStore:
 
     # -- manifest / layout ---------------------------------------------
     def _write_manifest(self) -> None:
-        _atomic_write_json(
+        atomic_write_json(
             os.path.join(self.path, _MANIFEST),
             {
                 "schema": SCHEMA,

@@ -14,7 +14,8 @@ owns, with labels appended to a
                             label_store=store, holdout=test_set,
                             initial_data=train_set)
     result = learner.run(start_positions)   # explore/gate/label/train/swap
-    learner.save_state("ckpt/")             # pause ...
+    learner.save_state("ckpt/")             # pause: one checkpoint directory
+                                            # (repro.optim.checkpoint) ...
 
     # ... and resume bit-exactly: a learner over the same store (or a
     # copy of its directory), no initial_data, then the checkpoint

@@ -27,7 +27,7 @@ construction.
 ``pause`` / ``save_state`` / ``load_state`` make the whole loop a
 resumable object: filters (P matrices and PCG64 streams), ledgers, the
 MD walker state, and the served model version all round-trip bit-exactly
-through a checkpoint directory.  The label pool is not in the
+through one checkpoint (:mod:`repro.optim.checkpoint`).  The label pool is not in the
 checkpoint: it is the learner's ``label_store``, which the checkpoint
 records by identity, so a resume builds a learner over that store (or a
 copy of it) and loads the checkpoint into it.
@@ -36,8 +36,6 @@ copy of it) and loads the checkpoint into it.
 from __future__ import annotations
 
 import copy
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -51,7 +49,7 @@ from ..data.framestore import ShardedFrameStore
 from ..md.cell import Cell
 from ..model.ensemble import ModelEnsemble
 from ..md.potentials import Potential
-from ..optim.base import save_ensemble_state
+from ..optim.checkpoint import read_meta, save_state
 from ..optim.kalman import KalmanConfig
 from ..serve import BoundedWorkQueue, InferenceService, ServeConfig, ServeError
 from ..telemetry.monitor import HeartbeatRegistry
@@ -519,39 +517,22 @@ class OnlineLearner:
     # checkpoint / resume
     # ------------------------------------------------------------------
     def save_state(self, path: str) -> None:
-        """Checkpoint everything needed for a bit-exact resume.
-
-        Members + FEKF filters (P matrices, PCG64 streams -- pulled from
-        the trainer's ranks for the occasion) go into one npz; counters,
-        ledger, swap history, walker RNG/positions, the served model
-        version and the label store's identity (frame count and content
-        fingerprint, not its path) into a JSON sidecar.  The store itself
-        is flushed, not copied: to resume, build a learner over it (or a
-        copy of its directory) without ``initial_data`` and call
-        :meth:`load_state`.
-        """
-        os.makedirs(path, exist_ok=True)
-        save_ensemble_state(
-            os.path.join(path, "members.npz"),
-            self.ensemble.models,
-            self.trainer.optimizers,
-        )
-        np.savez(
-            os.path.join(path, "walker.npz"),
-            start_pos=self._start_pos
-            if self._start_pos is not None
-            else np.empty((0, 3)),
-            **{f"model/{k}": v for k, v in self._walker_model.state_dict().items()},
-        )
+        """Checkpoint everything a bit-exact resume needs into the
+        directory ``path`` (:mod:`repro.optim.checkpoint`): the members
+        with their FEKF filters (pulled from the trainer's ranks) and the
+        walker as its arrays; counters, ledger, swaps, walker RNG and
+        positions, the served model version and the label store's
+        identity (frame count and fingerprint, not path) as its metadata.
+        The store is flushed, not copied: to resume, build a learner over
+        it (or a copy of its directory) without ``initial_data`` and call
+        :meth:`load_state`."""
         # the store IS the durable pool: flush it and record its identity
         # so resume can verify the pool matches the filters
         store = self.trainer.label_store
         store.flush()
         meta = {
-            "label_pool": {
-                "store_frames": store.n_frames,
-                "store_fingerprint": store.fingerprint(),
-            },
+            "store_frames": store.n_frames,
+            "store_fingerprint": store.fingerprint(),
             "ledger": self.ledger.as_dict(),
             "swaps": [s.as_dict() for s in self.swaps],
             "trained_rounds": self.trained_rounds,
@@ -560,9 +541,14 @@ class OnlineLearner:
             "wall_base": self._wall_base,
             "model_version": self.service.model_version,
             "rng_state": self._rng.bit_generator.state,
+            "start_pos": None if self._start_pos is None else self._start_pos.tolist(),
         }
-        with open(os.path.join(path, "online.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+        save_state(
+            path,
+            [*self.ensemble.models, self._walker_model],
+            [*self.trainer.optimizers, None],
+            meta=meta,
+        )
 
     def load_state(self, path: str) -> None:
         """Restore a checkpoint written by :meth:`save_state` into a
@@ -573,34 +559,25 @@ class OnlineLearner:
         store that has since diverged would break the bit-exact-resume
         contract, so it raises ``ValueError`` with the learner untouched.
         """
-        with open(os.path.join(path, "online.json")) as fh:
-            meta = json.load(fh)
-        pool = meta["label_pool"]
+        meta = read_meta(path)
         store = self.trainer.label_store
         if (
-            store.n_frames != int(pool["store_frames"])
-            or store.fingerprint() != pool["store_fingerprint"]
+            store.n_frames != int(meta["store_frames"])
+            or store.fingerprint() != meta["store_fingerprint"]
         ):
             raise ValueError(
                 f"label store at {store.path} does not match the checkpoint "
-                f"(expected {pool['store_frames']} frames, fingerprint "
-                f"{pool['store_fingerprint'][:12]}...)"
+                f"(expected {meta['store_frames']} frames, fingerprint "
+                f"{meta['store_fingerprint'][:12]}...)"
             )
-        self.trainer.restore(os.path.join(path, "members.npz"))
-        with np.load(os.path.join(path, "walker.npz")) as z:
-            start = z["start_pos"]
-            with self._state_lock:
-                self._start_pos = start.copy() if start.size else None
-            walker = {
-                k[len("model/"):]: z[k] for k in z.files if k.startswith("model/")
-            }
-        if walker:
-            self._walker_model.load_state_dict(walker)
+        self.trainer.restore(path, self._walker_model)
         with self._walker_lock:
             self._walker_mailbox.set(None)
         self.ledger.load_dict(meta["ledger"])
         self.swaps = [SwapRecord.from_dict(d) for d in meta["swaps"]]
+        start = meta["start_pos"]
         with self._state_lock:
+            self._start_pos = None if start is None else np.asarray(start, dtype=np.float64)
             self.trained_rounds = int(meta["trained_rounds"])
             self.segments = int(meta["segments"])
             self.served_rmse = float(meta["served_rmse"])

@@ -34,7 +34,7 @@ from ..model.calculator import DeePMDCalculator
 from ..model.ensemble import ModelEnsemble
 from ..model.network import DeePMD
 from ..model.session import InferenceSession
-from ..optim.base import load_ensemble_state
+from ..optim.checkpoint import load_state
 from ..optim.ekf import FEKF
 from ..optim.kalman import KalmanConfig, bind_kernels
 from ..parallel.executor import Executor, make_executor
@@ -451,12 +451,14 @@ class IncrementalTrainer:
                 self._local_current = True
         return [w.optimizer for w in self._members()]
 
-    def restore(self, path: str) -> None:
-        """Load a :func:`~repro.optim.base.save_ensemble_state` file into
-        the parent-side members and hand it to the ranks.  Nothing is
-        pulled first: the ranks' filters are about to be overwritten."""
-        members = self._members()
-        load_ensemble_state(path, self.ensemble.models, [w.optimizer for w in members])
+    def restore(self, path: str, *models: DeePMD) -> None:
+        """Load a checkpoint (:mod:`repro.optim.checkpoint`) whose members
+        are the committee's, filters included, followed by ``models``
+        (model-only members, e.g. a walker) into the parent-side members
+        and hand it to the ranks.  Nothing is pulled first: the ranks'
+        filters are about to be overwritten."""
+        optimizers = [w.optimizer for w in self._members()]
+        load_state(path, [*self.ensemble.models, *models], optimizers + [None] * len(models))
         self._local_current = True
         self.sync_ranks()
 

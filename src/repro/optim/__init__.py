@@ -10,16 +10,9 @@ Every optimizer satisfies the :class:`Optimizer` protocol
 """
 
 from ..runtime import FaultInjector, TaskResult, WorkerTelemetry
-from .base import (
-    OPTIMIZER_NAMES,
-    Optimizer,
-    load_ensemble_state,
-    load_state,
-    make_optimizer,
-    save_ensemble_state,
-    save_state,
-)
+from .base import OPTIMIZER_NAMES, Optimizer, make_optimizer
 from .blocks import Block, block_shapes, p_memory_bytes, split_blocks, validate_blocks
+from .checkpoint import CheckpointError, LegacyCheckpointError, load_state, save_state
 from .ekf import FEKF, NaiveEKF, RLEKF, UpdateStats
 from .first_order import SGD, Adam, ExponentialDecay, FirstOrderOptimizer, LossConfig
 from .kalman import KalmanConfig, KalmanState
@@ -54,6 +47,6 @@ __all__ = [
     "LossConfig",
     "save_state",
     "load_state",
-    "save_ensemble_state",
-    "load_ensemble_state",
+    "CheckpointError",
+    "LegacyCheckpointError",
 ]

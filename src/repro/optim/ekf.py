@@ -167,28 +167,25 @@ class FEKF:
         }
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Full filter state as flat arrays (same keys the npz checkpoints
-        have always used, so old checkpoint files stay loadable)."""
+        """Full filter state as flat arrays (what a checkpoint stores)."""
         k = self.kalman
+        # the group-shuffle RNG advances one draw per step; carrying its
+        # 128-bit PCG64 state (as uint64 quads) makes a resumed run
+        # continue bit-identically to the uninterrupted one
+        st, m = self._rng.bit_generator.state, (1 << 64) - 1
+        s, inc = st["state"]["state"], st["state"]["inc"]
         out: dict[str, np.ndarray] = {
             "kalman/lam": np.array(k.lam),
             "kalman/updates": np.array(k.updates),
             "kalman/p_scales": np.array(k.p_scales),
             "kalman/fused": np.array(int(k.fused)),
             "kalman/step_count": np.array(self.step_count),
-        }
-        st = self._rng.bit_generator.state
-        if st.get("bit_generator") == "PCG64":
-            # the group-shuffle RNG advances one draw per step; carrying
-            # its 128-bit PCG64 state (as uint64 quads) makes a resumed
-            # run continue bit-identically to the uninterrupted one
-            m = (1 << 64) - 1
-            s, inc = st["state"]["state"], st["state"]["inc"]
-            out["kalman/rng"] = np.array(
+            "kalman/rng": np.array(
                 [s & m, (s >> 64) & m, inc & m, (inc >> 64) & m,
                  st["has_uint32"], st["uinteger"]],
                 dtype=np.uint64,
-            )
+            ),
+        }
         out.update(k.p_state())  # the P blocks and the pending downdates
         return out
 
@@ -209,21 +206,19 @@ class FEKF:
             )
         if np.shape(state["kalman/p_scales"]) != (len(k.blocks),):
             raise ValueError(f"checkpoint kalman/p_scales has no entry per block ({len(k.blocks)})")
+        step_count = int(state["kalman/step_count"])
+        r = np.asarray(state["kalman/rng"], dtype=np.uint64)
         k.load_p_state(state)
         k.p_scales = [float(c) for c in np.asarray(state["kalman/p_scales"])]
         k.lam = float(state["kalman/lam"])
         k.updates = int(state["kalman/updates"])
-        if "kalman/step_count" in state:  # absent in pre-telemetry files
-            self.step_count = int(state["kalman/step_count"])
-        if "kalman/rng" in state:  # absent in older checkpoints
-            r = np.asarray(state["kalman/rng"], dtype=np.uint64)
-            st = self._rng.bit_generator.state
-            if st.get("bit_generator") == "PCG64":
-                st["state"]["state"] = int(r[0]) | (int(r[1]) << 64)
-                st["state"]["inc"] = int(r[2]) | (int(r[3]) << 64)
-                st["has_uint32"] = int(r[4])
-                st["uinteger"] = int(r[5])
-                self._rng.bit_generator.state = st
+        self.step_count = step_count
+        st = self._rng.bit_generator.state
+        st["state"]["state"] = int(r[0]) | (int(r[1]) << 64)
+        st["state"]["inc"] = int(r[2]) | (int(r[3]) << 64)
+        st["has_uint32"] = int(r[4])
+        st["uinteger"] = int(r[5])
+        self._rng.bit_generator.state = st
 
     # ------------------------------------------------------------------
     def _sweep_lanes(self, batch: DescriptorBatch, n_groups: int) -> int:

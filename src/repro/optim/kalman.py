@@ -117,17 +117,40 @@ def _triangle_block(n: int, src: np.ndarray | None = None) -> np.ndarray:
     triangle is written here, when the block is built, so no timed flush
     faults one in.
     """
+    p = unfilled_triangle_block(n)
+    for j, col in enumerate(triangle_columns(p)):
+        if src is None:
+            col[:j] = 0.0
+            col[j] = 1.0
+        else:
+            col[:] = src[: j + 1, j]
+    return p
+
+
+def unfilled_triangle_block(n: int) -> np.ndarray:
+    """The mapping of a fused P block with no page touched: every entry
+    reads 0.0 until its column of :func:`triangle_columns` is written."""
     buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):  # absent where there is no THP
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    p = np.frombuffer(buf, dtype=np.float64).reshape((n, n), order="F")
-    for j in range(n):
-        if src is None:
-            p[:j, j] = 0.0
-            p[j, j] = 1.0
-        else:
-            p[: j + 1, j] = src[: j + 1, j]
-    return p
+    return np.frombuffer(buf, dtype=np.float64).reshape((n, n), order="F")
+
+
+def triangle_columns(p: np.ndarray) -> list[np.ndarray]:
+    """The upper triangle of the F-ordered block ``p``, column by column,
+    as contiguous views: the only part of a fused block that is stored,
+    and so the only part a checkpoint writes and reads back into
+    :func:`unfilled_triangle_block` pages."""
+    return [p[: j + 1, j] for j in range(p.shape[0])]
+
+
+def triangle_keys(state: Mapping[str, np.ndarray]) -> list[str]:
+    """The keys of an EKF optimizer's ``state_dict`` that hold fused
+    blocks (``kalman/p{i}`` when ``kalman/fused`` is set): a checkpoint
+    stores them as :func:`triangle_columns`, every other array whole."""
+    if not int(state.get("kalman/fused", 0)):
+        return []
+    return [f"kalman/p{i}" for i in range(len(state["kalman/p_scales"]))]
 
 
 # ----------------------------------------------------------------------
@@ -518,8 +541,7 @@ class KalmanState:
         for p, b in zip(blocks, self.blocks):
             if p is None or np.shape(p) != (b.size, b.size):
                 raise ValueError("checkpoint block structure does not match")
-        # absent before the deferred downdate existed: nothing pending
-        beta = np.asarray(state.get("kalman/pending_beta", self.pend_beta[:, :0]))
+        beta = np.asarray(state.get("kalman/pending_beta"))
         if beta.ndim != 2 or beta.shape[0] != len(self.blocks):
             raise ValueError(f"checkpoint kalman/pending_beta has shape {beta.shape}")
         k = beta.shape[1]

@@ -201,7 +201,9 @@ class DistributedFEKF(FEKF):
         state, and stale replicas are healed wholesale after the step.
         A compute task runs at the parent's current weights, which is
         where every live rank ran it: no increment lands between a
-        compute round and the reduction of its results.
+        compute round and the reduction of its results.  Each result
+        carries the rank of the call it reproduces, so its merged spans
+        and ops land on that rank's track.
         """
         results = []
         for rank, (method, args) in enumerate(calls):
@@ -210,6 +212,7 @@ class DistributedFEKF(FEKF):
                 continue
             self.worker.set_shard(self._shard_cache[rank])
             results.append(run_task(self.worker, method, args, capture))
+            results[-1].telemetry.rank = rank
         return results
 
     def _compute(self, kind: str, calls: list[tuple[str, tuple]]) -> list:

@@ -163,3 +163,16 @@ class TestFingerprint:
         assert fp0 == state_fingerprint(opt, model)  # pure
         opt.kalman.lam *= 0.5  # perturb one scalar of filter state
         assert state_fingerprint(opt, model) != fp0
+
+    def test_builds_the_state_once(self):
+        """Every ``state_dict()`` call copies every P block: the
+        fingerprint builds the state once, whatever its key count."""
+        calls = []
+
+        def state_dict():
+            calls.append(1)
+            return {"b": np.arange(3.0), "a": np.ones(2)}
+
+        fp = state_fingerprint(SimpleNamespace(state_dict=state_dict))
+        assert len(calls) == 1
+        assert fp == state_fingerprint(SimpleNamespace(state_dict=state_dict))

@@ -1,10 +1,24 @@
 """Model+optimizer checkpointing for cross-session online learning."""
 
+import glob
+import json
+import os
+import zipfile
+
 import numpy as np
 import pytest
 
+from repro import durable
+from repro.analysis.determinism import state_fingerprint
 from repro.model import DeePMD, make_batch
-from repro.optim import FEKF, load_state, save_state
+from repro.optim import (
+    FEKF,
+    CheckpointError,
+    LegacyCheckpointError,
+    load_state,
+    save_state,
+)
+from repro.optim import checkpoint
 from repro.optim.kalman import FLUSH_EVERY
 from repro.perf import OPT1, OPT3
 
@@ -16,7 +30,7 @@ def _opt(model, fused=True):
 
 class TestCheckpoint:
     def test_model_only_roundtrip(self, cu_model, cu_batch, cu_dataset, small_cfg, tmp_path):
-        path = str(tmp_path / "m.npz")
+        path = str(tmp_path / "m")
         save_state(path, cu_model)
         other = DeePMD.for_dataset(cu_dataset, small_cfg, seed=77)
         load_state(path, other)
@@ -27,7 +41,7 @@ class TestCheckpoint:
     def test_loading_optimizer_from_model_only_file_raises(
         self, cu_model, cu_dataset, small_cfg, tmp_path
     ):
-        path = str(tmp_path / "m.npz")
+        path = str(tmp_path / "m")
         save_state(path, cu_model)
         other = DeePMD.for_dataset(cu_dataset, small_cfg, seed=3)
         with pytest.raises(KeyError):
@@ -44,12 +58,14 @@ class TestCheckpoint:
         o1 = _opt(m1, fused)
         for _ in range(2):
             o1.step_batch(batch)
-        path = str(tmp_path / "ck.npz")
+        path = str(tmp_path / "ck")
         save_state(path, m1, o1)
 
         m2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=55)
         o2 = _opt(m2, fused)
         load_state(path, m2, o2)
+        assert _same_state(o1, o2)  # every array, the dense P blocks included
+        assert np.array_equal(m1.params.flatten(), m2.params.flatten())
         # the force-group shuffling rng must be re-synced for bitwise
         # continuation; re-seed both to the same stream state
         o2._rng = np.random.default_rng(123)
@@ -63,7 +79,7 @@ class TestCheckpoint:
     def test_layout_mismatch_rejected(self, cu_dataset, small_cfg, tmp_path):
         model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
         opt = _opt(model, fused=True)
-        path = str(tmp_path / "ck.npz")
+        path = str(tmp_path / "ck")
         save_state(path, model, opt)
         other = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
         with pytest.raises(ValueError):
@@ -74,7 +90,7 @@ class TestCheckpoint:
         opt = _opt(model)
         for _ in range(3):
             opt.step_batch(cu_batch)
-        path = str(tmp_path / "ck.npz")
+        path = str(tmp_path / "ck")
         save_state(path, model, opt)
         m2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=2)
         o2 = _opt(m2)
@@ -145,7 +161,7 @@ class TestPendingDowndates:
         for g in head:
             straight.kalman.update(g, 0.1, 1.0)
         assert straight.kalman.pending == phase
-        path = str(tmp_path / "mid.npz")
+        path = str(tmp_path / "mid")
         save_state(path, model, straight)
 
         m2, resumed = _fresh(cu_dataset, small_cfg, seed=77)
@@ -170,7 +186,7 @@ class TestPendingDowndates:
         for _ in range(3):
             o1.step_batch(cu_batch)
         assert o1.kalman.pending == 15 % FLUSH_EVERY
-        path = str(tmp_path / "steps.npz")
+        path = str(tmp_path / "steps")
         save_state(path, m1, o1)
         m2, o2 = _fresh(cu_dataset, small_cfg, seed=55)
         load_state(path, m2, o2)
@@ -180,30 +196,6 @@ class TestPendingDowndates:
         assert np.array_equal(m1.params.flatten(), m2.params.flatten())
         assert o1.kalman.checksum() == o2.kalman.checksum()
         assert _same_state(o1, o2)
-
-    def test_checkpoint_without_pending_keys_loads_and_trains(
-        self, cu_dataset, small_cfg, cu_batch
-    ):
-        """A checkpoint written before the deferred downdate existed has
-        a fully applied P and no pending keys: it loads as "nothing
-        pending" -- even into a filter that is mid-window -- and trains
-        exactly like the filter it was taken from."""
-        m1, o1 = _fresh(cu_dataset, small_cfg)
-        for _ in range(FLUSH_EVERY // 5):
-            o1.step_batch(cu_batch)
-        assert o1.kalman.pending == 0  # P fully applied, like an old file
-        old = {k: v for k, v in o1.state_dict().items() if "pending" not in k}
-
-        m2, o2 = _fresh(cu_dataset, small_cfg)
-        o2.step_batch(cu_batch)  # leaves 5 pending that the load must drop
-        m2.params.unflatten(m1.params.flatten().copy())
-        o2.load_state_dict(old)
-        assert o2.kalman.pending == 0
-        assert o2.kalman.checksum() == o1.kalman.checksum()
-        o1.step_batch(cu_batch)
-        o2.step_batch(cu_batch)
-        assert np.array_equal(m1.params.flatten(), m2.params.flatten())
-        assert o1.kalman.checksum() == o2.kalman.checksum()
 
     def test_overfull_pending_rejected(self, cu_dataset, small_cfg):
         _, opt = _fresh(cu_dataset, small_cfg)
@@ -256,64 +248,213 @@ class TestLoadDoesNotAlias:
         assert ends[0][1] == ends[1][1]
 
 
-class TestLegacyLayout:
-    """Files written before the ``Optimizer`` protocol existed carry only
-    the original key set; they must stay loadable verbatim."""
+def _state(model, opt):
+    """Everything a checkpoint restores, as comparable arrays."""
+    return {"w": model.params.flatten().copy(), **opt.state_dict()}
 
-    LEGACY_KEYS = (
-        "kalman/lam", "kalman/updates", "kalman/p_scales", "kalman/fused",
-    )
 
-    def _write_legacy(self, path, model, opt):
-        """Re-write a checkpoint keeping only the pre-protocol keys
-        (no kalman/step_count, no kalman/rng)."""
-        payload = {f"model/{k}": v for k, v in model.state_dict().items()}
-        state = opt.state_dict()
-        for key in self.LEGACY_KEYS:
-            payload[key] = state[key]
-        for key in state:
-            if key.startswith("kalman/p") and key[8:].isdigit():
-                payload[key] = state[key]
-        np.savez_compressed(path, **payload)
-        return state
+def _equal(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
-    def test_pre_protocol_file_roundtrips(self, cu_dataset, small_cfg, cu_batch, tmp_path):
-        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        opt = _opt(model)
+
+class TestFormat:
+    def test_files_are_one_manifest_and_one_data_file(self, cu_dataset, small_cfg, tmp_path):
+        model, opt = _fresh(cu_dataset, small_cfg)
+        path = str(tmp_path / "ck")
+        for _ in range(3):  # saving over a checkpoint leaves no second data file
+            save_state(path, model, opt)
+        assert sorted(os.listdir(path)) == ["data.2.bin", "manifest.json"]
+        with open(os.path.join(path, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        entries = manifest["members"][0]["optimizer"]
+        assert os.path.getsize(os.path.join(path, "data.2.bin")) == sum(
+            e["nbytes"] for m in manifest["members"] for part in m.values() for e in part
+        )
+        # a fused block is stored as its packed upper triangle, nothing else
+        for i, blk in enumerate(opt.kalman.blocks):
+            entry = next(e for e in entries if e["key"] == f"kalman/p{i}")
+            n = blk.size
+            assert (entry["layout"], entry["nbytes"]) == ("triangle", 8 * n * (n + 1) // 2)
+
+    def test_save_builds_each_state_once(self, cu_dataset, small_cfg, tmp_path):
+        """Every ``state_dict()`` call copies every P block."""
+        model, opt = _fresh(cu_dataset, small_cfg)
+        calls = []
+        inner = opt.state_dict
+        opt.state_dict = lambda: calls.append(1) or inner()
+        save_state(str(tmp_path / "ck"), [model, model], [opt, opt])
+        assert len(calls) == 2
+
+    def test_members_and_metadata(self, cu_dataset, small_cfg, cu_batch, tmp_path):
+        """A committee and a model-only member share one checkpoint, and
+        the caller's metadata comes back from the load."""
+        pairs = [_fresh(cu_dataset, small_cfg, seed=s) for s in (1, 2)]
+        for _, opt in pairs:
+            opt.step_batch(cu_batch)
+        walker = DeePMD.for_dataset(cu_dataset, small_cfg, seed=3)
+        path = str(tmp_path / "ck")
+        meta = {"rounds": 4, "rng": {"state": 1 << 100}, "pos": [[0.1, -0.0]]}
+        save_state(path, [m for m, _ in pairs] + [walker], [o for _, o in pairs] + [None],
+                   meta=meta)
+        assert checkpoint.read_meta(path) == meta
+
+        fresh = [_fresh(cu_dataset, small_cfg, seed=s) for s in (7, 8)]
+        walker2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=9)
+        got = load_state(path, [m for m, _ in fresh] + [walker2], [o for _, o in fresh] + [None])
+        assert got == meta
+        for (m, o), (m2, o2) in zip(pairs, fresh):
+            assert _equal(_state(m, o), _state(m2, o2))
+        assert np.array_equal(walker.params.flatten(), walker2.params.flatten())
+        with pytest.raises(ValueError, match="3 members for 2 models"):
+            load_state(path, [m for m, _ in fresh])
+        with pytest.raises(KeyError, match="member 2"):
+            load_state(path, [m for m, _ in fresh] + [walker2], [o for _, o in fresh] + [fresh[0][1]])
+
+
+class TestTypedErrors:
+    def test_npz_file_raises_the_legacy_error(self, cu_dataset, small_cfg, tmp_path):
+        model, opt = _fresh(cu_dataset, small_cfg)
+        path = str(tmp_path / "old.npz")
+        np.savez_compressed(path, **{f"model/{k}": v for k, v in model.state_dict().items()})
+        assert zipfile.is_zipfile(path)
+        with pytest.raises(LegacyCheckpointError, match=r"\.npz checkpoints"):
+            load_state(path, model, opt)
+
+    def test_missing_checkpoint_raises(self, cu_model, tmp_path):
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_state(str(tmp_path / "nothing"), cu_model)
+
+    @pytest.mark.parametrize("where", ["model", "middle", "last"])
+    def test_corrupt_byte_raises_before_anything_changes(
+        self, cu_dataset, small_cfg, cu_batch, tmp_path, where
+    ):
+        model, opt = _fresh(cu_dataset, small_cfg)
+        opt.step_batch(cu_batch)
+        path = str(tmp_path / "ck")
+        save_state(path, model, opt)
+        (data,) = glob.glob(os.path.join(path, "data.*.bin"))
+        size = os.path.getsize(data)
+        at = {"model": 0, "middle": size // 2, "last": size - 1}[where]
+        with open(data, "r+b") as fh:
+            fh.seek(at)
+            byte = fh.read(1)[0]
+            fh.seek(at)
+            fh.write(bytes([byte ^ 0x10]))
+
+        m2, o2 = _fresh(cu_dataset, small_cfg, seed=5)
+        o2.step_batch(cu_batch)
+        before = _state(m2, o2)
+        with pytest.raises(CheckpointError, match="CRC"):
+            load_state(path, m2, o2)
+        assert _equal(_state(m2, o2), before)
+
+    def test_truncated_data_file_raises(self, cu_dataset, small_cfg, tmp_path):
+        model, opt = _fresh(cu_dataset, small_cfg)
+        path = str(tmp_path / "ck")
+        save_state(path, model, opt)
+        (data,) = glob.glob(os.path.join(path, "data.*.bin"))
+        os.truncate(data, os.path.getsize(data) - 8)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_state(path, model, opt)
+
+
+class _Crash(Exception):
+    """Stands in for the process dying at a write point."""
+
+
+class _FailingFile:
+    """A file whose ``nth`` write raises (after writing nothing)."""
+
+    def __init__(self, fh, nth):
+        self._fh, self._left = fh, nth
+
+    def write(self, data):
+        self._left -= 1
+        if self._left == 0:
+            raise _Crash("write")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _fail_nth(real, nth):
+    calls = [0]
+
+    def fake(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == nth:
+            raise _Crash(real.__name__)
+        return real(*args, **kwargs)
+
+    return fake
+
+
+def _fail_write(module, nth):
+    def opener(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FailingFile(fh, nth) if "w" in mode else fh
+
+    return module, "open", opener
+
+
+#: each write point of ``save_state`` in order, as (patch target,
+#: attribute, replacement), and whether the crash lands after the commit
+WRITE_POINTS = {
+    "first data write": (lambda: _fail_write(checkpoint, 1), False),
+    "mid data write": (lambda: _fail_write(checkpoint, 40), False),
+    "data fsync": (lambda: (os, "fsync", _fail_nth(os.fsync, 1)), False),
+    "manifest write": (lambda: _fail_write(durable, 1), False),
+    "manifest fsync": (lambda: (os, "fsync", _fail_nth(os.fsync, 2)), False),
+    "manifest replace": (lambda: (os, "replace", _fail_nth(os.replace, 1)), False),
+    "old data removal": (lambda: (os, "remove", _fail_nth(os.remove, 1)), True),
+}
+
+
+class TestCrashAtEachWritePoint:
+    """A crash anywhere in a save leaves the previous checkpoint or the
+    new one, never a torn one, and a run resumed from what is left
+    matches the run that never stopped."""
+
+    TOTAL = 5  # steps of the uninterrupted run
+
+    @pytest.mark.parametrize("point", list(WRITE_POINTS))
+    def test_load_gives_previous_or_new_and_resumes_exactly(
+        self, cu_dataset, small_cfg, cu_batch, tmp_path, monkeypatch, point
+    ):
+        model, opt = _fresh(cu_dataset, small_cfg)
+        path = str(tmp_path / "ck")
         for _ in range(2):
             opt.step_batch(cu_batch)
-        path = str(tmp_path / "legacy.npz")
-        old_state = self._write_legacy(path, model, opt)
+        save_state(path, model, opt)
+        previous = _state(model, opt)
+        opt.step_batch(cu_batch)  # 15 updates: mid flush window
+        new = _state(model, opt)
 
-        m2 = DeePMD.for_dataset(cu_dataset, small_cfg, seed=42)
-        o2 = _opt(m2)
-        step_count_before = o2.step_count
+        patch, committed = WRITE_POINTS[point]
+        with monkeypatch.context() as mp:
+            mp.setattr(*patch(), raising=False)
+            with pytest.raises(_Crash):
+                save_state(path, model, opt)
+        for _ in range(self.TOTAL - 3):
+            opt.step_batch(cu_batch)
+        straight = state_fingerprint(opt, model)
+
+        m2, o2 = _fresh(cu_dataset, small_cfg, seed=5)
         load_state(path, m2, o2)
-        assert np.allclose(m2.params.flatten(), model.params.flatten())
-        assert o2.kalman.lam == pytest.approx(opt.kalman.lam)
-        assert o2.kalman.updates == opt.kalman.updates
-        for i, p in enumerate(o2.kalman.p_mats):
-            assert np.array_equal(p, old_state[f"kalman/p{i}"])
-        # the optional keys were absent: their state is simply untouched
-        assert o2.step_count == step_count_before
+        assert _equal(_state(m2, o2), new if committed else previous)
+        while o2.step_count < self.TOTAL:
+            o2.step_batch(cu_batch)
+        assert state_fingerprint(o2, m2) == straight
 
-    def test_missing_optional_keys_do_not_raise(self, cu_dataset, small_cfg, tmp_path):
-        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
-        opt = _opt(model)
-        path = str(tmp_path / "legacy.npz")
-        self._write_legacy(path, model, opt)
-        with np.load(path) as z:
-            assert "kalman/step_count" not in z.files
-            assert "kalman/rng" not in z.files
-        load_state(path, model, opt)
-
-    def test_model_prefixed_optimizer_key_rejected(self, cu_model, tmp_path):
-        """An optimizer whose state keys spill into the model/ namespace
-        would silently corrupt the weight payload; save must refuse."""
-
-        class EvilOpt:
-            def state_dict(self):
-                return {"model/fit_out_b": np.zeros(1)}
-
-        with pytest.raises(ValueError, match="collide"):
-            save_state(str(tmp_path / "x.npz"), cu_model, EvilOpt())
+        save_state(path, m2, o2)  # the next save cleans up after the crash
+        assert len(glob.glob(os.path.join(path, "data.*.bin"))) == 1
+        m3, o3 = _fresh(cu_dataset, small_cfg, seed=6)
+        load_state(path, m3, o3)
+        assert state_fingerprint(o3, m3) == straight

@@ -12,12 +12,22 @@ bits.
 
 import mmap
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.model import make_batch
-from repro.optim import FEKF, KalmanConfig, KalmanState, NaiveEKF, make_optimizer
+from repro.optim import (
+    FEKF,
+    KalmanConfig,
+    KalmanState,
+    NaiveEKF,
+    checkpoint,
+    load_state,
+    make_optimizer,
+    save_state,
+)
 from repro.optim.kalman import FLUSH_EVERY
 
 N = 4096
@@ -86,11 +96,27 @@ class TestResidency:
         assert restored.pending == state.pending
         assert np.array_equal(restored.pend_u[0][:, :5], state.pend_u[0][:, :5])
 
-    def test_fekf_state_dict_round_trip(self, resident_bytes, cu_model, cu_dataset, small_cfg):
+    @pytest.mark.parametrize("via", ["state_dict", "file"])
+    def test_fekf_state_dict_round_trip(
+        self, resident_bytes, cu_model, cu_dataset, small_cfg, tmp_path, monkeypatch, via
+    ):
+        """A state dict or a checkpoint file: the restored blocks, and
+        the blocks a load reads the file into, hold the triangle only."""
         opt = FEKF(cu_model, KalmanConfig(blocksize=1024))
         opt.step_batch(make_batch(cu_dataset, np.arange(2), small_cfg))
         other = FEKF(cu_model, KalmanConfig(blocksize=1024))
-        other.load_state_dict(opt.state_dict())
+        if via == "state_dict":
+            other.load_state_dict(opt.state_dict())
+        else:
+            read = []
+            inner = checkpoint.unfilled_triangle_block
+            monkeypatch.setattr(
+                checkpoint, "unfilled_triangle_block", lambda n: read.append(inner(n)) or read[-1]
+            )
+            save_state(str(tmp_path / "ck"), cu_model, opt)
+            load_state(str(tmp_path / "ck"), cu_model, other)
+            assert len(read) == len(opt.kalman.blocks)
+            _assert_triangle_resident(SimpleNamespace(p_mats=read), resident_bytes)
         for state in (opt.kalman, other.kalman):
             _assert_triangle_resident(state, resident_bytes)
         assert other.kalman.checksum() == opt.kalman.checksum()
@@ -153,5 +179,5 @@ def test_small_blocks_copy_the_triangle_exactly(n):
     rest reads 0.0 even when the source's lower triangle does not."""
     src = np.asfortranarray(np.random.default_rng(n).normal(size=(n, n)))
     state = _fused(n)
-    state.load_p_state({"kalman/p0": src})
+    state.load_p_state({"kalman/p0": src, "kalman/pending_beta": np.zeros((1, 0))})
     assert np.array_equal(state.p_mats[0], np.triu(src))

@@ -475,6 +475,25 @@ class TestTelemetryMerge:
         # by executor backend
         assert _counter("parallel.worker_tasks", executor=kind) > tasks0
 
+    def test_fallback_spans_keep_the_rank_of_each_call(self, cu_dataset, small_cfg):
+        """A round answered by the parent's own worker reproduces every
+        rank's call there; each merged span keeps the rank of the call."""
+        model = DeePMD.for_dataset(cu_dataset, small_cfg, seed=1)
+        dist = DistributedFEKF(
+            model, world_size=2, kalman_cfg=_kcfg(), seed=7, executor="serial"
+        )
+        dist.inject_fault(1, FaultInjector("energy_task", times=2))
+        fallbacks0 = _counter("parallel.serial_fallbacks")
+        with Tracer() as tracer:
+            dist.step_batch(make_batch(cu_dataset, np.arange(4), small_cfg))
+        dist.close()
+        assert _counter("parallel.serial_fallbacks") == fallbacks0 + 1
+        ranks = {
+            ev.attrs.get("rank") for ev in tracer.events
+            if ev.name == "worker.task" and ev.attrs.get("method") == "energy_task"
+        }
+        assert ranks == {0, 1}
+
 
 class TestLayering:
     def test_no_private_imports_from_optim(self):
