@@ -274,8 +274,6 @@ def audit_determinism(
     (conventionally ``serial``); every other backend must reproduce its
     per-step fingerprints bit-for-bit.
     """
-    from ..optim.lanes import blas_threads
-
     report = Report(tool="determinism")
     if dataset is None or cfg is None:
         from ..data import generate_dataset
@@ -354,8 +352,5 @@ def audit_determinism(
     )
     if ref.fingerprints:
         report.metrics["final_fingerprint"] = ref.fingerprints[-1][:16]
-    # OpenBLAS partitions its kernels by thread count, so the rounding,
-    # and with it the fingerprint, depends on it: quote the two together
-    report.metrics["blas_threads"] = blas_threads()
     report.metrics["online_promotion"] = ref.online_promotion[:16]
     return report

@@ -222,7 +222,7 @@ class FEKF:
 
     # ------------------------------------------------------------------
     def _sweep_lanes(self, batch: DescriptorBatch, n_groups: int) -> int:
-        """Lanes for the force-group sweeps: one per idle core
+        """Lanes for the force-group sweeps: one per core
         (:func:`~repro.optim.lanes.lane_count`), but one for a small batch
         (the handoff costs more than the second core saves) and one under
         an op-stream observer on this thread (its sink records only this
@@ -244,7 +244,7 @@ class FEKF:
         self, batch: DescriptorBatch, groups: list[np.ndarray]
     ) -> list[tuple[np.ndarray, float]]:
         """Every group's ``(g, abe)`` from one force graph built at the
-        current weights, swept on up to one lane per idle core
+        current weights, swept on up to one lane per core
         (:meth:`GradientWorker.group_gradients`).  The paper-exact
         protocol asks for one group at a time inside its own
         ``fekf.update`` (which Figure 7's profile reads), so there the

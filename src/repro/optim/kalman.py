@@ -39,7 +39,7 @@ Figure 7's baseline, :class:`repro.perf.presets.DenseKalmanState`.
 
 The blocks are independent inside the two passes over P, so each state
 splits them into *lanes* (:func:`~repro.optim.blocks.shard_blocks`, one
-per core the BLAS leaves idle, see :mod:`repro.optim.lanes`): every
+per core, see :mod:`repro.optim.lanes`): every
 pass's per-block ``P_stored G``, every update's per-block correction and
 every block's flush run on the lanes, the caller's thread taking lane 0.
 The kernel and the BLAS calls (scipy's ``cython_blas`` C entry points)
@@ -65,6 +65,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import mmap
+import weakref
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, replace
 from types import SimpleNamespace
@@ -117,7 +118,7 @@ def _triangle_block(n: int, src: np.ndarray | None = None) -> np.ndarray:
     triangle is written here, when the block is built, so no timed flush
     faults one in.
     """
-    p = unfilled_triangle_block(n)
+    p = _untouched_block(n)
     for j, col in enumerate(triangle_columns(p)):
         if src is None:
             col[:j] = 0.0
@@ -127,13 +128,27 @@ def _triangle_block(n: int, src: np.ndarray | None = None) -> np.ndarray:
     return p
 
 
-def unfilled_triangle_block(n: int) -> np.ndarray:
+def _untouched_block(n: int) -> np.ndarray:
     """The mapping of a fused P block with no page touched: every entry
     reads 0.0 until its column of :func:`triangle_columns` is written."""
     buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):  # absent where there is no THP
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(buf, dtype=np.float64).reshape((n, n), order="F")
+
+
+#: the blocks :func:`unfilled_triangle_block` handed to a reader, by id,
+#: until a filter adopts them (held weakly)
+_HANDED_OVER = weakref.WeakValueDictionary()
+
+
+def unfilled_triangle_block(n: int) -> np.ndarray:
+    """An untouched block for a reader (a checkpoint load) to fill and
+    hand to :meth:`KalmanState.load_p_state`, which adopts it instead of
+    copying it: nothing but the reader's state holds it."""
+    p = _untouched_block(n)
+    _HANDED_OVER[id(p)] = p
+    return p
 
 
 def triangle_columns(p: np.ndarray) -> list[np.ndarray]:
@@ -164,6 +179,11 @@ _capsule_ptr = ctypes.pythonapi.PyCapsule_GetPointer
 _capsule_ptr.restype = ctypes.c_void_p
 _capsule_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
 
+#: OpenBLAS's thread setters (``64_``: numpy's ILP64 build; no ``scipy_``:
+#: wheels before numpy 2 and scipy 1.13)
+_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads64_", "openblas_set_num_threads")
+
 
 @functools.cache
 def bind_kernels() -> SimpleNamespace:
@@ -175,8 +195,19 @@ def bind_kernels() -> SimpleNamespace:
     lanes runs.  A process that forks ranks which will build filters
     binds first, so the ranks share its scipy and its library instead of
     each loading their own (~0.3 s of CPU and ~4k page faults per rank,
-    inside the caller's first round)."""
+    inside the caller's first round).  Binding sets both OpenBLAS pools,
+    numpy's and scipy's, to one thread: the lanes take every core
+    (:mod:`repro.optim.lanes`).  A BLAS with no such setter is left alone."""
+    from numpy.linalg import _umath_linalg
     from scipy.linalg import cython_blas
+
+    for lib in map(ctypes.CDLL, (_umath_linalg.__file__, cython_blas.__file__)):
+        for name in _SET_THREADS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
     def bind(name: str, n_args: int):
         cap = cython_blas.__pyx_capi__[name]
@@ -529,10 +560,11 @@ class KalmanState:
     def load_p_state(self, state: Mapping[str, np.ndarray]) -> None:
         """Restore the stored P from arrays :meth:`p_state` produced.
 
-        The blocks are copied (the update runs in place, and the caller's
-        snapshot must not be the array it then mutates); a triangle block
-        copies the upper triangle only: everything this code writes holds
-        0.0 below the diagonal.  A missing or misshapen block,
+        A block a reader filled (:func:`unfilled_triangle_block`) is
+        adopted, once; every other block is copied (the update runs in
+        place, and the caller's snapshot must not be the array it then
+        mutates), the upper triangle only: everything this code writes
+        holds 0.0 below the diagonal.  A missing or misshapen block,
         ``pending_beta`` not ``(n_blocks, k)``, ``pending_u{i}`` not
         ``(block size, k)``, or more pending pairs than this filter defers
         raises ``ValueError`` before anything changes.
@@ -551,7 +583,8 @@ class KalmanState:
         for i, (u, b) in enumerate(zip(us, self.blocks)):
             if u is None or np.shape(u) != (b.size, k):
                 raise ValueError(f"checkpoint kalman/pending_u{i} is not ({b.size}, {k})")
-        self.p_mats = [self._block(p.shape[0], np.asarray(p)) for p in blocks]
+        self.p_mats = [p if _HANDED_OVER.pop(id(p), None) is p
+                       else self._block(p.shape[0], np.asarray(p)) for p in blocks]
         self.pending = k
         self.pend_beta[:, :k] = beta
         for dst, u in zip(self.pend_u, us):

@@ -1,4 +1,4 @@
-"""Lanes: one helper thread per idle core, for work that releases the GIL.
+"""Lanes: one thread per core, for work that releases the GIL.
 
 Two phases of an FEKF step spend their time in calls that drop the GIL:
 the Kalman core's per-block BLAS passes over P (``ctypes`` calls into
@@ -12,54 +12,22 @@ records, state updates) on their own thread in item order, so results
 are bit-identical for any lane count.
 
 The lane count is derived, never configured: :func:`lane_count` gives one
-lane per core that a multi-threaded BLAS call would not already occupy.
+lane per core the process may run on.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
-__all__ = ["blas_threads", "lane_count", "map_lanes"]
-
-
-#: resolved once (a ``CDLL`` per call costs ~27 us and leaves cyclic
-#: ctypes garbage behind every FEKF step), on the first
-#: :func:`blas_threads` call, not at import: scipy costs ~25 MB of RSS
-#: that a process which never runs a filter should not pay
-@functools.cache
-def _resolve_blas_threads():
-    """scipy's ``scipy_openblas_get_num_threads``, or ``None`` when the BLAS
-    behind scipy does not export it."""
-    from scipy.linalg import cython_blas
-
-    try:
-        get = ctypes.CDLL(cython_blas.__file__).scipy_openblas_get_num_threads
-    except AttributeError:
-        return None
-    get.restype, get.argtypes = ctypes.c_int, []
-    return get
-
-
-def blas_threads() -> int | None:
-    """OpenBLAS's thread count (its live value, read on every call), or
-    ``None`` when the BLAS behind scipy does not export
-    ``scipy_openblas_get_num_threads``."""
-    get = _resolve_blas_threads()
-    return None if get is None else int(get())
+__all__ = ["lane_count", "map_lanes"]
 
 
 def lane_count(n_items: int) -> int:
-    """Lanes for ``n_items`` independent items: one per core that a
-    multi-threaded BLAS call would not already occupy (a second lane
-    beside a 2-thread BLAS on 2 cores is slower than none), and one when
-    the BLAS thread count is unknown."""
-    threads = blas_threads()
-    if threads is None:
-        return 1
-    return max(1, min(n_items, len(os.sched_getaffinity(0)) // threads))
+    """Lanes for ``n_items`` independent items: one per core this process
+    may run on (the Kalman kernels keep BLAS to one thread, see
+    :func:`repro.optim.kalman.bind_kernels`)."""
+    return min(n_items, len(os.sched_getaffinity(0)))
 
 
 #: the threads that run every lane but the caller's, shared by every

@@ -89,7 +89,6 @@ class TestDeterminismCommand:
         assert audit["metrics"]["backends"] == "serial,thread"
         assert audit["metrics"]["fingerprints_compared"] == 2
         assert audit["metrics"]["final_fingerprint"]
-        assert "blas_threads" in audit["metrics"]
 
     def test_unknown_backend_is_usage_error(self, capsys):
         assert main(["determinism", "--backends", "gpu"]) == 2

@@ -11,10 +11,13 @@ array-of-structures kernels they replaced, kept below as the oracle.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from repro.autograd import KernelCounter, Tensor, fused_kernels, grad, ops
 from repro.data import SYSTEMS, generate_dataset
@@ -128,6 +131,24 @@ def graph_prediction(model, batch):
 SYSTEM_NAMES = sorted(SYSTEMS)
 
 
+@contextlib.contextmanager
+def numpy_pool_at(n: int):
+    """numpy's OpenBLAS pool at ``n`` threads inside the block (a test
+    session runs it at one once any filter has been built)."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread setter")
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 class TestSoAKernelsMatchAoS:
     def test_stats(self, name):
@@ -173,6 +194,12 @@ class TestPredictMatchesGraph:
         assert bits(pred.energy) == bits(energy)
         assert bits(pred.forces) == bits(forces)
         assert bits(e_only) == bits(energy)
+
+    def test_predict_bytes_with_a_two_thread_numpy_pool(self, name):
+        """A server keeps numpy's BLAS threads (only a filter caps them):
+        its predictions must still be the graph's bytes."""
+        with numpy_pool_at(2):
+            self.test_predict_bytes(name, 4)
 
     def test_predict_bytes_fused_layers(self, name):
         ds, cfg, model, _ = system_setup(name)

@@ -3,6 +3,9 @@
 import glob
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import zipfile
 
 import numpy as np
@@ -247,6 +250,80 @@ class TestLoadDoesNotAlias:
         assert np.array_equal(ends[0][0], ends[1][0])
         assert ends[0][1] == ends[1][1]
 
+    def test_a_read_block_is_adopted_and_a_live_snapshot_never(
+        self, cu_dataset, small_cfg, cu_batch, tmp_path, monkeypatch
+    ):
+        """The blocks a checkpoint load reads are the loaded filter's own
+        (nothing else holds them); a live filter's snapshot is copied, so
+        stepping either filter leaves the other's checksum alone."""
+        read = []
+        inner = checkpoint.unfilled_triangle_block
+        monkeypatch.setattr(
+            checkpoint, "unfilled_triangle_block", lambda n: read.append(inner(n)) or read[-1]
+        )
+        model, live = _fresh(cu_dataset, small_cfg)
+        live.step_batch(cu_batch)
+        save_state(str(tmp_path / "ck"), model, live)
+        m2, loaded = _fresh(cu_dataset, small_cfg, seed=5)
+        load_state(str(tmp_path / "ck"), m2, loaded)
+        assert len(read) == len(loaded.kalman.p_mats)
+        assert all(p is r for p, r in zip(loaded.kalman.p_mats, read))
+
+        _, copied = _fresh(cu_dataset, small_cfg, seed=6)
+        copied.load_state_dict(live.state_dict())
+        for stepped, other in ((live, copied), (copied, live), (loaded, copied)):
+            before = other.kalman.checksum()
+            stepped.step_batch(cu_batch)
+            assert other.kalman.checksum() == before
+
+
+#: a fresh interpreter saves a filter of one 3889-wide block (a ~60 MB
+#: triangle), loads it back, and prints the triangle's bytes and how far
+#: the load took the peak RSS above the RSS it started from.  The peak is
+#: ``VmHWM``, this address space's own: ``ru_maxrss`` keeps the peak of
+#: the (v)forked parent across ``exec``, so under pytest it reads the
+#: test session's
+_LOAD_PEAK = textwrap.dedent("""
+    import json
+    import sys
+
+    from repro.data import generate_dataset
+    from repro.model import DeePMD, DeePMDConfig
+    from repro.optim import FEKF, KalmanConfig, load_state, save_state
+
+    def status_bytes(field):
+        with open("/proc/self/status") as fh:
+            kb = next(line.split()[1] for line in fh if line.startswith(field))
+        return int(kb) * 1024
+
+    ds = generate_dataset(
+        "Cu", frames_per_temperature=2, size="small", equilibration_steps=4, stride=2
+    )
+    model = DeePMD.for_dataset(ds, DeePMDConfig.scaled_down(rcut=3.5, nmax=16), seed=1)
+    opt = FEKF(model, KalmanConfig(blocksize=4096))
+    save_state(sys.argv[1], model, opt)
+    start = status_bytes("VmRSS:")
+    load_state(sys.argv[1], model, opt)
+    peak = status_bytes("VmHWM:")
+    triangle = sum(8 * b.size * (b.size + 1) // 2 for b in opt.kalman.blocks)
+    print(json.dumps({"triangle": triangle, "grown": peak - start}))
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_a_load_holds_one_new_copy_of_the_triangle(tmp_path):
+    """The blocks a load reads become the filter's: the load's peak adds
+    the triangle it reads to what the filter held, not a second copy of
+    it (a copy per block doubled the growth)."""
+    run = subprocess.run(
+        [sys.executable, "-c", _LOAD_PEAK, str(tmp_path / "ck")], capture_output=True,
+        text=True, check=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["triangle"] > 50e6
+    assert out["grown"] <= 1.5 * out["triangle"], out
+
 
 def _state(model, opt):
     """Everything a checkpoint restores, as comparable arrays."""
@@ -413,8 +490,32 @@ WRITE_POINTS = {
     "manifest write": (lambda: _fail_write(durable, 1), False),
     "manifest fsync": (lambda: (os, "fsync", _fail_nth(os.fsync, 2)), False),
     "manifest replace": (lambda: (os, "replace", _fail_nth(os.replace, 1)), False),
+    "directory fsync": (lambda: (os, "fsync", _fail_nth(os.fsync, 3)), True),
     "old data removal": (lambda: (os, "remove", _fail_nth(os.remove, 1)), True),
 }
+
+
+def test_the_directory_is_synced_after_the_rename(cu_model, tmp_path, monkeypatch):
+    """The commit survives a power loss, not only a crash: after the
+    manifest's rename its directory is ``fsync``'d, which also persists
+    the new data file's entry in it."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        events.append(("replace", dst))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "ck"
+    save_state(str(path), cu_model)
+    renamed = events.index(("replace", str(path / checkpoint.MANIFEST)))
+    assert ("fsync", os.stat(path).st_ino) in events[renamed + 1:]
 
 
 class TestCrashAtEachWritePoint:

@@ -1,7 +1,5 @@
 """Kalman core: kernel equivalence, algebraic invariants, guards, lanes."""
 
-import ctypes
-import gc
 import multiprocessing
 import sys
 import threading
@@ -10,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import blas, cython_blas
+from scipy.linalg import blas
 
 from repro.autograd.instrument import KernelCounter
 from repro.model import DeePMD, make_batch
@@ -478,7 +476,7 @@ def _in_forked_child(target, *args):
 
 
 class TestLanes:
-    """The per-block passes over P run on one lane per idle core; any
+    """The per-block passes over P run on one lane per core; any
     split of the blocks into lanes gives the one-lane filter bit for bit."""
 
     @pytest.mark.parametrize("coupled", [False, True])
@@ -575,37 +573,14 @@ class TestLanes:
             assert all(np.array_equal(a, b) for a, b in zip(out, expect))
             assert state.checksum() == alone.checksum()
 
-    @pytest.mark.parametrize("threads, lanes", [(2, 1), (1, 2), (None, 1)])
-    def test_lane_count_leaves_the_blas_threads_their_cores(
-        self, monkeypatch, threads, lanes
-    ):
-        monkeypatch.setattr(lanes_mod, "blas_threads", lambda: threads)
-        monkeypatch.setattr(lanes_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_lane_count_is_the_affinity_count(self, monkeypatch, cores):
+        """One lane per core the process may run on, whatever the BLAS
+        (the filter keeps it to one thread), never more than the items."""
+        monkeypatch.setattr(lanes_mod.os, "sched_getaffinity", lambda pid: set(range(cores)))
         state = _state()
-        assert len(state.lanes) == lanes
+        assert len(state.lanes) == min(cores, len(state.blocks))
         assert sorted(i for lane in state.lanes for i in lane) == list(
             range(len(state.blocks))
         )
-
-    def test_blas_threads_reads_the_live_count_and_leaves_no_garbage(self):
-        """Resolved once, read on every call: a changed thread count
-        shows at once, and a call leaves nothing for the cyclic GC (a
-        ``CDLL`` per call did)."""
-        if lanes_mod.blas_threads() is None:
-            pytest.skip("the BLAS behind scipy does not export its thread count")
-        set_threads = ctypes.CDLL(cython_blas.__file__).scipy_openblas_set_num_threads
-        set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
-        before = lanes_mod.blas_threads()
-        gc.collect()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            set_threads(1)
-            assert lanes_mod.blas_threads() == 1
-            set_threads(2)
-            assert lanes_mod.blas_threads() == 2
-            gc.collect()
-            assert gc.garbage == []
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            set_threads(before)
+        assert lanes_mod.lane_count(4) == min(cores, 4)

@@ -43,12 +43,15 @@ _ROUNDS = textwrap.dedent("""
 #: two live threads take turns running the same step, three times each:
 #: one step's 48 MB is live at a time, so the process should peak at one
 #: step above its start.  With a malloc arena per thread each thread kept
-#: its own 48 MB (96 MB of growth); with one shared arena, 48 MB
+#: its own 48 MB (96 MB of growth); with one shared arena, 48 MB.  The
+#: peak is ``VmHWM``, this address space's own: ``ru_maxrss`` keeps the
+#: (v)forked test session's peak across ``exec``, which hid the growth
 _TWO_THREADS = _ROUNDS.split("def faults", 1)[0] + textwrap.dedent("""
     import threading
 
     def peak_mb():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        with open("/proc/self/status") as fh:
+            return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:"))) / 1024
 
     turns = [threading.Event(), threading.Event()]
 
